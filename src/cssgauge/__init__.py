@@ -23,7 +23,6 @@ from .pauli import (
 from .chains import (
     ChainComplex,
     LabeledBasis,
-    UngaugeComplex,
     augment_with_logicals,
     css_logical_reps,
     homology_dim,

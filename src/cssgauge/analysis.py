@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .codes import CssSubsystemCode
-from .pauli import Hamiltonian, PauliOp, symplectic_product
+from .pauli import Hamiltonian, PauliOp, symplectic_gram, symplectic_product
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,10 @@ def code_parameters(code: CssSubsystemCode) -> CodeParameters:
     and k = n - s.
     """
     from .codes import gauge_group_rank
-    from .gf2 import BitMatrix, rank as _rank
+    from .gf2 import rank as _rank
 
-    ops = code.gauge_ops()
     g = gauge_group_rank(code)
-    m = len(ops)
-    gram = BitMatrix.from_rows(
-        m, [sum(symplectic_product(ops[i], ops[j]) << j for j in range(m)) for i in range(m)])
-    s = g - _rank(gram)
+    s = g - _rank(symplectic_gram(code.gauge_ops()))
     if (g - s) % 2:
         raise ValueError("gauge minus stabilizer rank must be even")
     k = code.n - s - (g - s) // 2

@@ -234,9 +234,9 @@ def gcc_model(length: int = 2) -> WorkedModel:
         preserved_combos.append(BitVec.from_support(n_edges, by_pair[others[0]]))
     vertex_relation_count = len(relations)
 
-    d_z = BitMatrix.from_columns(code.n, code.stabilizer_z)
     d_x = BitMatrix.from_rows(code.n, code.gauge_x)
-    topo_z = _coset_representatives(kernel_basis(d_x), d_z.transpose())
+    topo_z = _coset_representatives(kernel_basis(d_x),
+                                    BitMatrix.from_rows(code.n, code.stabilizer_z))
     z_syms = list(code.stabilizer_z) + topo_z
     z_labels = list(lattice.cells[0]) + [f"topoZ{i}" for i in range(len(topo_z))]
     topo_relations = _coset_representatives(
@@ -287,7 +287,7 @@ def full_gauge_lgt(length: int = 2) -> dict:
     links = [BitVec.from_support(n_edges, lattice.link(1, 1, e)) for e in range(n_edges)]
     link_matrix = BitMatrix.from_rows(n_edges, links)
     topological = _coset_representatives(
-        kernel_basis(link_matrix), BitMatrix.from_columns(n_edges, pair_ops).transpose())
+        kernel_basis(link_matrix), BitMatrix.from_rows(n_edges, pair_ops))
     s_swapped = make_setup(n_edges, pair_ops + topological, x_gens=links)
 
     h_lgt = ungauge_hamiltonian(gauge_hamiltonian(code), model.setup)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .gf2 import BitMatrix, BitVec, is_zero_product, kernel_basis, rank, row_space_contains
+from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -99,46 +99,8 @@ class ChainComplex:
         return f"ChainComplex({dims}; {self.orientation})"
 
 
-class UngaugeComplex:
-    """The four-term complex Z-syms -> qubits -> X-gens -> relations.
-
-    Column j of d_z is the support of the j-th Z symmetry; row k of d_x
-    is the support of the k-th X generator; row l of d_r is the l-th
-    relation between the X generators.
-    """
-
-    def __init__(self, d_z: BitMatrix, d_x: BitMatrix, d_r: BitMatrix,
-                 c_z: Optional[LabeledBasis] = None, c_q: Optional[LabeledBasis] = None,
-                 c_x: Optional[LabeledBasis] = None, c_r: Optional[LabeledBasis] = None):
-        n = d_z.rows
-        if d_x.cols != n:
-            raise ValueError("d_x columns must equal the qubit count")
-        if d_r.cols != d_x.rows:
-            raise ValueError("d_r columns must equal the X generator count")
-        self.d_z = d_z
-        self.d_x = d_x
-        self.d_r = d_r
-        self.c_z = c_z or LabeledBasis.indexed("Z", d_z.cols)
-        self.c_q = c_q or LabeledBasis.indexed("q", n)
-        self.c_x = c_x or LabeledBasis.indexed("X", d_x.rows)
-        self.c_r = c_r or LabeledBasis.indexed("R", d_r.rows)
-
-    def as_chain_complex(self) -> ChainComplex:
-        return ChainComplex([self.c_z, self.c_q, self.c_x, self.c_r],
-                            [self.d_z, self.d_x, self.d_r], orientation="ungauge")
-
-    def to_json(self) -> dict:
-        return self.as_chain_complex().to_json()
-
-    def __repr__(self):
-        return (f"UngaugeComplex(Z[{len(self.c_z)}] -> Q[{len(self.c_q)}] -> "
-                f"X[{len(self.c_x)}] -> R[{len(self.c_r)}])")
-
-
-def validate(c) -> bool:
+def validate(c: ChainComplex) -> bool:
     """All consecutive compositions vanish and dimensions are consistent."""
-    if isinstance(c, UngaugeComplex):
-        c = c.as_chain_complex()
     if not c.dims_consistent():
         return False
     for a, b in zip(c.maps[1:], c.maps[:-1]):
@@ -161,15 +123,9 @@ def homology_dim(c: ChainComplex, position: int) -> int:
 
 
 def _coset_representatives(kernel: BitMatrix, image_gens: BitMatrix) -> list[BitVec]:
-    """Rows of ``kernel`` that extend the row space of ``image_gens``."""
-    reps: list[BitVec] = []
-    acc = image_gens
-    for i in range(kernel.rows):
-        v = kernel.row(i)
-        if not row_space_contains(acc, v):
-            reps.append(v)
-            acc = acc.stack(BitMatrix.from_rows(kernel.cols, [v]))
-    return reps
+    """Rows of ``kernel`` that extend the row space of ``image_gens``, greedily in order."""
+    span = Echelon(image_gens.row_bits(i) for i in range(image_gens.rows))
+    return [kernel.row(i) for i in range(kernel.rows) if span.add(kernel.row_bits(i))]
 
 
 def css_logical_reps(c: ChainComplex) -> tuple[list[BitVec], list[BitVec]]:

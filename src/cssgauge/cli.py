@@ -169,10 +169,12 @@ def cmd_gauge(args) -> int:
 
 def _parse_slab(text: str) -> tuple[float, float]:
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
         raise UsageError(f"bad slab argument {text!r}; expected lo:hi") from None
+    if hi <= lo:
+        raise UsageError(f"empty slab {text!r}; expected lo < hi")
+    return lo, hi
 
 
 def cmd_spt(args) -> int:
@@ -184,13 +186,15 @@ def cmd_spt(args) -> int:
         # Open y boundary by default: the torus admits no fractal symmetries.
         boundary = args.boundary or "open_y"
         code = build_fractal_code(args.L, boundary)
-    lo, hi = _parse_slab(args.slab)
-    result = spt_pipeline(code, Region.slab(code, lo, hi))
+    region = Region.slab(code, *_parse_slab(args.slab))
+    if not region.sites:
+        raise UsageError(f"slab {args.slab!r} selects no qubits of {code.name} at L={args.L}")
+    result = spt_pipeline(code, region)
     circuit = find_cz_disentangler(result.wall_hamiltonian)
     report = dict(result.report)
     report["wall_hamiltonian"] = result.wall_hamiltonian.to_json()
     report["symmetries"] = [p.to_json() for p in result.symmetries]
-    report["disentangler"] = circuit.to_json() if circuit else None
+    report["disentangler"] = circuit.to_json() if circuit is not None else None
     report["wall_commutes"] = commuting_check(result.wall_hamiltonian)
     out = _out_dir(args)
     _write_json(out / f"spt-{code.name}.json", report)
@@ -198,7 +202,7 @@ def cmd_spt(args) -> int:
           and report["wall_commutes"] and circuit is not None)
     print(f"{code.name} slab {args.slab}: {report['wall_terms']} wall terms, "
           f"{report['symmetry_count']} wall symmetries, "
-          f"disentangler={'yes' if circuit else 'no'} -> {out}")
+          f"disentangler={'yes' if circuit is not None else 'no'} -> {out}")
     return 0 if ok else 1
 
 

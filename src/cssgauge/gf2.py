@@ -3,16 +3,31 @@
 Vectors and matrix rows are stored as Python integers (bit j of a row is
 column j), which gives word-parallel XOR elimination for free while the
 construction API stays sparse (sets of positions).  Everything is
-immutable by convention; elimination results are memoised per matrix.
+immutable by convention except ``Echelon``.
+
+``Echelon`` is the one elimination kernel: an incremental basis of the
+span of the vectors added so far, each row keyed by its lowest set bit
+and carrying its combination of the added vectors.  ``rank``,
+``kernel_basis``, ``solve`` and ``LinearSolver`` read the echelon of a
+matrix's columns, added in index order and memoised per matrix; span
+membership and coset questions elsewhere in the package add rows to an
+``Echelon`` of their own.
 
 Canonical conventions, relied on throughout the package:
 
-* row reduction picks the leftmost pivot in each column sweep,
+* pivots are the leftmost independent columns,
 * ``solve`` fixes all free variables to zero,
 * ``kernel_basis`` enumerates free columns in ascending order.
 
-These make kernel bases, solutions and everything derived from them
-reproducible across runs.
+Adding the columns in index order meets all three by construction: a
+column enlarges the span exactly when it is independent of the columns
+to its left, so the pivots are the leftmost independent columns; the
+combination found for a right-hand side involves pivot columns only, so
+it is the unique solution with every free variable zero; and each
+dependent column yields, as it is added, the kernel vector supported on
+itself and the pivots, in ascending column order.  These make kernel
+bases, solutions and everything derived from them reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -22,12 +37,10 @@ from typing import Iterable, Optional, Sequence
 
 def _mask_to_support(bits: int) -> tuple[int, ...]:
     out = []
-    i = 0
     while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return tuple(out)
 
 
@@ -183,11 +196,7 @@ class BitMatrix:
                 cols_list.append(c.bits)
             else:
                 cols_list.append(int(c))
-        row_bits = [0] * rows
-        for j, cbits in enumerate(cols_list):
-            for i in _mask_to_support(cbits):
-                row_bits[i] |= 1 << j
-        return cls(rows, len(cols_list), row_bits)
+        return cls(len(cols_list), rows, cols_list).transpose()
 
     # -- access ------------------------------------------------------
 
@@ -235,13 +244,9 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         row_bits = [0] * self.cols
         for i, r in enumerate(self._rows):
-            b = r
-            j = 0
-            while b:
-                if b & 1:
-                    row_bits[j] |= 1 << i
-                b >>= 1
-                j += 1
+            bit = 1 << i
+            for j in _mask_to_support(r):
+                row_bits[j] |= bit
         return BitMatrix(self.cols, self.rows, row_bits)
 
     def mul_vec(self, v: BitVec) -> BitVec:
@@ -258,13 +263,8 @@ class BitMatrix:
         out = []
         for r in self._rows:
             acc = 0
-            b = r
-            j = 0
-            while b:
-                if b & 1:
-                    acc ^= other._rows[j]
-                b >>= 1
-                j += 1
+            for j in _mask_to_support(r):
+                acc ^= other._rows[j]
             out.append(acc)
         return BitMatrix(self.rows, other.cols, out)
 
@@ -275,50 +275,22 @@ class BitMatrix:
 
     def augment_columns(self, extra: Iterable[BitVec]) -> "BitMatrix":
         """Append extra columns (each a BitVec of length ``rows``)."""
-        cols_extra = list(extra)
-        row_bits = list(self._rows)
-        for k, cv in enumerate(cols_extra):
-            if cv.length != self.rows:
-                raise ValueError("column length mismatch")
-            for i in _mask_to_support(cv.bits):
-                row_bits[i] |= 1 << (self.cols + k)
-        return BitMatrix(self.rows, self.cols + len(cols_extra), row_bits)
+        tail = BitMatrix.from_columns(self.rows, extra)
+        return BitMatrix(self.rows, self.cols + tail.cols,
+                         [r | (t << self.cols) for r, t in zip(self._rows, tail._rows)])
 
     def select_rows(self, indices: Sequence[int]) -> "BitMatrix":
         return BitMatrix(len(indices), self.cols, [self._rows[i] for i in indices])
 
-    # -- elimination -------------------------------------------------
+    def _echelon(self) -> "Echelon":
+        """The echelon of the columns, added in index order.
 
-    def _reduced(self):
-        """Reduced row echelon form: (pivot column list, reduced row list).
-
-        Leftmost-pivot order; rows fully reduced above and below.
+        Memoised and shared by every query on this matrix, so callers
+        read it and never ``add`` to it.
         """
-        if self._rref is not None:
-            return self._rref
-        work = list(self._rows)
-        pivots = []
-        pivot_row = 0
-        for col in range(self.cols):
-            sel = None
-            mask = 1 << col
-            for r in range(pivot_row, len(work)):
-                if work[r] & mask:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            work[pivot_row], work[sel] = work[sel], work[pivot_row]
-            for r in range(len(work)):
-                if r != pivot_row and (work[r] & mask):
-                    work[r] ^= work[pivot_row]
-            pivots.append(col)
-            pivot_row += 1
-            if pivot_row == len(work):
-                break
-        result = (tuple(pivots), tuple(work))
-        object.__setattr__(self, "_rref", result)
-        return result
+        if self._rref is None:
+            object.__setattr__(self, "_rref", Echelon(self.transpose()._rows))
+        return self._rref
 
     # -- serialisation -----------------------------------------------
 
@@ -330,24 +302,70 @@ class BitMatrix:
         return cls.from_entries(data["rows"], data["cols"], [tuple(e) for e in data["entries"]])
 
 
+
+
+class Echelon:
+    """Incremental echelon basis of the span of the vectors added so far.
+
+    Vectors are bitmask integers.  ``rows`` maps each basis row's lowest
+    set bit to ``(row, combo)``, where bit i of ``combo`` stands for the
+    i-th vector added; the lowest bits are distinct, so a vector lies in
+    the span exactly when reducing it by lowest bit clears it.  Each
+    added vector that does not enlarge the span leaves its dependency
+    (itself plus the combination producing it) in ``relations``.
+    """
+
+    __slots__ = ("rows", "added", "relations")
+
+    def __init__(self, vectors: Iterable[int] = ()):
+        self.rows: dict[int, tuple[int, int]] = {}
+        self.added = 0
+        self.relations: list[int] = []
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: int) -> tuple[int, int]:
+        """(residual, combo): v is the residual plus the combo's vectors.
+
+        The residual is zero exactly when v lies in the span.
+        """
+        rows = self.rows
+        combo = 0
+        while v:
+            hit = rows.get(v & -v)
+            if hit is None:
+                break
+            v ^= hit[0]
+            combo ^= hit[1]
+        return v, combo
+
+    def add(self, v: int) -> bool:
+        """Add the next vector; True when it enlarged the span."""
+        residual, combo = self.reduce(v)
+        combo ^= 1 << self.added
+        self.added += 1
+        if residual:
+            self.rows[residual & -residual] = (residual, combo)
+            return True
+        self.relations.append(combo)
+        return False
+
+    def contains(self, v: int) -> bool:
+        return not self.reduce(v)[0]
+
+
 def rank(m: BitMatrix) -> int:
-    """GF(2) row rank."""
-    return len(m._reduced()[0])
+    """GF(2) rank."""
+    return len(m._echelon())
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
     """Rows form a canonical basis of the right kernel {v : M v = 0}."""
-    pivots, reduced = m._reduced()
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    out = []
-    for f in free_cols:
-        v = 1 << f
-        for i, c in enumerate(pivots):
-            if (reduced[i] >> f) & 1:
-                v |= 1 << c
-        out.append(v)
-    return BitMatrix(len(out), m.cols, out)
+    relations = m._echelon().relations
+    return BitMatrix(len(relations), m.cols, relations)
 
 
 def solve(m: BitMatrix, b: BitVec) -> Optional[BitVec]:
@@ -358,101 +376,32 @@ def solve(m: BitMatrix, b: BitVec) -> Optional[BitVec]:
     """
     if b.length != m.rows:
         raise ValueError("right-hand side length mismatch")
-    # Row-reduce the augmented matrix [M | b] with the same pivot policy.
-    work = [m._rows[i] | (((b.bits >> i) & 1) << m.cols) for i in range(m.rows)]
-    pivots = []
-    pivot_row = 0
-    for col in range(m.cols):
-        sel = None
-        mask = 1 << col
-        for r in range(pivot_row, len(work)):
-            if work[r] & mask:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        for r in range(len(work)):
-            if r != pivot_row and (work[r] & mask):
-                work[r] ^= work[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    aug_mask = 1 << m.cols
-    for r in range(pivot_row, len(work)):
-        if work[r] & aug_mask:
-            return None
-    x = 0
-    for i, c in enumerate(pivots):
-        if work[i] & aug_mask:
-            x |= 1 << c
-    return BitVec(m.cols, x)
+    residual, combo = m._echelon().reduce(b.bits)
+    return None if residual else BitVec(m.cols, combo)
 
 
 class LinearSolver:
     """Reusable canonical solver for M x = b with many right-hand sides.
 
-    Eliminates [M | I] once; each solve is then a handful of word-parallel
-    dot products.  Solutions match ``solve`` exactly (leftmost pivots,
-    free variables zero).
+    Builds the matrix's echelon once; each solve is then one reduction.
+    Solutions match ``solve`` exactly, which reads the same echelon.
     """
 
     def __init__(self, m: BitMatrix):
         self.m = m
-        work = [m._rows[i] | (1 << (m.cols + i)) for i in range(m.rows)]
-        pivots = []
-        pivot_row = 0
-        for col in range(m.cols):
-            sel = None
-            mask = 1 << col
-            for r in range(pivot_row, len(work)):
-                if work[r] & mask:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            work[pivot_row], work[sel] = work[sel], work[pivot_row]
-            for r in range(len(work)):
-                if r != pivot_row and (work[r] & mask):
-                    work[r] ^= work[pivot_row]
-            pivots.append(col)
-            pivot_row += 1
-            if pivot_row == len(work):
-                break
-        col_mask = (1 << m.cols) - 1
-        self.pivots = pivots
-        self.transform = [w >> m.cols for w in work]   # row ops applied to I
-        self.reduced = [w & col_mask for w in work]
+        m._echelon()
 
     def solve(self, b: BitVec) -> Optional[BitVec]:
-        if b.length != self.m.rows:
-            raise ValueError("right-hand side length mismatch")
-        x = 0
-        r = len(self.pivots)
-        for i, c in enumerate(self.pivots):
-            if (self.transform[i] & b.bits).bit_count() & 1:
-                x |= 1 << c
-        for i in range(r, self.m.rows):
-            if (self.transform[i] & b.bits).bit_count() & 1:
-                return None
-        return BitVec(self.m.cols, x)
+        return solve(self.m, b)
 
 
 def is_zero_product(a: BitMatrix, b: BitMatrix) -> bool:
     """True iff A B = 0 over GF(2)."""
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch in product check")
-    bt = b.transpose()
-    for ra in a._rows:
-        for rb in bt._rows:
-            if (ra & rb).bit_count() & 1:
-                return False
-    return True
+    return (a @ b).is_zero()
 
 
 def row_space_contains(m: BitMatrix, v: BitVec) -> bool:
     """True iff v lies in the span of the rows of M."""
     if v.length != m.cols:
         raise ValueError("length mismatch")
-    return solve(m.transpose(), v) is not None
+    return Echelon(m._rows).contains(v.bits)

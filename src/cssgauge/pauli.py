@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import BitMatrix, BitVec, kernel_basis, solve
+from .gf2 import BitMatrix, BitVec, Echelon, kernel_basis
 
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -156,6 +156,16 @@ def symplectic_product(p: PauliOp, q: PauliOp) -> int:
     return ((p.x.bits & q.z.bits).bit_count() + (p.z.bits & q.x.bits).bit_count()) & 1
 
 
+def symplectic_gram(ops: Sequence[PauliOp]) -> BitMatrix:
+    """Pairwise symplectic products as a matrix: X Z^T + Z X^T over GF(2)."""
+    n = ops[0].n if ops else 0
+    x = BitMatrix.from_rows(n, [p.x for p in ops])
+    z = BitMatrix.from_rows(n, [p.z for p in ops])
+    xz, zx = x @ z.transpose(), z @ x.transpose()
+    m = len(ops)
+    return BitMatrix(m, m, [xz.row_bits(i) ^ zx.row_bits(i) for i in range(m)])
+
+
 def multiply(p: PauliOp, q: PauliOp) -> PauliOp:
     """Operator product p * q with exact i-power bookkeeping."""
     if p.n != q.n:
@@ -280,45 +290,37 @@ def group_rank(gens: Sequence[PauliOp]) -> int:
     for g in gens:
         if g.n != n:
             raise ValueError("qubit count mismatch")
-    m = BitMatrix.from_rows(2 * n, [g.symplectic_row() for g in gens])
-    from .gf2 import rank as _rank
-
-    return _rank(m)
+    return len(Echelon(g.symplectic_row().bits for g in gens))
 
 
 class GroupMembership:
     """Repeated membership queries against one Pauli generating set.
 
-    The symplectic solve is factorised once; sign tracking rebuilds the
-    solving combination's product in generator index order.
+    The generators' (x|z) rows are reduced once into an echelon; sign
+    tracking rebuilds the solving combination's product in generator
+    index order.
     """
 
     def __init__(self, gens: Sequence[PauliOp]):
-        from .gf2 import LinearSolver
-
         self.gens = list(gens)
         self.n = gens[0].n if gens else 0
         for g in self.gens:
             if g.n != self.n:
                 raise ValueError("qubit count mismatch")
-        if self.gens:
-            m = BitMatrix.from_rows(2 * self.n, [g.symplectic_row() for g in self.gens])
-            self._solver = LinearSolver(m.transpose())
-        else:
-            self._solver = None
+        self._span = Echelon(g.symplectic_row().bits for g in self.gens)
 
     def contains(self, p: PauliOp, track_sign: bool = False) -> bool:
-        if self._solver is None:
+        if not self.gens:
             return p.x.is_zero() and p.z.is_zero() and (p.phase == 0 or not track_sign)
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        combo = self._solver.solve(p.symplectic_row())
-        if combo is None:
+        residual, combo = self._span.reduce(p.symplectic_row().bits)
+        if residual:
             return False
         if not track_sign:
             return True
         prod = PauliOp.identity(self.n)
-        for i in combo.support:
+        for i in BitVec(len(self.gens), combo).support:
             prod = multiply(prod, self.gens[i])
         return prod.phase == p.phase
 
@@ -344,13 +346,9 @@ def center_of_group(gens: Sequence[PauliOp]) -> list[PauliOp]:
     if not gens:
         return []
     n = gens[0].n
-    k = len(gens)
-    gram = BitMatrix.from_rows(
-        k, [sum(symplectic_product(gens[i], gens[j]) << j for j in range(k)) for i in range(k)]
-    )
-    combos = kernel_basis(gram)
+    combos = kernel_basis(symplectic_gram(gens))
     out: list[PauliOp] = []
-    seen_rows: list[PauliOp] = []
+    seen = Echelon()
     for i in range(combos.rows):
         combo = combos.row(i)
         element = PauliOp.identity(n)
@@ -360,9 +358,8 @@ def center_of_group(gens: Sequence[PauliOp]) -> list[PauliOp]:
             continue
         if element.phase == 2:
             element = PauliOp(n, element.x, element.z, 0)
-        if group_rank(seen_rows + [element]) > len(out):
+        if seen.add(element.symplectic_row().bits):
             out.append(element)
-            seen_rows.append(element)
     return out
 
 

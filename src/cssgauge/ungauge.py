@@ -31,8 +31,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .chains import UngaugeComplex
-from .gf2 import BitMatrix, BitVec, is_zero_product, kernel_basis, rank, row_space_contains
+from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, kernel_basis, rank, solve
 from .pauli import (
     Hamiltonian,
     PauliOp,
@@ -78,28 +77,22 @@ class UngaugeSetup:
         self.x_labels = tuple(x_labels) if x_labels else None
         self.notes = list(notes) if notes else []
         self._dxt = d_x.transpose()
-        self._x_solver = None
-        self._z_solver = None
+        self._generator_span = None
 
     def x_preimage(self, x: BitVec) -> Optional[BitVec]:
         """Canonical generator combination with d_x^T combo = x."""
         if x.is_zero():
             return BitVec(self.n_fin)
-        if self._x_solver is None:
-            from .gf2 import LinearSolver
-
-            self._x_solver = LinearSolver(self._dxt)
-        return self._x_solver.solve(x)
+        if self._generator_span is None:
+            self._generator_span = Echelon(self.d_x.row_bits(k) for k in range(self.n_fin))
+        residual, combo = self._generator_span.reduce(x.bits)
+        return None if residual else BitVec(self.n_fin, combo)
 
     def z_preimage(self, z: BitVec) -> Optional[BitVec]:
         """Canonical initial-qubit support with d_x pre = z."""
         if z.is_zero():
             return BitVec(self.n_ini)
-        if self._z_solver is None:
-            from .gf2 import LinearSolver
-
-            self._z_solver = LinearSolver(self.d_x)
-        return self._z_solver.solve(z)
+        return solve(self.d_x, z)
 
     def ranks(self) -> dict:
         return {
@@ -109,9 +102,6 @@ class UngaugeSetup:
             "rank_d_x": rank(self.d_x),
             "rank_d_r": rank(self.d_r),
         }
-
-    def as_complex(self) -> UngaugeComplex:
-        return UngaugeComplex(self.d_z, self.d_x, self.d_r)
 
     def __repr__(self):
         return (f"UngaugeSetup(n_ini={self.n_ini}, n_fin={self.n_fin}, "
@@ -174,13 +164,14 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
             f"relations span rank {rank(d_r)} but the full relation space has rank "
             f"{expected_rel_rank}")
 
-    for i, v in enumerate(preserved):
+    setup = UngaugeSetup(d_z, d_x, d_r, preserved, preserved_combos,
+                         qubit_labels, z_labels, x_labels, notes)
+    for i, v in enumerate(setup.preserved_x_ini):
         if v.length != n:
             raise UngaugeError("preserved symmetry support length mismatch")
-        if not row_space_contains(d_x, v):
+        if setup.x_preimage(v) is None:
             raise NotSymmetricError(f"preserved X symmetry {i} is not in the symmetric group")
-    return UngaugeSetup(d_z, d_x, d_r, preserved, preserved_combos,
-                        qubit_labels, z_labels, x_labels, notes)
+    return setup
 
 
 def _hermitian_sign_or_raise(p: PauliOp, what: str) -> int:

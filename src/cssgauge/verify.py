@@ -317,18 +317,19 @@ def _dense_pauli(op: PauliOp):
     return (1j ** op.phase) * out
 
 
-def _dense_conjugate(mat, circuit: CliffordCircuit):
+def _dense_conjugate(op: PauliOp, circuit: CliffordCircuit):
+    """U P U^dagger for the dense P of ``op``, built here so that no caller holds P."""
     import numpy as np
 
+    mat = _dense_pauli(op)
     n = circuit.n
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     for g in circuit.gates:
         if g[0] == "H":
             q = g[1]
-            t = mat.reshape([2] * (2 * n))
-            t = np.moveaxis(np.tensordot(h, t, axes=(1, q)), 0, q)
-            t = np.moveaxis(np.tensordot(t, h, axes=(n + q, 0)), -1, n + q)
-            mat = t.reshape(2 ** n, 2 ** n)
+            mat = np.moveaxis(np.tensordot(h, mat.reshape([2] * (2 * n)), axes=(1, q)), 0, q)
+            mat = np.moveaxis(np.tensordot(mat, h, axes=(n + q, 0)), -1, n + q)
+            mat = mat.reshape(2 ** n, 2 ** n)
         else:
             a, b = g[1], g[2]
             idx = np.arange(2 ** n)
@@ -366,12 +367,15 @@ def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
         n = rng.randint(1, 6) if case % 10 else rng.randint(7, 10)
         p = _random_pauli(n, rng)
         q = _random_pauli(n, rng)
-        if not np.allclose(_dense_pauli(multiply(p, q)), _dense_pauli(p) @ _dense_pauli(q)):
+        # A 2^10 x 2^10 matrix takes 16 MB: the dense side of each comparison
+        # is finished before the symplectic side is expanded, so fewer are alive.
+        expected = _dense_pauli(p) @ _dense_pauli(q)
+        if not np.allclose(_dense_pauli(multiply(p, q)), expected):
             return CheckResult(12, "dense oracle agreement", False,
                                f"multiplication mismatch at case {case}")
         circ = _random_circuit(n, rng.randint(1, 6), rng)
-        img = conjugate_by_circuit(p, circ)
-        if not np.allclose(_dense_pauli(img), _dense_conjugate(_dense_pauli(p), circ)):
+        expected = _dense_conjugate(p, circ)
+        if not np.allclose(_dense_pauli(conjugate_by_circuit(p, circ)), expected):
             return CheckResult(12, "dense oracle agreement", False,
                                f"conjugation mismatch at case {case}")
     return CheckResult(12, "dense oracle agreement", True, f"{cases} randomized cases, n <= 10")

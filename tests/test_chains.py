@@ -7,7 +7,6 @@ from cssgauge.catalog import _axis_loops
 from cssgauge.chains import (
     ChainComplex,
     LabeledBasis,
-    UngaugeComplex,
     augment_with_logicals,
     css_logical_reps,
     homology_dim,
@@ -146,10 +145,14 @@ def test_ungauge_complex_validate():
     d_z = BitMatrix.from_columns(3, [BitVec.from_support(3, [0, 1])])
     d_x = BitMatrix.from_rows(3, [BitVec.from_support(3, [0, 1]),
                                   BitVec.from_support(3, [0, 1, 2])])
+    spaces = [LabeledBasis.indexed("Z", 1), LabeledBasis.indexed("q", 3),
+              LabeledBasis.indexed("X", 2)]
     # Left kernel of d_x is empty here, so no relations.
-    uc = UngaugeComplex(d_z, d_x, BitMatrix.zeros(0, 2))
+    uc = ChainComplex(spaces + [LabeledBasis.indexed("R", 0)],
+                      [d_z, d_x, BitMatrix.zeros(0, 2)], orientation="ungauge")
     assert validate(uc)
-    bad = UngaugeComplex(d_z, d_x, BitMatrix.from_rows(2, [0b01]))
+    bad = ChainComplex(spaces + [LabeledBasis.indexed("R", 1)],
+                       [d_z, d_x, BitMatrix.from_rows(2, [0b01])], orientation="ungauge")
     assert not validate(bad)
 
 

@@ -81,8 +81,11 @@ def test_spt_toric(tmp_path):
 
 
 def test_spt_bad_slab(tmp_path):
-    assert run(["spt", "--code", "toric2d", "--L", "4", "--slab", "oops",
-                "--out", str(tmp_path)]) == 2
+    # Unparsable, inverted, empty, and selecting no qubit of the L=4 torus.
+    for slab in ("oops", "3:1", "2:2", "100:101"):
+        assert run(["spt", "--code", "toric2d", "--L", "4", "--slab", slab,
+                    "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_export_matrices(tmp_path):

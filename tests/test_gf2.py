@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cssgauge.chains import _coset_representatives
 from cssgauge.gf2 import (
     BitMatrix,
     BitVec,
@@ -165,3 +167,87 @@ def test_row_space_contains():
     m = BitMatrix.from_rows(4, [0b0011, 0b0110])
     assert row_space_contains(m, BitVec.from_support(4, [0, 2]))
     assert not row_space_contains(m, BitVec.from_support(4, [3]))
+
+
+# -- properties of the echelon kernel on random small matrices -------------
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 12)) if rows is None else rows
+    cols = draw(st.integers(0, 12)) if cols is None else cols
+    bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, bits)
+
+
+@st.composite
+def systems(draw):
+    m = draw(matrices())
+    return m, BitVec(m.rows, draw(st.integers(0, (1 << m.rows) - 1)))
+
+
+def dense_columns(m):
+    return [[m.row(i).get(j) for i in range(m.rows)] for j in range(m.cols)]
+
+
+def pivot_columns(m):
+    """Leftmost independent columns, found with the naive oracle."""
+    cols = dense_columns(m)
+    pivots = []
+    for j in range(m.cols):
+        if naive_rank(cols[: j + 1]) > len(pivots):
+            pivots.append(j)
+    return pivots
+
+
+@PROPERTY
+@given(matrices())
+def test_property_rank_matches_oracle(m):
+    assert rank(m) == naive_rank(matrix_rows(m))
+
+
+@PROPERTY
+@given(matrices())
+def test_property_kernel_basis_canonical(m):
+    k = kernel_basis(m)
+    assert k.cols == m.cols and k.rows == m.cols - rank(m)
+    pivots = pivot_columns(m)
+    free = [j for j in range(m.cols) if j not in pivots]
+    free_mask = sum(1 << j for j in free)
+    assert [k.row_bits(i) & free_mask for i in range(k.rows)] == [1 << j for j in free]
+    for i in range(k.rows):
+        assert m.mul_vec(k.row(i)).is_zero()
+
+
+@PROPERTY
+@given(systems())
+def test_property_solve_canonical(system):
+    m, b = system
+    cols = dense_columns(m)
+    in_image = naive_rank(cols + [[b.get(i) for i in range(m.rows)]]) == naive_rank(cols)
+    x = solve(m, b)
+    assert (x is not None) == in_image
+    if x is not None:
+        assert m.mul_vec(x) == b
+        assert set(x.support) <= set(pivot_columns(m))
+
+
+@PROPERTY
+@given(systems())
+def test_property_linear_solver_matches_solve(system):
+    m, b = system
+    assert LinearSolver(m).solve(b) == solve(m, b)
+
+
+@PROPERTY
+@given(st.integers(0, 12).flatmap(
+    lambda cols: st.tuples(matrices(cols=cols), matrices(cols=cols))))
+def test_property_coset_representative_count(pair):
+    image, candidates = pair
+    reps = _coset_representatives(candidates, image)
+    stacked = matrix_rows(image.stack(candidates))
+    assert len(reps) == naive_rank(stacked) - naive_rank(matrix_rows(image))
+    with_reps = matrix_rows(image) + [[v.get(j) for j in range(v.length)] for v in reps]
+    assert naive_rank(with_reps) == naive_rank(stacked)
