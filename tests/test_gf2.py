@@ -175,8 +175,8 @@ PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
 
 @st.composite
-def matrices(draw, rows=None, cols=None):
-    rows = draw(st.integers(0, 12)) if rows is None else rows
+def matrices(draw, cols=None):
+    rows = draw(st.integers(0, 12))
     cols = draw(st.integers(0, 12)) if cols is None else cols
     bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
     return BitMatrix(rows, cols, bits)
