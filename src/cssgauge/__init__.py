@@ -28,7 +28,7 @@ from .chains import (
     homology_dim,
     validate,
 )
-from .lattice import CellComplex, generalized_boundary, link, sublattice
+from .lattice import CellComplex
 from .codes import CssSubsystemCode, gauge_hamiltonian, stabilizer_hamiltonian, y_gauge_hamiltonian
 from .builders import (
     build_bacon_shor,

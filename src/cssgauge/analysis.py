@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .codes import CssSubsystemCode
-from .pauli import Hamiltonian, PauliOp, symplectic_gram, symplectic_product
+from .pauli import Hamiltonian, PauliOp, symplectic_gram
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,12 @@ def is_self_dual(code: CssSubsystemCode) -> bool:
 
 
 def find_noncommuting_pair(h: Hamiltonian) -> Optional[tuple[int, int]]:
-    ops = h.operators()
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if symplectic_product(ops[i], ops[j]):
-                return (i, j)
+    """The first anticommuting pair (i, j), i < j, in row-major order."""
+    gram = symplectic_gram(h.operators())
+    for i in range(gram.rows):
+        above = gram.row_bits(i) >> (i + 1)
+        if above:
+            return (i, i + (above & -above).bit_length())
     return None
 
 

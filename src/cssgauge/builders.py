@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .codes import CssSubsystemCode
 from .gf2 import BitVec
 from .lattice import (
+    AXES,
     CellComplex,
     gcc_lattice,
     hypercubic_torus,
@@ -30,12 +31,11 @@ def _parse_hypercubic_label(label: str) -> tuple[str, tuple[int, ...]]:
 
 def _hypercubic_coords(lattice: CellComplex, d: int) -> list[tuple[float, ...]]:
     coords = []
-    axis_pos = {"x": 0, "y": 1, "z": 2, "w": 3}
     for label in lattice.cells[d]:
         axes, p = _parse_hypercubic_label(label)
         c = [float(v) for v in p]
         for a in axes:
-            c[axis_pos[a]] += 0.5
+            c[AXES.index(a)] += 0.5
         coords.append(tuple(c))
     return coords
 
@@ -52,8 +52,8 @@ def toric_code_from_complex(lattice: CellComplex, k: int = 1,
     n = lattice.n_cells(k)
     bk = lattice.boundary[k]
     x_stabs = [bk.row(i) for i in range(bk.rows)]
-    bk1 = lattice.boundary[k + 1]
-    z_stabs = [bk1.column(j) for j in range(bk1.cols)]
+    faces = lattice.generalized_boundary(k, k + 1)
+    z_stabs = [faces.row(j) for j in range(faces.rows)]
     return CssSubsystemCode(
         name, n, gauge_x=x_stabs, gauge_z=z_stabs,
         qubit_labels=lattice.cells[k], lattice=lattice,
@@ -168,8 +168,8 @@ def build_color_code_2d(length: int) -> CssSubsystemCode:
     """The 2D color code on a 3-colored triangular torus; qubits on faces."""
     lattice = triangular_torus(length)
     n = lattice.n_cells(2)
-    star = lattice.generalized_boundary(0, 2)
-    stabs = [star.column(v) for v in range(lattice.n_cells(0))]
+    star = lattice.generalized_boundary(2, 0)
+    stabs = [star.row(v) for v in range(lattice.n_cells(0))]
     return CssSubsystemCode(
         "color2d", n, gauge_x=stabs, gauge_z=list(stabs),
         qubit_labels=lattice.cells[2], lattice=lattice,
@@ -184,10 +184,10 @@ def build_gcc(length: int) -> CssSubsystemCode:
     """
     lattice = gcc_lattice(length)
     n = lattice.n_cells(3)
-    edge_star = lattice.generalized_boundary(1, 3)
-    vertex_star = lattice.generalized_boundary(0, 3)
-    gauge = [edge_star.column(e) for e in range(lattice.n_cells(1))]
-    stabs = [vertex_star.column(v) for v in range(lattice.n_cells(0))]
+    edge_star = lattice.generalized_boundary(3, 1)
+    vertex_star = lattice.generalized_boundary(3, 0)
+    gauge = [edge_star.row(e) for e in range(lattice.n_cells(1))]
+    stabs = [vertex_star.row(v) for v in range(lattice.n_cells(0))]
     return CssSubsystemCode(
         "gcc", n, gauge_x=list(gauge), gauge_z=list(gauge),
         stabilizer_x=list(stabs), stabilizer_z=list(stabs),

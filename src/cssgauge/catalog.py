@@ -17,7 +17,7 @@ from .builders import CssSubsystemCode
 from .chains import _coset_representatives, css_logical_reps
 from .codes import gauge_hamiltonian, stabilizer_hamiltonian, y_gauge_hamiltonian
 from .gf2 import BitMatrix, BitVec, kernel_basis
-from .lattice import edge_color_class
+from .lattice import AXES, edge_color_class
 from .pauli import Hamiltonian, PauliOp, Term, transversal_hadamard_hamiltonian
 from .ungauge import (
     UngaugeSetup,
@@ -50,7 +50,7 @@ def _axis_loops(code: CssSubsystemCode) -> list[BitVec]:
     dim, length = code.metadata["D"], code.metadata["L"]
     loops = []
     for a in range(dim):
-        axis = "xyzw"[a]
+        axis = AXES[a]
         support = []
         for t in range(length):
             p = tuple(t if i == a else 0 for i in range(dim))
@@ -217,14 +217,14 @@ def gcc_model(length: int = 2) -> WorkedModel:
     lattice = code.lattice
     n_edges = lattice.n_cells(1)
     edge_classes = [edge_color_class(lattice, e) for e in range(n_edges)]
-    vertex_edges = lattice.generalized_boundary(0, 1)
+    vertex_edges = lattice.generalized_boundary(1, 0)
 
     relations = []
     preserved_combos = []
     for v in range(lattice.n_cells(0)):
         own = lattice.vertex_colors[lattice.cells[0][v]]
         others = sorted(set("abcd") - {own})
-        incident = vertex_edges.column(v).support
+        incident = vertex_edges.row(v).support
         by_pair = {o: [e for e in incident if edge_classes[e] == "".join(sorted(own + o))]
                    for o in others}
         for i in range(3):
@@ -273,7 +273,7 @@ def full_gauge_lgt(length: int = 2) -> dict:
     code, lattice = model.code, model.code.lattice
     n_edges = lattice.n_cells(1)
     edge_classes = model.extra["edge_classes"]
-    vertex_edges = lattice.generalized_boundary(0, 1)
+    vertex_edges = lattice.generalized_boundary(1, 0)
 
     pair_ops = []
     for v in range(lattice.n_cells(0)):
@@ -281,7 +281,7 @@ def full_gauge_lgt(length: int = 2) -> dict:
         for o in sorted(set("abcd") - {own}):
             pair = "".join(sorted(own + o))
             pair_ops.append(BitVec.from_support(
-                n_edges, [e for e in vertex_edges.column(v).support
+                n_edges, [e for e in vertex_edges.row(v).support
                           if edge_classes[e] == pair]))
 
     links = [BitVec.from_support(n_edges, lattice.link(1, 1, e)) for e in range(n_edges)]
@@ -378,13 +378,13 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
     x_labels = [lattice.cells[1][e] for e in sym_edges]
     gen_of_edge = {e: i for i, e in enumerate(sym_edges)}
 
-    vertex_edges = lattice.generalized_boundary(0, 1)
+    vertex_edges = lattice.generalized_boundary(1, 0)
     relations = []
     for v in range(lattice.n_cells(0)):
         if vcol[v] != color:
             continue
         relations.append(BitVec.from_support(
-            len(sym_edges), [gen_of_edge[e] for e in vertex_edges.column(v).support]))
+            len(sym_edges), [gen_of_edge[e] for e in vertex_edges.row(v).support]))
 
     preserved = []
     preserved_combos = []
@@ -395,7 +395,7 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
         preserved.append(code.stabilizer_x[v])
         own = vcol[v]
         pair = "".join(sorted(own + color))
-        combo_edges = [gen_of_edge[e] for e in vertex_edges.column(v).support
+        combo_edges = [gen_of_edge[e] for e in vertex_edges.row(v).support
                        if edge_color_class(lattice, e) == pair]
         preserved_combos.append(BitVec.from_support(len(sym_edges), combo_edges))
         preserved_vertices.append(v)
@@ -417,14 +417,14 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
             own = vcol[v]
             pair = "".join(sorted(own + color))
             combo = BitVec.from_support(
-                len(sym_edges), [gen_of_edge[e] for e in vertex_edges.column(v).support
+                len(sym_edges), [gen_of_edge[e] for e in vertex_edges.row(v).support
                                  if edge_color_class(lattice, e) == pair])
             h.add(Term(f"X[{lattice.cells[0][v]}]", "J_X", op, {"x_combo": combo}))
         else:
             for o in other_colors:
                 pair = "".join(sorted(color + o))
                 combo = BitVec.from_support(
-                    len(sym_edges), [gen_of_edge[e] for e in vertex_edges.column(v).support
+                    len(sym_edges), [gen_of_edge[e] for e in vertex_edges.row(v).support
                                      if edge_color_class(lattice, e) == pair])
                 h.add(Term(f"X[{lattice.cells[0][v]}]:{pair}", "J_X", op, {"x_combo": combo}))
         if vcol[v] != color:

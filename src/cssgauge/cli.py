@@ -25,12 +25,7 @@ from .builders import (
 )
 from .codes import gauge_hamiltonian, y_gauge_hamiltonian
 from .sptwall import Region, find_cz_disentangler, spt_pipeline
-from .ungauge import (
-    UngaugeResult,
-    setup_report,
-    strip_identity_terms,
-    ungauge_hamiltonian,
-)
+from .ungauge import setup_report, strip_identity_terms, ungauge_hamiltonian
 from .verify import run_all
 
 BUILDERS = ("toric2d", "toric3d", "toric", "toric-sphere", "bacon-shor",
@@ -102,8 +97,18 @@ def cmd_build(args) -> int:
     return 0
 
 
+# (--D, --k) of the model that ``ungauge`` runs for each toric code name;
+# the other codes take neither flag.
+_WORKED_TORIC = {"toric2d": (2, 1), "toric": (2, 1), "toric3d": (3, 1)}
+
+
 def _worked_model(args):
     code = args.code
+    runs = _WORKED_TORIC.get(code, (None, None))
+    for flag, given, value in zip(("--D", "--k"), (args.D, args.k), runs):
+        if given is not None and given != value:
+            raise UsageError(f"ungauge --code {code} takes no {flag}" if value is None else
+                             f"ungauge --code {code} runs {flag} {value} only, not {flag} {given}")
     if code in ("toric2d", "toric"):
         return catalog.toric_torus_model(args.L)
     if code == "toric3d":
@@ -135,7 +140,12 @@ def cmd_ungauge(args) -> int:
     report = setup_report(model.setup, mapped=stripped,
                           commutation_pairs=args.pairs, seed=args.seed)
     rep = components(stripped)
-    report["result"] = UngaugeResult(model.setup, stripped).to_json()
+    report["result"] = {
+        "n_fin": model.setup.n_fin,
+        "emergent_x": [op["x"] for op in report["emergent"]],
+        "preserved_x_fin": [op["x"] for op in report["preserved"]],
+        "mapped_terms": report["mapped_terms"],
+    }
     report["components"] = rep.to_json()
     report["identity_images"] = dropped
     out = _out_dir(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .chains import ChainComplex
-from .gf2 import BitMatrix, BitVec, rank
+from .gf2 import BitMatrix, BitVec, is_zero_product, rank
 from .lattice import CellComplex
 from .pauli import Hamiltonian, PauliOp, Term, center_of_group, group_rank
 
@@ -43,19 +43,15 @@ class CssSubsystemCode:
         self._check_css()
 
     def _check_css(self):
-        for sx in self.stabilizer_x:
-            for gz in self.gauge_z:
-                if sx.dot(gz):
-                    raise ValueError("X stabilizer anticommutes with a Z gauge generator")
-        for sz in self.stabilizer_z:
-            for gx in self.gauge_x:
-                if sz.dot(gx):
-                    raise ValueError("Z stabilizer anticommutes with an X gauge generator")
+        if not is_zero_product(self.stabilizer_x_matrix(), self.gauge_z_matrix().transpose()):
+            raise ValueError("X stabilizer anticommutes with a Z gauge generator")
+        if not is_zero_product(self.stabilizer_z_matrix(), self.gauge_x_matrix().transpose()):
+            raise ValueError("Z stabilizer anticommutes with an X gauge generator")
 
     # -- group views ---------------------------------------------------
 
     def is_stabilizer_code(self) -> bool:
-        return all(gx.dot(gz) == 0 for gx in self.gauge_x for gz in self.gauge_z)
+        return is_zero_product(self.gauge_x_matrix(), self.gauge_z_matrix().transpose())
 
     def gauge_x_matrix(self) -> BitMatrix:
         return BitMatrix.from_rows(self.n, self.gauge_x)

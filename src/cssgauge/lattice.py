@@ -5,6 +5,11 @@ vertex subsets: on small periodic tori distinct cells can share the same
 vertex set (parallel edges at L=2), so identity lives in the label.
 ``boundary[d]`` maps d-cells to their (d-1)-faces; generalized boundary
 operators and links are derived from these by boolean closure.
+
+Incidence is always read by rows: row i of ``generalized_boundary(k, l)``
+lists the k-cells related to l-cell i.  The (k, l) and (l, k) matrices
+are transposes of each other, so "which k-cells meet this l-cell" is
+one row of the first and never a column of the second.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ class CellComplex:
             b = self.boundary[d]
             if b.rows != len(self.cells[d - 1]) or b.cols != len(self.cells[d]):
                 raise ValueError(f"boundary[{d}] has wrong shape")
-        self._vertex_sets_cache: dict[int, list[frozenset[int]]] = {}
         self._gb_cache: dict[tuple[int, int], BitMatrix] = {}
 
     # -- basics --------------------------------------------------------
@@ -54,9 +58,10 @@ class CellComplex:
             if not is_zero_product(self.boundary[d - 1], self.boundary[d]):
                 return False
         if self.vertex_colors is not None:
+            edge_vertices = self.generalized_boundary(0, 1)
             for e in range(self.n_cells(1)):
                 cols = {self.vertex_colors[self.cells[0][v]]
-                        for v in self.boundary[1].column(e).support}
+                        for v in edge_vertices.row(e).support}
                 if len(cols) < 2:
                     return False
         return True
@@ -67,30 +72,22 @@ class CellComplex:
     # -- derived incidence ----------------------------------------------
 
     def vertex_set(self, d: int, i: int) -> frozenset[int]:
-        return self._vertex_sets(d)[i]
+        return frozenset(BitVec(self.n_cells(0), self._vertex_bits(d, i)).support)
 
-    def _vertex_sets(self, d: int) -> list[frozenset[int]]:
-        if d in self._vertex_sets_cache:
-            return self._vertex_sets_cache[d]
-        if d == 0:
-            sets = [frozenset([i]) for i in range(self.n_cells(0))]
-        else:
-            lower = self._vertex_sets(d - 1)
-            sets = []
-            for c in range(self.n_cells(d)):
-                acc: set[int] = set()
-                for f in self.boundary[d].column(c).support:
-                    acc |= lower[f]
-                sets.append(frozenset(acc))
-        self._vertex_sets_cache[d] = sets
-        return sets
+    def _vertex_bits(self, d: int, i: int) -> int:
+        return 1 << i if d == 0 else self.generalized_boundary(0, d).row_bits(i)
 
     def generalized_boundary(self, k: int, l: int) -> BitMatrix:
-        """The map C_k -> C_l: containment for k > l, star for k < l.
+        """The incidence of k-cells and l-cells, as an n_l x n_k matrix.
 
-        Column of a k-cell holds the l-cells contained in it (k > l) or
-        the l-cells containing it (k < l); as matrices these transpose
-        into each other.
+        Row i lists the k-cells related to l-cell i: those contained in
+        it (k < l) or those containing it (k > l).  ``(k, l)`` and
+        ``(l, k)`` are transposes of each other, so a question about the
+        k-cells of an l-cell is always one row of one of them.  For
+        k > l the matrix is ``boundary[k]`` when k == l+1 and otherwise
+        the boolean composite of ``boundary[l+1]`` with
+        ``generalized_boundary(k, l+1)``: each row ORs the rows of the
+        (l+1)-cells it is incident to.
         """
         if k == l:
             raise ValueError("generalized boundary needs k != l")
@@ -100,46 +97,38 @@ class CellComplex:
             return self._gb_cache[(k, l)]
         if k < l:
             result = self.generalized_boundary(l, k).transpose()
+        elif k == l + 1:
+            result = self.boundary[k]
         else:
-            # Boolean closure of the incidence chain from k down to l.
-            cols = []
-            for c in range(self.n_cells(k)):
-                frontier = {c}
-                for d in range(k, l, -1):
-                    nxt: set[int] = set()
-                    for cell in frontier:
-                        nxt.update(self.boundary[d].column(cell).support)
-                    frontier = nxt
-                bits = 0
-                for f in frontier:
-                    bits |= 1 << f
-                cols.append(BitVec(self.n_cells(l), bits))
-            result = BitMatrix.from_columns(self.n_cells(l), cols)
+            faces, upper = self.boundary[l + 1], self.generalized_boundary(k, l + 1)
+            rows = []
+            for i in range(faces.rows):
+                acc = 0
+                for j in faces.row(i).support:
+                    acc |= upper.row_bits(j)
+                rows.append(acc)
+            result = BitMatrix(faces.rows, upper.cols, rows)
         self._gb_cache[(k, l)] = result
         return result
 
     def star(self, d: int, i: int, n: int) -> tuple[int, ...]:
         """Indices of the n-cells containing the given d-cell."""
-        return self.generalized_boundary(d, n).column(i).support
+        return self.generalized_boundary(n, d).row(i).support
 
     def link(self, n: int, d: int, i: int) -> tuple[int, ...]:
         """The n-cells disjoint from cell (d, i) that share a top cell with it.
 
         Disjoint means disjoint vertex sets; top cells are D-cells.
         """
-        own = self.vertex_set(d, i)
-        out: set[int] = set()
-        top_to_n = self.generalized_boundary(self.dimension, n)
-        n_sets = self._vertex_sets(n)
-        if d == self.dimension:
-            tops: tuple[int, ...] = (i,)
-        else:
-            tops = self.generalized_boundary(d, self.dimension).column(i).support
+        top = self.dimension
+        own = self._vertex_bits(d, i)
+        tops = (i,) if d == top else self.generalized_boundary(top, d).row(i).support
+        top_cells = self.generalized_boundary(n, top)
+        near = 0
         for t in tops:
-            for cand in top_to_n.column(t).support:
-                if not (n_sets[cand] & own):
-                    out.add(cand)
-        return tuple(sorted(out))
+            near |= top_cells.row_bits(t)
+        return tuple(c for c in BitVec(self.n_cells(n), near).support
+                     if not self._vertex_bits(n, c) & own)
 
     def cell_colors(self, d: int, i: int) -> frozenset[str]:
         if self.vertex_colors is None:
@@ -161,8 +150,9 @@ class CellComplex:
         for d in range(1, top_dim + 1):
             old_pos = {i: p for p, i in enumerate(kept[d - 1])}
             entries = []
+            faces = self.generalized_boundary(d - 1, d)
             for new_c, old_c in enumerate(kept[d]):
-                for f in self.boundary[d].column(old_c).support:
+                for f in faces.row(old_c).support:
                     entries.append((old_pos[f], new_c))
             new_boundary.append(
                 BitMatrix.from_entries(len(kept[d - 1]), len(kept[d]), entries))
@@ -188,8 +178,9 @@ class CellComplex:
     def incidence_dot(self, d: int) -> str:
         """Graphviz rendering of the d-cell / (d-1)-cell incidence graph."""
         lines = ["graph incidence {"]
+        faces = self.generalized_boundary(d - 1, d)
         for c in range(self.n_cells(d)):
-            for f in self.boundary[d].column(c).support:
+            for f in faces.row(c).support:
                 lines.append(f'  "{self.cells[d][c]}" -- "{self.cells[d - 1][f]}";')
         lines.append("}")
         return "\n".join(lines)
@@ -199,27 +190,22 @@ class CellComplex:
         return f"CellComplex(D={self.dimension}, cells=({counts}))"
 
 
-def generalized_boundary(lattice: CellComplex, k: int, l: int) -> BitMatrix:
-    return lattice.generalized_boundary(k, l)
-
-
-def link(lattice: CellComplex, n: int, d: int, i: int) -> tuple[int, ...]:
-    return lattice.link(n, d, i)
-
-
-def sublattice(lattice: CellComplex, colors: Iterable[str]) -> CellComplex:
-    return lattice.sublattice(colors)
-
-
 # ---------------------------------------------------------------------------
 # Concrete lattices
 # ---------------------------------------------------------------------------
+
+
+# Axis names of the hypercubic lattices, in axis order; cell labels spell
+# a cell's axes with them, so they bound the dimension.
+AXES = "xyzw"
 
 
 def hypercubic_torus(dim: int, length: int) -> CellComplex:
     """Periodic hypercubic lattice: d-cells are (axis subset, base point)."""
     if dim < 1 or length < 2:
         raise ValueError("need dim >= 1 and length >= 2")
+    if dim > len(AXES):
+        raise ValueError(f"hypercubic lattices have at most {len(AXES)} axes ({AXES})")
     axis_sets = [
         [frozenset(s) for s in itertools.combinations(range(dim), d)]
         for d in range(dim + 1)
@@ -227,7 +213,7 @@ def hypercubic_torus(dim: int, length: int) -> CellComplex:
     points = list(itertools.product(range(length), repeat=dim))
 
     def lab(axes: frozenset[int], p: tuple[int, ...]) -> str:
-        ax = "".join("xyzw"[a] for a in sorted(axes)) or "."
+        ax = "".join(AXES[a] for a in sorted(axes)) or "."
         return f"{ax}{p}"
 
     cells: list[list[str]] = []

@@ -138,8 +138,7 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
                 raise UngaugeError("X generator support length mismatch")
         d_x = BitMatrix.from_rows(n, list(x_gens))
         if not is_zero_product(d_x, d_z):
-            bad = [(k, j) for k in range(d_x.rows) for j in range(d_z.cols)
-                   if d_x.row(k).dot(d_z.column(j))][:4]
+            bad = list((d_x @ d_z).entries[:4])
             raise CommutationError(
                 f"X generators anticommute with Z symmetries at (generator, symmetry) pairs {bad}")
     rank_dx = rank(d_x)
@@ -267,31 +266,6 @@ def strip_identity_terms(h: Hamiltonian) -> tuple[Hamiltonian, int]:
     return out, dropped
 
 
-class UngaugeResult:
-    """The final system produced by a setup: qubits, symmetries, mapped terms."""
-
-    def __init__(self, setup: UngaugeSetup, mapped: Optional[Hamiltonian] = None):
-        self.setup = setup
-        self.n_fin = setup.n_fin
-        self.emergent_x = [setup.d_r.row(l) for l in range(setup.d_r.rows)]
-        self.preserved_x_fin = [op.x for op in preserved_symmetries(setup)]
-        self.mapped = mapped
-
-    def to_json(self) -> dict:
-        data = {
-            "n_fin": self.n_fin,
-            "emergent_x": [list(v.support) for v in self.emergent_x],
-            "preserved_x_fin": [list(v.support) for v in self.preserved_x_fin],
-        }
-        if self.mapped is not None:
-            data["mapped_terms"] = self.mapped.to_json()["terms"]
-        return data
-
-
-def ungauge_result(s: UngaugeSetup, h: Optional[Hamiltonian] = None) -> UngaugeResult:
-    return UngaugeResult(s, ungauge_hamiltonian(h, s) if h is not None else None)
-
-
 def emergent_symmetries(s: UngaugeSetup) -> list[PauliOp]:
     """X(r) on the final system for every relation row r."""
     return [PauliOp(s.n_fin, s.d_r.row(l), BitVec(s.n_fin)) for l in range(s.d_r.rows)]
@@ -313,8 +287,9 @@ def dim_check(s: UngaugeSetup) -> bool:
 
 def annihilation_check(s: UngaugeSetup) -> bool:
     """Every initial Z symmetry generator maps to the identity operator."""
-    for j in range(s.d_z.cols):
-        img = ungauge_pauli(PauliOp(s.n_ini, BitVec(s.n_ini), s.d_z.column(j)), s)
+    z_syms = s.d_z.transpose()
+    for j in range(z_syms.rows):
+        img = ungauge_pauli(PauliOp(s.n_ini, BitVec(s.n_ini), z_syms.row(j)), s)
         if not img.is_identity():
             return False
     return True

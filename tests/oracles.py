@@ -44,6 +44,42 @@ def naive_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def naive_generalized_boundary(lattice, k: int, l: int) -> set[tuple[int, int]]:
+    """Entries (l-cell, k-cell) of ``generalized_boundary(k, l)``, k != l.
+
+    The frontier-set closure: walk each higher cell down to the lower
+    dimension one face layer at a time, reading faces from the boundary
+    entries.
+    """
+    hi, lo = max(k, l), min(k, l)
+    faces: dict[int, dict[int, set[int]]] = {d: {} for d in range(lo + 1, hi + 1)}
+    for d, of_cell in faces.items():
+        for f, c in lattice.boundary[d].entries:
+            of_cell.setdefault(c, set()).add(f)
+    out = set()
+    for c in range(lattice.n_cells(hi)):
+        frontier = {c}
+        for d in range(hi, lo, -1):
+            nxt: set[int] = set()
+            for cell in frontier:
+                nxt.update(faces[d].get(cell, ()))
+            frontier = nxt
+        out.update((f, c) if k > l else (c, f) for f in frontier)
+    return out
+
+
+def naive_noncommuting_pair(ops) -> tuple[int, int] | None:
+    """First anticommuting pair (i, j), i < j, by a double loop over pairs."""
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            p, q = ops[i], ops[j]
+            overlap = ((p.x.bits & q.z.bits).bit_count()
+                       + (p.z.bits & q.x.bits).bit_count())
+            if overlap % 2:
+                return (i, j)
+    return None
+
+
 def matrix_rows(bitmatrix) -> list[list[int]]:
     return [[bitmatrix.row(i).get(j) for j in range(bitmatrix.cols)]
             for i in range(bitmatrix.rows)]

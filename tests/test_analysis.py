@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cssgauge import catalog
 from cssgauge.analysis import (
@@ -18,6 +19,8 @@ from cssgauge.codes import CssSubsystemCode
 from cssgauge.gf2 import BitVec
 from cssgauge.pauli import Hamiltonian, PauliOp, Term
 from cssgauge.ungauge import strip_identity_terms
+
+from tests.oracles import naive_noncommuting_pair
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,27 @@ def test_commuting_check_counterexample():
     h.add(Term("z", "J", PauliOp.z_op(2, [0])))
     assert not commuting_check(h)
     assert find_noncommuting_pair(h) == (0, 1)
+
+
+@st.composite
+def hamiltonians(draw):
+    """Up to 10 random terms on up to 6 qubits; all X-type (commuting) when drawn so."""
+    n = draw(st.integers(1, 6))
+    x_only = draw(st.booleans())
+    h = Hamiltonian(n)
+    for i in range(draw(st.integers(0, 10))):
+        x = draw(st.integers(0, (1 << n) - 1))
+        z = 0 if x_only else draw(st.integers(0, (1 << n) - 1))
+        h.add(Term(f"t{i}", "J", PauliOp(n, BitVec(n, x), BitVec(n, z))))
+    return h
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hamiltonians())
+def test_property_noncommuting_pair_matches_double_loop(h):
+    pair = find_noncommuting_pair(h)
+    assert pair == naive_noncommuting_pair(h.operators())
+    assert commuting_check(h) == (pair is None)
 
 
 def test_stabilizer_span_equal():

@@ -14,7 +14,7 @@ from cssgauge.builders import (
     toric_code_from_complex,
 )
 from cssgauge.chains import validate
-from cssgauge.codes import stabilizer_ranks, y_gauge_hamiltonian
+from cssgauge.codes import CssSubsystemCode, stabilizer_ranks, y_gauge_hamiltonian
 from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, rank
 from cssgauge.lattice import color_pair_sublattice, edge_color_class, triangular_torus
 from cssgauge.pauli import PauliOp, group_rank, symplectic_product
@@ -212,3 +212,11 @@ def test_toric_code_from_complex_honeycomb():
     assert sorted(v.weight for v in code.stabilizer_x) == [3] * 6
     assert sorted(v.weight for v in code.stabilizer_z) == [6] * 3
     assert validate(code.css_complex())
+
+
+def test_css_check_names_the_anticommuting_side():
+    one = [BitVec.from_support(2, [0])]
+    with pytest.raises(ValueError, match="^X stabilizer anticommutes with a Z gauge generator$"):
+        CssSubsystemCode("bad", 2, gauge_x=[], gauge_z=one, stabilizer_x=one, stabilizer_z=[])
+    with pytest.raises(ValueError, match="^Z stabilizer anticommutes with an X gauge generator$"):
+        CssSubsystemCode("bad", 2, gauge_x=one, gauge_z=[], stabilizer_x=[], stabilizer_z=one)

@@ -35,6 +35,21 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_build_toric_beyond_axis_names_is_usage_error(tmp_path):
+    assert run(["build", "--code", "toric", "--D", "5", "--L", "2", "--k", "2",
+                "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--code", "toric", "--D", "4"],
+    ["--code", "toric3d", "--k", "2", "--L", "2"],
+], ids=["toric-D4", "toric3d-k2"])
+def test_ungauge_rejects_flags_naming_another_model(tmp_path, capsys, flags):
+    assert run(["ungauge", *flags, "--out", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_ungauge_gcc_z(tmp_path):
     out = tmp_path / "o"
     assert run(["ungauge", "--code", "gcc", "--hamiltonian", "Z", "--L", "2",

@@ -13,6 +13,8 @@ from cssgauge.lattice import (
     triangular_torus,
 )
 
+from tests.oracles import naive_generalized_boundary
+
 
 def single_tetrahedron():
     verts = ["p", "q", "r", "s"]
@@ -186,3 +188,26 @@ def test_cell_complex_json_roundtrip():
 def test_incidence_dot():
     dot = octahedron_sphere().incidence_dot(1)
     assert dot.startswith("graph") and dot.count("--") == 24
+
+
+@pytest.mark.parametrize("make", [
+    octahedron_sphere,
+    lambda: hypercubic_torus(2, 3),
+    lambda: hypercubic_torus(3, 2),
+    lambda: hypercubic_torus(4, 2),
+    lambda: triangular_torus(3),
+    lambda: gcc_lattice(2),
+], ids=["octahedron", "square3", "cubic2", "tesseract2", "triangular3", "gcc2"])
+def test_generalized_boundary_matches_frontier_closure(make):
+    lat = make()
+    for k in range(lat.dimension + 1):
+        for l in range(lat.dimension + 1):
+            if k != l:
+                gb = lat.generalized_boundary(k, l)
+                assert (gb.rows, gb.cols) == (lat.n_cells(l), lat.n_cells(k))
+                assert set(gb.entries) == naive_generalized_boundary(lat, k, l), (k, l)
+
+
+def test_hypercubic_torus_dimension_limited_by_axis_names():
+    with pytest.raises(ValueError, match="at most 4 axes"):
+        hypercubic_torus(5, 2)
