@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -141,26 +142,14 @@ def match_against_builder(h: Hamiltonian, component: Component,
         else:
             return False
 
-    def multiset(items):
-        counts: dict[frozenset, int] = {}
-        for s in items:
-            counts[s] = counts.get(s, 0) + 1
-        return counts
-
-    ref_x = multiset(frozenset(v.support) for v in reference.stabilizer_x)
-    ref_z = multiset(frozenset(v.support) for v in reference.stabilizer_z)
-    return multiset(x_terms) == ref_x and multiset(z_terms) == ref_z
+    ref_x = Counter(frozenset(v.support) for v in reference.stabilizer_x)
+    ref_z = Counter(frozenset(v.support) for v in reference.stabilizer_z)
+    return Counter(x_terms) == ref_x and Counter(z_terms) == ref_z
 
 
 def is_self_dual(code: CssSubsystemCode) -> bool:
     """Gauge X and Z supports agree as multisets (X/Z exchange symmetry)."""
-    def multiset(vs):
-        counts: dict[int, int] = {}
-        for v in vs:
-            counts[v.bits] = counts.get(v.bits, 0) + 1
-        return counts
-
-    return multiset(code.gauge_x) == multiset(code.gauge_z)
+    return Counter(v.bits for v in code.gauge_x) == Counter(v.bits for v in code.gauge_z)
 
 
 def find_noncommuting_pair(h: Hamiltonian) -> Optional[tuple[int, int]]:

@@ -10,6 +10,7 @@ owns those choices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from . import builders
@@ -17,7 +18,7 @@ from .builders import CssSubsystemCode
 from .chains import _coset_representatives, css_logical_reps
 from .codes import gauge_hamiltonian, stabilizer_hamiltonian, y_gauge_hamiltonian
 from .gf2 import BitMatrix, BitVec, kernel_basis
-from .lattice import AXES, edge_color_class
+from .lattice import AXES, CellComplex, edge_color_class
 from .pauli import Hamiltonian, PauliOp, Term, transversal_hadamard_hamiltonian
 from .ungauge import (
     UngaugeSetup,
@@ -59,7 +60,7 @@ def _axis_loops(code: CssSubsystemCode) -> list[BitVec]:
     return loops
 
 
-def toric_setup(code: CssSubsystemCode, include_logicals: bool = True) -> WorkedModel:
+def toric_setup(code: CssSubsystemCode) -> WorkedModel:
     """Ungauge the Z side of a type-1 toric code.
 
     Z symmetries are the plaquette stabilizers plus (on a torus) the
@@ -68,38 +69,31 @@ def toric_setup(code: CssSubsystemCode, include_logicals: bool = True) -> Worked
     """
     if code.metadata.get("k", 1) != 1:
         raise ValueError("natural toric setup is for type k=1")
-    z_syms = list(code.stabilizer_z)
-    z_labels = [f"plaq{i}" for i in range(len(z_syms))]
-    if include_logicals:
-        if code.metadata.get("family") == "toric":
-            loops = _axis_loops(code)
-        else:
-            loops, _ = css_logical_reps(code.css_complex())
-        z_syms += list(loops)
-        z_labels += [f"logicalZ{i}" for i in range(len(loops))]
+    if code.metadata.get("family") == "toric":
+        loops = _axis_loops(code)
+    else:
+        loops, _ = css_logical_reps(code.css_complex())
     n_fin = len(code.stabilizer_x)
     relations = [BitVec(n_fin, (1 << n_fin) - 1)] if n_fin else []
-    setup = make_setup(code.n, z_syms, x_gens=list(code.stabilizer_x),
-                       relations=relations,
-                       qubit_labels=code.qubit_labels, z_labels=z_labels,
-                       x_labels=[f"star{i}" for i in range(n_fin)])
+    setup = make_setup(code.n, list(code.stabilizer_z) + loops,
+                       x_gens=list(code.stabilizer_x), relations=relations)
     return WorkedModel(code.name, code, stabilizer_hamiltonian(code), setup)
 
 
 def toric_sphere_model() -> WorkedModel:
-    m = toric_setup(builders.build_toric_sphere(), include_logicals=True)
+    m = toric_setup(builders.build_toric_sphere())
     m.name = "toric-sphere"
     return m
 
 
 def toric_torus_model(length: int = 3) -> WorkedModel:
-    m = toric_setup(builders.build_toric(2, length, 1), include_logicals=True)
+    m = toric_setup(builders.build_toric(2, length, 1))
     m.name = "toric-torus"
     return m
 
 
 def toric3d_model(length: int = 2) -> WorkedModel:
-    m = toric_setup(builders.build_toric(3, length, 1), include_logicals=True)
+    m = toric_setup(builders.build_toric(3, length, 1))
     m.name = "toric-3d"
     return m
 
@@ -127,10 +121,7 @@ def bacon_shor_model(length: int = 3) -> WorkedModel:
     col_combos = [BitVec.from_support(n, [eid[(r, c)] for r in range(L)]) for c in range(L)]
     setup = make_setup(
         n, row_z, x_gens=list(code.gauge_x), relations=relations,
-        preserved=list(code.stabilizer_x), preserved_combos=col_combos,
-        qubit_labels=code.qubit_labels,
-        z_labels=[f"rowZ[{r}]" for r in range(L)],
-        x_labels=[f"h{v}" for v in verts])
+        preserved=list(code.stabilizer_x), preserved_combos=col_combos)
     return WorkedModel("bacon-shor", code, gauge_hamiltonian(code), setup)
 
 
@@ -154,7 +145,7 @@ def xu_moore_check(length: int = 3) -> dict:
     # Full gauging: every final X symmetry (emergent rows + preserved
     # columns) is gauged in the X/Z-swapped picture; the natural swapped
     # X generators are the Xu-Moore plaquettes, one per vertical edge.
-    code_edges = code_edge_list(L)
+    code_edges = builders._torus_vertices(L)
     eid = {v: i for i, v in enumerate(code_edges)}
     row_supports = [BitVec.from_support(xm.n, [eid[(r, c)] for c in range(L)]) for r in range(L)]
     col_supports = [BitVec.from_support(xm.n, [eid[(r, c)] for r in range(L)]) for c in range(L)]
@@ -190,13 +181,28 @@ def xu_moore_check(length: int = 3) -> dict:
     }
 
 
-def code_edge_list(length: int) -> list[tuple[int, int]]:
-    return [(r, c) for r in range(length) for c in range(length)]
-
-
 # ---------------------------------------------------------------------------
 # Gauge color code
 # ---------------------------------------------------------------------------
+
+
+def _edges_by_color_pair(lattice: CellComplex,
+                         edge_classes: list[str]) -> list[dict[str, list[int]]]:
+    """Per vertex: its edges keyed by their other endpoint's color.
+
+    Keys are the vertex's other colors in alphabetical order; each edge
+    list is ascending.  ``edge_classes`` holds ``edge_color_class`` per edge.
+    """
+    colors = sorted(set(lattice.vertex_colors.values()))
+    vertex_edges = lattice.generalized_boundary(1, 0)
+    out = []
+    for v, label in enumerate(lattice.cells[0]):
+        own = lattice.vertex_colors[label]
+        groups: dict[str, list[int]] = {c: [] for c in colors if c != own}
+        for e in vertex_edges.row(v).support:
+            groups[edge_classes[e].replace(own, "")].append(e)
+        out.append(groups)
+    return out
 
 
 def gcc_model(length: int = 2) -> WorkedModel:
@@ -217,28 +223,21 @@ def gcc_model(length: int = 2) -> WorkedModel:
     lattice = code.lattice
     n_edges = lattice.n_cells(1)
     edge_classes = [edge_color_class(lattice, e) for e in range(n_edges)]
-    vertex_edges = lattice.generalized_boundary(1, 0)
+    pair_edges = _edges_by_color_pair(lattice, edge_classes)
 
     relations = []
     preserved_combos = []
-    for v in range(lattice.n_cells(0)):
-        own = lattice.vertex_colors[lattice.cells[0][v]]
-        others = sorted(set("abcd") - {own})
-        incident = vertex_edges.row(v).support
-        by_pair = {o: [e for e in incident if edge_classes[e] == "".join(sorted(own + o))]
-                   for o in others}
-        for i in range(3):
-            for j in range(i + 1, 3):
-                relations.append(BitVec.from_support(
-                    n_edges, by_pair[others[i]] + by_pair[others[j]]))
-        preserved_combos.append(BitVec.from_support(n_edges, by_pair[others[0]]))
+    for groups in pair_edges:
+        by_pair = list(groups.values())
+        for a, b in combinations(by_pair, 2):
+            relations.append(BitVec.from_support(n_edges, a + b))
+        preserved_combos.append(BitVec.from_support(n_edges, by_pair[0]))
     vertex_relation_count = len(relations)
 
     d_x = BitMatrix.from_rows(code.n, code.gauge_x)
     topo_z = _coset_representatives(kernel_basis(d_x),
                                     BitMatrix.from_rows(code.n, code.stabilizer_z))
     z_syms = list(code.stabilizer_z) + topo_z
-    z_labels = list(lattice.cells[0]) + [f"topoZ{i}" for i in range(len(topo_z))]
     topo_relations = _coset_representatives(
         kernel_basis(d_x.transpose()), BitMatrix.from_rows(n_edges, relations))
     relations += topo_relations
@@ -247,14 +246,13 @@ def gcc_model(length: int = 2) -> WorkedModel:
         code.n, z_syms, x_gens=list(code.gauge_x),
         relations=relations,
         preserved=list(code.stabilizer_x), preserved_combos=preserved_combos,
-        qubit_labels=code.qubit_labels,
-        z_labels=z_labels, x_labels=list(lattice.cells[1]),
         notes=["Y-type gauge terms are normalised per term as i^|S| X(S) Z(S)",
                f"torus topology: {len(topo_z)} topological Z stabilizer classes joined "
                f"the vertex generators and {len(topo_relations)} non-contractible "
                "relations joined the per-vertex ones"])
     return WorkedModel("gcc", code, gauge_hamiltonian(code), setup,
                        extra={"edge_classes": edge_classes,
+                              "pair_edges": pair_edges,
                               "vertex_relation_count": vertex_relation_count,
                               "topological_z_count": len(topo_z),
                               "topological_relation_count": len(topo_relations)})
@@ -272,17 +270,8 @@ def full_gauge_lgt(length: int = 2) -> dict:
     model = gcc_model(length)
     code, lattice = model.code, model.code.lattice
     n_edges = lattice.n_cells(1)
-    edge_classes = model.extra["edge_classes"]
-    vertex_edges = lattice.generalized_boundary(1, 0)
-
-    pair_ops = []
-    for v in range(lattice.n_cells(0)):
-        own = lattice.vertex_colors[lattice.cells[0][v]]
-        for o in sorted(set("abcd") - {own}):
-            pair = "".join(sorted(own + o))
-            pair_ops.append(BitVec.from_support(
-                n_edges, [e for e in vertex_edges.row(v).support
-                          if edge_classes[e] == pair]))
+    pair_ops = [BitVec.from_support(n_edges, edges)
+                for groups in model.extra["pair_edges"] for edges in groups.values()]
 
     links = [BitVec.from_support(n_edges, lattice.link(1, 1, e)) for e in range(n_edges)]
     link_matrix = BitMatrix.from_rows(n_edges, links)
@@ -336,14 +325,9 @@ def fractal_model(length: int = 4, boundary: str = "periodic") -> WorkedModel:
     empty on a periodic torus) is computed as a kernel basis.
     """
     code = builders.build_fractal_code(length, boundary)
-    z_syms = list(code.stabilizer_z)
-    z_labels = [f"SZ[{v}]" for v in code.metadata["vertices"]]
     z_logicals, _ = css_logical_reps(code.css_complex())
-    z_syms += z_logicals
-    z_labels += [f"logicalZ{i}" for i in range(len(z_logicals))]
-    setup = make_setup(code.n, z_syms, x_gens=list(code.stabilizer_x),
-                       qubit_labels=code.qubit_labels, z_labels=z_labels,
-                       x_labels=[f"SX[{v}]" for v in code.metadata["vertices"]])
+    setup = make_setup(code.n, list(code.stabilizer_z) + z_logicals,
+                       x_gens=list(code.stabilizer_x))
     return WorkedModel("fractal", code, stabilizer_hamiltonian(code), setup,
                        extra={"z_logical_count": len(z_logicals)})
 
@@ -369,14 +353,18 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
     vcol = [lattice.vertex_colors[lab] for lab in lattice.cells[0]]
 
     z_syms = [code.stabilizer_z[v] for v in range(lattice.n_cells(0)) if vcol[v] == color]
-    z_labels = [lattice.cells[0][v] for v in range(lattice.n_cells(0)) if vcol[v] == color]
 
+    edge_classes = [edge_color_class(lattice, e) for e in range(lattice.n_cells(1))]
+    pair_edges = _edges_by_color_pair(lattice, edge_classes)
     edge_faces = lattice.boundary[2]  # row e = faces containing edge e
-    sym_edges = [e for e in range(lattice.n_cells(1))
-                 if color in lattice.cell_colors(1, e)]
+    sym_edges = [e for e, cls in enumerate(edge_classes) if color in cls]
     x_gens = [edge_faces.row(e) for e in sym_edges]
-    x_labels = [lattice.cells[1][e] for e in sym_edges]
     gen_of_edge = {e: i for i, e in enumerate(sym_edges)}
+
+    def combo(v: int, partner: str) -> BitVec:
+        """The X generators of vertex v's edges to ``partner``-colored vertices."""
+        return BitVec.from_support(len(sym_edges),
+                                   [gen_of_edge[e] for e in pair_edges[v][partner]])
 
     vertex_edges = lattice.generalized_boundary(1, 0)
     relations = []
@@ -393,17 +381,11 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
         if vcol[v] == color:
             continue
         preserved.append(code.stabilizer_x[v])
-        own = vcol[v]
-        pair = "".join(sorted(own + color))
-        combo_edges = [gen_of_edge[e] for e in vertex_edges.row(v).support
-                       if edge_color_class(lattice, e) == pair]
-        preserved_combos.append(BitVec.from_support(len(sym_edges), combo_edges))
+        preserved_combos.append(combo(v, color))
         preserved_vertices.append(v)
 
     setup = make_setup(code.n, z_syms, x_gens=x_gens, relations=relations,
-                       preserved=preserved, preserved_combos=preserved_combos,
-                       qubit_labels=code.qubit_labels, z_labels=z_labels,
-                       x_labels=x_labels)
+                       preserved=preserved, preserved_combos=preserved_combos)
 
     # Comparison Hamiltonian: a chosen-color X star is a product of edge
     # operators in either surviving sublattice, so it is listed once per
@@ -414,19 +396,12 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
     for v in range(lattice.n_cells(0)):
         op = PauliOp(code.n, code.stabilizer_x[v], BitVec(code.n))
         if vcol[v] != color:
-            own = vcol[v]
-            pair = "".join(sorted(own + color))
-            combo = BitVec.from_support(
-                len(sym_edges), [gen_of_edge[e] for e in vertex_edges.row(v).support
-                                 if edge_color_class(lattice, e) == pair])
-            h.add(Term(f"X[{lattice.cells[0][v]}]", "J_X", op, {"x_combo": combo}))
+            h.add(Term(f"X[{lattice.cells[0][v]}]", "J_X", op, {"x_combo": combo(v, color)}))
         else:
             for o in other_colors:
                 pair = "".join(sorted(color + o))
-                combo = BitVec.from_support(
-                    len(sym_edges), [gen_of_edge[e] for e in vertex_edges.row(v).support
-                                     if edge_color_class(lattice, e) == pair])
-                h.add(Term(f"X[{lattice.cells[0][v]}]:{pair}", "J_X", op, {"x_combo": combo}))
+                h.add(Term(f"X[{lattice.cells[0][v]}]:{pair}", "J_X", op,
+                           {"x_combo": combo(v, o)}))
         if vcol[v] != color:
             h.add(Term(f"Z[{lattice.cells[0][v]}]", "J_Z",
                        PauliOp(code.n, BitVec(code.n), code.stabilizer_z[v])))
@@ -441,13 +416,13 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
 # ---------------------------------------------------------------------------
 
 
-def worked_models(gcc_length: int = 2, fractal_length: int = 4) -> dict[str, WorkedModel]:
+def worked_models() -> dict[str, WorkedModel]:
     return {
         "toric-sphere": toric_sphere_model(),
         "toric-torus": toric_torus_model(3),
         "toric-3d": toric3d_model(2),
         "bacon-shor": bacon_shor_model(3),
-        "gcc": gcc_model(gcc_length),
-        "fractal": fractal_model(fractal_length),
+        "gcc": gcc_model(2),
+        "fractal": fractal_model(4),
         "color2d-partial": color2d_partial_model(3),
     }

@@ -45,9 +45,7 @@ class ChainComplex:
 
     @classmethod
     def css(cls, d_z: BitMatrix, d_x: BitMatrix,
-            z_labels: Optional[Sequence[str]] = None,
-            qubit_labels: Optional[Sequence[str]] = None,
-            x_labels: Optional[Sequence[str]] = None) -> "ChainComplex":
+            qubit_labels: Optional[Sequence[str]] = None) -> "ChainComplex":
         """The three-term CSS complex: Z-checks -> qubits -> X-checks.
 
         Columns of d_z are Z-check supports; rows of d_x are X-check
@@ -57,9 +55,9 @@ class ChainComplex:
         if d_x.cols != n:
             raise ValueError("d_z rows and d_x cols must both equal the qubit count")
         spaces = [
-            LabeledBasis("Z", tuple(z_labels) if z_labels else LabeledBasis.indexed("Z", d_z.cols).labels),
+            LabeledBasis.indexed("Z", d_z.cols),
             LabeledBasis("Q", tuple(qubit_labels) if qubit_labels else LabeledBasis.indexed("q", n).labels),
-            LabeledBasis("X", tuple(x_labels) if x_labels else LabeledBasis.indexed("X", d_x.rows).labels),
+            LabeledBasis.indexed("X", d_x.rows),
         ]
         return cls(spaces, [d_z, d_x], orientation="css")
 

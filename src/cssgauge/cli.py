@@ -3,6 +3,12 @@
 Thin composition of the library: build codes, run the duality maps,
 emit JSON reports and exchange files.  Exit codes: 0 ok, 1 a check
 failed, 2 usage error.
+
+The flag contract: a command declares only the flags it reads, and
+``--code`` offers only the codes it runs.  The code flags (``--D``,
+``--k``, ``--boundary``, ``--partial``, ``--hamiltonian``) are read per
+code, as ``CODES`` lists; one given to a code that does not read it is
+a usage error, raised before anything is written.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from . import catalog
 from .analysis import code_parameters, commuting_check, components
@@ -28,33 +35,100 @@ from .sptwall import Region, find_cz_disentangler, spt_pipeline
 from .ungauge import setup_report, strip_identity_terms, ungauge_hamiltonian
 from .verify import run_all
 
-BUILDERS = ("toric2d", "toric3d", "toric", "toric-sphere", "bacon-shor",
-            "xu-moore", "color2d", "gcc", "fractal")
-
 
 class UsageError(Exception):
     pass
 
 
-def _build_code(args):
-    code = args.code
-    if code == "toric2d":
-        return build_toric(2, args.L, 1)
-    if code == "toric3d":
-        return build_toric(3, args.L, args.k or 1)
-    if code == "toric":
-        return build_toric(args.D or 2, args.L, args.k or 1)
-    if code == "toric-sphere":
-        return build_toric_sphere()
-    if code == "bacon-shor":
-        return build_bacon_shor(args.L)
-    if code == "color2d":
-        return build_color_code_2d(args.L)
-    if code == "gcc":
-        return build_gcc(args.L)
-    if code == "fractal":
-        return build_fractal_code(args.L, args.boundary or "periodic")
-    raise UsageError(f"no builder for {code!r}")
+def _toric_model(model: Callable, dim: int) -> Callable:
+    """The worked toric model ``model(L)``; --D and --k are accepted only at its values."""
+    def run(L, D, k):
+        for flag, given, value in (("D", D, dim), ("k", k, 1)):
+            if given is not None and given != value:
+                raise UsageError(f"ungauge runs this toric code at --{flag} {value} only, "
+                                 f"not --{flag} {given}")
+        return model(L)
+    return run
+
+
+def _gcc_model(L, hamiltonian):
+    """The worked GCC model, mapping the gauge Hamiltonian of the ``hamiltonian`` kinds."""
+    model = catalog.gcc_model(L)
+    if hamiltonian == "Y":
+        model.hamiltonian = y_gauge_hamiltonian(model.code)
+    elif hamiltonian != "XZ":
+        model.hamiltonian = gauge_hamiltonian(model.code, kinds=hamiltonian)
+    return model
+
+
+class Code(NamedTuple):
+    """How the commands run one ``--code``.
+
+    ``build`` (build, export, spt) and ``model`` (ungauge) are called as
+    ``f(L, **flags)`` with the code flags the command reads for this
+    code, each given or else defaulted as ``reads[command]`` states.
+    The entries call through module names, so a wrapper installed on a
+    module attribute after import (``perfbench/tracer.py``) sees the call.
+    """
+
+    build: Optional[Callable]
+    model: Optional[Callable]
+    reads: dict[str, dict]
+
+
+_PINNED = {"D": None, "k": None}
+CODES = {
+    "toric2d": Code(lambda L: build_toric(2, L, 1),
+                    _toric_model(lambda L: catalog.toric_torus_model(L), 2),
+                    {"build": {}, "export": {}, "ungauge": _PINNED, "spt": {}}),
+    "toric3d": Code(lambda L, k: build_toric(3, L, k),
+                    _toric_model(lambda L: catalog.toric3d_model(L), 3),
+                    {"build": {"k": 1}, "export": {"k": 1}, "ungauge": _PINNED}),
+    "toric": Code(lambda L, D, k: build_toric(D, L, k),
+                  _toric_model(lambda L: catalog.toric_torus_model(L), 2),
+                  {"build": {"D": 2, "k": 1}, "export": {"D": 2, "k": 1}, "ungauge": _PINNED}),
+    "toric-sphere": Code(lambda L: build_toric_sphere(),
+                         lambda L: catalog.toric_sphere_model(),
+                         {"build": {}, "export": {}, "ungauge": {}}),
+    "bacon-shor": Code(lambda L: build_bacon_shor(L), lambda L: catalog.bacon_shor_model(L),
+                       {"build": {}, "export": {}, "ungauge": {}}),
+    "xu-moore": Code(lambda L: build_xu_moore(L), None, {"build": {}, "gauge": {}}),
+    "color2d": Code(lambda L: build_color_code_2d(L),
+                    lambda L, partial: catalog.color2d_partial_model(L, partial),
+                    {"build": {}, "export": {}, "ungauge": {"partial": "c"}}),
+    "gcc": Code(lambda L: build_gcc(L), _gcc_model,
+                {"build": {}, "export": {}, "ungauge": {"hamiltonian": "XZ"}}),
+    # spt defaults to the open y boundary: the torus admits no fractal symmetries.
+    "fractal": Code(lambda L, boundary: build_fractal_code(L, boundary),
+                    lambda L, boundary: catalog.fractal_model(L, boundary),
+                    {"build": {"boundary": "periodic"}, "export": {"boundary": "periodic"},
+                     "ungauge": {"boundary": "periodic"}, "spt": {"boundary": "open_y"}}),
+}
+# The argparse keywords of each code flag; the defaults are per code, in ``CODES``.
+CODE_FLAGS = {
+    "D": {"type": int, "help": "spatial dimension (toric)"},
+    "k": {"type": int, "help": "toric code type (toric, toric3d)"},
+    "boundary": {"choices": ("periodic", "open_y"),
+                 "help": "fractal code boundary (default: periodic; spt: open_y)"},
+    "partial": {"help": "color whose Z stabilizers are ungauged (color2d; default: c)"},
+    "hamiltonian": {"choices": ("X", "Z", "Y", "XZ"),
+                    "help": "which gauge Hamiltonian to map (gcc; default: XZ)"},
+}
+
+
+def _construct(args, command: str):
+    """The code (for ungauge, the worked model) that ``command`` runs for ``--code``."""
+    code = CODES[args.code]
+    reads = code.reads[command]
+    flags = {}
+    for flag in CODE_FLAGS:
+        given = getattr(args, flag, None)
+        if flag in reads:
+            flags[flag] = reads[flag] if given is None else given
+        elif given is not None:
+            raise UsageError(f"{command} --code {args.code} takes no --{flag}")
+    make = code.model if command == "ungauge" else code.build
+    return make(args.L, **flags)
 
 
 def _out_dir(args) -> Path:
@@ -68,18 +142,17 @@ def _write_json(path: Path, data) -> None:
 
 
 def cmd_build(args) -> int:
+    code = _construct(args, "build")
     if args.code == "xu-moore":
-        xm = build_xu_moore(args.L)
         out = _out_dir(args)
         _write_json(out / "xu-moore.json", {
-            "n": xm.n,
-            "hamiltonian": xm.hamiltonian.to_json(),
-            "emergent_row_symmetries": [p.to_json() for p in xm.emergent],
-            "preserved_column_symmetries": [p.to_json() for p in xm.preserved],
+            "n": code.n,
+            "hamiltonian": code.hamiltonian.to_json(),
+            "emergent_row_symmetries": [p.to_json() for p in code.emergent],
+            "preserved_column_symmetries": [p.to_json() for p in code.preserved],
         })
-        print(f"xu-moore L={args.L}: n={xm.n}, {len(xm.hamiltonian)} terms -> {out}")
+        print(f"xu-moore L={args.L}: n={code.n}, {len(code.hamiltonian)} terms -> {out}")
         return 0
-    code = _build_code(args)
     params = code_parameters(code)
     out = _out_dir(args)
     data = code.to_json()
@@ -97,45 +170,9 @@ def cmd_build(args) -> int:
     return 0
 
 
-# (--D, --k) of the model that ``ungauge`` runs for each toric code name;
-# the other codes take neither flag.
-_WORKED_TORIC = {"toric2d": (2, 1), "toric": (2, 1), "toric3d": (3, 1)}
-
-
-def _worked_model(args):
-    code = args.code
-    runs = _WORKED_TORIC.get(code, (None, None))
-    for flag, given, value in zip(("--D", "--k"), (args.D, args.k), runs):
-        if given is not None and given != value:
-            raise UsageError(f"ungauge --code {code} takes no {flag}" if value is None else
-                             f"ungauge --code {code} runs {flag} {value} only, not {flag} {given}")
-    if code in ("toric2d", "toric"):
-        return catalog.toric_torus_model(args.L)
-    if code == "toric3d":
-        return catalog.toric3d_model(args.L)
-    if code == "toric-sphere":
-        return catalog.toric_sphere_model()
-    if code == "bacon-shor":
-        return catalog.bacon_shor_model(args.L)
-    if code == "gcc":
-        return catalog.gcc_model(args.L)
-    if code == "fractal":
-        return catalog.fractal_model(args.L, args.boundary or "periodic")
-    if code == "color2d":
-        return catalog.color2d_partial_model(args.L, args.partial or "c")
-    raise UsageError(f"no ungauging setup for {code!r}")
-
-
 def cmd_ungauge(args) -> int:
-    model = _worked_model(args)
-    h = model.hamiltonian
-    if args.code == "gcc" and args.hamiltonian != "XZ":
-        kind = args.hamiltonian
-        if kind == "Y":
-            h = y_gauge_hamiltonian(model.code)
-        else:
-            h = gauge_hamiltonian(model.code, kinds=kind)
-    mapped = ungauge_hamiltonian(h, model.setup)
+    model = _construct(args, "ungauge")
+    mapped = ungauge_hamiltonian(model.hamiltonian, model.setup)
     stripped, dropped = strip_identity_terms(mapped)
     report = setup_report(model.setup, mapped=stripped,
                           commutation_pairs=args.pairs, seed=args.seed)
@@ -159,8 +196,6 @@ def cmd_ungauge(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    if args.code != "xu-moore":
-        raise UsageError("gauging is wired for --code xu-moore (back to Bacon-Shor)")
     chk = catalog.xu_moore_check(args.L)
     out = _out_dir(args)
     report = {
@@ -188,14 +223,7 @@ def _parse_slab(text: str) -> tuple[float, float]:
 
 
 def cmd_spt(args) -> int:
-    if args.code not in ("toric2d", "fractal"):
-        raise UsageError("spt pipeline is wired for --code toric2d or fractal")
-    if args.code == "toric2d":
-        code = build_toric(2, args.L, 1)
-    else:
-        # Open y boundary by default: the torus admits no fractal symmetries.
-        boundary = args.boundary or "open_y"
-        code = build_fractal_code(args.L, boundary)
+    code = _construct(args, "spt")
     region = Region.slab(code, *_parse_slab(args.slab))
     if not region.sites:
         raise UsageError(f"slab {args.slab!r} selects no qubits of {code.name} at L={args.L}")
@@ -229,7 +257,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    code = _build_code(args)
+    code = _construct(args, "export")
     out = _out_dir(args)
     what = args.what
     if what == "lattice":
@@ -239,14 +267,27 @@ def cmd_export(args) -> int:
         (out / f"{code.name}-incidence.dot").write_text(code.lattice.incidence_dot(1) + "\n")
     elif what == "complex":
         _write_json(out / f"{code.name}-complex.json", code.css_complex().to_json())
-    elif what == "matrices":
+    else:
         cx = code.css_complex()
         _write_json(out / f"{code.name}-dz.json", cx.d_z.to_json())
         _write_json(out / f"{code.name}-dx.json", cx.d_x.to_json())
-    else:
-        raise UsageError(f"unknown export target {what!r}")
     print(f"exported {what} for {code.name} -> {out}")
     return 0
+
+
+def _code_command(sub, command: str, help: str, func) -> argparse.ArgumentParser:
+    """The subparser of a command that runs a ``--code``: --code offers the codes it runs,
+    and the code flags declared are those some code of it reads."""
+    p = sub.add_parser(command, help=help)
+    codes = [name for name, code in CODES.items() if command in code.reads]
+    p.add_argument("--code", required=True, choices=codes)
+    p.add_argument("--L", type=int, default=3, help="linear lattice size")
+    for flag, spec in CODE_FLAGS.items():
+        if any(flag in CODES[code].reads[command] for code in codes):
+            p.add_argument(f"--{flag}", **spec)
+    p.add_argument("--out", default="out", help="output directory")
+    p.set_defaults(func=func)
+    return p
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -255,56 +296,30 @@ def make_parser() -> argparse.ArgumentParser:
         description="gauging/ungauging duality for CSS stabilizer and subsystem codes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, code=True):
-        if code:
-            p.add_argument("--code", required=True, choices=BUILDERS)
-        p.add_argument("--L", type=int, default=3, help="linear lattice size")
-        p.add_argument("--D", type=int, default=None, help="spatial dimension (toric)")
-        p.add_argument("--k", type=int, default=None, help="toric code type")
-        p.add_argument("--boundary", default=None,
-                       choices=("periodic", "open_y"),
-                       help="fractal code boundary (default: periodic; spt defaults to open_y)")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=20240)
+    _code_command(sub, "build", "build a code and write its JSON/DOT files", cmd_build)
 
-    p_build = sub.add_parser("build", help="build a code and write its JSON/DOT files")
-    common(p_build)
-    p_build.set_defaults(func=cmd_build)
-
-    p_un = sub.add_parser("ungauge", help="run the ungauging map and report")
-    common(p_un)
-    p_un.add_argument("--hamiltonian", default="XZ", choices=("X", "Z", "Y", "XZ"),
-                      help="which gauge Hamiltonian to map (gcc)")
-    p_un.add_argument("--partial", default=None,
-                      help="color whose Z stabilizers are ungauged (color2d)")
+    p_un = _code_command(sub, "ungauge", "run the ungauging map and report", cmd_ungauge)
     p_un.add_argument("--pairs", type=int, default=200,
                       help="random pairs for the commutation check")
-    p_un.set_defaults(func=cmd_ungauge)
+    p_un.add_argument("--seed", type=int, default=20240)
 
-    p_g = sub.add_parser("gauge", help="gauge X symmetries back (Xu-Moore -> Bacon-Shor)")
-    common(p_g)
+    p_g = _code_command(sub, "gauge", "gauge X symmetries back (Xu-Moore -> Bacon-Shor)",
+                        cmd_gauge)
     p_g.add_argument("--full", action="store_true",
                      help="also require the full-gauging Hadamard twist to match")
-    p_g.set_defaults(func=cmd_gauge)
 
-    p_spt = sub.add_parser("spt", help="domain-wall SPT pipeline")
-    common(p_spt)
+    p_spt = _code_command(sub, "spt", "domain-wall SPT pipeline", cmd_spt)
     p_spt.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis")
-    p_spt.set_defaults(func=cmd_spt)
 
     p_v = sub.add_parser("verify", help="run the full acceptance battery")
-    p_v.add_argument("--all", action="store_true", help="run every check (default)")
-    p_v.add_argument("--L", type=int, default=2, help="accepted for symmetry with other commands")
     p_v.add_argument("--pairs", type=int, default=1000)
     p_v.add_argument("--cases", type=int, default=500)
     p_v.add_argument("--seed", type=int, default=20240)
     p_v.add_argument("--out", default=None)
     p_v.set_defaults(func=cmd_verify)
 
-    p_e = sub.add_parser("export", help="export lattices, complexes or matrices")
-    common(p_e)
+    p_e = _code_command(sub, "export", "export lattices, complexes or matrices", cmd_export)
     p_e.add_argument("--what", required=True, choices=("lattice", "complex", "matrices"))
-    p_e.set_defaults(func=cmd_export)
     return parser
 
 

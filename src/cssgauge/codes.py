@@ -102,8 +102,7 @@ class CssSubsystemCode:
                 f"stab={len(self.stabilizer_x)}+{len(self.stabilizer_z)})")
 
 
-def gauge_hamiltonian(code: CssSubsystemCode, kinds: str = "XZ",
-                      couplings: tuple[str, str] = ("J_X", "J_Z")) -> Hamiltonian:
+def gauge_hamiltonian(code: CssSubsystemCode, kinds: str = "XZ") -> Hamiltonian:
     """Sum of gauge generators of the requested Pauli kinds.
 
     X terms carry ``x_combo`` provenance (unit vector over the X gauge
@@ -113,15 +112,15 @@ def gauge_hamiltonian(code: CssSubsystemCode, kinds: str = "XZ",
     m = len(code.gauge_x)
     if "X" in kinds:
         for i, v in enumerate(code.gauge_x):
-            h.add(Term(f"GX[{i}]", couplings[0], PauliOp(code.n, v, BitVec(code.n)),
+            h.add(Term(f"GX[{i}]", "J_X", PauliOp(code.n, v, BitVec(code.n)),
                        {"x_combo": BitVec(m, 1 << i)}))
     if "Z" in kinds:
         for i, v in enumerate(code.gauge_z):
-            h.add(Term(f"GZ[{i}]", couplings[1], PauliOp(code.n, BitVec(code.n), v)))
+            h.add(Term(f"GZ[{i}]", "J_Z", PauliOp(code.n, BitVec(code.n), v)))
     return h
 
 
-def y_gauge_hamiltonian(code: CssSubsystemCode, coupling: str = "J_Y") -> Hamiltonian:
+def y_gauge_hamiltonian(code: CssSubsystemCode) -> Hamiltonian:
     """Y-type gauge terms Y(S) = i^|S| X(S) Z(S) for a self-dual gauge listing.
 
     Requires gauge_x[i] == gauge_z[i] for every i (as for the gauge color
@@ -132,21 +131,20 @@ def y_gauge_hamiltonian(code: CssSubsystemCode, coupling: str = "J_Y") -> Hamilt
     h = Hamiltonian(code.n)
     m = len(code.gauge_x)
     for i, v in enumerate(code.gauge_x):
-        h.add(Term(f"GY[{i}]", coupling, PauliOp.y_op(code.n, v.support),
+        h.add(Term(f"GY[{i}]", "J_Y", PauliOp.y_op(code.n, v.support),
                    {"x_combo": BitVec(m, 1 << i)}))
     return h
 
 
-def stabilizer_hamiltonian(code: CssSubsystemCode,
-                           couplings: tuple[str, str] = ("J_X", "J_Z")) -> Hamiltonian:
+def stabilizer_hamiltonian(code: CssSubsystemCode) -> Hamiltonian:
     """Sum of the stabilizer generators (X then Z), with X-term provenance."""
     h = Hamiltonian(code.n)
     m = len(code.stabilizer_x)
     for i, v in enumerate(code.stabilizer_x):
-        h.add(Term(f"SX[{i}]", couplings[0], PauliOp(code.n, v, BitVec(code.n)),
+        h.add(Term(f"SX[{i}]", "J_X", PauliOp(code.n, v, BitVec(code.n)),
                    {"x_combo": BitVec(m, 1 << i)}))
     for i, v in enumerate(code.stabilizer_z):
-        h.add(Term(f"SZ[{i}]", couplings[1], PauliOp(code.n, BitVec(code.n), v)))
+        h.add(Term(f"SZ[{i}]", "J_Z", PauliOp(code.n, BitVec(code.n), v)))
     return h
 
 

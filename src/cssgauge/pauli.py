@@ -17,6 +17,7 @@ action on XZ-form operators:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import BitMatrix, BitVec, Echelon, kernel_basis
@@ -319,10 +320,8 @@ class GroupMembership:
             return False
         if not track_sign:
             return True
-        prod = PauliOp.identity(self.n)
-        for i in BitVec(len(self.gens), combo).support:
-            prod = multiply(prod, self.gens[i])
-        return prod.phase == p.phase
+        support = BitVec(len(self.gens), combo).support
+        return multiply_all([self.gens[i] for i in support], self.n).phase == p.phase
 
 
 def in_group(p: PauliOp, gens: Sequence[PauliOp], track_sign: bool = False) -> bool:
@@ -350,10 +349,7 @@ def center_of_group(gens: Sequence[PauliOp]) -> list[PauliOp]:
     out: list[PauliOp] = []
     seen = Echelon()
     for i in range(combos.rows):
-        combo = combos.row(i)
-        element = PauliOp.identity(n)
-        for idx in combo.support:
-            element = multiply(element, gens[idx])
+        element = multiply_all([gens[idx] for idx in combos.row(i).support], n)
         if element.x.is_zero() and element.z.is_zero():
             continue
         if element.phase == 2:
@@ -419,11 +415,8 @@ class Hamiltonian:
             out.update(t.op.support)
         return out
 
-    def term_multiset(self) -> dict:
-        counts: dict[tuple, int] = {}
-        for t in self.terms:
-            counts[t.key()] = counts.get(t.key(), 0) + 1
-        return counts
+    def term_multiset(self) -> Counter:
+        return Counter(t.key() for t in self.terms)
 
     def same_terms(self, other: "Hamiltonian") -> bool:
         return self.n == other.n and self.term_multiset() == other.term_multiset()

@@ -90,11 +90,10 @@ class Region:
     descriptor: str = "custom"
 
     @classmethod
-    def slab(cls, code: CssSubsystemCode, lo: float, hi: float,
-             axis: Optional[int] = None) -> "Region":
+    def slab(cls, code: CssSubsystemCode, lo: float, hi: float) -> "Region":
         """All sites whose coordinate along the slab axis lies in [lo, hi)."""
         coords = code.metadata["qubit_coords"]
-        a = code.metadata["slab_axis"] if axis is None else axis
+        a = code.metadata["slab_axis"]
         sites = [i for i, c in enumerate(coords) if lo <= c[a] < hi]
         return cls(frozenset(sites), f"slab[{lo}:{hi})@axis{a}")
 
@@ -204,13 +203,9 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
         raise ValueError("transversal CZ is not a logical gate for this code")
     wall = domain_wall(tensor, region)
 
-    z_syms = list(tensor.stabilizer_z)
-    z_labels = [f"SZ[{i}]" for i in range(len(z_syms))]
     z_logicals, _ = css_logical_reps(tensor.css_complex())
-    z_syms += z_logicals
-    z_labels += [f"logicalZ[{i}]" for i in range(len(z_logicals))]
-    setup = make_setup(tensor.n, z_syms, x_gens=list(tensor.stabilizer_x),
-                       qubit_labels=tensor.qubit_labels, z_labels=z_labels)
+    setup = make_setup(tensor.n, list(tensor.stabilizer_z) + z_logicals,
+                       x_gens=list(tensor.stabilizer_x))
 
     image = ungauge_hamiltonian(wall.total(), setup)
     wall_names = {t.name for t in wall.h_wall}

@@ -29,6 +29,7 @@ image phase is renormalised to stay Hermitian.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Optional, Sequence
 
 from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, kernel_basis, rank, solve
@@ -61,9 +62,6 @@ class UngaugeSetup:
     def __init__(self, d_z: BitMatrix, d_x: BitMatrix, d_r: BitMatrix,
                  preserved_x_ini: Sequence[BitVec] = (),
                  preserved_combos: Optional[Sequence[Optional[BitVec]]] = None,
-                 qubit_labels: Optional[Sequence[str]] = None,
-                 z_labels: Optional[Sequence[str]] = None,
-                 x_labels: Optional[Sequence[str]] = None,
                  notes: Optional[list[str]] = None):
         self.d_z = d_z
         self.d_x = d_x
@@ -72,9 +70,6 @@ class UngaugeSetup:
         self.n_fin = d_x.rows
         self.preserved_x_ini = list(preserved_x_ini)
         self.preserved_combos = list(preserved_combos) if preserved_combos else [None] * len(self.preserved_x_ini)
-        self.qubit_labels = tuple(qubit_labels) if qubit_labels else None
-        self.z_labels = tuple(z_labels) if z_labels else None
-        self.x_labels = tuple(x_labels) if x_labels else None
         self.notes = list(notes) if notes else []
         self._dxt = d_x.transpose()
         self._generator_span = None
@@ -113,9 +108,6 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
                relations: Optional[Sequence[BitVec]] = None,
                preserved: Sequence[BitVec] = (),
                preserved_combos: Optional[Sequence[Optional[BitVec]]] = None,
-               qubit_labels: Optional[Sequence[str]] = None,
-               z_labels: Optional[Sequence[str]] = None,
-               x_labels: Optional[Sequence[str]] = None,
                notes: Optional[list[str]] = None) -> UngaugeSetup:
     """Validate and assemble an ungauging setup.
 
@@ -163,8 +155,7 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
             f"relations span rank {rank(d_r)} but the full relation space has rank "
             f"{expected_rel_rank}")
 
-    setup = UngaugeSetup(d_z, d_x, d_r, preserved, preserved_combos,
-                         qubit_labels, z_labels, x_labels, notes)
+    setup = UngaugeSetup(d_z, d_x, d_r, preserved, preserved_combos, notes)
     for i, v in enumerate(setup.preserved_x_ini):
         if v.length != n:
             raise UngaugeError("preserved symmetry support length mismatch")
@@ -354,11 +345,7 @@ def full_gauge_comparison(h_fin: Hamiltonian, s_swapped: UngaugeSetup,
     mapped = full_gauge_hamiltonian(h_fin, s_swapped).relabel_qubits(relabeling, reference.n)
 
     def support_multiset(h):
-        counts: dict[tuple, int] = {}
-        for t in h:
-            key = (t.op.x.bits, t.op.z.bits, t.op.phase)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return Counter((t.op.x.bits, t.op.z.bits, t.op.phase) for t in h)
 
     match = support_multiset(mapped) == support_multiset(reference)
     coupling_map: dict[str, set[str]] = {}

@@ -74,7 +74,7 @@ _MODEL_CACHE: dict = {}
 
 def _models() -> dict:
     if "worked" not in _MODEL_CACHE:
-        _MODEL_CACHE["worked"] = catalog.worked_models(gcc_length=2, fractal_length=4)
+        _MODEL_CACHE["worked"] = catalog.worked_models()
     return _MODEL_CACHE["worked"]
 
 

@@ -50,6 +50,30 @@ def test_ungauge_rejects_flags_naming_another_model(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+def _exit_code(args):
+    """main's return value, or the code of an argparse rejection."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", [
+    "build --code toric2d --L 2 --D 3 --k 2",
+    "build --code gcc --L 2 --seed 5 --boundary open_y",
+    "export --code bacon-shor --L 3 --what complex --k 3",
+    "spt --code toric2d --L 4 --slab 1:3 --D 9 --k 4 --seed 1 --boundary periodic",
+    "gauge --code xu-moore --L 3 --D 7 --boundary open_y --seed 3",
+    "ungauge --code gcc --L 2 --partial z --boundary open_y",
+    "ungauge --code toric2d --L 3 --hamiltonian Y",
+    "verify --L 7 --all",
+], ids=["build-toric2d", "build-gcc", "export-bacon-shor", "spt-toric2d", "gauge-xu-moore",
+        "ungauge-gcc", "ungauge-toric2d", "verify"])
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, command):
+    assert _exit_code([*command.split(), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_ungauge_gcc_z(tmp_path):
     out = tmp_path / "o"
     assert run(["ungauge", "--code", "gcc", "--hamiltonian", "Z", "--L", "2",
@@ -116,7 +140,7 @@ def test_export_matrices(tmp_path):
 
 def test_verify_fast(tmp_path):
     out = tmp_path / "o"
-    assert run(["verify", "--all", "--L", "2", "--pairs", "25", "--cases", "25",
+    assert run(["verify", "--pairs", "25", "--cases", "25",
                 "--out", str(out)]) == 0
     results = json.loads((out / "verify.json").read_text())
     assert len(results) == 13
