@@ -285,8 +285,8 @@ def full_gauge_lgt(length: int = 2) -> dict:
     for t in h_lgt:
         meta = {}
         if t.op.x.is_zero():
-            edge = int(t.name[3:-1])       # GZ[e] terms are the link operators
-            meta["swapped_x_combo"] = BitVec(n_edges, 1 << edge)
+            # The image of Z gauge generator e is the link operator of edge e.
+            meta["swapped_x_combo"] = BitVec(n_edges, 1 << t.meta["z_index"])
         h_for_full.add(Term(t.name, t.coupling, t.op, meta))
     reference = transversal_hadamard_hamiltonian(h_lgt)
     report = full_gauge_comparison(h_for_full, s_swapped,

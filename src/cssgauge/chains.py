@@ -17,7 +17,7 @@ The two shapes used by the rest of the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, kernel_basis, rank
 
@@ -45,7 +45,7 @@ class ChainComplex:
 
     @classmethod
     def css(cls, d_z: BitMatrix, d_x: BitMatrix,
-            qubit_labels: Optional[Sequence[str]] = None) -> "ChainComplex":
+            qubit_labels: Sequence[str]) -> "ChainComplex":
         """The three-term CSS complex: Z-checks -> qubits -> X-checks.
 
         Columns of d_z are Z-check supports; rows of d_x are X-check
@@ -56,7 +56,7 @@ class ChainComplex:
             raise ValueError("d_z rows and d_x cols must both equal the qubit count")
         spaces = [
             LabeledBasis.indexed("Z", d_z.cols),
-            LabeledBasis("Q", tuple(qubit_labels) if qubit_labels else LabeledBasis.indexed("q", n).labels),
+            LabeledBasis("Q", tuple(qubit_labels)),
             LabeledBasis.indexed("X", d_x.rows),
         ]
         return cls(spaces, [d_z, d_x], orientation="css")

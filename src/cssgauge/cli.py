@@ -2,13 +2,15 @@
 
 Thin composition of the library: build codes, run the duality maps,
 emit JSON reports and exchange files.  Exit codes: 0 ok, 1 a check
-failed, 2 usage error.
+failed or the maps met an internal inconsistency (an ``UngaugeError``,
+reported without a traceback), 2 usage error.
 
 The flag contract: a command declares only the flags it reads, and
 ``--code`` offers only the codes it runs.  The code flags (``--D``,
 ``--k``, ``--boundary``, ``--partial``, ``--hamiltonian``) are read per
 code, as ``CODES`` lists; one given to a code that does not read it is
-a usage error, raised before anything is written.
+a usage error, raised before anything is written.  So is ``--L`` given
+to a code of one size (``toric-sphere``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from . import catalog
 from .analysis import code_parameters, commuting_check, components
@@ -32,7 +34,7 @@ from .builders import (
 )
 from .codes import gauge_hamiltonian, y_gauge_hamiltonian
 from .sptwall import Region, find_cz_disentangler, spt_pipeline
-from .ungauge import setup_report, strip_identity_terms, ungauge_hamiltonian
+from .ungauge import UngaugeError, setup_report, strip_identity_terms, ungauge_hamiltonian
 from .verify import run_all
 
 
@@ -64,16 +66,19 @@ def _gcc_model(L, hamiltonian):
 class Code(NamedTuple):
     """How the commands run one ``--code``.
 
-    ``build`` (build, export, spt) and ``model`` (ungauge) are called as
-    ``f(L, **flags)`` with the code flags the command reads for this
-    code, each given or else defaulted as ``reads[command]`` states.
+    ``build`` (build, export, spt) and ``model`` (ungauge: the worked
+    model; gauge: the gauging check) are called as ``f(L, **flags)``
+    with the code flags the command reads for this code, each given or
+    else defaulted as ``reads[command]`` states; a code of one size
+    (``sized`` false) is called without ``L``.
     The entries call through module names, so a wrapper installed on a
     module attribute after import (``perfbench/tracer.py``) sees the call.
     """
 
-    build: Optional[Callable]
-    model: Optional[Callable]
+    build: Callable
+    model: Callable
     reads: dict[str, dict]
+    sized: bool = True
 
 
 _PINNED = {"D": None, "k": None}
@@ -87,12 +92,12 @@ CODES = {
     "toric": Code(lambda L, D, k: build_toric(D, L, k),
                   _toric_model(lambda L: catalog.toric_torus_model(L), 2),
                   {"build": {"D": 2, "k": 1}, "export": {"D": 2, "k": 1}, "ungauge": _PINNED}),
-    "toric-sphere": Code(lambda L: build_toric_sphere(),
-                         lambda L: catalog.toric_sphere_model(),
-                         {"build": {}, "export": {}, "ungauge": {}}),
+    "toric-sphere": Code(lambda: build_toric_sphere(), lambda: catalog.toric_sphere_model(),
+                         {"build": {}, "export": {}, "ungauge": {}}, sized=False),
     "bacon-shor": Code(lambda L: build_bacon_shor(L), lambda L: catalog.bacon_shor_model(L),
                        {"build": {}, "export": {}, "ungauge": {}}),
-    "xu-moore": Code(lambda L: build_xu_moore(L), None, {"build": {}, "gauge": {}}),
+    "xu-moore": Code(lambda L: build_xu_moore(L), lambda L: catalog.xu_moore_check(L),
+                     {"build": {}, "gauge": {}}),
     "color2d": Code(lambda L: build_color_code_2d(L),
                     lambda L, partial: catalog.color2d_partial_model(L, partial),
                     {"build": {}, "export": {}, "ungauge": {"partial": "c"}}),
@@ -104,6 +109,7 @@ CODES = {
                     {"build": {"boundary": "periodic"}, "export": {"boundary": "periodic"},
                      "ungauge": {"boundary": "periodic"}, "spt": {"boundary": "open_y"}}),
 }
+DEFAULT_L = 3      # the --L of a sized code when none is given
 # The argparse keywords of each code flag; the defaults are per code, in ``CODES``.
 CODE_FLAGS = {
     "D": {"type": int, "help": "spatial dimension (toric)"},
@@ -117,7 +123,8 @@ CODE_FLAGS = {
 
 
 def _construct(args, command: str):
-    """The code (for ungauge, the worked model) that ``command`` runs for ``--code``."""
+    """The code (ungauge: the worked model; gauge: the gauging check) that
+    ``command`` runs for ``--code``."""
     code = CODES[args.code]
     reads = code.reads[command]
     flags = {}
@@ -127,7 +134,13 @@ def _construct(args, command: str):
             flags[flag] = reads[flag] if given is None else given
         elif given is not None:
             raise UsageError(f"{command} --code {args.code} takes no --{flag}")
-    make = code.model if command == "ungauge" else code.build
+    make = code.model if command in ("ungauge", "gauge") else code.build
+    if not code.sized:
+        if args.L is not None:
+            raise UsageError(f"{args.code} has one size; {command} takes no --L for it")
+        return make(**flags)
+    if args.L is None:
+        args.L = DEFAULT_L      # the commands' messages print the length too
     return make(args.L, **flags)
 
 
@@ -196,7 +209,7 @@ def cmd_ungauge(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    chk = catalog.xu_moore_check(args.L)
+    chk = _construct(args, "gauge")
     out = _out_dir(args)
     report = {
         "partial_gauge_matches_bacon_shor": chk["regauged_matches_bacon_shor"],
@@ -281,7 +294,8 @@ def _code_command(sub, command: str, help: str, func) -> argparse.ArgumentParser
     p = sub.add_parser(command, help=help)
     codes = [name for name, code in CODES.items() if command in code.reads]
     p.add_argument("--code", required=True, choices=codes)
-    p.add_argument("--L", type=int, default=3, help="linear lattice size")
+    p.add_argument("--L", type=int, help=f"linear lattice size (default: {DEFAULT_L}; "
+                                         "a code of one size takes none)")
     for flag, spec in CODE_FLAGS.items():
         if any(flag in CODES[code].reads[command] for code in codes):
             p.add_argument(f"--{flag}", **spec)
@@ -331,6 +345,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except UngaugeError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

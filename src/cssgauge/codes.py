@@ -106,7 +106,8 @@ def gauge_hamiltonian(code: CssSubsystemCode, kinds: str = "XZ") -> Hamiltonian:
     """Sum of gauge generators of the requested Pauli kinds.
 
     X terms carry ``x_combo`` provenance (unit vector over the X gauge
-    list), which the duality maps use for exact images.
+    list), which the duality maps use for exact images; Z terms carry
+    ``z_index``, their position in the Z gauge list.
     """
     h = Hamiltonian(code.n)
     m = len(code.gauge_x)
@@ -116,7 +117,7 @@ def gauge_hamiltonian(code: CssSubsystemCode, kinds: str = "XZ") -> Hamiltonian:
                        {"x_combo": BitVec(m, 1 << i)}))
     if "Z" in kinds:
         for i, v in enumerate(code.gauge_z):
-            h.add(Term(f"GZ[{i}]", "J_Z", PauliOp(code.n, BitVec(code.n), v)))
+            h.add(Term(f"GZ[{i}]", "J_Z", PauliOp(code.n, BitVec(code.n), v), {"z_index": i}))
     return h
 
 

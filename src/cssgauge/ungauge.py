@@ -218,7 +218,11 @@ def gauge_pauli(p: PauliOp, s: UngaugeSetup,
 
 
 def ungauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
-    """Termwise forward map; term provenance is used and propagated."""
+    """Termwise forward map; term provenance is used and propagated.
+
+    An image carries its preimage's Z support as ``z_combo`` and keeps
+    any metadata other than ``x_combo`` (such as ``z_index``).
+    """
     if h.n != s.n_ini:
         raise UngaugeError("Hamiltonian lives on the wrong register")
     out = Hamiltonian(s.n_fin)
@@ -227,7 +231,8 @@ def ungauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
             img = ungauge_pauli(t.op, s, x_combo=t.meta.get("x_combo"))
         except UngaugeError as exc:
             raise type(exc)(f"term {t.name}: {exc}") from None
-        out.add(Term(t.name, t.coupling, img, {"z_combo": t.op.z}))
+        extra = {k: v for k, v in t.meta.items() if k != "x_combo"}
+        out.add(Term(t.name, t.coupling, img, {**extra, "z_combo": t.op.z}))
     return out
 
 

@@ -1,9 +1,18 @@
 """The acceptance battery: one check per claimed property, exactly testable.
 
 Every check returns a CheckResult; ``run_all`` executes the whole suite.
-The dense-matrix oracle used for Pauli and Clifford conjugation checks
-lives here as an independent implementation (numpy tensors, no shared
-code with the symplectic engine).
+
+The dense-matrix oracle of criterion 12 lives here as an independent
+implementation: it reads only a ``PauliOp``'s bits and phase and a
+circuit's gate list, and shares no code with the symplectic engine.  It
+builds 2^n x 2^n numpy matrices from the definitions (X, Z, H, CZ as
+matrices, Kronecker products) and costs O(4^n) per case: a product P Q
+by the mixed-product rule over the per-qubit 2x2 factors, a conjugation
+U P U^dagger by in-place butterfly (H) and sign (CZ) steps on one
+matrix.  Every entry is a dyadic Gaussian integer computed without
+rounding (real 0/+-1 factors, i-powers, unscaled butterflies, one
+power-of-two halving), so both sides are compared with
+``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -302,41 +311,74 @@ def check_color_code_split() -> CheckResult:
 # -- dense oracle (independent of the symplectic engine) -------------------
 
 
-def _dense_pauli(op: PauliOp):
+def _pauli_factors(op: PauliOp) -> list:
+    """The real 2x2 factor X^x Z^z of each qubit, qubit 0 first."""
     import numpy as np
 
-    single = {
-        (0, 0): np.eye(2, dtype=complex),
-        (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-        (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-        (1, 1): np.array([[0, 1], [1, 0]], dtype=complex) @ np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    out = np.ones((1, 1), dtype=complex)
-    for q in range(op.n):
-        out = np.kron(out, single[(op.x.get(q), op.z.get(q))])
-    return (1j ** op.phase) * out
+    x = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    z = np.array([[1, 0], [0, -1]], dtype=np.int8)
+    single = {(0, 0): np.eye(2, dtype=np.int8), (1, 0): x, (0, 1): z, (1, 1): x @ z}
+    return [single[(op.x.get(q), op.z.get(q))] for q in range(op.n)]
+
+
+def _kron_phase(phase: int, factors: list):
+    """i^phase times the Kronecker product of ``factors`` (qubit 0 leftmost, n >= 1).
+
+    Built from the last factor up, with the phase on the first: each
+    ``np.kron`` then spreads a 2x2 factor over a large contiguous block,
+    and only the last one writes complex entries.
+    """
+    import numpy as np
+
+    out = np.ones((1, 1), dtype=np.int8)
+    for f in reversed(factors[1:]):
+        out = np.kron(f, out)
+    return np.kron((1j ** (phase % 4)) * factors[0], out)
+
+
+def _dense_pauli(op: PauliOp):
+    return _kron_phase(op.phase, _pauli_factors(op))
+
+
+def _dense_product(p: PauliOp, q: PauliOp):
+    """The matrix of P Q by the mixed-product rule (A(x)B)(C(x)D) = AC(x)BD.
+
+    Each qubit's 2x2 factors are multiplied, so no 2^n x 2^n product is
+    formed and neither P nor Q is built.
+    """
+    factors = [a @ b for a, b in zip(_pauli_factors(p), _pauli_factors(q))]
+    return _kron_phase(p.phase + q.phase, factors)
 
 
 def _dense_conjugate(op: PauliOp, circuit: CliffordCircuit):
-    """U P U^dagger for the dense P of ``op``, built here so that no caller holds P."""
-    import numpy as np
+    """U P U^dagger for the dense P of ``op``, built here so that no caller holds P.
 
+    Each gate acts in place on reshaped views of one matrix, qubit q being
+    bit n-1-q of a row or column index.  H on qubit q is the butterfly
+    (a, b) -> (a + b, a - b) on the row view ``(2^q, 2, -1)`` and on the
+    column view ``(-1, 2, 2^(n-1-q))``; its two 1/sqrt(2) factors are one
+    exact halving, and all halvings are applied at the end.  CZ on qubits
+    a < b negates the rows, then the columns, whose bits a and b are both 1.
+    """
     mat = _dense_pauli(op)
     n = circuit.n
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    halvings = 0
     for g in circuit.gates:
         if g[0] == "H":
             q = g[1]
-            mat = np.moveaxis(np.tensordot(h, mat.reshape([2] * (2 * n)), axes=(1, q)), 0, q)
-            mat = np.moveaxis(np.tensordot(mat, h, axes=(n + q, 0)), -1, n + q)
-            mat = mat.reshape(2 ** n, 2 ** n)
+            for view in (mat.reshape(2 ** q, 2, -1), mat.reshape(-1, 2, 2 ** (n - 1 - q))):
+                a, b = view[:, 0], view[:, 1]
+                a += b
+                b *= -2
+                b += a
+            halvings += 1
         else:
-            a, b = g[1], g[2]
-            idx = np.arange(2 ** n)
-            bit_a = (idx >> (n - 1 - a)) & 1
-            bit_b = (idx >> (n - 1 - b)) & 1
-            d = np.where((bit_a & bit_b) == 1, -1.0, 1.0)
-            mat = d[:, None] * mat * d[None, :]
+            a, b = sorted(g[1:])
+            bits = (2 ** a, 2, 2 ** (b - a - 1), 2, 2 ** (n - 1 - b))
+            mat.reshape(*bits, -1)[:, 1, :, 1] *= -1
+            mat.reshape(-1, *bits)[:, :, 1, :, 1] *= -1
+    if halvings:
+        mat *= 0.5 ** halvings
     return mat
 
 
@@ -359,7 +401,13 @@ def _random_circuit(n: int, depth: int, rng: random.Random) -> CliffordCircuit:
 
 
 def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
-    """12: symplectic conjugation and multiplication match 2^n matrices, phases included."""
+    """12: symplectic conjugation and multiplication match 2^n matrices, phases included.
+
+    For each case the dense side is computed first and independently of
+    the engine (``_dense_product``, ``_dense_conjugate``); the engine's
+    result is then expanded by ``_dense_pauli`` and must equal it entry
+    for entry, with no tolerance.
+    """
     import numpy as np
 
     rng = random.Random(seed)
@@ -369,13 +417,13 @@ def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
         q = _random_pauli(n, rng)
         # A 2^10 x 2^10 matrix takes 16 MB: the dense side of each comparison
         # is finished before the symplectic side is expanded, so fewer are alive.
-        expected = _dense_pauli(p) @ _dense_pauli(q)
-        if not np.allclose(_dense_pauli(multiply(p, q)), expected):
+        expected = _dense_product(p, q)
+        if not np.array_equal(_dense_pauli(multiply(p, q)), expected):
             return CheckResult(12, "dense oracle agreement", False,
                                f"multiplication mismatch at case {case}")
         circ = _random_circuit(n, rng.randint(1, 6), rng)
         expected = _dense_conjugate(p, circ)
-        if not np.allclose(_dense_pauli(conjugate_by_circuit(p, circ)), expected):
+        if not np.array_equal(_dense_pauli(conjugate_by_circuit(p, circ)), expected):
             return CheckResult(12, "dense oracle agreement", False,
                                f"conjugation mismatch at case {case}")
     return CheckResult(12, "dense oracle agreement", True, f"{cases} randomized cases, n <= 10")

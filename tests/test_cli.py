@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from cssgauge import cli
 from cssgauge.cli import main
+from cssgauge.ungauge import CompletenessError
 
 
 def run(args):
@@ -72,6 +74,28 @@ def _exit_code(args):
 def test_flag_the_command_does_not_read_is_usage_error(tmp_path, command):
     assert _exit_code([*command.split(), "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    "build --code toric-sphere",
+    "ungauge --code toric-sphere --pairs 10",
+    "export --code toric-sphere --what complex",
+], ids=["build", "ungauge", "export"])
+def test_toric_sphere_has_one_size(tmp_path, command):
+    assert run([*command.split(), "--L", "9", "--out", str(tmp_path / "sized")]) == 2
+    assert not (tmp_path / "sized").exists()
+    assert run([*command.split(), "--out", str(tmp_path / "o")]) == 0
+    assert list((tmp_path / "o").iterdir())
+
+
+def test_internal_inconsistency_exits_1(tmp_path, capsys, monkeypatch):
+    def inconsistent(h, setup):
+        raise CompletenessError("relation space deficit")
+    monkeypatch.setattr(cli, "ungauge_hamiltonian", inconsistent)
+    assert run(["ungauge", "--code", "toric-sphere", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "CompletenessError: relation space deficit" in err
+    assert "Traceback" not in err
 
 
 def test_ungauge_gcc_z(tmp_path):
