@@ -6,12 +6,12 @@ construction API stays sparse (sets of positions).  Everything is
 immutable by convention except ``Echelon``.
 
 ``Echelon`` is the one elimination kernel: an incremental basis of the
-span of the vectors added so far, each row keyed by its lowest set bit
-and carrying its combination of the added vectors.  ``rank``,
-``kernel_basis``, ``solve`` and ``LinearSolver`` read the echelon of a
-matrix's columns, added in index order and memoised per matrix; span
-membership and coset questions elsewhere in the package add rows to an
-``Echelon`` of their own.
+span of the vectors added so far, each row keyed by the index of its
+lowest set bit and carrying its combination of the added vectors.
+``rank``, ``kernel_basis``, ``solve`` and ``LinearSolver`` read the
+echelon of a matrix's columns, added in index order and memoised per
+matrix; span membership and coset questions elsewhere in the package add
+rows to an ``Echelon`` of their own.
 
 Canonical conventions, relied on throughout the package:
 
@@ -28,6 +28,10 @@ dependent column yields, as it is added, the kernel vector supported on
 itself and the pivots, in ascending column order.  These make kernel
 bases, solutions and everything derived from them reproducible across
 runs.
+
+``BitMatrix.mul_vec`` XORs the columns that the vector selects, read
+from the transpose's rows, which are memoised per matrix: a product costs
+O(weight of the vector) big-integer XORs, not one parity per row.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ class BitVec:
 class BitMatrix:
     """A matrix over GF(2); rows stored as integer bitmasks."""
 
-    __slots__ = ("rows", "cols", "_rows", "_rref")
+    __slots__ = ("rows", "cols", "_rows", "_cols", "_rref")
 
     def __init__(self, rows: int, cols: int, row_bits: Sequence[int]):
         if rows < 0 or cols < 0:
@@ -145,6 +149,7 @@ class BitMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_rows", tuple(row_bits))
+        object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "_rref", None)
 
     def __setattr__(self, name, value):
@@ -242,20 +247,36 @@ class BitMatrix:
     # -- algebra -----------------------------------------------------
 
     def transpose(self) -> "BitMatrix":
-        row_bits = [0] * self.cols
-        for i, r in enumerate(self._rows):
-            bit = 1 << i
-            for j in _mask_to_support(r):
-                row_bits[j] |= bit
-        return BitMatrix(self.cols, self.rows, row_bits)
+        """The transpose; it shares its row tuple with this matrix's column memo."""
+        if self._cols is None:
+            row_bits = [0] * self.cols
+            for i, r in enumerate(self._rows):
+                bit = 1 << i
+                for j in _mask_to_support(r):
+                    row_bits[j] |= bit
+            object.__setattr__(self, "_cols", tuple(row_bits))
+        t = BitMatrix(self.cols, self.rows, self._cols)
+        object.__setattr__(t, "_cols", self._rows)
+        return t
+
+    def _columns(self) -> tuple[int, ...]:
+        """Column bitmasks (the transpose's rows), built once per matrix."""
+        if self._cols is None:
+            self.transpose()
+        return self._cols
 
     def mul_vec(self, v: BitVec) -> BitVec:
+        """M v as the XOR of the columns in v's support: O(weight of v)."""
         if v.length != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        bits = 0
-        for i, r in enumerate(self._rows):
-            bits |= ((r & v.bits).bit_count() & 1) << i
-        return BitVec(self.rows, bits)
+        cols = self._columns()
+        acc = 0
+        bits = v.bits
+        while bits:
+            low = bits & -bits
+            acc ^= cols[low.bit_length() - 1]
+            bits ^= low
+        return BitVec(self.rows, acc)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -289,7 +310,7 @@ class BitMatrix:
         read it and never ``add`` to it.
         """
         if self._rref is None:
-            object.__setattr__(self, "_rref", Echelon(self.transpose()._rows))
+            object.__setattr__(self, "_rref", Echelon(self._columns()))
         return self._rref
 
     # -- serialisation -----------------------------------------------
@@ -307,12 +328,14 @@ class BitMatrix:
 class Echelon:
     """Incremental echelon basis of the span of the vectors added so far.
 
-    Vectors are bitmask integers.  ``rows`` maps each basis row's lowest
-    set bit to ``(row, combo)``, where bit i of ``combo`` stands for the
-    i-th vector added; the lowest bits are distinct, so a vector lies in
-    the span exactly when reducing it by lowest bit clears it.  Each
-    added vector that does not enlarge the span leaves its dependency
-    (itself plus the combination producing it) in ``relations``.
+    Vectors are bitmask integers.  ``rows`` maps the index of each basis
+    row's lowest set bit to ``(row, combo)``, where bit i of ``combo``
+    stands for the i-th vector added; the lowest bits are distinct, so a
+    vector lies in the span exactly when reducing it by lowest bit clears
+    it.  The key is the index, not the power of two ``v & -v``, so it is a
+    small integer, cheap to hash.  Each added vector that does not enlarge
+    the span leaves its dependency (itself plus the combination producing
+    it) in ``relations``.
     """
 
     __slots__ = ("rows", "added", "relations")
@@ -335,7 +358,7 @@ class Echelon:
         rows = self.rows
         combo = 0
         while v:
-            hit = rows.get(v & -v)
+            hit = rows.get((v & -v).bit_length())
             if hit is None:
                 break
             v ^= hit[0]
@@ -348,7 +371,7 @@ class Echelon:
         combo ^= 1 << self.added
         self.added += 1
         if residual:
-            self.rows[residual & -residual] = (residual, combo)
+            self.rows[(residual & -residual).bit_length()] = (residual, combo)
             return True
         self.relations.append(combo)
         return False

@@ -1,8 +1,10 @@
 """Deliberately naive reference implementations used as test oracles.
 
 These share no code with the package: dense list-of-lists elimination
-for ranks, and literal 2x2 / 4x4 / 2^n complex matrices for Pauli
-algebra.  Slow and obvious on purpose.
+for ranks, literal 2x2 / 4x4 / 2^n complex matrices for Pauli algebra,
+and the package's earlier kernels (a row-by-row matrix-vector product and
+gate-by-gate conjugation) for the faster kernels that replaced them.
+Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -78,6 +80,37 @@ def naive_noncommuting_pair(ops) -> tuple[int, int] | None:
             if overlap % 2:
                 return (i, j)
     return None
+
+
+def row_parity_mul_vec(m, v) -> int:
+    """Bits of M v: bit i is the parity of row i of M against v, row by row."""
+    bits = 0
+    for i in range(m.rows):
+        bits |= ((m.row_bits(i) & v.bits).bit_count() & 1) << i
+    return bits
+
+
+def gate_by_gate_conjugate(op, circuit) -> tuple[int, int, int]:
+    """(x, z, phase) of U op U^dagger, each gate's XZ-form rule applied in order."""
+    x, z, phase = op.x.bits, op.z.bits, op.phase
+    for g in circuit.gates:
+        if g[0] == "H":
+            mask = 1 << g[1]
+            xb, zb = x & mask, z & mask
+            if xb and zb:
+                phase += 2
+            x = (x & ~mask) | zb
+            z = (z & ~mask) | xb
+        else:
+            ma, mb = 1 << g[1], 1 << g[2]
+            xa, xb = bool(x & ma), bool(x & mb)
+            if xa:
+                z ^= mb
+            if xb:
+                z ^= ma
+            if xa and xb:
+                phase += 2
+    return x, z, phase % 4
 
 
 def matrix_rows(bitmatrix) -> list[list[int]]:

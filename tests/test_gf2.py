@@ -16,7 +16,7 @@ from cssgauge.gf2 import (
 )
 from cssgauge.lattice import octahedron_sphere
 
-from tests.oracles import matrix_rows, naive_rank
+from tests.oracles import matrix_rows, naive_rank, row_parity_mul_vec
 
 
 def random_matrix(rng, rows, cols, density=0.4):
@@ -251,3 +251,32 @@ def test_property_coset_representative_count(pair):
     assert len(reps) == naive_rank(stacked) - naive_rank(matrix_rows(image))
     with_reps = matrix_rows(image) + [[v.get(j) for j in range(v.length)] for v in reps]
     assert naive_rank(with_reps) == naive_rank(stacked)
+
+
+@st.composite
+def products(draw):
+    """A matrix, vectors for it (sparse, dense and all-ones) and vectors for its transpose."""
+    m = draw(matrices())
+    full = (1 << m.cols) - 1
+    sparse = st.sampled_from([1 << j for j in range(m.cols)] or [0])
+    vectors = draw(st.lists(st.one_of(sparse, st.integers(0, full), st.just(full)),
+                            min_size=1, max_size=4))
+    left = draw(st.lists(st.integers(0, (1 << m.rows) - 1), min_size=1, max_size=3))
+    return m, vectors, left
+
+
+@PROPERTY
+@given(products())
+def test_property_mul_vec_matches_row_parity(case):
+    m, vectors, left = case
+    unfilled = BitMatrix(m.rows, m.cols, [m.row_bits(i) for i in range(m.rows)])
+    key = hash(m)
+    for bits in vectors + vectors:  # the second pass reads the filled column memo
+        v = BitVec(m.cols, bits)
+        assert m.mul_vec(v) == BitVec(m.rows, row_parity_mul_vec(unfilled, v))
+    t = m.transpose()
+    for bits in left:
+        u = BitVec(m.rows, bits)
+        assert t.mul_vec(u) == BitVec(m.cols, row_parity_mul_vec(t, u))
+    assert t.transpose() == m == unfilled
+    assert hash(m) == hash(unfilled) == hash(t.transpose()) == key

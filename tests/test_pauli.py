@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cssgauge.builders import build_bacon_shor
 from cssgauge.pauli import (
@@ -19,7 +20,7 @@ from cssgauge.pauli import (
 )
 from cssgauge.gf2 import BitVec
 
-from tests.oracles import conjugate_dense, naive_rank, pauli_matrix
+from tests.oracles import conjugate_dense, gate_by_gate_conjugate, naive_rank, pauli_matrix
 
 
 def random_pauli(n, rng):
@@ -184,6 +185,40 @@ def test_circuit_validation():
         CliffordCircuit(2, [("H", 2)])
     with pytest.raises(ValueError):
         CliffordCircuit(2, [("SWAP", 0, 1)])
+
+
+def test_circuit_rejects_non_integer_qubits():
+    with pytest.raises(ValueError, match="not an integer"):
+        CliffordCircuit(3, [("H", 1.0)])
+    with pytest.raises(ValueError, match="not an integer"):
+        CliffordCircuit.from_json({"n": 3, "gates": [["CZ", 0, 2.0]]})
+    circ = CliffordCircuit(3, [("H", np.int64(1)), ("CZ", np.int64(0), 2)])
+    assert circ.gates == (("H", 1), ("CZ", 0, 2))
+    assert all(type(q) is int for g in circ.gates for q in g[1:])
+
+
+@st.composite
+def conjugations(draw):
+    """An H/CZ circuit on n <= 8 qubits (maybe empty) and Paulis with any phase."""
+    n = draw(st.integers(1, 8))
+    gate = st.tuples(st.just("H"), st.integers(0, n - 1))
+    if n >= 2:
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        gate = st.one_of(gate, pair.map(lambda ab: ("CZ", *ab)))
+    circuit = CliffordCircuit(n, draw(st.lists(gate, max_size=12)))
+    mask = st.integers(0, (1 << n) - 1)
+    ops = draw(st.lists(st.builds(lambda x, z, ph: PauliOp(n, BitVec(n, x), BitVec(n, z), ph),
+                                  mask, mask, st.integers(0, 3)), min_size=1, max_size=4))
+    return circuit, ops
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(conjugations())
+def test_property_conjugation_matches_gate_by_gate(case):
+    circuit, ops = case
+    for p in ops + ops:  # the second pass reads the compiled tableau
+        img = conjugate_by_circuit(p, circuit)
+        assert (img.x.bits, img.z.bits, img.phase) == gate_by_gate_conjugate(p, circuit)
 
 
 # -- group queries -----------------------------------------------------------
