@@ -190,6 +190,12 @@ def ungauge_pauli(p: PauliOp, s: UngaugeSetup,
         if combo is None:
             raise NotSymmetricError(
                 "X support is not a product of the setup's X generators (operator not symmetric)")
+    return _forward_image(p, s, combo, sign)
+
+
+def _forward_image(p: PauliOp, s: UngaugeSetup, combo: BitVec, sign: int) -> PauliOp:
+    """The forward image of ``p``, whose X support is the product of the X
+    generators in ``combo`` and whose real sign is (-1)^(sign/2); neither is checked."""
     image_z = s.d_x.mul_vec(p.z)
     phase = (sign + combo.overlap(image_z)) % 4
     return PauliOp(s.n_fin, combo, image_z, phase)
@@ -309,8 +315,9 @@ def commutation_preservation_check(s: UngaugeSetup, pairs: int = 1000,
         p1, c1 = random_symmetric_pauli(s, rng)
         p2, c2 = random_symmetric_pauli(s, rng)
         before = symplectic_product(p1, p2)
-        after = symplectic_product(ungauge_pauli(p1, s, x_combo=c1),
-                                   ungauge_pauli(p2, s, x_combo=c2))
+        # Each combo is the one its X support was just multiplied out from.
+        after = symplectic_product(_forward_image(p1, s, c1, 1 - p1.hermitian_sign()),
+                                   _forward_image(p2, s, c2, 1 - p2.hermitian_sign()))
         if before != after:
             return False
     return True

@@ -9,10 +9,19 @@ builds 2^n x 2^n numpy matrices from the definitions (X, Z, H, CZ as
 matrices, Kronecker products) and costs O(4^n) per case: a product P Q
 by the mixed-product rule over the per-qubit 2x2 factors, a conjugation
 U P U^dagger by in-place butterfly (H) and sign (CZ) steps on one
-matrix.  Every entry is a dyadic Gaussian integer computed without
-rounding (real 0/+-1 factors, i-powers, unscaled butterflies, one
-power-of-two halving), so both sides are compared with
-``np.array_equal``.
+matrix.
+
+X^x Z^z, H and CZ are real, so every dense operator is a pair (k, M)
+meaning i^k M, with M a real int8 matrix and the global phase i^k
+carried as an integer mod 4.  Real nonzero M and R satisfy
+i^k M = i^k' R exactly when k' - k is even and M = (-1)^((k'-k)/2) R; an
+odd difference is a mismatch.  A conjugation by h H gates leaves its
+butterflies unscaled, so it is compared with 2^h times the engine's
+matrix.  Every entry of either side then has magnitude <= 2^h and any
+difference is at most 2^(h+1): for h <= 6 (the battery's depth bound)
+that is <= 128 < 256, and int8 arithmetic, which wraps around but is
+exact modulo 256, compares exactly.  A circuit with more H gates is run
+in a wider integer dtype chosen from its H count.
 """
 
 from __future__ import annotations
@@ -311,58 +320,96 @@ def check_color_code_split() -> CheckResult:
 # -- dense oracle (independent of the symplectic engine) -------------------
 
 
+_FACTORS: dict = {}
+
+
 def _pauli_factors(op: PauliOp) -> list:
-    """The real 2x2 factor X^x Z^z of each qubit, qubit 0 first."""
-    import numpy as np
+    """The real 2x2 int8 factor X^x Z^z of each qubit, qubit 0 first.
 
-    x = np.array([[0, 1], [1, 0]], dtype=np.int8)
-    z = np.array([[1, 0], [0, -1]], dtype=np.int8)
-    single = {(0, 0): np.eye(2, dtype=np.int8), (1, 0): x, (0, 1): z, (1, 1): x @ z}
-    return [single[(op.x.get(q), op.z.get(q))] for q in range(op.n)]
+    The four factors are built on the first call and shared; no caller
+    writes to them.
+    """
+    if not _FACTORS:
+        import numpy as np
+
+        x = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        z = np.array([[1, 0], [0, -1]], dtype=np.int8)
+        _FACTORS.update({(0, 0): np.eye(2, dtype=np.int8), (1, 0): x, (0, 1): z,
+                         (1, 1): x @ z})
+    xb, zb = op.x.bits, op.z.bits
+    return [_FACTORS[(xb >> q & 1, zb >> q & 1)] for q in range(op.n)]
 
 
-def _kron_phase(phase: int, factors: list):
-    """i^phase times the Kronecker product of ``factors`` (qubit 0 leftmost, n >= 1).
+def _kron(factors: list, lead: int, dtype):
+    """``lead`` times the Kronecker product of ``factors`` (qubit 0 leftmost), in ``dtype``.
 
-    Built from the last factor up, with the phase on the first: each
-    ``np.kron`` then spreads a 2x2 factor over a large contiguous block,
-    and only the last one writes complex entries.
+    Built from the last factor up, one broadcast product per factor:
+    ``f (x) A`` is ``f[i, j] * A[k, l]`` at ``(i, k, j, l)`` of a
+    ``(2, m, 2, m)`` array, reshaped to ``(2m, 2m)``.
     """
     import numpy as np
 
-    out = np.ones((1, 1), dtype=np.int8)
-    for f in reversed(factors[1:]):
-        out = np.kron(f, out)
-    return np.kron((1j ** (phase % 4)) * factors[0], out)
+    out = np.full((1, 1), lead, dtype=dtype)
+    for f in reversed(factors):
+        m = 2 * out.shape[0]
+        out = (f[:, None, :, None] * out[None, :, None, :]).reshape(m, m)
+    return out
 
 
-def _dense_pauli(op: PauliOp):
-    return _kron_phase(op.phase, _pauli_factors(op))
+def _exact_dtype(hadamards: int):
+    """The narrowest integer dtype with 2^(hadamards+1) < 2^bits (int8 up to 6 H gates).
+
+    Past int64, Python integers (``object``), which never wrap around.
+    """
+    import numpy as np
+
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if hadamards + 1 < 8 * np.dtype(dtype).itemsize:
+            return dtype
+    return object
 
 
-def _dense_product(p: PauliOp, q: PauliOp):
-    """The matrix of P Q by the mixed-product rule (A(x)B)(C(x)D) = AC(x)BD.
+def _dense_pauli(op: PauliOp, dtype=None) -> tuple:
+    """``(k, M)`` with i^k M the matrix of ``op``: k its phase mod 4, M = X^x Z^z real.
+
+    M is int8 unless another ``dtype`` is asked for.
+    """
+    import numpy as np
+
+    return op.phase % 4, _kron(_pauli_factors(op), 1, dtype or np.int8)
+
+
+def _dense_product(p: PauliOp, q: PauliOp) -> tuple:
+    """``(k, M)`` for P Q by the mixed-product rule (A(x)B)(C(x)D) = AC(x)BD.
 
     Each qubit's 2x2 factors are multiplied, so no 2^n x 2^n product is
-    formed and neither P nor Q is built.
+    formed and neither P nor Q is built.  The product of two real factors
+    is real, so the phases simply add.
     """
+    import numpy as np
+
     factors = [a @ b for a, b in zip(_pauli_factors(p), _pauli_factors(q))]
-    return _kron_phase(p.phase + q.phase, factors)
+    return (p.phase + q.phase) % 4, _kron(factors, 1, np.int8)
 
 
-def _dense_conjugate(op: PauliOp, circuit: CliffordCircuit):
-    """U P U^dagger for the dense P of ``op``, built here so that no caller holds P.
+def _hadamard_count(circuit: CliffordCircuit) -> int:
+    return sum(g[0] == "H" for g in circuit.gates)
 
-    Each gate acts in place on reshaped views of one matrix, qubit q being
-    bit n-1-q of a row or column index.  H on qubit q is the butterfly
-    (a, b) -> (a + b, a - b) on the row view ``(2^q, 2, -1)`` and on the
-    column view ``(-1, 2, 2^(n-1-q))``; its two 1/sqrt(2) factors are one
-    exact halving, and all halvings are applied at the end.  CZ on qubits
-    a < b negates the rows, then the columns, whose bits a and b are both 1.
+
+def _dense_conjugate(op: PauliOp, circuit: CliffordCircuit) -> tuple:
+    """``(k, M)`` with i^k M = 2^h U P U^dagger, h the circuit's H count.
+
+    H and CZ are real, so U conjugates the real part M of P alone and the
+    phase i^k passes through.  Each gate acts in place on reshaped views
+    of one matrix, qubit q being bit n-1-q of a row or column index.  H on
+    qubit q is the unscaled butterfly (a, b) -> (a + b, a - b) on the row
+    view ``(2^q, 2, -1)`` and on the column view ``(-1, 2, 2^(n-1-q))``,
+    i.e. 2 H P H; the factors 2 are kept, so M is 2^h times the true real
+    part, in ``_exact_dtype(h)`` (int8 for h <= 6).  CZ on qubits a < b
+    negates the rows, then the columns, whose bits a and b are both 1.
     """
-    mat = _dense_pauli(op)
     n = circuit.n
-    halvings = 0
+    k, mat = _dense_pauli(op, _exact_dtype(_hadamard_count(circuit)))
     for g in circuit.gates:
         if g[0] == "H":
             q = g[1]
@@ -371,15 +418,27 @@ def _dense_conjugate(op: PauliOp, circuit: CliffordCircuit):
                 a += b
                 b *= -2
                 b += a
-            halvings += 1
         else:
             a, b = sorted(g[1:])
             bits = (2 ** a, 2, 2 ** (b - a - 1), 2, 2 ** (n - 1 - b))
             mat.reshape(*bits, -1)[:, 1, :, 1] *= -1
             mat.reshape(-1, *bits)[:, :, 1, :, 1] *= -1
-    if halvings:
-        mat *= 0.5 ** halvings
-    return mat
+    return k, mat
+
+
+def _agrees(dense: tuple, op: PauliOp, hadamards: int = 0) -> bool:
+    """Whether ``dense`` = (k, M), meaning i^k M, is 2^hadamards times the matrix of ``op``.
+
+    The phase rule of the module docstring; the engine's matrix is built
+    already signed and scaled, in M's dtype.
+    """
+    import numpy as np
+
+    k, mat = dense
+    d = (op.phase - k) % 4
+    if d % 2:
+        return False
+    return np.array_equal(mat, _kron(_pauli_factors(op), (1 - d) << hadamards, mat.dtype))
 
 
 def _random_pauli(n: int, rng: random.Random) -> PauliOp:
@@ -403,27 +462,28 @@ def _random_circuit(n: int, depth: int, rng: random.Random) -> CliffordCircuit:
 def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
     """12: symplectic conjugation and multiplication match 2^n matrices, phases included.
 
-    For each case the dense side is computed first and independently of
-    the engine (``_dense_product``, ``_dense_conjugate``); the engine's
-    result is then expanded by ``_dense_pauli`` and must equal it entry
-    for entry, with no tolerance.
+    Each dense operator is a pair (k, M) meaning i^k M, M a real int8
+    2^n x 2^n matrix.  For each case the dense side is computed first and
+    independently of the engine (``_dense_product``, ``_dense_conjugate``);
+    ``_agrees`` then expands the engine's result, scaled by 2^h for a
+    circuit with h H gates: the phase difference must be even and M must
+    equal the signed, scaled matrix entry for entry, with no tolerance.
+    The draws have depth <= 6, so h <= 6 and any difference is at most
+    2^(h+1) <= 128 < 256, which int8 arithmetic, exact modulo 256, sees.
     """
-    import numpy as np
-
     rng = random.Random(seed)
     for case in range(cases):
         n = rng.randint(1, 6) if case % 10 else rng.randint(7, 10)
         p = _random_pauli(n, rng)
         q = _random_pauli(n, rng)
-        # A 2^10 x 2^10 matrix takes 16 MB: the dense side of each comparison
+        # A 2^10 x 2^10 matrix takes 1 MB: the dense side of each comparison
         # is finished before the symplectic side is expanded, so fewer are alive.
-        expected = _dense_product(p, q)
-        if not np.array_equal(_dense_pauli(multiply(p, q)), expected):
+        if not _agrees(_dense_product(p, q), multiply(p, q)):
             return CheckResult(12, "dense oracle agreement", False,
                                f"multiplication mismatch at case {case}")
         circ = _random_circuit(n, rng.randint(1, 6), rng)
-        expected = _dense_conjugate(p, circ)
-        if not np.array_equal(_dense_pauli(conjugate_by_circuit(p, circ)), expected):
+        if not _agrees(_dense_conjugate(p, circ), conjugate_by_circuit(p, circ),
+                       _hadamard_count(circ)):
             return CheckResult(12, "dense oracle agreement", False,
                                f"conjugation mismatch at case {case}")
     return CheckResult(12, "dense oracle agreement", True, f"{cases} randomized cases, n <= 10")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,12 @@ def test_verify_fast(tmp_path):
     results = json.loads((out / "verify.json").read_text())
     assert len(results) == 13
     assert all(r["passed"] for r in results)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy takes about 0.1 s to import and only the dense oracle of `verify`
+    # needs it, so it must not join every command's start-up.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, cssgauge.cli; sys.exit(int('numpy' in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

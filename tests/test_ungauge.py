@@ -10,6 +10,7 @@ from cssgauge.ungauge import (
     CommutationError,
     CompletenessError,
     NotSymmetricError,
+    UngaugeError,
     annihilation_check,
     commutation_preservation_check,
     dim_check,
@@ -172,6 +173,15 @@ def test_wrong_combo_rejected(sphere_model):
     with pytest.raises(Exception, match="x_combo"):
         ungauge_pauli(PauliOp(code.n, star, BitVec(code.n)), sphere_model.setup,
                       x_combo=BitVec(6, 1 << 1))
+
+
+def test_combo_with_another_x_support_is_rejected(sphere_model):
+    # A combo of the right length whose product is a different star.
+    code = sphere_model.code
+    star = code.stabilizer_x[0]
+    with pytest.raises(UngaugeError, match="^x_combo does not reproduce the operator's X support$"):
+        ungauge_pauli(PauliOp(code.n, star, BitVec(code.n)), sphere_model.setup,
+                      x_combo=BitVec(sphere_model.setup.n_fin, 1 << 1))
 
 
 def test_report_deterministic(sphere_model):

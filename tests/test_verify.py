@@ -1,5 +1,8 @@
 """The dense oracle of criterion 12 against the naive matrices of ``tests.oracles``,
-and faults injected into the symplectic engine that it must catch."""
+and faults injected into the symplectic engine that it must catch.
+
+The oracle returns a pair (k, M) meaning i^k M, M real; a conjugation's
+M carries the factor 2^h of its h unscaled Hadamard butterflies."""
 
 import random
 
@@ -7,7 +10,8 @@ import numpy as np
 import pytest
 
 from cssgauge import verify
-from cssgauge.pauli import PauliOp, conjugate_by_circuit, multiply
+from cssgauge.gf2 import BitVec
+from cssgauge.pauli import CliffordCircuit, PauliOp, conjugate_by_circuit, multiply
 from tests.oracles import conjugate_dense, pauli_matrix
 
 
@@ -23,20 +27,26 @@ def _draws(seed, count=60):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dense_pauli_and_product_are_exact(seed):
     for p, q, _ in _draws(seed):
-        assert np.array_equal(verify._dense_pauli(p), pauli_matrix(p))
-        assert np.array_equal(verify._dense_product(p, q), pauli_matrix(p) @ pauli_matrix(q))
+        k, m = verify._dense_pauli(p)
+        assert m.dtype == np.int8
+        assert np.array_equal((1j ** k) * m, pauli_matrix(p))
+        k, m = verify._dense_product(p, q)
+        assert m.dtype == np.int8
+        assert np.array_equal((1j ** k) * m, pauli_matrix(p) @ pauli_matrix(q))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dense_conjugate_matches_full_unitary(seed):
     for p, _, circ in _draws(seed):
-        assert np.allclose(verify._dense_conjugate(p, circ), conjugate_dense(p, circ))
+        k, m = verify._dense_conjugate(p, circ)
+        h = sum(g[0] == "H" for g in circ.gates)
+        assert np.allclose((1j ** k) * m / 2 ** h, conjugate_dense(p, circ))
 
 
-def _phase_shifted(engine_map):
+def _phase_shifted(engine_map, shift=2):
     def shifted(*args):
         r = engine_map(*args)
-        return PauliOp(r.n, r.x, r.z, r.phase + 2)
+        return PauliOp(r.n, r.x, r.z, r.phase + shift)
     return shifted
 
 
@@ -49,3 +59,55 @@ def test_dense_oracle_catches_a_phase_fault(monkeypatch, name, engine_map, side)
     result = verify.check_dense_oracles(cases=20)
     assert not result.passed
     assert result.details == f"{side} mismatch at case 0"
+
+
+def _x_z_swapped(engine_map):
+    def swapped(*args):
+        r = engine_map(*args)
+        return PauliOp(r.n, r.z, r.x, r.phase)
+    return swapped
+
+
+@pytest.mark.parametrize("fault", [lambda m: _phase_shifted(m, 1), _x_z_swapped],
+                         ids=["phase+1", "xz-swap"])
+@pytest.mark.parametrize("name,engine_map,side", [
+    ("multiply", multiply, "multiplication"),
+    ("conjugate_by_circuit", conjugate_by_circuit, "conjugation"),
+])
+def test_dense_oracle_catches_an_odd_phase_or_swap_fault(monkeypatch, fault, name,
+                                                         engine_map, side):
+    monkeypatch.setattr(verify, name, fault(engine_map))
+    result = verify.check_dense_oracles(cases=20)
+    assert not result.passed
+    assert result.details == f"{side} mismatch at case 0"
+
+
+def _h_heavy_case(n, hadamards):
+    """An XZ factor on qubit 0 and X or Z elsewhere; ``hadamards`` H gates on
+    qubit 0, each followed by a CZ from it to another qubit in turn."""
+    p = PauliOp(n, BitVec(n, 0b011 | 1 << (n - 1)), BitVec(n, 0b101), 1)
+    gates = []
+    for i in range(hadamards):
+        gates.append(("H", 0))
+        gates.append(("CZ", 0, 1 + i % (n - 1)))
+    return p, CliffordCircuit(n, gates)
+
+
+@pytest.mark.parametrize("n,hadamards,dtype", [
+    (10, 6, np.int8),     # the largest H count the battery draws: entries reach 2^6
+    (4, 7, np.int16),     # one more H no longer fits int8
+    (3, 63, object),      # past int64: Python integers
+])
+def test_dense_conjugate_is_exact_at_each_dtype(n, hadamards, dtype):
+    p, circ = _h_heavy_case(n, hadamards)
+    k, m = verify._dense_conjugate(p, circ)
+    assert m.dtype == np.dtype(dtype)
+    image = conjugate_by_circuit(p, circ)
+    assert verify._agrees((k, m), image, hadamards)
+    for wrong in (PauliOp(n, image.x, image.z, image.phase + 1),
+                  PauliOp(n, image.x, image.z, image.phase + 2),
+                  PauliOp(n, image.z, image.x, image.phase)):
+        assert not verify._agrees((k, m), wrong, hadamards)
+    if n <= 4:
+        assert np.allclose((1j ** k) * m.astype(complex) / 2 ** hadamards,
+                           conjugate_dense(p, circ))
