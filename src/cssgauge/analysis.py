@@ -92,25 +92,23 @@ def components(h: Hamiltonian) -> ComponentReport:
         if ra != rb:
             parent[ra] = rb
 
-    for t in h:
-        sup = t.op.support
+    supports = [t.op.support for t in h]
+    for sup in supports:
         for q in sup:
             parent.setdefault(q, q)
         for q in sup[1:]:
             union(sup[0], q)
 
-    groups: dict[int, set[int]] = {}
+    groups: dict[int, tuple[set[int], list[int], dict[int, int]]] = {}
     for q in parent:
-        groups.setdefault(find(q), set()).add(q)
-    comps = []
-    for root, qubits in groups.items():
-        idxs = [i for i, t in enumerate(h.terms)
-                if t.op.support and find(t.op.support[0]) == root]
-        hist: dict[int, int] = {}
-        for i in idxs:
-            w = h.terms[i].op.weight
-            hist[w] = hist.get(w, 0) + 1
-        comps.append(Component(frozenset(qubits), tuple(idxs), hist))
+        groups.setdefault(find(q), (set(), [], {}))[0].add(q)
+    for i, sup in enumerate(supports):
+        if sup:
+            _, idxs, hist = groups[find(sup[0])]
+            idxs.append(i)
+            hist[len(sup)] = hist.get(len(sup), 0) + 1
+    comps = [Component(frozenset(qubits), tuple(idxs), hist)
+             for qubits, idxs, hist in groups.values()]
     comps.sort(key=lambda c: min(c.qubits))
     return ComponentReport(len(comps), comps)
 

@@ -10,7 +10,8 @@ The flag contract: a command declares only the flags it reads, and
 ``--k``, ``--boundary``, ``--partial``, ``--hamiltonian``) are read per
 code, as ``CODES`` lists; one given to a code that does not read it is
 a usage error, raised before anything is written.  So is ``--L`` given
-to a code of one size (``toric-sphere``).
+to a code of one size (``toric-sphere``), and so is a negative count
+(``--pairs``, ``--cases``).
 """
 
 from __future__ import annotations
@@ -225,6 +226,17 @@ def cmd_gauge(args) -> int:
     return 0 if ok else 1
 
 
+def _count(text: str) -> int:
+    """The value of a count flag (--pairs, --cases): an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer count, not {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, not {value}")
+    return value
+
+
 def _parse_slab(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(part) for part in text.split(":"))
@@ -313,8 +325,8 @@ def make_parser() -> argparse.ArgumentParser:
     _code_command(sub, "build", "build a code and write its JSON/DOT files", cmd_build)
 
     p_un = _code_command(sub, "ungauge", "run the ungauging map and report", cmd_ungauge)
-    p_un.add_argument("--pairs", type=int, default=200,
-                      help="random pairs for the commutation check")
+    p_un.add_argument("--pairs", type=_count, default=200,
+                      help="random pairs for the commutation check (0 skips it)")
     p_un.add_argument("--seed", type=int, default=20240)
 
     p_g = _code_command(sub, "gauge", "gauge X symmetries back (Xu-Moore -> Bacon-Shor)",
@@ -326,8 +338,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_spt.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis")
 
     p_v = sub.add_parser("verify", help="run the full acceptance battery")
-    p_v.add_argument("--pairs", type=int, default=1000)
-    p_v.add_argument("--cases", type=int, default=500)
+    p_v.add_argument("--pairs", type=_count, default=1000)
+    p_v.add_argument("--cases", type=_count, default=500)
     p_v.add_argument("--seed", type=int, default=20240)
     p_v.add_argument("--out", default=None)
     p_v.set_defaults(func=cmd_verify)

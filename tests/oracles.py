@@ -2,8 +2,9 @@
 
 These share no code with the package: dense list-of-lists elimination
 for ranks, literal 2x2 / 4x4 / 2^n complex matrices for Pauli algebra,
-and the package's earlier kernels (a row-by-row matrix-vector product and
-gate-by-gate conjugation) for the faster kernels that replaced them.
+and the package's earlier kernels (a row-by-row matrix-vector product,
+gate-by-gate conjugation and a per-component rescan of the terms) for
+the faster kernels that replaced them.
 Slow and obvious on purpose.
 """
 
@@ -80,6 +81,43 @@ def naive_noncommuting_pair(ops) -> tuple[int, int] | None:
             if overlap % 2:
                 return (i, j)
     return None
+
+
+def naive_components(h) -> list[tuple[frozenset, tuple[int, ...], list[tuple[int, int]]]]:
+    """(qubits, term indices, histogram items) of each component, ordered by least qubit.
+
+    Union-find over the term supports, then a rescan of every term for
+    each component, recomputing its support each time.  Histogram items
+    keep the order in which weights are first met.
+    """
+    parent: dict[int, int] = {}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for t in h.terms:
+        sup = t.op.support
+        for q in sup:
+            parent.setdefault(q, q)
+        for q in sup[1:]:
+            ra, rb = find(sup[0]), find(q)
+            if ra != rb:
+                parent[ra] = rb
+    groups: dict[int, set[int]] = {}
+    for q in parent:
+        groups.setdefault(find(q), set()).add(q)
+    out = []
+    for root, qubits in groups.items():
+        idxs = [i for i, t in enumerate(h.terms)
+                if t.op.support and find(t.op.support[0]) == root]
+        hist: dict[int, int] = {}
+        for i in idxs:
+            w = len(h.terms[i].op.support)
+            hist[w] = hist.get(w, 0) + 1
+        out.append((frozenset(qubits), tuple(idxs), list(hist.items())))
+    return sorted(out, key=lambda c: min(c[0]))
 
 
 def row_parity_mul_vec(m, v) -> int:

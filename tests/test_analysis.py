@@ -20,7 +20,7 @@ from cssgauge.gf2 import BitVec
 from cssgauge.pauli import Hamiltonian, PauliOp, Term
 from cssgauge.ungauge import strip_identity_terms
 
-from tests.oracles import naive_noncommuting_pair
+from tests.oracles import naive_components, naive_noncommuting_pair
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,48 @@ def test_property_noncommuting_pair_matches_double_loop(h):
     pair = find_noncommuting_pair(h)
     assert pair == naive_noncommuting_pair(h.operators())
     assert commuting_check(h) == (pair is None)
+
+
+@st.composite
+def term_lists(draw):
+    """Random terms on up to 12 qubits: identities, singletons and wider supports mixed."""
+    n = draw(st.integers(1, 12))
+    h = Hamiltonian(n)
+    for i in range(draw(st.integers(0, 14))):
+        shape = draw(st.sampled_from(("identity", "singleton", "any")))
+        if shape == "identity":
+            x = z = 0
+        elif shape == "singleton":
+            x = z = 1 << draw(st.integers(0, n - 1))
+            x, z = draw(st.sampled_from(((x, 0), (0, z), (x, z))))
+        else:
+            x = draw(st.integers(0, (1 << n) - 1))
+            z = draw(st.integers(0, (1 << n) - 1))
+        h.add(Term(f"t{i}", "J", PauliOp(n, BitVec(n, x), BitVec(n, z))))
+    return h
+
+
+def _component_rows(h):
+    return [(c.qubits, c.term_indices, list(c.weight_histogram.items()))
+            for c in components(h).components]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(term_lists())
+def test_property_components_match_rescan(h):
+    assert _component_rows(h) == naive_components(h)
+    assert components(h).count == len(naive_components(h))
+
+
+def test_components_edge_cases_match_rescan(gcc_images):
+    empty = Hamiltonian(4)
+    identities = Hamiltonian(3, [Term(f"i{k}", "J", PauliOp.identity(3)) for k in range(3)])
+    paramagnet = Hamiltonian(5, [Term(f"x{q}", "J", PauliOp.x_op(5, [q])) for q in range(5)])
+    assert components(empty).count == components(identities).count == 0
+    assert components(paramagnet).sizes() == [1] * 5
+    for h in (empty, identities, paramagnet,
+              gcc_images["image_X"], gcc_images["image_Z"], gcc_images["image_Y"]):
+        assert _component_rows(h) == naive_components(h)
 
 
 def test_stabilizer_span_equal():

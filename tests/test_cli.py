@@ -81,6 +81,25 @@ def test_flag_the_command_does_not_read_is_usage_error(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", [
+    "ungauge --code gcc --L 2 --pairs -5",
+    "verify --pairs -1",
+    "verify --cases -3",
+    "verify --cases many",
+], ids=["ungauge-pairs", "verify-pairs", "verify-cases", "verify-cases-not-int"])
+def test_negative_count_is_usage_error(tmp_path, capsys, command):
+    assert _exit_code([*command.split(), "--out", str(tmp_path / "o")]) == 2
+    assert "count" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ungauge_zero_pairs_skips_the_check(tmp_path):
+    assert run(["ungauge", "--code", "toric2d", "--L", "3", "--pairs", "0",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "ungauge-toric-torus.json").read_text())
+    assert "commutation_pairs" not in report and "commutation_preserved" not in report
+
+
+@pytest.mark.parametrize("command", [
     "build --code toric-sphere",
     "ungauge --code toric-sphere --pairs 10",
     "export --code toric-sphere --what complex",
@@ -182,3 +201,19 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, cssgauge.cli; sys.exit(int('numpy' in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _module_run(*args):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "cssgauge", *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_python_dash_m_runs_the_cli():
+    helped = _module_run("--help")
+    assert helped.returncode == 0
+    assert "usage: cssgauge" in helped.stdout
+    rejected = _module_run("build", "--code", "gcc", "--nonsense")
+    assert rejected.returncode == 2
+    assert "unrecognized arguments: --nonsense" in rejected.stderr

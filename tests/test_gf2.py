@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cssgauge import cli
 from cssgauge.chains import _coset_representatives
 from cssgauge.gf2 import (
     BitMatrix,
@@ -255,14 +256,25 @@ def test_property_coset_representative_count(pair):
 
 @st.composite
 def products(draw):
-    """A matrix, vectors for it (sparse, dense and all-ones) and vectors for its transpose."""
-    m = draw(matrices())
-    full = (1 << m.cols) - 1
-    sparse = st.sampled_from([1 << j for j in range(m.cols)] or [0])
-    vectors = draw(st.lists(st.one_of(sparse, st.integers(0, full), st.just(full)),
-                            min_size=1, max_size=4))
-    left = draw(st.lists(st.integers(0, (1 << m.rows) - 1), min_size=1, max_size=3))
-    return m, vectors, left
+    """A matrix up to 40 columns wide, vectors for it and vectors for its transpose.
+
+    The widths cover every ``cols % 8`` and several byte boundaries of the
+    dense branch.  The vectors for the matrix sit on both sides of the
+    sparse/dense switch (``8 * weight = cols``), besides all-ones, zero,
+    single columns and random ones.
+    """
+    rows = draw(st.integers(0, 20))
+    cols = draw(st.integers(0, 40))
+    m = BitMatrix(rows, cols, draw(st.lists(st.integers(0, (1 << cols) - 1),
+                                            min_size=rows, max_size=rows)))
+    full = (1 << cols) - 1
+    order = draw(st.permutations(range(cols)))
+    switch = cols // 8          # the largest weight still on the sparse branch
+    vectors = [sum(1 << j for j in order[:w]) for w in (switch, switch + 1)] + [full, 0]
+    sparse = st.sampled_from([1 << j for j in range(cols)] or [0])
+    vectors += draw(st.lists(st.one_of(sparse, st.integers(0, full)), max_size=3))
+    left = draw(st.lists(st.integers(0, (1 << rows) - 1), min_size=1, max_size=3))
+    return m, vectors, left + [(1 << rows) - 1]
 
 
 @PROPERTY
@@ -271,12 +283,46 @@ def test_property_mul_vec_matches_row_parity(case):
     m, vectors, left = case
     unfilled = BitMatrix(m.rows, m.cols, [m.row_bits(i) for i in range(m.rows)])
     key = hash(m)
-    for bits in vectors + vectors:  # the second pass reads the filled column memo
+    for bits in vectors + vectors:  # the second pass reads the filled column memo and tables
         v = BitVec(m.cols, bits)
         assert m.mul_vec(v) == BitVec(m.rows, row_parity_mul_vec(unfilled, v))
+    assert (m._tables is not None) == (m.cols > 0)     # all-ones is dense
     t = m.transpose()
     for bits in left:
         u = BitVec(m.rows, bits)
         assert t.mul_vec(u) == BitVec(m.cols, row_parity_mul_vec(t, u))
     assert t.transpose() == m == unfilled
     assert hash(m) == hash(unfilled) == hash(t.transpose()) == key
+
+
+def test_mul_vec_builds_tables_on_the_first_dense_product_only():
+    m = random_matrix(random.Random(8), 9, 33)
+    m.mul_vec(BitVec(33, 0b1111))                    # 8 * 4 <= 33: sparse
+    assert m._tables is None
+    m.mul_vec(BitVec(33, 0b11111))                   # 8 * 5 > 33: dense
+    tables = m._tables
+    assert len(tables) == 5                          # one (low, high) pair per byte
+    assert all(len(low) == len(high) == 16 for low, high in tables)
+    m.mul_vec(BitVec(33, (1 << 33) - 1))
+    assert m._tables is tables
+
+
+@pytest.mark.parametrize("command, dense", [
+    ("spt --code toric2d --L 10 --slab 1:3", False),
+    ("build --code gcc --L 4", False),
+    ("ungauge --code gcc --L 2 --pairs 5", True),
+], ids=["spt-toric2d", "build-gcc", "ungauge-gcc"])
+def test_only_dense_products_build_tables(tmp_path, monkeypatch, command, dense):
+    # The spt and build commands are the benchmark's controls for this kernel:
+    # every product they make is sparse, so no matrix of theirs holds tables.
+    made = []
+    init = BitMatrix.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(BitMatrix, "__init__", recording_init)
+    assert cli.main([*command.split(), "--out", str(tmp_path)]) == 0
+    assert made
+    assert any(m._tables is not None for m in made) == dense
