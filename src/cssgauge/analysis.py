@@ -6,7 +6,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .codes import CssSubsystemCode
+from .codes import CssSubsystemCode, gauge_group_rank
+from .gf2 import Echelon
 from .pauli import Hamiltonian, PauliOp, symplectic_gram
 
 
@@ -20,25 +21,28 @@ class CodeParameters:
 
 
 def code_parameters(code: CssSubsystemCode) -> CodeParameters:
-    """n, symplectic gauge rank, stabilizer (center) rank, logical and gauge qubits.
+    """n, gauge rank g, stabilizer (center) rank s, logical and gauge qubits.
 
-    k = n - s - (g - s)/2 with s the rank of the center of the gauge
-    group, computed as g minus the rank of the symplectic Gram form (on
-    topologically nontrivial lattices the center can exceed the span of
-    the geometric stabilizer generators).  For a stabilizer code g = s
-    and k = n - s.
+    For a CSS subsystem code the gauge group splits into X and Z blocks,
+    so its symplectic Gram matrix is [[0, A], [A^T, 0]] with
+    A = G_X G_Z^T and has rank exactly 2a, a = rank A.  Hence the gauge
+    qubits are a, s = g - 2a and k = n - s - a =
+    n - rank G_X - rank G_Z + rank(G_X G_Z^T) (Bravyi, *Subsystem codes
+    with spatially local generators*, PRA 83, 012320, 2011).  The center
+    can exceed the span of the geometric stabilizer generators on
+    topologically nontrivial lattices.  For a stabilizer code a = 0 and
+    k = n - s.
     """
-    from .codes import gauge_group_rank
-    from .gf2 import rank as _rank
-
     g = gauge_group_rank(code)
-    s = g - _rank(symplectic_gram(code.gauge_ops()))
+    overlaps = code.gauge_x_matrix() @ code.gauge_z_matrix().transpose()
+    a = len(Echelon(overlaps.row_bits(i) for i in range(overlaps.rows)))
+    s = g - 2 * a
     if (g - s) % 2:
         raise ValueError("gauge minus stabilizer rank must be even")
-    k = code.n - s - (g - s) // 2
+    k = code.n - s - a
     if k < 0:
         raise ValueError("negative logical count; gauge group is inconsistent")
-    return CodeParameters(code.n, g, s, k, (g - s) // 2)
+    return CodeParameters(code.n, g, s, k, a)
 
 
 @dataclass

@@ -10,15 +10,23 @@ The flag contract: a command declares only the flags it reads, and
 ``--k``, ``--boundary``, ``--partial``, ``--hamiltonian``) are read per
 code, as ``CODES`` lists; one given to a code that does not read it is
 a usage error, raised before anything is written.  So is ``--L`` given
-to a code of one size (``toric-sphere``), and so is a negative count
-(``--pairs``, ``--cases``).
+to a code of one size (``toric-sphere``), a negative count (``--pairs``,
+``--cases``), and an ``--out`` that names, or lies under, an existing
+file that is not a directory; that one is raised before any work.
+
+A report file holds exactly the bytes of ``json.dumps(data, indent=2,
+sort_keys=True)`` and a newline.  ``_write_json`` renders them with a
+direct encoder (the stdlib falls back to pure Python whenever ``indent``
+is set) and, like ``json.dumps``, raises ``TypeError`` on a value that
+is not JSON and ``ValueError`` on a cycle.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -145,14 +153,95 @@ def _construct(args, command: str):
     return make(args.L, **flags)
 
 
+def _check_out(out: str) -> None:
+    """``--out`` must name a directory or a path that can become one."""
+    path = Path(out)
+    for place in (path, *path.parents):
+        if place.exists():
+            if not place.is_dir():
+                raise UsageError(f"--out {out!r}: {place} exists and is not a directory")
+            return
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(o):
+    """The JSON text of None, a bool, an int or a float; None for any other value."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    return None
+
+
+def _key(k) -> str:
+    """A dict key, stringified as ``json.dumps`` does, then quoted."""
+    text = k if isinstance(k, str) else _scalar(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return _quote(text)
+
+
+def _encode(o, nl: str, path: set) -> str:
+    """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it, nested where
+    ``nl`` (a newline and the indent) starts its lines; ``path`` holds the ids of
+    the containers around ``o``.  Lists of ints, of strings and of int lists
+    are joined at C speed.
+    """
+    if isinstance(o, str):
+        return _quote(o)
+    text = _scalar(o)
+    if text is not None:
+        return text
+    if not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    if id(o) in path:
+        raise ValueError("Circular reference detected")
+    inner = nl + "  "
+    if isinstance(o, dict):
+        path.add(id(o))
+        body = [_key(k) + ": " + _encode(v, inner, path) for k, v in sorted(o.items())]
+        path.discard(id(o))
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    kinds = set(map(type, o))
+    if kinds == {int}:
+        body = map(int.__repr__, o)
+    elif kinds == {str}:
+        body = map(_quote, o)
+    elif kinds == {list} and set(map(type, chain.from_iterable(o))) <= {int}:
+        deeper = inner + "  "
+        start, sep, end = "[" + deeper, "," + deeper, inner + "]"
+        body = [start + sep.join(map(int.__repr__, v)) + end if v else "[]" for v in o]
+    else:
+        path.add(id(o))
+        body = [_encode(v, inner, path) for v in o]
+        path.discard(id(o))
+    return "[" + inner + ("," + inner).join(body) + nl + "]"
+
+
+def _dumps(data) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte."""
+    return _encode(data, "\n", set())
+
+
 def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    path.write_text(_dumps(data) + "\n")
 
 
 def cmd_build(args) -> int:
@@ -353,6 +442,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -4,7 +4,10 @@ These share no code with the package: dense list-of-lists elimination
 for ranks, literal 2x2 / 4x4 / 2^n complex matrices for Pauli algebra,
 and the package's earlier kernels (a row-by-row matrix-vector product,
 gate-by-gate conjugation and a per-component rescan of the terms) for
-the faster kernels that replaced them.
+the faster kernels that replaced them.  The one exception is
+``naive_code_parameters``, the earlier whole-group route to the code
+parameters, which calls the package's general Pauli-group rank and
+symplectic Gram matrix in place of the CSS rank formula.
 Slow and obvious on purpose.
 """
 
@@ -81,6 +84,21 @@ def naive_noncommuting_pair(ops) -> tuple[int, int] | None:
             if overlap % 2:
                 return (i, j)
     return None
+
+
+def naive_code_parameters(code) -> tuple[int, int, int, int, int]:
+    """(n, gauge rank, stabilizer rank, k, gauge qubits) by the earlier route.
+
+    g is the rank of all (x|z) gauge rows, s is g minus the rank of their
+    symplectic Gram matrix, and k = n - s - (g - s)/2.
+    """
+    from cssgauge.gf2 import rank
+    from cssgauge.pauli import group_rank, symplectic_gram
+
+    ops = code.gauge_ops()
+    g = group_rank(ops)
+    s = g - rank(symplectic_gram(ops))
+    return code.n, g, s, code.n - s - (g - s) // 2, (g - s) // 2
 
 
 def naive_components(h) -> list[tuple[frozenset, tuple[int, ...], list[tuple[int, int]]]]:

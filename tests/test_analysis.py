@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from cssgauge.gf2 import BitVec
 from cssgauge.pauli import Hamiltonian, PauliOp, Term
 from cssgauge.ungauge import strip_identity_terms
 
-from tests.oracles import naive_components, naive_noncommuting_pair
+from tests.oracles import naive_code_parameters, naive_components, naive_noncommuting_pair
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,40 @@ def test_code_parameters_examples():
     assert gcc.stabilizer_rank == 44
     assert (gcc.gauge_rank - gcc.stabilizer_rank) % 2 == 0
     assert 0 <= gcc.k <= gcc.n
+
+
+@st.composite
+def css_subsystem_codes(draw):
+    """Up to 12 X and 12 Z gauge rows on up to 12 qubits, with zero and repeated
+    rows, empty lists, and self-dual draws (the Z rows equal to the X rows)."""
+    n = draw(st.integers(1, 12))
+    row = st.one_of(st.just(0), st.integers(0, (1 << n) - 1))
+
+    def rows():
+        drawn = draw(st.lists(row, max_size=12))
+        if drawn and draw(st.booleans()):
+            drawn += draw(st.lists(st.sampled_from(drawn), max_size=12 - len(drawn)))
+        return [BitVec(n, r) for r in drawn]
+
+    gauge_x = rows()
+    gauge_z = list(gauge_x) if draw(st.booleans()) else rows()
+    return CssSubsystemCode("random", n, gauge_x, gauge_z)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(css_subsystem_codes())
+def test_property_code_parameters_match_gram_rank(code):
+    assert astuple(code_parameters(code)) == naive_code_parameters(code)
+
+
+def test_code_parameters_edge_cases_match_gram_rank():
+    n = 4
+    zero, a, b = BitVec(n), BitVec(n, 0b0011), BitVec(n, 0b0110)
+    for gauge_x, gauge_z in (([], []), ([a], []), ([], [b]), ([zero, zero], [zero]),
+                             ([a, a, b], [a, a, b]), ([a, b], [b, b, zero])):
+        code = CssSubsystemCode("edge", n, gauge_x, gauge_z)
+        assert astuple(code_parameters(code)) == naive_code_parameters(code)
+    assert astuple(code_parameters(CssSubsystemCode("empty", n, [], []))) == (n, 0, 0, n, 0)
 
 
 def test_components_gcc_z_image(gcc_images):

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import pytest
 
 from cssgauge.analysis import code_parameters
@@ -19,7 +21,7 @@ from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, rank
 from cssgauge.lattice import color_pair_sublattice, edge_color_class, triangular_torus
 from cssgauge.pauli import PauliOp, group_rank, symplectic_product
 
-from tests.oracles import matrix_rows, naive_rank
+from tests.oracles import matrix_rows, naive_code_parameters, naive_rank
 
 
 ALL_BUILDERS = [
@@ -34,6 +36,12 @@ ALL_BUILDERS = [
     lambda: build_fractal_code(4),
     lambda: build_fractal_code(4, "open_y"),
 ]
+
+
+@pytest.mark.parametrize("builder", ALL_BUILDERS)
+def test_every_builder_code_parameters_match_gram_rank(builder):
+    code = builder()
+    assert astuple(code_parameters(code)) == naive_code_parameters(code)
 
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)

@@ -217,3 +217,24 @@ def test_python_dash_m_runs_the_cli():
     rejected = _module_run("build", "--code", "gcc", "--nonsense")
     assert rejected.returncode == 2
     assert "unrecognized arguments: --nonsense" in rejected.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "build --code gcc --L 2",
+    "ungauge --code toric2d --L 3 --pairs 1",
+    "gauge --code xu-moore --L 3",
+    "spt --code toric2d --L 4 --slab 1:3",
+    "verify --pairs 1 --cases 1",
+    "export --code toric2d --L 3 --what complex",
+], ids=["build", "ungauge", "gauge", "spt", "verify", "export"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, command, under):
+    existing = tmp_path / "report.json"
+    existing.write_text("keep\n")
+    out = existing / "o" if under else existing
+    assert run([*command.split(), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""       # refused before any work
+    assert existing.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -8,6 +8,10 @@ only a benchmark run.  ``perfbench/run.py`` is imported read-only:
 there is one digest file and one normaliser, and ``run.py --record``
 updates both.  The ``verify`` workload is left out: its report is the
 criterion lines that ``test_acceptance`` already asserts at full budget.
+
+The normalised digest cannot see whitespace, so each run also renders
+every report it writes with ``json.dumps(indent=2, sort_keys=True)`` and
+requires the report writer's bytes to equal them.
 """
 
 import importlib.util
@@ -41,9 +45,19 @@ CASES = [(name, variant) for name in GATED for variant in range(BENCH.WORKLOADS[
 
 
 @pytest.mark.parametrize("name,variant", CASES, ids=[f"{n}-{v}" for n, v in CASES])
-def test_report_matches_recorded_digest(tmp_path, name, variant):
+def test_report_matches_recorded_digest(tmp_path, monkeypatch, name, variant):
+    written = []
+
+    def write_json(path, data):
+        written.append(path.name)
+        assert cli._dumps(data) == json.dumps(data, indent=2, sort_keys=True), path.name
+        write(path, data)
+
+    write = cli._write_json
+    monkeypatch.setattr(cli, "_write_json", write_json)
     build, _variants = BENCH.WORKLOADS[name]
     out = tmp_path / "out"
     assert cli.main(build(variant) + ["--out", str(out)]) == 0
+    assert written
     digest, _bytes, _sizes = BENCH._digest(out)
     assert digest == RECORDED[name][str(variant)]

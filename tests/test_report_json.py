@@ -1,0 +1,86 @@
+"""The report writer renders exactly the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cssgauge.cli import _dumps
+from cssgauge.gf2 import BitVec
+
+
+def _stdlib(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+TEXT = st.text(alphabet=st.sampled_from(
+    ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "漢", " ", "\U0001F600",
+     "[", "]", "{", "}", ",", ":", " ", "a", "Z", "0"]), max_size=8)
+INTS = st.one_of(st.integers(-1000, 1000), st.integers(-(1 << 80), 1 << 80))
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([-0.0, 0.0, 1e300, -1e-300, float("nan"), float("inf"),
+                                    float("-inf")]))
+SCALARS = st.one_of(INTS, st.booleans(), st.none(), FLOATS, TEXT)
+# The shapes the fast paths take, bools mixed into int lists included.
+LEAF_LISTS = st.one_of(st.lists(INTS, max_size=6), st.lists(TEXT, max_size=6),
+                       st.lists(st.lists(INTS, max_size=4), max_size=4),
+                       st.lists(st.one_of(INTS, st.booleans()), max_size=6))
+KEYS = st.one_of(st.lists(TEXT), st.lists(INTS), st.lists(st.booleans()),
+                 st.lists(st.floats(allow_nan=False)), st.lists(st.none(), max_size=1))
+
+
+@st.composite
+def dicts(draw, values):
+    keys = draw(KEYS.map(lambda keys: keys[:5]))
+    return {k: draw(values) for k in keys}
+
+
+VALUES = st.recursive(
+    st.one_of(SCALARS, LEAF_LISTS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            dicts(inner)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(VALUES)
+def test_property_writer_matches_stdlib(data):
+    assert _dumps(data) == _stdlib(data)
+
+
+@pytest.mark.parametrize("data", [
+    [], {}, (), [[]], [[], [1]], {"a": []}, [{}], {"b": {}, "a": ()},
+    [1, True, 2], [True, False], [[1, True]], ["x", 1], [1.5, 2], [None],
+    {10: "ten", 2: "two", -1: "minus"}, {True: 1, False: 0}, {None: 1}, {0.5: 1, -2.0: 2},
+    {"weight_histogram": {12: 3, 4: 1}}, -(1 << 70), 1 << 65, "\"\\\n\x01é漢", 1e300, -0.0,
+    float("nan"), [float("inf"), float("-inf")], (1, (2, 3)), [[1, 2], (3, 4)],
+], ids=repr)
+def test_writer_matches_stdlib_on_edge_cases(data):
+    assert _dumps(data) == _stdlib(data)
+
+
+@pytest.mark.parametrize("data", [
+    {1, 2}, [1, {3}], {"a": BitVec(3, 5)}, [BitVec(2, 1)], BitVec(1, 1), {(1, 2): 3},
+    {1: "int", "a": "str"},
+], ids=["set", "set-in-list", "bitvec-in-dict", "bitvec-in-list", "bitvec", "tuple-key",
+        "mixed-keys"])
+def test_writer_rejects_what_json_rejects(data):
+    with pytest.raises(TypeError):
+        _stdlib(data)
+    with pytest.raises(TypeError):
+        _dumps(data)
+
+
+def test_writer_rejects_cycles():
+    looped = [1, 2]
+    looped.append(looped)
+    nested = {"a": {"b": []}}
+    nested["a"]["b"].append(nested)
+    for data in (looped, nested):
+        with pytest.raises(ValueError, match="Circular reference"):
+            _stdlib(data)
+        with pytest.raises(ValueError, match="Circular reference"):
+            _dumps(data)
+    shared = [1]
+    assert _dumps([shared, shared, {"a": shared}]) == _stdlib([shared, shared, {"a": shared}])
