@@ -37,8 +37,6 @@ def code_parameters(code: CssSubsystemCode) -> CodeParameters:
     overlaps = code.gauge_x_matrix() @ code.gauge_z_matrix().transpose()
     a = len(Echelon(overlaps.row_bits(i) for i in range(overlaps.rows)))
     s = g - 2 * a
-    if (g - s) % 2:
-        raise ValueError("gauge minus stabilizer rank must be even")
     k = code.n - s - a
     if k < 0:
         raise ValueError("negative logical count; gauge group is inconsistent")
@@ -167,17 +165,6 @@ def find_noncommuting_pair(h: Hamiltonian) -> Optional[tuple[int, int]]:
 def commuting_check(h: Hamiltonian) -> bool:
     """All pairs of terms commute."""
     return find_noncommuting_pair(h) is None
-
-
-def term_qubit_dot(h: Hamiltonian) -> str:
-    """Graphviz rendering of the bipartite term-qubit incidence graph."""
-    lines = ["graph terms {"]
-    for i, t in enumerate(h.terms):
-        node = f"{t.name or f'term{i}'}"
-        for q in t.op.support:
-            lines.append(f'  "{node}" -- "q{q}";')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def stabilizer_span_equal(ops_a: Sequence[PauliOp], ops_b: Sequence[PauliOp]) -> bool:

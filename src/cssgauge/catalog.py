@@ -116,11 +116,12 @@ def bacon_shor_model(length: int = 3) -> WorkedModel:
     verts = code.metadata["h_edges"]
     eid = {v: i for i, v in enumerate(verts)}
     n = code.n
+    # Row r is both the r-th Z symmetry and the r-th relation among the
+    # horizontal-edge X generators, which are indexed like the qubits.
     row_z = [BitVec.from_support(n, [eid[(r, c)] for c in range(L)]) for r in range(L)]
-    relations = [BitVec.from_support(n, [eid[(r, c)] for c in range(L)]) for r in range(L)]
     col_combos = [BitVec.from_support(n, [eid[(r, c)] for r in range(L)]) for c in range(L)]
     setup = make_setup(
-        n, row_z, x_gens=list(code.gauge_x), relations=relations,
+        n, row_z, x_gens=list(code.gauge_x), relations=row_z,
         preserved=list(code.stabilizer_x), preserved_combos=col_combos)
     return WorkedModel("bacon-shor", code, gauge_hamiltonian(code), setup)
 
@@ -144,28 +145,24 @@ def xu_moore_check(length: int = 3) -> dict:
 
     # Full gauging: every final X symmetry (emergent rows + preserved
     # columns) is gauged in the X/Z-swapped picture; the natural swapped
-    # X generators are the Xu-Moore plaquettes, one per vertical edge.
-    code_edges = builders._torus_vertices(L)
-    eid = {v: i for i, v in enumerate(code_edges)}
-    row_supports = [BitVec.from_support(xm.n, [eid[(r, c)] for c in range(L)]) for r in range(L)]
-    col_supports = [BitVec.from_support(xm.n, [eid[(r, c)] for r in range(L)]) for c in range(L)]
-    plaquettes = []
-    for r, c in code_edges:
-        plaquettes.append(BitVec.from_support(
-            xm.n, [eid[(r, (c - 1) % L)], eid[(r, c)],
-                   eid[((r + 1) % L, (c - 1) % L)], eid[((r + 1) % L, c)]]))
-    s_swapped = make_setup(xm.n, row_supports + col_supports, x_gens=plaquettes)
-
+    # X generators are the Xu-Moore plaquettes, one per vertical edge,
+    # numbered by their ``plaquette_index``.
+    plaquettes = {}
     h_for_full = Hamiltonian(xm.n)
     for t in xm.hamiltonian:
         meta = dict(t.meta)
         if "plaquette_index" in meta:
+            plaquettes[meta["plaquette_index"]] = t.op.z
             meta["swapped_x_combo"] = BitVec(xm.n, 1 << meta["plaquette_index"])
         h_for_full.add(Term(t.name, t.coupling, t.op, meta))
+    s_swapped = make_setup(xm.n, [p.x for p in xm.emergent + xm.preserved],
+                           x_gens=[plaquettes[i] for i in range(xm.n)])
 
     # Transposition: the gauged system's qubit j sits on the vertical
     # edge (r, c); the Hadamard conjugate lives on horizontal edges, and
     # (r, c) -> (c, r) matches plaquettes to plaquettes.
+    code_edges = builders._torus_vertices(L)
+    eid = {v: i for i, v in enumerate(code_edges)}
     relabel = {eid[(r, c)]: eid[(c, r)] for r, c in code_edges}
     reference = transversal_hadamard_hamiltonian(xm.hamiltonian)
     full_report = full_gauge_comparison(h_for_full, s_swapped, reference, relabel)

@@ -372,11 +372,11 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     code = _construct(args, "export")
-    out = _out_dir(args)
     what = args.what
+    if what == "lattice" and code.lattice is None:
+        raise UsageError(f"{code.name} has no lattice to export")
+    out = _out_dir(args)
     if what == "lattice":
-        if code.lattice is None:
-            raise UsageError(f"{code.name} has no lattice to export")
         _write_json(out / f"{code.name}-lattice.json", code.lattice.to_json())
         (out / f"{code.name}-incidence.dot").write_text(code.lattice.incidence_dot(1) + "\n")
     elif what == "complex":

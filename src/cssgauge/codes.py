@@ -161,7 +161,11 @@ def gauge_group_rank(code: CssSubsystemCode) -> int:
     of ``gauge_ops()``, exactly (Bravyi, *Subsystem codes with spatially
     local generators*, PRA 83, 012320, 2011).  Each block is eliminated
     over its rows: ``gf2.rank`` would transpose first and add the columns,
-    which took twice as long on the gauge color code at L=4.
+    which took twice as long on the gauge color code at L=4.  A self-dual
+    listing (G_Z = G_X row for row, as for the gauge color code) is
+    eliminated once.
     """
-    return (len(Echelon(v.bits for v in code.gauge_x))
-            + len(Echelon(v.bits for v in code.gauge_z)))
+    rank_x = len(Echelon(v.bits for v in code.gauge_x))
+    if [v.bits for v in code.gauge_x] == [v.bits for v in code.gauge_z]:
+        return 2 * rank_x
+    return rank_x + len(Echelon(v.bits for v in code.gauge_z))

@@ -119,28 +119,6 @@ class PauliOp:
             letters.append("IXZY"[self.x.get(q) + 2 * self.z.get(q)])
         return _PHASE_PREFIX[self.phase] + "".join(letters)
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliOp":
-        body = label
-        phase = 0
-        for p, prefix in sorted(_PHASE_PREFIX.items(), key=lambda kv: -len(kv[1])):
-            if label.startswith(prefix):
-                phase, body = p, label[len(prefix):]
-                break
-        n = len(body)
-        x = z = 0
-        for q, ch in enumerate(body):
-            if ch == "X":
-                x |= 1 << q
-            elif ch == "Z":
-                z |= 1 << q
-            elif ch == "Y":
-                x |= 1 << q
-                z |= 1 << q
-            elif ch != "I":
-                raise ValueError(f"bad Pauli letter {ch!r}")
-        return cls(n, BitVec(n, x), BitVec(n, z), phase)
-
     def __repr__(self):
         return f"PauliOp({self.to_label()})"
 
@@ -452,12 +430,6 @@ class Hamiltonian:
 
     def operators(self) -> list[PauliOp]:
         return [t.op for t in self.terms]
-
-    def touched_qubits(self) -> set[int]:
-        out: set[int] = set()
-        for t in self.terms:
-            out.update(t.op.support)
-        return out
 
     def term_multiset(self) -> Counter:
         return Counter(t.key() for t in self.terms)

@@ -25,9 +25,8 @@ from .pauli import (
     PauliOp,
     Term,
     conjugate_by_circuit,
-    group_rank,
 )
-from .ungauge import UngaugeSetup, make_setup, strip_identity_terms, ungauge_hamiltonian
+from .ungauge import UngaugeSetup, emergent_symmetries, make_setup, ungauge_hamiltonian
 
 
 def dual_code(code: CssSubsystemCode) -> CssSubsystemCode:
@@ -129,8 +128,8 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
     Terms are partitioned by support into inside / wall / outside; the
     decorated interior generators are replaced by their undecorated
     originals, which preserves the generated group because the dropped
-    decorations are stabilizer generators themselves (certified by a
-    rank + signed-membership check on the result).
+    decorations are stabilizer generators themselves (certified by
+    mutual signed membership of the old and new generators).
     """
     base_n = tensor.metadata["base_n"]
     if not region.sites <= set(range(base_n)):
@@ -166,16 +165,14 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
                 replaced += 1
             h_r.add(Term(t.name, t.coupling, t.op, t.meta))
 
-    result = WallDecomposition(h_r, h_wall, h_rc, replaced, False, region)
-    new_gens = result.total().operators()
-    old_rank = group_rank(conjugated_all)
-    same_rank = group_rank(new_gens) == old_rank == group_rank(new_gens + conjugated_all)
+    new_gens = [t.op for part in (h_r, h_wall, h_rc) for t in part]
+    # Each set lies in the group of the other, signs included, so the two
+    # generate the same group; equal spans need no separate rank check.
     in_new = GroupMembership(new_gens)
     in_old = GroupMembership(conjugated_all)
-    both_ways = all(in_new.contains(g, track_sign=True) for g in conjugated_all) and all(
+    preserved = all(in_new.contains(g, track_sign=True) for g in conjugated_all) and all(
         in_old.contains(g, track_sign=True) for g in new_gens)
-    result.group_preserved = same_rank and both_ways
-    return result
+    return WallDecomposition(h_r, h_wall, h_rc, replaced, preserved, region)
 
 
 @dataclass
@@ -211,10 +208,12 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
     wall_names = {t.name for t in wall.h_wall}
     bulk = Hamiltonian(setup.n_fin)
     wall_h = Hamiltonian(setup.n_fin)
+    dropped = 0
     for t in image:
         if t.op.x.is_zero() and t.op.z.is_zero():
-            continue
-        (wall_h if t.name in wall_names else bulk).add(t)
+            dropped += 1
+        else:
+            (wall_h if t.name in wall_names else bulk).add(t)
 
     bulk_trivial = all(t.op.weight == 1 and t.op.z.is_zero() for t in bulk)
 
@@ -222,8 +221,6 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
     for t in wall_h:
         wall_mask |= t.op.x.bits | t.op.z.bits
     wall_qubits = BitVec(setup.n_fin, wall_mask)
-
-    from .ungauge import emergent_symmetries
 
     symmetries = []
     seen = set()
@@ -234,7 +231,6 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
         seen.add(restricted.x.bits)
         symmetries.append(restricted)
 
-    stripped, dropped = strip_identity_terms(image)
     report = {
         "cz_logical": True,
         "replaced_terms": wall.replaced_terms,
@@ -244,7 +240,7 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
         "wall_qubits": sorted(wall_qubits.support),
         "annihilated_terms": dropped,
         "symmetry_count": len(symmetries),
-        "total_image_terms": len(stripped),
+        "total_image_terms": len(bulk) + len(wall_h),
     }
     return SptResult(wall_h, symmetries, setup, frozenset(wall_qubits.support), bulk, report)
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, kernel_basis, rank, solve
+from .gf2 import BitMatrix, BitVec, is_zero_product, kernel_basis, rank, solve
 from .pauli import (
     Hamiltonian,
     PauliOp,
@@ -72,16 +72,17 @@ class UngaugeSetup:
         self.preserved_combos = list(preserved_combos) if preserved_combos else [None] * len(self.preserved_x_ini)
         self.notes = list(notes) if notes else []
         self._dxt = d_x.transpose()
-        self._generator_span = None
 
     def x_preimage(self, x: BitVec) -> Optional[BitVec]:
-        """Canonical generator combination with d_x^T combo = x."""
+        """Canonical generator combination with d_x^T combo = x.
+
+        The columns of d_x^T are the X generators in index order, so the
+        pivots are the leftmost independent generators and every other
+        generator is left out.
+        """
         if x.is_zero():
             return BitVec(self.n_fin)
-        if self._generator_span is None:
-            self._generator_span = Echelon(self.d_x.row_bits(k) for k in range(self.n_fin))
-        residual, combo = self._generator_span.reduce(x.bits)
-        return None if residual else BitVec(self.n_fin, combo)
+        return solve(self._dxt, x)
 
     def z_preimage(self, z: BitVec) -> Optional[BitVec]:
         """Canonical initial-qubit support with d_x pre = z."""
@@ -223,37 +224,40 @@ def gauge_pauli(p: PauliOp, s: UngaugeSetup,
     return PauliOp(s.n_ini, image_x, pre_z, phase)
 
 
+def _termwise(h: Hamiltonian, n_from: int, n_to: int,
+              image: Callable[[Term], tuple[PauliOp, Optional[dict]]]) -> Hamiltonian:
+    """The Hamiltonian on ``n_to`` qubits of each term's ``(op, meta)`` image.
+
+    Names and couplings are kept; an ``UngaugeError`` is re-raised naming
+    the term it met.
+    """
+    if h.n != n_from:
+        raise UngaugeError("Hamiltonian lives on the wrong register")
+    out = Hamiltonian(n_to)
+    for t in h:
+        try:
+            op, meta = image(t)
+        except UngaugeError as exc:
+            raise type(exc)(f"term {t.name}: {exc}") from None
+        out.add(Term(t.name, t.coupling, op, meta))
+    return out
+
+
 def ungauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
     """Termwise forward map; term provenance is used and propagated.
 
     An image carries its preimage's Z support as ``z_combo`` and keeps
     any metadata other than ``x_combo`` (such as ``z_index``).
     """
-    if h.n != s.n_ini:
-        raise UngaugeError("Hamiltonian lives on the wrong register")
-    out = Hamiltonian(s.n_fin)
-    for t in h:
-        try:
-            img = ungauge_pauli(t.op, s, x_combo=t.meta.get("x_combo"))
-        except UngaugeError as exc:
-            raise type(exc)(f"term {t.name}: {exc}") from None
-        extra = {k: v for k, v in t.meta.items() if k != "x_combo"}
-        out.add(Term(t.name, t.coupling, img, {**extra, "z_combo": t.op.z}))
-    return out
+    return _termwise(h, s.n_ini, s.n_fin, lambda t: (
+        ungauge_pauli(t.op, s, x_combo=t.meta.get("x_combo")),
+        {**{k: v for k, v in t.meta.items() if k != "x_combo"}, "z_combo": t.op.z}))
 
 
 def gauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
     """Termwise inverse map; term provenance is used and propagated."""
-    if h.n != s.n_fin:
-        raise UngaugeError("Hamiltonian lives on the wrong register")
-    out = Hamiltonian(s.n_ini)
-    for t in h:
-        try:
-            img = gauge_pauli(t.op, s, z_combo=t.meta.get("z_combo"))
-        except UngaugeError as exc:
-            raise type(exc)(f"term {t.name}: {exc}") from None
-        out.add(Term(t.name, t.coupling, img, {"x_combo": t.op.x}))
-    return out
+    return _termwise(h, s.n_fin, s.n_ini, lambda t: (
+        gauge_pauli(t.op, s, z_combo=t.meta.get("z_combo")), {"x_combo": t.op.x}))
 
 
 def strip_identity_terms(h: Hamiltonian) -> tuple[Hamiltonian, int]:
@@ -330,17 +334,9 @@ def full_gauge_hamiltonian(h: Hamiltonian, s_swapped: UngaugeSetup) -> Hamiltoni
     the X/Z-swapped setup, then transversal Hadamard back.  Terms may
     carry ``swapped_x_combo`` metadata naming the swapped X preimage.
     """
-    if h.n != s_swapped.n_ini:
-        raise UngaugeError("Hamiltonian lives on the wrong register")
-    out = Hamiltonian(s_swapped.n_fin)
-    for t in h:
-        swapped = transversal_hadamard(t.op)
-        try:
-            img = ungauge_pauli(swapped, s_swapped, x_combo=t.meta.get("swapped_x_combo"))
-        except UngaugeError as exc:
-            raise type(exc)(f"term {t.name}: {exc}") from None
-        out.add(Term(t.name, t.coupling, transversal_hadamard(img)))
-    return out
+    return _termwise(h, s_swapped.n_ini, s_swapped.n_fin, lambda t: (
+        transversal_hadamard(ungauge_pauli(transversal_hadamard(t.op), s_swapped,
+                                           x_combo=t.meta.get("swapped_x_combo"))), None))
 
 
 def full_gauge_comparison(h_fin: Hamiltonian, s_swapped: UngaugeSetup,

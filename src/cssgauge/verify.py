@@ -37,15 +37,7 @@ from .analysis import (
     is_self_dual,
     match_against_builder,
 )
-from .builders import (
-    build_bacon_shor,
-    build_color_code_2d,
-    build_fractal_code,
-    build_gcc,
-    build_toric,
-    build_toric_sphere,
-    toric_code_from_complex,
-)
+from .builders import build_fractal_code, build_toric, toric_code_from_complex
 from .chains import augment_with_logicals, homology_dim, validate
 from .gf2 import BitVec, is_zero_product, rank
 from .lattice import color_pair_sublattice
@@ -91,6 +83,7 @@ _MODEL_CACHE: dict = {}
 
 
 def _models() -> dict:
+    """The seven worked models, built once per process; checks read their codes here."""
     if "worked" not in _MODEL_CACHE:
         _MODEL_CACHE["worked"] = catalog.worked_models()
     return _MODEL_CACHE["worked"]
@@ -98,9 +91,7 @@ def _models() -> dict:
 
 def check_chain_validity() -> CheckResult:
     """1: builder complexes and setup complexes compose to zero exactly."""
-    codes = [build_toric(2, 3, 1), build_toric(3, 2, 1), build_toric_sphere(),
-             build_bacon_shor(3), build_color_code_2d(3), build_gcc(2),
-             build_fractal_code(4), build_fractal_code(4, "open_y")]
+    codes = [m.code for m in _models().values()] + [build_fractal_code(4, "open_y")]
     bad = [c.name for c in codes if not validate(c.css_complex())]
     for name, m in _models().items():
         s = m.setup
@@ -227,8 +218,8 @@ def check_gcc_relations() -> CheckResult:
 def check_transversal_cz() -> CheckResult:
     """9: conjugated stabilizer generators pass signed membership."""
     problems = []
-    for code, tag in ((build_fractal_code(4), "fractal L=4"),
-                      (build_toric(2, 3, 1), "toric L=3")):
+    for name, tag in (("fractal", "fractal L=4"), ("toric-torus", "toric L=3")):
+        code = _models()[name].code
         tensor = tensor_code(code, dual_code(code))
         if not transversal_cz_is_logical(tensor):
             problems.append(f"{tag}: CZ not logical")
@@ -290,7 +281,7 @@ def check_spt_pipeline() -> CheckResult:
 
 def check_color_code_split() -> CheckResult:
     """11: partial ungauging splits the color code into two exact toric copies."""
-    model = catalog.color2d_partial_model(3, "c")
+    model = _models()["color2d-partial"]
     image, _ = strip_identity_terms(ungauge_hamiltonian(model.hamiltonian, model.setup))
     rep = components(image)
     problems = []
@@ -442,8 +433,6 @@ def _agrees(dense: tuple, op: PauliOp, hadamards: int = 0) -> bool:
 
 
 def _random_pauli(n: int, rng: random.Random) -> PauliOp:
-    from .gf2 import BitVec
-
     return PauliOp(n, BitVec(n, rng.getrandbits(n)), BitVec(n, rng.getrandbits(n)),
                    rng.randrange(4))
 
@@ -492,13 +481,14 @@ def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
 def check_code_parameters() -> CheckResult:
     """13: Bacon-Shor (9,1,4,4), GCC self-dual, toric torus k=2."""
     problems = []
-    bs = code_parameters(build_bacon_shor(3))
+    models = _models()
+    bs = code_parameters(models["bacon-shor"].code)
     if (bs.n, bs.k, bs.stabilizer_rank, bs.gauge_qubits) != (9, 1, 4, 4):
         problems.append(f"Bacon-Shor parameters {bs}")
-    gcc = build_gcc(2)
+    gcc = models["gcc"].code
     if not is_self_dual(gcc):
         problems.append("GCC is not self-dual")
-    toric = code_parameters(build_toric(2, 3, 1))
+    toric = code_parameters(models["toric-torus"].code)
     if toric.k != 2:
         problems.append(f"toric torus k={toric.k}")
     gcc_params = code_parameters(gcc)

@@ -4,10 +4,12 @@ These share no code with the package: dense list-of-lists elimination
 for ranks, literal 2x2 / 4x4 / 2^n complex matrices for Pauli algebra,
 and the package's earlier kernels (a row-by-row matrix-vector product,
 gate-by-gate conjugation and a per-component rescan of the terms) for
-the faster kernels that replaced them.  The one exception is
-``naive_code_parameters``, the earlier whole-group route to the code
-parameters, which calls the package's general Pauli-group rank and
-symplectic Gram matrix in place of the CSS rank formula.
+the faster kernels that replaced them.  The two exceptions keep earlier
+routes that call the package's Pauli-group rank and membership:
+``naive_code_parameters``, the whole-group route to the code parameters,
+with the symplectic Gram matrix in place of the CSS rank formula, and
+``rank_and_membership_preserved``, the domain wall's earlier
+group-preservation predicate.
 Slow and obvious on purpose.
 """
 
@@ -99,6 +101,43 @@ def naive_code_parameters(code) -> tuple[int, int, int, int, int]:
     g = group_rank(ops)
     s = g - rank(symplectic_gram(ops))
     return code.n, g, s, code.n - s - (g - s) // 2, (g - s) // 2
+
+
+def naive_x_preimage(gen_rows: list[int], n: int, x: int) -> int | None:
+    """The canonical combination of X generators whose product has X support ``x``.
+
+    Row reduction of the dense augmented system [d_x^T | x], one row per
+    qubit and one column per generator: pivots are the leftmost
+    independent generators and free variables are zero, the choice
+    ``UngaugeSetup.x_preimage`` makes.  None when ``x`` is no product of
+    the generators.
+    """
+    m = len(gen_rows)
+    a = [[(g >> q) & 1 for g in gen_rows] + [(x >> q) & 1] for q in range(n)]
+    pivots = []
+    for col in range(m):
+        row = len(pivots)
+        pivot = next((r for r in range(row, n) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        for r in range(n):
+            if r != row and a[r][col]:
+                a[r] = [u ^ v for u, v in zip(a[r], a[row])]
+        pivots.append(col)
+    if any(a[r][m] for r in range(len(pivots), n)):
+        return None
+    return sum(1 << col for r, col in enumerate(pivots) if a[r][m])
+
+
+def rank_and_membership_preserved(old_ops, new_ops) -> bool:
+    """The domain wall's earlier predicate: equal group ranks and mutual signed membership."""
+    from cssgauge.pauli import GroupMembership, group_rank
+
+    same_rank = group_rank(new_ops) == group_rank(old_ops) == group_rank(new_ops + old_ops)
+    in_new, in_old = GroupMembership(new_ops), GroupMembership(old_ops)
+    return same_rank and all(in_new.contains(g, track_sign=True) for g in old_ops) and all(
+        in_old.contains(g, track_sign=True) for g in new_ops)
 
 
 def naive_components(h) -> list[tuple[frozenset, tuple[int, ...], list[tuple[int, int]]]]:

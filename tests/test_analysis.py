@@ -13,7 +13,6 @@ from cssgauge.analysis import (
     is_self_dual,
     match_against_builder,
     stabilizer_span_equal,
-    term_qubit_dot,
 )
 from cssgauge.builders import build_bacon_shor, build_gcc, build_toric
 from cssgauge.codes import CssSubsystemCode
@@ -266,10 +265,3 @@ def test_stabilizer_span_equal():
     code = build_bacon_shor(3)
     assert stabilizer_span_equal(code.stabilizer_ops(), code.derived_center())
     assert not stabilizer_span_equal(code.stabilizer_ops(), code.gauge_ops())
-
-
-def test_term_qubit_dot():
-    h = Hamiltonian(2)
-    h.add(Term("t0", "J", PauliOp.x_op(2, [0, 1])))
-    dot = term_qubit_dot(h)
-    assert '"t0" -- "q0";' in dot and '"t0" -- "q1";' in dot

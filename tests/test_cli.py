@@ -185,6 +185,14 @@ def test_export_matrices(tmp_path):
     assert (out / "toric2d-lattice.json").exists()
 
 
+def test_export_without_lattice_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert run(["export", "--code", "bacon-shor", "--L", "3", "--what", "lattice",
+                "--out", str(out)]) == 2
+    assert "has no lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_fast(tmp_path):
     out = tmp_path / "o"
     assert run(["verify", "--pairs", "25", "--cases", "25",

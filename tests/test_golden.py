@@ -14,6 +14,7 @@ every report it writes with ``json.dumps(indent=2, sort_keys=True)`` and
 requires the report writer's bytes to equal them.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -61,3 +62,15 @@ def test_report_matches_recorded_digest(tmp_path, monkeypatch, name, variant):
     assert written
     digest, _bytes, _sizes = BENCH._digest(out)
     assert digest == RECORDED[name][str(variant)]
+
+
+# No benchmark workload runs the gauging direction, so its report is pinned here:
+# the SHA-256 of the file bytes that `gauge --code xu-moore --L 3 --full` writes.
+GAUGE_XU_MOORE_L3_SHA256 = "6a5c97e08849fdb7692482d7f6cd1e20e0a3bff7800b475f496e59433bff11c6"
+
+
+def test_gauge_report_matches_pinned_sha256(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["gauge", "--code", "xu-moore", "--L", "3", "--full", "--out", str(out)]) == 0
+    data = (out / "gauge-xu-moore.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GAUGE_XU_MOORE_L3_SHA256

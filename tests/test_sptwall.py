@@ -6,6 +6,7 @@ from cssgauge.builders import build_bacon_shor, build_fractal_code, build_gcc, b
 from cssgauge.codes import stabilizer_hamiltonian
 from cssgauge.gf2 import BitVec
 from cssgauge.pauli import (
+    GroupMembership,
     Hamiltonian,
     PauliOp,
     Term,
@@ -23,6 +24,8 @@ from cssgauge.sptwall import (
     transversal_cz_is_logical,
 )
 from cssgauge.ungauge import strip_identity_terms
+
+from tests.oracles import rank_and_membership_preserved
 
 
 def test_dual_is_involution():
@@ -214,3 +217,35 @@ def test_disentangler_none_for_asymmetric_adjacency():
     h.add(Term("a", "J", PauliOp.from_xz(2, [0], [1])))
     h.add(Term("b", "J", PauliOp.x_op(2, [1])))
     assert find_cz_disentangler(h) is None
+
+
+def _slab_walls():
+    toric = build_toric(2, 4, 1)
+    fractal = build_fractal_code(4, "open_y")
+    for code, lo, hi in ((toric, 0, 2), (toric, 1, 3), (toric, 2, 4),
+                         (fractal, 0, 2), (fractal, 1, 3)):
+        yield code, tensor_code(code, dual_code(code)), Region.slab(code, lo, hi)
+
+
+def test_group_preserved_matches_rank_and_membership():
+    for code, tensor, region in _slab_walls():
+        wall = domain_wall(tensor, region)
+        circuit = pairing_circuit(tensor, sorted(region.sites))
+        old = [conjugate_by_circuit(t.op, circuit) for t in stabilizer_hamiltonian(tensor)]
+        expected = rank_and_membership_preserved(old, wall.total().operators())
+        assert wall.group_preserved == expected, (code.name, region.descriptor)
+        assert expected
+
+
+def test_group_preserved_fails_when_a_generator_is_rejected(monkeypatch):
+    code, tensor, region = next(_slab_walls())
+    wall = domain_wall(tensor, region)
+    assert wall.group_preserved
+    rejected = wall.total().operators()[0]
+    contains = GroupMembership.contains
+
+    def reject_one(self, p, track_sign=False):
+        return p != rejected and contains(self, p, track_sign)
+
+    monkeypatch.setattr(GroupMembership, "contains", reject_one)
+    assert not domain_wall(tensor, region).group_preserved

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cssgauge import catalog
 from cssgauge.builders import build_toric, build_toric_sphere
@@ -25,6 +26,8 @@ from cssgauge.ungauge import (
     ungauge_hamiltonian,
     ungauge_pauli,
 )
+
+from tests.oracles import naive_x_preimage
 
 
 @pytest.fixture(scope="module")
@@ -348,3 +351,71 @@ def test_full_gauge_lgt_matches_hadamard_twist():
     assert rep["support_multiset_match"]
     assert rep["coupling_map"] == {"J_X": ["J_Z"], "J_Z": ["J_X"]}
     assert rep["topological_x_classes"] == 18
+
+
+# -- properties over small setups -----------------------------------------------
+
+
+def _product(rows: list[int], combo: int) -> int:
+    acc = 0
+    for k, r in enumerate(rows):
+        if combo >> k & 1:
+            acc ^= r
+    return acc
+
+
+@st.composite
+def small_setups(draw):
+    """A setup ``make_setup`` accepts, its X generator rows and its qubit count.
+
+    The X generators are a kernel basis of d_z^T plus redundant products
+    (the zero product and repeats included), shuffled, so the relation
+    space and the free generators of the canonical preimage are nontrivial.
+    Preserved symmetries are products of the generators, with their combos.
+    """
+    n = draw(st.integers(1, 7))
+    z_syms = [BitVec(n, z) for z in draw(st.lists(st.integers(0, 2 ** n - 1), max_size=4))]
+    basis = make_setup(n, z_syms).d_x
+    kernel = [basis.row_bits(k) for k in range(basis.rows)]
+    extra = draw(st.lists(st.integers(0, 2 ** len(kernel) - 1), max_size=4))
+    gens = draw(st.permutations(kernel + [_product(kernel, c) for c in extra]))
+    combos = draw(st.lists(st.integers(0, 2 ** len(gens) - 1), max_size=3))
+    setup = make_setup(n, z_syms, x_gens=[BitVec(n, g) for g in gens],
+                       preserved=[BitVec(n, _product(gens, c)) for c in combos],
+                       preserved_combos=[BitVec(len(gens), c) for c in combos])
+    return setup, gens, n
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_setups(), st.data())
+def test_property_engine_on_small_setups(case, data):
+    # The canonical X preimage, both round trips, symplectic products, and
+    # the dimension and annihilation checks, on one drawn setup.
+    s, gens, n = case
+    m = len(gens)
+    assert dim_check(s) and annihilation_check(s)
+    images = []
+    for _ in range(4):
+        # An arbitrary support, in the symmetric group or not ...
+        x = data.draw(st.integers(0, 2 ** n - 1))
+        expected = naive_x_preimage(gens, n, x)
+        assert s.x_preimage(BitVec(n, x)) == (None if expected is None else BitVec(m, expected))
+        # ... and a product of the generators, always in it.
+        combo = BitVec(m, data.draw(st.integers(0, 2 ** m - 1)))
+        x = BitVec(n, _product(gens, combo.bits))
+        assert s.x_preimage(x) == BitVec(m, naive_x_preimage(gens, n, x.bits))
+
+        z = BitVec(n, data.draw(st.integers(0, 2 ** n - 1)))
+        sign = data.draw(st.sampled_from((0, 2)))
+        p = PauliOp(n, x, z, sign + x.overlap(z))
+        # With provenance the round trip is exact for every Z part.
+        img = ungauge_pauli(p, s, x_combo=combo)
+        assert gauge_pauli(img, s, z_combo=z) == p
+        images.append((p, img))
+        # Without it, exact on the canonical Z part of each symmetry class.
+        z = s.z_preimage(s.d_x.mul_vec(z))
+        p = PauliOp(n, x, z, sign + x.overlap(z))
+        assert gauge_pauli(ungauge_pauli(p, s), s) == p
+    for p1, img1 in images:
+        for p2, img2 in images:
+            assert symplectic_product(p1, p2) == symplectic_product(img1, img2)
