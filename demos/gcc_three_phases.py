@@ -18,8 +18,8 @@ from cssgauge.pauli import Hamiltonian, conjugate_by_circuit
 from cssgauge.sptwall import find_cz_disentangler
 from cssgauge.ungauge import strip_identity_terms
 
-ph = catalog.gcc_phase_hamiltonians(2)
-model = ph["model"]
+model = catalog.gcc_model(2)
+ph = catalog.gcc_phase_hamiltonians(model)
 print("gauge color code:", model.code)
 print("ranks:", model.setup.ranks())
 for note in model.setup.notes:

@@ -12,10 +12,7 @@ from .pauli import (
     Hamiltonian,
     PauliOp,
     Term,
-    center_of_group,
     conjugate_by_circuit,
-    group_rank,
-    in_group,
     multiply,
     symplectic_product,
     transversal_hadamard,

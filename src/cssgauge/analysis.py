@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .codes import CssSubsystemCode, gauge_group_rank
 from .gf2 import Echelon
-from .pauli import Hamiltonian, PauliOp, symplectic_gram
+from .pauli import Hamiltonian, symplectic_gram
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,3 @@ def find_noncommuting_pair(h: Hamiltonian) -> Optional[tuple[int, int]]:
 def commuting_check(h: Hamiltonian) -> bool:
     """All pairs of terms commute."""
     return find_noncommuting_pair(h) is None
-
-
-def stabilizer_span_equal(ops_a: Sequence[PauliOp], ops_b: Sequence[PauliOp]) -> bool:
-    """The two generating sets span the same group (phases ignored)."""
-    from .pauli import group_rank
-
-    ra = group_rank(list(ops_a))
-    rb = group_rank(list(ops_b))
-    return ra == rb == group_rank(list(ops_a) + list(ops_b))

@@ -249,30 +249,3 @@ def build_fractal_code(length: int, boundary: str = "periodic") -> CssSubsystemC
         qubit_labels=labels,
         metadata={"family": "fractal", "L": L, "boundary": boundary,
                   "vertices": verts, "qubit_coords": coords, "slab_axis": 2})
-
-
-def fractal_layer_x_operator(code: CssSubsystemCode, layer_z: int,
-                             seed_row: list[int]) -> PauliOp:
-    """An X-type A-qubit operator in one xy-plane grown by the Sierpinski rule.
-
-    Row j+1 holds the mod-2 sum of each cell and its +x neighbor in row
-    j.  On the open_y code the result commutes with every Z check except
-    possibly those in the top boundary row.
-    """
-    L = code.metadata["L"]
-    verts = code.metadata["vertices"]
-    vid = {v: i for i, v in enumerate(verts)}
-    rows = [list(seed_row)]
-    for _ in range(L - 1):
-        prev = rows[-1]
-        rows.append([(prev[i] + prev[(i + 1) % L]) % 2 for i in range(L)])
-    support = [vid[(i, j, layer_z)] for j in range(L) for i in range(L) if rows[j][i]]
-    return PauliOp.x_op(code.n, support)
-
-
-def fractal_column_z_operator(code: CssSubsystemCode, i: int, j: int) -> PauliOp:
-    """The vertical A-qubit Z string at horizontal position (i, j)."""
-    L = code.metadata["L"]
-    verts = code.metadata["vertices"]
-    vid = {v: p for p, v in enumerate(verts)}
-    return PauliOp.z_op(code.n, [vid[(i, j, k)] for k in range(L)])

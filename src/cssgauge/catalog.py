@@ -292,15 +292,13 @@ def full_gauge_lgt(length: int = 2) -> dict:
     return {"model": model, "swapped_setup": s_swapped, "report": report}
 
 
-def gcc_phase_hamiltonians(length: int = 2) -> dict:
-    """The three gauge Hamiltonians of the GCC and their ungauged images."""
-    model = gcc_model(length)
+def gcc_phase_hamiltonians(model: WorkedModel) -> dict:
+    """The three gauge Hamiltonians of a ``gcc_model`` and their ungauged images."""
     code = model.code
     h_x = gauge_hamiltonian(code, kinds="X")
     h_z = gauge_hamiltonian(code, kinds="Z")
     h_y = y_gauge_hamiltonian(code)
     return {
-        "model": model,
         "H_X": h_x, "H_Z": h_z, "H_Y": h_y,
         "image_X": ungauge_hamiltonian(h_x, model.setup),
         "image_Z": ungauge_hamiltonian(h_z, model.setup),

@@ -63,14 +63,10 @@ class ChainComplex:
 
     @property
     def d_z(self) -> BitMatrix:
-        if self.orientation != "css":
-            raise ValueError("d_z is only defined for css-oriented complexes")
         return self.maps[0]
 
     @property
     def d_x(self) -> BitMatrix:
-        if self.orientation != "css":
-            raise ValueError("d_x is only defined for css-oriented complexes")
         return self.maps[1]
 
     def dims_consistent(self) -> bool:

@@ -2,8 +2,7 @@
 
 A stabilizer code is the abelian special case (gauge group = stabilizer
 group).  Stabilizer generators may be supplied geometrically by a
-builder; ``derived_center`` recomputes them from the gauge group so
-tests can certify the two agree.
+builder.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Optional, Sequence
 from .chains import ChainComplex
 from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, rank
 from .lattice import CellComplex
-from .pauli import Hamiltonian, PauliOp, Term, center_of_group
+from .pauli import Hamiltonian, PauliOp, Term
 
 
 class CssSubsystemCode:
@@ -65,16 +64,9 @@ class CssSubsystemCode:
     def stabilizer_z_matrix(self) -> BitMatrix:
         return BitMatrix.from_rows(self.n, self.stabilizer_z)
 
-    def gauge_ops(self) -> list[PauliOp]:
-        return ([PauliOp(self.n, v, BitVec(self.n)) for v in self.gauge_x]
-                + [PauliOp(self.n, BitVec(self.n), v) for v in self.gauge_z])
-
     def stabilizer_ops(self) -> list[PauliOp]:
         return ([PauliOp(self.n, v, BitVec(self.n)) for v in self.stabilizer_x]
                 + [PauliOp(self.n, BitVec(self.n), v) for v in self.stabilizer_z])
-
-    def derived_center(self) -> list[PauliOp]:
-        return center_of_group(self.gauge_ops())
 
     def css_complex(self) -> ChainComplex:
         """The stabilizer CSS complex: Z-checks -> qubits -> X-checks."""
@@ -157,13 +149,12 @@ def gauge_group_rank(code: CssSubsystemCode) -> int:
     """Rank of the gauge group: rank G_X + rank G_Z.
 
     The X and Z generators fill disjoint coordinate blocks of the (x|z)
-    rows, so this equals the rank of the stacked rows, ``group_rank``
-    of ``gauge_ops()``, exactly (Bravyi, *Subsystem codes with spatially
-    local generators*, PRA 83, 012320, 2011).  Each block is eliminated
-    over its rows: ``gf2.rank`` would transpose first and add the columns,
-    which took twice as long on the gauge color code at L=4.  A self-dual
-    listing (G_Z = G_X row for row, as for the gauge color code) is
-    eliminated once.
+    rows, so this equals the rank of the stacked rows exactly (Bravyi,
+    *Subsystem codes with spatially local generators*, PRA 83, 012320,
+    2011).  Each block is eliminated over its rows: ``gf2.rank`` would
+    transpose first and add the columns, which took twice as long on the
+    gauge color code at L=4.  A self-dual listing (G_Z = G_X row for
+    row, as for the gauge color code) is eliminated once.
     """
     rank_x = len(Echelon(v.bits for v in code.gauge_x))
     if [v.bits for v in code.gauge_x] == [v.bits for v in code.gauge_z]:

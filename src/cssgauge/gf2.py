@@ -164,10 +164,6 @@ class BitMatrix:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
@@ -327,11 +323,6 @@ class BitMatrix:
                 acc ^= other._rows[j]
             out.append(acc)
         return BitMatrix(self.rows, other.cols, out)
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return BitMatrix(self.rows + other.rows, self.cols, self._rows + other._rows)
 
     def augment_columns(self, extra: Iterable[BitVec]) -> "BitMatrix":
         """Append extra columns (each a BitVec of length ``rows``)."""

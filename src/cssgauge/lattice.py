@@ -49,9 +49,6 @@ class CellComplex:
     def index(self, d: int, label: str) -> int:
         return self._index[d][label]
 
-    def label(self, d: int, i: int) -> str:
-        return self.cells[d][i]
-
     def validate(self) -> bool:
         """Boundary-of-boundary vanishes; colored lattices have no monochromatic edge."""
         for d in range(2, self.dimension + 1):
@@ -65,9 +62,6 @@ class CellComplex:
                 if len(cols) < 2:
                     return False
         return True
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * self.n_cells(d) for d in range(self.dimension + 1))
 
     # -- derived incidence ----------------------------------------------
 
@@ -110,10 +104,6 @@ class CellComplex:
             result = BitMatrix(faces.rows, upper.cols, rows)
         self._gb_cache[(k, l)] = result
         return result
-
-    def star(self, d: int, i: int, n: int) -> tuple[int, ...]:
-        """Indices of the n-cells containing the given d-cell."""
-        return self.generalized_boundary(n, d).row(i).support
 
     def link(self, n: int, d: int, i: int) -> tuple[int, ...]:
         """The n-cells disjoint from cell (d, i) that share a top cell with it.

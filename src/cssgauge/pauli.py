@@ -27,7 +27,7 @@ import operator
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import BitMatrix, BitVec, Echelon, kernel_basis
+from .gf2 import BitMatrix, BitVec, Echelon
 
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -88,9 +88,6 @@ class PauliOp:
     def symplectic_row(self) -> BitVec:
         """The (x|z) row of length 2n, phases dropped."""
         return BitVec(2 * self.n, self.x.bits | (self.z.bits << self.n))
-
-    def is_hermitian(self) -> bool:
-        return (self.phase - self.x.overlap(self.z)) % 2 == 0
 
     def hermitian_sign(self) -> int:
         """+1 or -1 relative to the Hermitian form i^|x&z| X(x) Z(z)."""
@@ -214,16 +211,8 @@ class CliffordCircuit:
         return len(self.gates)
 
     @classmethod
-    def hadamard_all(cls, n: int) -> "CliffordCircuit":
-        return cls(n, [("H", q) for q in range(n)])
-
-    @classmethod
     def cz_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "CliffordCircuit":
         return cls(n, [("CZ", a, b) for a, b in pairs])
-
-    def inverse(self) -> "CliffordCircuit":
-        # H and CZ are self-inverse; reversing the order inverts the circuit.
-        return CliffordCircuit(self.n, reversed(self.gates))
 
     def to_json(self) -> dict:
         return {"n": self.n, "gates": [list(g) for g in self.gates]}
@@ -355,30 +344,6 @@ def in_group(p: PauliOp, gens: Sequence[PauliOp], track_sign: bool = False) -> b
     order) and must reproduce p's phase exactly.
     """
     return GroupMembership(gens).contains(p, track_sign)
-
-
-def center_of_group(gens: Sequence[PauliOp]) -> list[PauliOp]:
-    """Independent generators of the center of the span of ``gens``.
-
-    Computed from the kernel of the symplectic Gram matrix; each kernel
-    combination is multiplied out in index order and its sign normalised
-    to +1 when the phase is real.
-    """
-    if not gens:
-        return []
-    n = gens[0].n
-    combos = kernel_basis(symplectic_gram(gens))
-    out: list[PauliOp] = []
-    seen = Echelon()
-    for i in range(combos.rows):
-        element = multiply_all([gens[idx] for idx in combos.row(i).support], n)
-        if element.x.is_zero() and element.z.is_zero():
-            continue
-        if element.phase == 2:
-            element = PauliOp(n, element.x, element.z, 0)
-        if seen.add(element.symplectic_row().bits):
-            out.append(element)
-    return out
 
 
 class Term:

@@ -96,14 +96,6 @@ class Region:
         sites = [i for i, c in enumerate(coords) if lo <= c[a] < hi]
         return cls(frozenset(sites), f"slab[{lo}:{hi})@axis{a}")
 
-    @classmethod
-    def everything(cls, code: CssSubsystemCode) -> "Region":
-        return cls(frozenset(range(code.n)), "all")
-
-    @classmethod
-    def empty(cls) -> "Region":
-        return cls(frozenset(), "empty")
-
 
 @dataclass
 class WallDecomposition:
@@ -134,7 +126,7 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
     base_n = tensor.metadata["base_n"]
     if not region.sites <= set(range(base_n)):
         raise ValueError("region must be a set of paired sites of the tensor code")
-    if "slab" not in region.descriptor and region.descriptor not in ("all", "empty"):
+    if "slab" not in region.descriptor:
         warnings.warn("region is not a validated slab; wall locality is not guaranteed")
 
     in_mask = 0

@@ -105,17 +105,17 @@ class UngaugeSetup:
 
 
 def make_setup(n: int, z_syms: Sequence[BitVec],
-               x_gens: Optional[Sequence[BitVec]] = None,
+               x_gens: Sequence[BitVec],
                relations: Optional[Sequence[BitVec]] = None,
                preserved: Sequence[BitVec] = (),
                preserved_combos: Optional[Sequence[Optional[BitVec]]] = None,
                notes: Optional[list[str]] = None) -> UngaugeSetup:
     """Validate and assemble an ungauging setup.
 
-    When ``x_gens`` is omitted a canonical kernel basis of d_z^T is used;
-    a natural (geometric) generating set supplied by a caller is
-    validated for commutation and completeness, never replaced.  Same
-    for ``relations`` with the left kernel of d_x.
+    The caller's natural (geometric) X generating set is validated for
+    commutation and completeness, never replaced.  When ``relations`` is
+    omitted a canonical basis of the left kernel of d_x is used;
+    supplied relations are validated the same way.
     """
     for v in z_syms:
         if v.length != n:
@@ -123,17 +123,14 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
     d_z = BitMatrix.from_columns(n, list(z_syms))
     rank_dz = rank(d_z)
 
-    if x_gens is None:
-        d_x = kernel_basis(d_z.transpose())
-    else:
-        for v in x_gens:
-            if v.length != n:
-                raise UngaugeError("X generator support length mismatch")
-        d_x = BitMatrix.from_rows(n, list(x_gens))
-        if not is_zero_product(d_x, d_z):
-            bad = list((d_x @ d_z).entries[:4])
-            raise CommutationError(
-                f"X generators anticommute with Z symmetries at (generator, symmetry) pairs {bad}")
+    for v in x_gens:
+        if v.length != n:
+            raise UngaugeError("X generator support length mismatch")
+    d_x = BitMatrix.from_rows(n, list(x_gens))
+    if not is_zero_product(d_x, d_z):
+        bad = list((d_x @ d_z).entries[:4])
+        raise CommutationError(
+            f"X generators anticommute with Z symmetries at (generator, symmetry) pairs {bad}")
     rank_dx = rank(d_x)
     needed = n - rank_dz
     if rank_dx != needed:

@@ -175,7 +175,8 @@ def _gcc_color_class_qubits(model) -> dict[str, frozenset[int]]:
 
 def check_gcc_phases() -> CheckResult:
     """7: paramagnet / six toric copies / three RBH copies, terms commuting."""
-    ph = catalog.gcc_phase_hamiltonians(2)
+    model = _models()["gcc"]
+    ph = catalog.gcc_phase_hamiltonians(model)
     problems = []
     img_x, _ = strip_identity_terms(ph["image_X"])
     if not all(t.op.weight == 1 and t.op.z.is_zero() for t in img_x):
@@ -183,7 +184,7 @@ def check_gcc_phases() -> CheckResult:
 
     img_z, _ = strip_identity_terms(ph["image_Z"])
     rep_z = components(img_z)
-    class_sets = set(_gcc_color_class_qubits(ph["model"]).values())
+    class_sets = set(_gcc_color_class_qubits(model).values())
     if rep_z.count != 6:
         problems.append(f"Z image has {rep_z.count} components, expected 6")
     elif set(rep_z.qubit_sets()) != class_sets:
@@ -224,14 +225,15 @@ def check_transversal_cz() -> CheckResult:
         if not transversal_cz_is_logical(tensor):
             problems.append(f"{tag}: CZ not logical")
             continue
-        # X stabilizers pick up exactly the dual code's Z twin as decoration.
+        # X stabilizers pick up exactly the dual code's Z twin as decoration;
+        # the twins follow the base code's Z stabilizers in the tensor listing.
         circuit = pairing_circuit(tensor)
         n = tensor.n
-        n_sx = len(code.stabilizer_x)
-        for i in range(n_sx):
+        n_sz = len(code.stabilizer_z)
+        for i in range(len(code.stabilizer_x)):
             sx = tensor.stabilizer_x[i]
             img = conjugate_by_circuit(PauliOp(n, sx, BitVec(n)), circuit)
-            expected = PauliOp(n, sx, tensor.stabilizer_z[n_sx + i])
+            expected = PauliOp(n, sx, tensor.stabilizer_z[n_sz + i])
             if img != expected:
                 problems.append(f"{tag}: decoration pattern mismatch at generator {i}")
                 break

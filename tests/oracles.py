@@ -4,12 +4,13 @@ These share no code with the package: dense list-of-lists elimination
 for ranks, literal 2x2 / 4x4 / 2^n complex matrices for Pauli algebra,
 and the package's earlier kernels (a row-by-row matrix-vector product,
 gate-by-gate conjugation and a per-component rescan of the terms) for
-the faster kernels that replaced them.  The two exceptions keep earlier
-routes that call the package's Pauli-group rank and membership:
+the faster kernels that replaced them.  The exceptions keep earlier
+routes that call the package's GF(2) and Pauli-group kernels:
 ``naive_code_parameters``, the whole-group route to the code parameters,
-with the symplectic Gram matrix in place of the CSS rank formula, and
+with the symplectic Gram matrix in place of the CSS rank formula;
 ``rank_and_membership_preserved``, the domain wall's earlier
-group-preservation predicate.
+group-preservation predicate; and ``center_of_group``, which the code
+tests use to state the center of a gauge group.
 Slow and obvious on purpose.
 """
 
@@ -97,10 +98,47 @@ def naive_code_parameters(code) -> tuple[int, int, int, int, int]:
     from cssgauge.gf2 import rank
     from cssgauge.pauli import group_rank, symplectic_gram
 
-    ops = code.gauge_ops()
+    ops = gauge_ops(code)
     g = group_rank(ops)
     s = g - rank(symplectic_gram(ops))
     return code.n, g, s, code.n - s - (g - s) // 2, (g - s) // 2
+
+
+def gauge_ops(code) -> list:
+    """The X gauge generators, then the Z ones, as Pauli operators."""
+    from cssgauge.gf2 import BitVec
+    from cssgauge.pauli import PauliOp
+
+    zero = BitVec(code.n)
+    return ([PauliOp(code.n, v, zero) for v in code.gauge_x]
+            + [PauliOp(code.n, zero, v) for v in code.gauge_z])
+
+
+def center_of_group(gens) -> list:
+    """Independent generators of the center of the span of ``gens``.
+
+    Computed from the kernel of the symplectic Gram matrix; each kernel
+    combination is multiplied out in index order and its sign normalised
+    to +1 when the phase is real.
+    """
+    from cssgauge.gf2 import Echelon, kernel_basis
+    from cssgauge.pauli import PauliOp, multiply_all, symplectic_gram
+
+    if not gens:
+        return []
+    n = gens[0].n
+    combos = kernel_basis(symplectic_gram(gens))
+    out = []
+    seen = Echelon()
+    for i in range(combos.rows):
+        element = multiply_all([gens[idx] for idx in combos.row(i).support], n)
+        if element.x.is_zero() and element.z.is_zero():
+            continue
+        if element.phase == 2:
+            element = PauliOp(n, element.x, element.z, 0)
+        if seen.add(element.symplectic_row().bits):
+            out.append(element)
+    return out
 
 
 def naive_x_preimage(gen_rows: list[int], n: int, x: int) -> int | None:

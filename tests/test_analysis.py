@@ -12,7 +12,6 @@ from cssgauge.analysis import (
     find_noncommuting_pair,
     is_self_dual,
     match_against_builder,
-    stabilizer_span_equal,
 )
 from cssgauge.builders import build_bacon_shor, build_gcc, build_toric
 from cssgauge.codes import CssSubsystemCode
@@ -25,7 +24,8 @@ from tests.oracles import naive_code_parameters, naive_components, naive_noncomm
 
 @pytest.fixture(scope="module")
 def gcc_images():
-    return catalog.gcc_phase_hamiltonians(2)
+    model = catalog.gcc_model(2)
+    return {"model": model, **catalog.gcc_phase_hamiltonians(model)}
 
 
 def test_code_parameters_examples():
@@ -259,9 +259,3 @@ def test_components_edge_cases_match_rescan(gcc_images):
     for h in (empty, identities, paramagnet,
               gcc_images["image_X"], gcc_images["image_Z"], gcc_images["image_Y"]):
         assert _component_rows(h) == naive_components(h)
-
-
-def test_stabilizer_span_equal():
-    code = build_bacon_shor(3)
-    assert stabilizer_span_equal(code.stabilizer_ops(), code.derived_center())
-    assert not stabilizer_span_equal(code.stabilizer_ops(), code.gauge_ops())

@@ -11,8 +11,6 @@ from cssgauge.builders import (
     build_toric,
     build_toric_sphere,
     build_xu_moore,
-    fractal_column_z_operator,
-    fractal_layer_x_operator,
     toric_code_from_complex,
 )
 from cssgauge.chains import validate
@@ -21,7 +19,7 @@ from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, rank
 from cssgauge.lattice import color_pair_sublattice, edge_color_class, triangular_torus
 from cssgauge.pauli import PauliOp, group_rank, symplectic_product
 
-from tests.oracles import matrix_rows, naive_code_parameters, naive_rank
+from tests.oracles import center_of_group, gauge_ops, matrix_rows, naive_code_parameters, naive_rank
 
 
 ALL_BUILDERS = [
@@ -149,7 +147,7 @@ def test_gcc_center_contains_vertex_group_plus_membranes():
     # On the torus the center of the gauge group is the vertex-operator
     # span plus 18 topological membrane classes (9 per Pauli type).
     code = build_gcc(2)
-    center = code.derived_center()
+    center = center_of_group(gauge_ops(code))
     stabs = code.stabilizer_ops()
     assert group_rank(stabs) == 26
     assert group_rank(center) == 44
@@ -165,7 +163,7 @@ def test_gcc_stabilizer_weights():
 def test_gcc_y_hamiltonian_terms_hermitian():
     h = y_gauge_hamiltonian(build_gcc(2))
     for t in h:
-        assert t.op.is_hermitian()
+        assert t.op.hermitian_sign() == 1
         assert t.op.x == t.op.z
 
 
@@ -187,7 +185,8 @@ def test_fractal_weights():
 
 def test_fractal_vertical_z_string_is_symmetric():
     code = build_fractal_code(4)
-    op = fractal_column_z_operator(code, 1, 2)
+    vid = {v: p for p, v in enumerate(code.metadata["vertices"])}
+    op = PauliOp.z_op(code.n, [vid[(1, 2, k)] for k in range(4)])   # A qubits at (1, 2, *)
     assert op.z.weight == 4
     for sx in code.stabilizer_x:
         assert symplectic_product(op, PauliOp(code.n, sx, BitVec(code.n))) == 0
@@ -198,7 +197,11 @@ def test_fractal_layer_operator_commutes_in_bulk():
     L = 4
     verts = code.metadata["vertices"]
     vid = {v: i for i, v in enumerate(verts)}
-    op = fractal_layer_x_operator(code, layer_z=0, seed_row=[1, 0, 0, 0])
+    # Sierpinski rule in the z=0 plane: row j+1 is each cell of row j plus its +x neighbor.
+    rows = [[1, 0, 0, 0]]
+    for _ in range(L - 1):
+        rows.append([rows[-1][i] ^ rows[-1][(i + 1) % L] for i in range(L)])
+    op = PauliOp.x_op(code.n, [vid[(i, j, 0)] for j in range(L) for i in range(L) if rows[j][i]])
     for v in verts:
         if v[1] == L - 1:
             continue                      # top boundary row exempt

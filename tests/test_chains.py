@@ -149,7 +149,7 @@ def test_ungauge_complex_validate():
               LabeledBasis.indexed("X", 2)]
     # Left kernel of d_x is empty here, so no relations.
     uc = ChainComplex(spaces + [LabeledBasis.indexed("R", 0)],
-                      [d_z, d_x, BitMatrix.zeros(0, 2)], orientation="ungauge")
+                      [d_z, d_x, BitMatrix(0, 2, [])], orientation="ungauge")
     assert validate(uc)
     bad = ChainComplex(spaces + [LabeledBasis.indexed("R", 1)],
                        [d_z, d_x, BitMatrix.from_rows(2, [0b01])], orientation="ungauge")

@@ -74,3 +74,44 @@ def test_gauge_report_matches_pinned_sha256(tmp_path):
     assert cli.main(["gauge", "--code", "xu-moore", "--L", "3", "--full", "--out", str(out)]) == 0
     data = (out / "gauge-xu-moore.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GAUGE_XU_MOORE_L3_SHA256
+
+
+# Reports no benchmark digest covers, pinned the same way: the SHA-256 of
+# each file's bytes.  They run the setup validation of every code family,
+# the fractal wall's slab region and the chain-complex export.
+PINNED_REPORTS = [
+    (["ungauge", "--code", "toric-sphere"], {
+        "ungauge-toric-sphere.json": "a2ea7e8fcedf316273df10168f1e3468b9064664b845ab4b7bae2304ff3f0713"}),
+    (["ungauge", "--code", "toric2d", "--L", "3"], {
+        "ungauge-toric-torus.json": "9435eb2e590f64f8e01b3b9ca1809cbe3536591ae58721f73ef93a46c4e380a5"}),
+    (["ungauge", "--code", "toric3d", "--L", "2"], {
+        "ungauge-toric-3d.json": "7f881aef98c7d06f316b682aafeef52924def5ea0ba90480ae9023355631398c"}),
+    (["ungauge", "--code", "bacon-shor", "--L", "3"], {
+        "ungauge-bacon-shor.json": "73be10e93cb3715178768b685c2d9e3546ca4de941a66be0bc8474f27c2c086f"}),
+    (["ungauge", "--code", "color2d", "--L", "3"], {
+        "ungauge-color2d-partial.json": "5ae2fe0000de5f6714cd217a1a7bbdbd5e90ed1899682cf2450ed399ffcda475"}),
+    (["ungauge", "--code", "fractal", "--L", "4"], {
+        "ungauge-fractal.json": "a05a0dc734a5ca6933247f694205d972cb47873eb236ea0df7d99a2a97833146"}),
+    (["ungauge", "--code", "gcc", "--L", "2", "--hamiltonian", "X"], {
+        "ungauge-gcc.json": "9968fdb78b423d9837db2d27a92cdf908e17e6ee5192fd82d9c03850ec415eee"}),
+    (["ungauge", "--code", "gcc", "--L", "2", "--hamiltonian", "Z"], {
+        "ungauge-gcc.json": "43a23479def49ff92b6477c0e276b69560955166965981283f033aabe77e0d08"}),
+    (["ungauge", "--code", "gcc", "--L", "2", "--hamiltonian", "Y"], {
+        "ungauge-gcc.json": "00513c166ebe6da302bf20be5821376ba7929164217da0dbd8022155be954870"}),
+    (["spt", "--code", "fractal", "--L", "4", "--slab", "1:3"], {
+        "spt-fractal3d.json": "d40e269a12e9bb7533b917e5924462663a84a6a91556cc8836181a3df8bd960c"}),
+    (["export", "--code", "toric2d", "--L", "3", "--what", "matrices"], {
+        "toric2d-dx.json": "9f4fcf0ff091bca0e53419756d3047d61d942e3d7784cb524a3623bf07b8e8a1",
+        "toric2d-dz.json": "5b8eeba729b70c921f45a3b8c1b6d6f2f37279d7ab4b5f64f3a20f0dac80b75e"}),
+    (["export", "--code", "gcc", "--L", "2", "--what", "complex"], {
+        "gcc-complex.json": "453f20a98e1a60d924d50aa2cc17851bec9df3754cf70f30eb9108de2d391b95"}),
+]
+
+
+@pytest.mark.parametrize("argv,pinned", PINNED_REPORTS,
+                         ids=[" ".join(a).replace("--", "") for a, _ in PINNED_REPORTS])
+def test_report_matches_pinned_sha256(tmp_path, argv, pinned):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == pinned

@@ -75,12 +75,14 @@ def test_transversal_cz_not_logical_without_dual():
 def test_domain_wall_everything_and_empty():
     code = build_toric(2, 3, 1)
     tensor = tensor_code(code, dual_code(code))
-    everything = domain_wall(tensor, Region.everything(code))
+    whole, none = Region.slab(code, 0, 3), Region.slab(code, 0, 0)
+    assert whole.sites == frozenset(range(code.n)) and none.sites == frozenset()
+    everything = domain_wall(tensor, whole)
     assert len(everything.h_wall) == 0
     assert everything.replaced_terms == len(tensor.stabilizer_x)
     assert everything.group_preserved
 
-    empty = domain_wall(tensor, Region.empty())
+    empty = domain_wall(tensor, none)
     assert len(empty.h_wall) == 0 and empty.replaced_terms == 0
     assert empty.total().same_terms(stabilizer_hamiltonian(tensor))
 
@@ -108,12 +110,12 @@ def test_domain_wall_validates_region():
 
 def test_spt_pipeline_requires_stabilizer_code():
     with pytest.raises(ValueError, match="stabilizer"):
-        spt_pipeline(build_bacon_shor(3), Region.empty())
+        spt_pipeline(build_bacon_shor(3), Region(frozenset()))
 
 
 def test_spt_pipeline_whole_region_has_no_wall():
     code = build_toric(2, 3, 1)
-    res = spt_pipeline(code, Region.everything(code))
+    res = spt_pipeline(code, Region.slab(code, 0, 3))
     assert len(res.wall_hamiltonian) == 0
     assert res.report["bulk_trivial"]
     assert res.symmetries == []           # nothing to restrict to
@@ -179,8 +181,8 @@ def test_disentangler_cluster_chain():
 
 
 def test_disentangler_rbh_copy():
-    ph = catalog.gcc_phase_hamiltonians(2)
-    model = ph["model"]
+    model = catalog.gcc_model(2)
+    ph = catalog.gcc_phase_hamiltonians(model)
     lattice = model.code.lattice
     img, _ = strip_identity_terms(ph["image_Y"])
     rep = components(img)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cssgauge import catalog
 from cssgauge.builders import build_toric, build_toric_sphere
-from cssgauge.gf2 import BitVec, rank, solve
+from cssgauge.gf2 import BitMatrix, BitVec, kernel_basis, rank, solve
 from cssgauge.pauli import Hamiltonian, PauliOp, Term, symplectic_product
 from cssgauge.ungauge import (
     CommutationError,
@@ -64,10 +64,10 @@ def test_bacon_shor_one_relation_per_row(bs_model):
 
 
 def test_make_setup_kernel_defaults():
-    # Omitting x_gens and relations falls back to canonical kernel bases.
+    # Omitting relations falls back to a canonical basis of d_x's left kernel.
     code = build_toric_sphere()
-    s = make_setup(code.n, list(code.stabilizer_z))
-    assert s.n_fin == code.n - rank(s.d_z)
+    s = make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x))
+    assert s.d_r.rows == s.n_fin - rank(s.d_x) == 1
     assert dim_check(s)
 
 
@@ -202,7 +202,7 @@ def test_y_content_maps_hermitian(gcc_model):
     img = ungauge_pauli(y_term, gcc_model.setup, x_combo=BitVec(112, 1))
     assert img.x.support == (0,)
     assert img.phase == 0                 # +X_e Z(link e)
-    assert img.is_hermitian()
+    assert img.hermitian_sign() == 1
 
 
 # -- emergent and preserved symmetries ----------------------------------------
@@ -375,7 +375,7 @@ def small_setups(draw):
     """
     n = draw(st.integers(1, 7))
     z_syms = [BitVec(n, z) for z in draw(st.lists(st.integers(0, 2 ** n - 1), max_size=4))]
-    basis = make_setup(n, z_syms).d_x
+    basis = kernel_basis(BitMatrix.from_columns(n, z_syms).transpose())
     kernel = [basis.row_bits(k) for k in range(basis.rows)]
     extra = draw(st.lists(st.integers(0, 2 ** len(kernel) - 1), max_size=4))
     gens = draw(st.permutations(kernel + [_product(kernel, c) for c in extra]))

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from cssgauge import verify
+from cssgauge import catalog, verify
 from cssgauge.gf2 import BitVec
 from cssgauge.pauli import CliffordCircuit, PauliOp, conjugate_by_circuit, multiply
 from tests.oracles import conjugate_dense, pauli_matrix
@@ -111,3 +111,13 @@ def test_dense_conjugate_is_exact_at_each_dtype(n, hadamards, dtype):
     if n <= 4:
         assert np.allclose((1j ** k) * m.astype(complex) / 2 ** hadamards,
                            conjugate_dense(p, circ))
+
+
+def test_transversal_cz_decoration_with_unequal_stabilizer_counts(monkeypatch):
+    # The 3D toric code at L=2 has |S_X| = 8 and |S_Z| = 24, so each X
+    # stabilizer's Z twin sits after all 24 base Z stabilizers in the tensor code.
+    model = catalog.toric3d_model(2)
+    assert (len(model.code.stabilizer_x), len(model.code.stabilizer_z)) == (8, 24)
+    monkeypatch.setitem(verify._MODEL_CACHE, "worked", {**verify._models(), "toric-torus": model})
+    result = verify.check_transversal_cz()
+    assert result.passed, result.details
