@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .chains import css_logical_reps
 from .codes import CssSubsystemCode, stabilizer_hamiltonian
@@ -25,6 +25,7 @@ from .pauli import (
     PauliOp,
     Term,
     conjugate_by_circuit,
+    multiply,
 )
 from .ungauge import UngaugeSetup, emergent_symmetries, make_setup, ungauge_hamiltonian
 
@@ -70,15 +71,49 @@ def pairing_circuit(tensor: CssSubsystemCode,
     return CliffordCircuit.cz_pairs(tensor.n, [(i, i + base_n) for i in sites])
 
 
-def transversal_cz_is_logical(tensor: CssSubsystemCode) -> bool:
-    """Every stabilizer generator conjugates into the stabilizer group, signs included."""
-    circuit = pairing_circuit(tensor)
-    gens = tensor.stabilizer_ops()
-    membership = GroupMembership(gens)
-    for g in gens:
-        if not membership.contains(conjugate_by_circuit(g, circuit), track_sign=True):
+def _witnessed(p: PauliOp, g: PauliOp, by_support: dict[tuple[int, int], PauliOp]) -> bool:
+    """Whether ``p`` is ``g``, or ``g`` times the generator that ``by_support``
+    files under their (x, z) difference, phase included."""
+    if p == g:
+        return True
+    h = by_support.get((p.x.bits ^ g.x.bits, p.z.bits ^ g.z.bits))
+    return h is not None and multiply(g, h) == p
+
+
+def _by_support(gens: Sequence[PauliOp]) -> dict[tuple[int, int], PauliOp]:
+    return {(h.x.bits, h.z.bits): h for h in gens}
+
+
+def _all_in_group(pairs: Iterable[tuple[PauliOp, PauliOp]], gens: Sequence[PauliOp],
+                  by_support: dict[tuple[int, int], PauliOp]) -> bool:
+    """Whether each ``p`` of the ``(p, g)`` pairs is in the group of ``gens``,
+    signs included; every ``g`` and every entry of ``by_support`` must be.
+
+    The signed membership search over ``gens`` is built on the first
+    ``p`` without a witness and decides every such ``p`` exactly.
+    """
+    membership = None
+    for p, g in pairs:
+        if _witnessed(p, g, by_support):
+            continue
+        if membership is None:
+            membership = GroupMembership(gens)
+        if not membership.contains(p, track_sign=True):
             return False
     return True
+
+
+def transversal_cz_is_logical(tensor: CssSubsystemCode) -> bool:
+    """Every stabilizer generator conjugates into the stabilizer group, signs included.
+
+    An image is witnessed by being its generator, or its generator times
+    one other generator (an X stabilizer times its dual Z twin), found by
+    one lookup.  Only an image without a witness is searched for.
+    """
+    circuit = pairing_circuit(tensor)
+    gens = tensor.stabilizer_ops()
+    images = ((conjugate_by_circuit(g, circuit), g) for g in gens)
+    return _all_in_group(images, gens, _by_support(gens))
 
 
 @dataclass(frozen=True)
@@ -120,8 +155,11 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
     Terms are partitioned by support into inside / wall / outside; the
     decorated interior generators are replaced by their undecorated
     originals, which preserves the generated group because the dropped
-    decorations are stabilizer generators themselves (certified by
-    mutual signed membership of the old and new generators).
+    decorations are stabilizer generators themselves.  The old and new
+    generating sets differ only in the replaced pairs, so ``group_preserved``
+    checks just those, both ways: each side must be the other times one
+    shared generator, signs included, or else be found by the signed
+    membership search over the other side's generators.
     """
     base_n = tensor.metadata["base_n"]
     if not region.sites <= set(range(base_n)):
@@ -139,8 +177,9 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
     h_r = Hamiltonian(tensor.n)
     h_wall = Hamiltonian(tensor.n)
     h_rc = Hamiltonian(tensor.n)
-    replaced = 0
     conjugated_all: list[PauliOp] = []
+    shared: list[PauliOp] = []
+    pairs: list[tuple[PauliOp, PauliOp]] = []    # (image, original)
     for t in h:
         img = conjugate_by_circuit(t.op, circuit)
         conjugated_all.append(img)
@@ -152,19 +191,18 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
         elif outside:
             h_rc.add(Term(t.name, t.coupling, img, t.meta))
         else:
-            if img != t.op:
-                # Interior decorated generator: replace by the original.
-                replaced += 1
             h_r.add(Term(t.name, t.coupling, t.op, t.meta))
+            if img != t.op:
+                # Interior decorated generator: replaced by the original.
+                pairs.append((img, t.op))
+                continue
+        shared.append(img)
 
     new_gens = [t.op for part in (h_r, h_wall, h_rc) for t in part]
-    # Each set lies in the group of the other, signs included, so the two
-    # generate the same group; equal spans need no separate rank check.
-    in_new = GroupMembership(new_gens)
-    in_old = GroupMembership(conjugated_all)
-    preserved = all(in_new.contains(g, track_sign=True) for g in conjugated_all) and all(
-        in_old.contains(g, track_sign=True) for g in new_gens)
-    return WallDecomposition(h_r, h_wall, h_rc, replaced, preserved, region)
+    by_support = _by_support(shared)
+    preserved = _all_in_group(pairs, new_gens, by_support) and _all_in_group(
+        ((original, img) for img, original in pairs), conjugated_all, by_support)
+    return WallDecomposition(h_r, h_wall, h_rc, len(pairs), preserved, region)
 
 
 @dataclass

@@ -59,7 +59,7 @@ class NotSymmetricError(UngaugeError):
 
 
 class UngaugeSetup:
-    def __init__(self, d_z: BitMatrix, d_x: BitMatrix, d_r: BitMatrix,
+    def __init__(self, d_z: BitMatrix, d_x: BitMatrix, dxt: BitMatrix, d_r: BitMatrix,
                  preserved_x_ini: Sequence[BitVec] = (),
                  preserved_combos: Optional[Sequence[Optional[BitVec]]] = None,
                  notes: Optional[list[str]] = None):
@@ -71,7 +71,7 @@ class UngaugeSetup:
         self.preserved_x_ini = list(preserved_x_ini)
         self.preserved_combos = list(preserved_combos) if preserved_combos else [None] * len(self.preserved_x_ini)
         self.notes = list(notes) if notes else []
-        self._dxt = d_x.transpose()
+        self._dxt = dxt
 
     def x_preimage(self, x: BitVec) -> Optional[BitVec]:
         """Canonical generator combination with d_x^T combo = x.
@@ -95,7 +95,7 @@ class UngaugeSetup:
             "n_ini": self.n_ini,
             "n_fin": self.n_fin,
             "rank_d_z": rank(self.d_z),
-            "rank_d_x": rank(self.d_x),
+            "rank_d_x": rank(self._dxt),
             "rank_d_r": rank(self.d_r),
         }
 
@@ -131,7 +131,10 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
         bad = list((d_x @ d_z).entries[:4])
         raise CommutationError(
             f"X generators anticommute with Z symmetries at (generator, symmetry) pairs {bad}")
-    rank_dx = rank(d_x)
+    # Every rank, the default relations and x_preimage read the one
+    # echelon of d_x^T; d_x's own columns are eliminated only by z_preimage.
+    dxt = d_x.transpose()
+    rank_dx = rank(dxt)
     needed = n - rank_dz
     if rank_dx != needed:
         raise CompletenessError(
@@ -139,7 +142,7 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
             f"deficit {needed - rank_dx}")
 
     if relations is None:
-        d_r = kernel_basis(d_x.transpose())
+        d_r = kernel_basis(dxt)
     else:
         for v in relations:
             if v.length != d_x.rows:
@@ -153,7 +156,7 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
             f"relations span rank {rank(d_r)} but the full relation space has rank "
             f"{expected_rel_rank}")
 
-    setup = UngaugeSetup(d_z, d_x, d_r, preserved, preserved_combos, notes)
+    setup = UngaugeSetup(d_z, d_x, dxt, d_r, preserved, preserved_combos, notes)
     for i, v in enumerate(setup.preserved_x_ini):
         if v.length != n:
             raise UngaugeError("preserved symmetry support length mismatch")

@@ -219,8 +219,9 @@ def check_gcc_relations() -> CheckResult:
 def check_transversal_cz() -> CheckResult:
     """9: conjugated stabilizer generators pass signed membership."""
     problems = []
-    for name, tag in (("fractal", "fractal L=4"), ("toric-torus", "toric L=3")):
+    for name in ("fractal", "toric-torus"):
         code = _models()[name].code
+        tag = f"{code.name} L={code.metadata['L']}"
         tensor = tensor_code(code, dual_code(code))
         if not transversal_cz_is_logical(tensor):
             problems.append(f"{tag}: CZ not logical")

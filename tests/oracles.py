@@ -9,8 +9,11 @@ routes that call the package's GF(2) and Pauli-group kernels:
 ``naive_code_parameters``, the whole-group route to the code parameters,
 with the symplectic Gram matrix in place of the CSS rank formula;
 ``rank_and_membership_preserved``, the domain wall's earlier
-group-preservation predicate; and ``center_of_group``, which the code
-tests use to state the center of a gauge group.
+group-preservation predicate; ``signed_search_cz_is_logical`` and
+``mutual_signed_membership``, the all-generator signed searches that the
+transversal-CZ and domain-wall checks ran before they took witnesses;
+and ``center_of_group``, which the code tests use to state the center of
+a gauge group.
 Slow and obvious on purpose.
 """
 
@@ -170,11 +173,32 @@ def naive_x_preimage(gen_rows: list[int], n: int, x: int) -> int | None:
 
 def rank_and_membership_preserved(old_ops, new_ops) -> bool:
     """The domain wall's earlier predicate: equal group ranks and mutual signed membership."""
-    from cssgauge.pauli import GroupMembership, group_rank
+    from cssgauge.pauli import group_rank
 
     same_rank = group_rank(new_ops) == group_rank(old_ops) == group_rank(new_ops + old_ops)
+    return same_rank and mutual_signed_membership(old_ops, new_ops)
+
+
+def signed_search_cz_is_logical(tensor) -> bool:
+    """The transversal-CZ check by search: every conjugated stabilizer
+    generator is looked up by signed membership among all of them."""
+    from cssgauge.pauli import GroupMembership, conjugate_by_circuit
+    from cssgauge.sptwall import pairing_circuit
+
+    circuit = pairing_circuit(tensor)
+    gens = tensor.stabilizer_ops()
+    membership = GroupMembership(gens)
+    return all(membership.contains(conjugate_by_circuit(g, circuit), track_sign=True)
+               for g in gens)
+
+
+def mutual_signed_membership(old_ops, new_ops) -> bool:
+    """The domain wall's group check by search: every generator of each
+    set lies in the group of the other, signs included."""
+    from cssgauge.pauli import GroupMembership
+
     in_new, in_old = GroupMembership(new_ops), GroupMembership(old_ops)
-    return same_rank and all(in_new.contains(g, track_sign=True) for g in old_ops) and all(
+    return all(in_new.contains(g, track_sign=True) for g in old_ops) and all(
         in_old.contains(g, track_sign=True) for g in new_ops)
 
 

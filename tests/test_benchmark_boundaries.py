@@ -3,6 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from cssgauge import cli, gf2
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # perfbench/tracer.py wraps each function of its BOUNDARIES by name and fails
@@ -16,3 +20,23 @@ def test_tracer_installs_every_boundary():
     result = subprocess.run([sys.executable, "-c", INSTALL], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+# Echelon constructions per command: a guard against a repeated
+# elimination coming back.  The spt wall certifies its CZ gate and group
+# by witness, and make_setup eliminates d_x on one side only.
+@pytest.mark.parametrize("argv,echelons", [
+    (["spt", "--code", "toric2d", "--L", "10", "--slab", "0:2"], 7),
+    (["ungauge", "--code", "gcc", "--L", "2"], 7),
+])
+def test_echelons_built_per_command(tmp_path, monkeypatch, capsys, argv, echelons):
+    built = []
+    init = gf2.Echelon.__init__
+
+    def counted(self, vectors=()):
+        built.append(1)
+        init(self, vectors)
+
+    monkeypatch.setattr(gf2.Echelon, "__init__", counted)
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(built) == echelons

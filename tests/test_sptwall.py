@@ -1,6 +1,6 @@
 import pytest
 
-from cssgauge import catalog
+from cssgauge import catalog, sptwall
 from cssgauge.analysis import commuting_check, components
 from cssgauge.builders import build_bacon_shor, build_fractal_code, build_gcc, build_toric
 from cssgauge.codes import stabilizer_hamiltonian
@@ -25,7 +25,11 @@ from cssgauge.sptwall import (
 )
 from cssgauge.ungauge import strip_identity_terms
 
-from tests.oracles import rank_and_membership_preserved
+from tests.oracles import (
+    mutual_signed_membership,
+    rank_and_membership_preserved,
+    signed_search_cz_is_logical,
+)
 
 
 def test_dual_is_involution():
@@ -67,9 +71,28 @@ def test_transversal_cz_fixes_z_stabilizers():
         assert conjugate_by_circuit(op, circuit) == op
 
 
-def test_transversal_cz_not_logical_without_dual():
+def _count_searches(monkeypatch) -> list[int]:
+    """Record the generator count of every signed membership search built."""
+    builds = []
+    init = GroupMembership.__init__
+
+    def counted(self, gens):
+        builds.append(len(gens))
+        init(self, gens)
+
+    monkeypatch.setattr(GroupMembership, "__init__", counted)
+    return builds
+
+
+def test_transversal_cz_not_logical_without_dual(monkeypatch):
+    # Without the dual no X image has a witness: the first miss builds the
+    # search, which rejects that image at once.
     code = build_toric(2, 3, 1)
-    assert not transversal_cz_is_logical(tensor_code(code, code))
+    tensor = tensor_code(code, code)
+    assert not signed_search_cz_is_logical(tensor)
+    builds = _count_searches(monkeypatch)
+    assert not transversal_cz_is_logical(tensor)
+    assert builds == [len(tensor.stabilizer_ops())]
 
 
 def test_domain_wall_everything_and_empty():
@@ -239,15 +262,74 @@ def test_group_preserved_matches_rank_and_membership():
         assert expected
 
 
+def _toric3d_walls():
+    code = catalog.toric3d_model(2).code
+    tensor = tensor_code(code, dual_code(code))
+    for lo, hi in ((0, 1), (0.5, 1.5), (1, 2), (0, 2)):
+        yield code, tensor, Region.slab(code, lo, hi)
+
+
+def test_witness_checks_agree_with_the_signed_search(monkeypatch):
+    builds = _count_searches(monkeypatch)
+    for code, tensor, region in [*_slab_walls(), *_toric3d_walls()]:
+        circuit = pairing_circuit(tensor, sorted(region.sites))
+        old = [conjugate_by_circuit(t.op, circuit) for t in stabilizer_hamiltonian(tensor)]
+        builds.clear()
+        cz_logical = transversal_cz_is_logical(tensor)
+        wall = domain_wall(tensor, region)
+        # Every image and replaced pair has its witness, so nothing is searched.
+        assert builds == [], (code.name, region.descriptor)
+        assert cz_logical == signed_search_cz_is_logical(tensor)
+        assert wall.group_preserved == mutual_signed_membership(old, wall.total().operators())
+        assert cz_logical and wall.group_preserved and wall.replaced_terms
+
+
+def _replaced_original(tensor, region):
+    """The first interior generator that the wall replaces by its original."""
+    circuit = pairing_circuit(tensor, sorted(region.sites))
+    wall = domain_wall(tensor, region)
+    return next(op for op in wall.h_r.operators() if conjugate_by_circuit(op, circuit) != op)
+
+
 def test_group_preserved_fails_when_a_generator_is_rejected(monkeypatch):
     code, tensor, region = next(_slab_walls())
-    wall = domain_wall(tensor, region)
-    assert wall.group_preserved
-    rejected = wall.total().operators()[0]
+    assert domain_wall(tensor, region).group_preserved
+    rejected = _replaced_original(tensor, region)
+    witnessed = sptwall._witnessed
+
+    def reject_one(p, g, by_support):
+        return rejected not in (p, g) and witnessed(p, g, by_support)
+
+    monkeypatch.setattr(sptwall, "_witnessed", reject_one)
+    builds = _count_searches(monkeypatch)
+    # The search decides a pair the witness rejects, in both directions.
+    assert domain_wall(tensor, region).group_preserved
+    assert len(builds) == 2
     contains = GroupMembership.contains
+    image = conjugate_by_circuit(rejected, pairing_circuit(tensor, sorted(region.sites)))
 
-    def reject_one(self, p, track_sign=False):
-        return p != rejected and contains(self, p, track_sign)
+    def search_rejects_too(self, p, track_sign=False):
+        return p not in (rejected, image) and contains(self, p, track_sign)
 
-    monkeypatch.setattr(GroupMembership, "contains", reject_one)
+    monkeypatch.setattr(GroupMembership, "contains", search_rejects_too)
     assert not domain_wall(tensor, region).group_preserved
+
+
+def test_group_preserved_fails_when_the_search_rejects_a_missed_witness(monkeypatch):
+    # A sign flipped on one decorated interior image: it is no longer the
+    # original times its decoration, and -1 is not in the stabilizer group.
+    code, tensor, region = next(_slab_walls())
+    flipped = _replaced_original(tensor, region)
+
+    def flip_one(op, circuit):
+        img = conjugate_by_circuit(op, circuit)
+        return PauliOp(img.n, img.x, img.z, img.phase + 2) if op == flipped else img
+
+    monkeypatch.setattr(sptwall, "conjugate_by_circuit", flip_one)
+    builds = _count_searches(monkeypatch)
+    wall = domain_wall(tensor, region)
+    assert not wall.group_preserved
+    assert builds == [len(tensor.stabilizer_ops())]
+    circuit = pairing_circuit(tensor, sorted(region.sites))
+    old = [flip_one(t.op, circuit) for t in stabilizer_hamiltonian(tensor)]
+    assert not mutual_signed_membership(old, wall.total().operators())

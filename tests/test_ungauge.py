@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssgauge import catalog
+from cssgauge import catalog, gf2
 from cssgauge.builders import build_toric, build_toric_sphere
 from cssgauge.gf2 import BitMatrix, BitVec, kernel_basis, rank, solve
 from cssgauge.pauli import Hamiltonian, PauliOp, Term, symplectic_product
@@ -69,6 +69,25 @@ def test_make_setup_kernel_defaults():
     s = make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x))
     assert s.d_r.rows == s.n_fin - rank(s.d_x) == 1
     assert dim_check(s)
+
+
+def test_make_setup_eliminates_d_x_once(monkeypatch):
+    # The rank, the default relations, x_preimage and ranks() all read the
+    # one echelon of d_x^T; the columns of d_x are never eliminated.
+    code = build_toric_sphere()
+    sx = list(code.stabilizer_x)
+    built = []
+    init = gf2.Echelon.__init__
+
+    def counted(self, vectors=()):
+        built.append(self)
+        init(self, vectors)
+
+    monkeypatch.setattr(gf2.Echelon, "__init__", counted)
+    s = make_setup(code.n, list(code.stabilizer_z), x_gens=sx, preserved=[sx[0], sx[0] ^ sx[1]])
+    assert s.ranks()["rank_d_x"] == s.n_fin - 1
+    assert s.d_x._rref is None
+    assert built == [s.d_z._rref, s._dxt._rref, s.d_r._rref]
 
 
 def test_make_setup_rejects_incomplete_generators():

@@ -121,3 +121,14 @@ def test_transversal_cz_decoration_with_unequal_stabilizer_counts(monkeypatch):
     monkeypatch.setitem(verify._MODEL_CACHE, "worked", {**verify._models(), "toric-torus": model})
     result = verify.check_transversal_cz()
     assert result.passed, result.details
+
+    # A forced mismatch names the model that was checked, not a fixed tag.
+    def flip_sign(op, circuit):
+        img = conjugate_by_circuit(op, circuit)
+        return PauliOp(img.n, img.x, img.z, img.phase + 2)
+
+    monkeypatch.setattr(verify, "conjugate_by_circuit", flip_sign)
+    result = verify.check_transversal_cz()
+    assert not result.passed
+    assert result.details == ("fractal3d L=4: decoration pattern mismatch at generator 0; "
+                              "toric3d L=2: decoration pattern mismatch at generator 0")
