@@ -5,23 +5,21 @@ Every check returns a CheckResult; ``run_all`` executes the whole suite.
 The dense-matrix oracle of criterion 12 lives here as an independent
 implementation: it reads only a ``PauliOp``'s bits and phase and a
 circuit's gate list, and shares no code with the symplectic engine.  It
-builds 2^n x 2^n numpy matrices from the definitions (X, Z, H, CZ as
-matrices, Kronecker products) and costs O(4^n) per case: a product P Q
-by the mixed-product rule over the per-qubit 2x2 factors, a conjugation
-U P U^dagger by in-place butterfly (H) and sign (CZ) steps on one
-matrix.
+builds the 2^n x 2^n matrices from the definitions (X, Z, H, CZ as
+matrices, Kronecker products) in exact Python integers, storing only
+the nonzero entries: a dict per matrix keyed ``row << n | col``.  A
+Pauli, and its image under H and CZ, is a signed permutation matrix up
+to a scale, with 2^n nonzero entries, so a product P Q by the
+mixed-product rule over the per-qubit 2x2 factors, and a conjugation
+U P U^dagger by butterfly (H) and sign (CZ) steps, cost O(2^n) per gate
+and O(2^n * gates) per case.
 
 X^x Z^z, H and CZ are real, so every dense operator is a pair (k, M)
-meaning i^k M, with M a real int8 matrix and the global phase i^k
-carried as an integer mod 4.  Real nonzero M and R satisfy
-i^k M = i^k' R exactly when k' - k is even and M = (-1)^((k'-k)/2) R; an
-odd difference is a mismatch.  A conjugation by h H gates leaves its
+meaning i^k M, with M a real integer matrix and the global phase i^k
+carried as an integer mod 4.  A conjugation by h H gates leaves its
 butterflies unscaled, so it is compared with 2^h times the engine's
-matrix.  Every entry of either side then has magnitude <= 2^h and any
-difference is at most 2^(h+1): for h <= 6 (the battery's depth bound)
-that is <= 128 < 256, and int8 arithmetic, which wraps around but is
-exact modulo 256, compares exactly.  A circuit with more H gates is run
-in a wider integer dtype chosen from its H count.
+matrix.  Python integers never wrap around, so the comparison is exact
+at any h.
 """
 
 from __future__ import annotations
@@ -314,125 +312,100 @@ def check_color_code_split() -> CheckResult:
 # -- dense oracle (independent of the symplectic engine) -------------------
 
 
-_FACTORS: dict = {}
+# X^x Z^z for each (x, z), as ((m00, m01), (m10, m11)).
+_FACTORS = {(0, 0): ((1, 0), (0, 1)), (1, 0): ((0, 1), (1, 0)),
+            (0, 1): ((1, 0), (0, -1)), (1, 1): ((0, -1), (1, 0))}
 
 
 def _pauli_factors(op: PauliOp) -> list:
-    """The real 2x2 int8 factor X^x Z^z of each qubit, qubit 0 first.
-
-    The four factors are built on the first call and shared; no caller
-    writes to them.
-    """
-    if not _FACTORS:
-        import numpy as np
-
-        x = np.array([[0, 1], [1, 0]], dtype=np.int8)
-        z = np.array([[1, 0], [0, -1]], dtype=np.int8)
-        _FACTORS.update({(0, 0): np.eye(2, dtype=np.int8), (1, 0): x, (0, 1): z,
-                         (1, 1): x @ z})
+    """The real 2x2 factor X^x Z^z of each qubit, qubit 0 first."""
     xb, zb = op.x.bits, op.z.bits
     return [_FACTORS[(xb >> q & 1, zb >> q & 1)] for q in range(op.n)]
 
 
-def _kron(factors: list, lead: int, dtype):
-    """``lead`` times the Kronecker product of ``factors`` (qubit 0 leftmost), in ``dtype``.
+def _kron(factors: list, lead: int) -> dict:
+    """``lead`` times the Kronecker product of 2x2 ``factors`` (qubit 0 leftmost).
 
-    Built from the last factor up, one broadcast product per factor:
-    ``f (x) A`` is ``f[i, j] * A[k, l]`` at ``(i, k, j, l)`` of a
-    ``(2, m, 2, m)`` array, reshaped to ``(2m, 2m)``.
+    Nonzero entries only, keyed ``row << n | col``: qubit q is bit
+    n-1-q of a row or column index.  Each factor's nonzero entries OR
+    their two bits into every key built so far.
     """
-    import numpy as np
-
-    out = np.full((1, 1), lead, dtype=dtype)
-    for f in reversed(factors):
-        m = 2 * out.shape[0]
-        out = (f[:, None, :, None] * out[None, :, None, :]).reshape(m, m)
+    n = len(factors)
+    out = {0: lead}
+    for q, f in enumerate(factors):
+        shift = n - 1 - q
+        terms = [((r << n | c) << shift, f[r][c]) for r in (0, 1) for c in (0, 1) if f[r][c]]
+        out = {key | bits: a * v for key, a in out.items() for bits, v in terms}
     return out
 
 
-def _exact_dtype(hadamards: int):
-    """The narrowest integer dtype with 2^(hadamards+1) < 2^bits (int8 up to 6 H gates).
-
-    Past int64, Python integers (``object``), which never wrap around.
-    """
-    import numpy as np
-
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if hadamards + 1 < 8 * np.dtype(dtype).itemsize:
-            return dtype
-    return object
-
-
-def _dense_pauli(op: PauliOp, dtype=None) -> tuple:
-    """``(k, M)`` with i^k M the matrix of ``op``: k its phase mod 4, M = X^x Z^z real.
-
-    M is int8 unless another ``dtype`` is asked for.
-    """
-    import numpy as np
-
-    return op.phase % 4, _kron(_pauli_factors(op), 1, dtype or np.int8)
+def _dense_pauli(op: PauliOp) -> tuple:
+    """``(k, M)`` with i^k M the matrix of ``op``: k its phase mod 4, M = X^x Z^z real."""
+    return op.phase % 4, _kron(_pauli_factors(op), 1)
 
 
 def _dense_product(p: PauliOp, q: PauliOp) -> tuple:
     """``(k, M)`` for P Q by the mixed-product rule (A(x)B)(C(x)D) = AC(x)BD.
 
-    Each qubit's 2x2 factors are multiplied, so no 2^n x 2^n product is
-    formed and neither P nor Q is built.  The product of two real factors
-    is real, so the phases simply add.
+    Each qubit's 2x2 factors are multiplied, so neither P nor Q is
+    built.  The product of two real factors is real, so the phases
+    simply add.
     """
-    import numpy as np
-
-    factors = [a @ b for a, b in zip(_pauli_factors(p), _pauli_factors(q))]
-    return (p.phase + q.phase) % 4, _kron(factors, 1, np.int8)
-
-
-def _hadamard_count(circuit: CliffordCircuit) -> int:
-    return sum(g[0] == "H" for g in circuit.gates)
+    factors = [tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1))
+                     for i in (0, 1))
+               for a, b in zip(_pauli_factors(p), _pauli_factors(q))]
+    return (p.phase + q.phase) % 4, _kron(factors, 1)
 
 
 def _dense_conjugate(op: PauliOp, circuit: CliffordCircuit) -> tuple:
     """``(k, M)`` with i^k M = 2^h U P U^dagger, h the circuit's H count.
 
     H and CZ are real, so U conjugates the real part M of P alone and the
-    phase i^k passes through.  Each gate acts in place on reshaped views
-    of one matrix, qubit q being bit n-1-q of a row or column index.  H on
-    qubit q is the unscaled butterfly (a, b) -> (a + b, a - b) on the row
-    view ``(2^q, 2, -1)`` and on the column view ``(-1, 2, 2^(n-1-q))``,
-    i.e. 2 H P H; the factors 2 are kept, so M is 2^h times the true real
-    part, in ``_exact_dtype(h)`` (int8 for h <= 6).  CZ on qubits a < b
-    negates the rows, then the columns, whose bits a and b are both 1.
+    phase i^k passes through.  H on qubit q is the unscaled butterfly
+    B = [[1, 1], [1, -1]] on the rows and on the columns at once, i.e.
+    2 H P H: each 2x2 block [[a, b], [c, d]] of the entries that differ
+    only in q's row and column bits becomes B [[a, b], [c, d]] B, and the
+    entries that cancel are dropped.  The factors 2 are kept, so M is 2^h
+    times the true real part.  CZ on qubits a, b negates the entries whose
+    row has both bits set, then those whose column has.
     """
-    n = circuit.n
-    k, mat = _dense_pauli(op, _exact_dtype(_hadamard_count(circuit)))
+    n = op.n
+    k, mat = _dense_pauli(op)
     for g in circuit.gates:
         if g[0] == "H":
-            q = g[1]
-            for view in (mat.reshape(2 ** q, 2, -1), mat.reshape(-1, 2, 2 ** (n - 1 - q))):
-                a, b = view[:, 0], view[:, 1]
-                a += b
-                b *= -2
-                b += a
+            col = 1 << (n - 1 - g[1])
+            row = col << n
+            both = row | col
+            get = mat.get
+            out: dict = {}
+            for base in {key & ~both for key in mat}:
+                a, b = get(base, 0), get(base | col, 0)
+                c, d = get(base | row, 0), get(base | both, 0)
+                for target, w in ((base, a + b + c + d), (base | col, a - b + c - d),
+                                  (base | row, a + b - c - d), (base | both, a - b - c + d)):
+                    if w:
+                        out[target] = w
+            mat = out
         else:
-            a, b = sorted(g[1:])
-            bits = (2 ** a, 2, 2 ** (b - a - 1), 2, 2 ** (n - 1 - b))
-            mat.reshape(*bits, -1)[:, 1, :, 1] *= -1
-            mat.reshape(-1, *bits)[:, :, 1, :, 1] *= -1
+            cols = 1 << (n - 1 - g[1]) | 1 << (n - 1 - g[2])
+            rows = cols << n
+            mat = {key: -v if ((key & rows) == rows) != ((key & cols) == cols) else v
+                   for key, v in mat.items()}
     return k, mat
 
 
 def _agrees(dense: tuple, op: PauliOp, hadamards: int = 0) -> bool:
     """Whether ``dense`` = (k, M), meaning i^k M, is 2^hadamards times the matrix of ``op``.
 
-    The phase rule of the module docstring; the engine's matrix is built
-    already signed and scaled, in M's dtype.
+    Real nonzero M and R satisfy i^k M = i^k' R exactly when k' - k is
+    even and M = (-1)^((k'-k)/2) R; the engine's matrix is built already
+    signed and scaled, and the two are compared entry for entry.
     """
-    import numpy as np
-
     k, mat = dense
     d = (op.phase - k) % 4
     if d % 2:
         return False
-    return np.array_equal(mat, _kron(_pauli_factors(op), (1 - d) << hadamards, mat.dtype))
+    return mat == _kron(_pauli_factors(op), (1 - d) << hadamards)
 
 
 def _random_pauli(n: int, rng: random.Random) -> PauliOp:
@@ -454,28 +427,24 @@ def _random_circuit(n: int, depth: int, rng: random.Random) -> CliffordCircuit:
 def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
     """12: symplectic conjugation and multiplication match 2^n matrices, phases included.
 
-    Each dense operator is a pair (k, M) meaning i^k M, M a real int8
-    2^n x 2^n matrix.  For each case the dense side is computed first and
-    independently of the engine (``_dense_product``, ``_dense_conjugate``);
-    ``_agrees`` then expands the engine's result, scaled by 2^h for a
-    circuit with h H gates: the phase difference must be even and M must
-    equal the signed, scaled matrix entry for entry, with no tolerance.
-    The draws have depth <= 6, so h <= 6 and any difference is at most
-    2^(h+1) <= 128 < 256, which int8 arithmetic, exact modulo 256, sees.
+    Each dense operator is a pair (k, M) meaning i^k M, M a real integer
+    2^n x 2^n matrix of its nonzero entries.  For each case the dense side
+    is computed first and independently of the engine (``_dense_product``,
+    ``_dense_conjugate``); ``_agrees`` then expands the engine's result,
+    scaled by 2^h for a circuit with h H gates: the phase difference must
+    be even and M must equal the signed, scaled matrix entry for entry.
     """
     rng = random.Random(seed)
     for case in range(cases):
         n = rng.randint(1, 6) if case % 10 else rng.randint(7, 10)
         p = _random_pauli(n, rng)
         q = _random_pauli(n, rng)
-        # A 2^10 x 2^10 matrix takes 1 MB: the dense side of each comparison
-        # is finished before the symplectic side is expanded, so fewer are alive.
         if not _agrees(_dense_product(p, q), multiply(p, q)):
             return CheckResult(12, "dense oracle agreement", False,
                                f"multiplication mismatch at case {case}")
         circ = _random_circuit(n, rng.randint(1, 6), rng)
         if not _agrees(_dense_conjugate(p, circ), conjugate_by_circuit(p, circ),
-                       _hadamard_count(circ)):
+                       sum(g[0] == "H" for g in circ.gates)):
             return CheckResult(12, "dense oracle agreement", False,
                                f"conjugation mismatch at case {case}")
     return CheckResult(12, "dense oracle agreement", True, f"{cases} randomized cases, n <= 10")

@@ -203,12 +203,26 @@ def test_verify_fast(tmp_path):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy takes about 0.1 s to import and only the dense oracle of `verify`
-    # needs it, so it must not join every command's start-up.
+    # The package runs on the standard library alone; numpy, which takes
+    # about 0.1 s to import, is a test dependency and must not join any
+    # command's start-up.
     src = Path(cli.__file__).resolve().parents[1]
     code = "import sys, cssgauge.cli; sys.exit(int('numpy' in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_verify_leaves_numpy_unloaded():
+    # The dense oracle builds its matrices from Python integers.  Case 0
+    # draws n in [7, 10], so a large case runs.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, cssgauge.cli\n"
+            "rc = cssgauge.cli.main(['verify', '--pairs', '10', '--cases', '20'])\n"
+            "sys.exit(rc or 3 * ('numpy' in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    ran = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert ran.returncode == 0, ran.stdout + ran.stderr
+    assert ran.stdout.count("[PASS]") == 13
 
 
 def _module_run(*args):
