@@ -132,12 +132,10 @@ class XuMooreModel:
     column X operators the preserved ones.
     """
 
-    length: int
     n: int
     hamiltonian: Hamiltonian
     emergent: list[PauliOp] = field(default_factory=list)
     preserved: list[PauliOp] = field(default_factory=list)
-    edge_labels: tuple[str, ...] = ()
 
 
 def build_xu_moore(length: int) -> XuMooreModel:
@@ -160,8 +158,7 @@ def build_xu_moore(length: int) -> XuMooreModel:
                    {"z_combo": z_combo, "plaquette_index": eid[(r, c)]}))
     emergent = [PauliOp.x_op(n, [eid[(r, c)] for c in range(L)]) for r in range(L)]
     preserved = [PauliOp.x_op(n, [eid[(r, c)] for r in range(L)]) for c in range(L)]
-    return XuMooreModel(L, n, h, emergent, preserved,
-                        tuple(f"h{e}" for e in edges))
+    return XuMooreModel(n, h, emergent, preserved)
 
 
 def build_color_code_2d(length: int) -> CssSubsystemCode:

@@ -72,7 +72,7 @@ def toric_setup(code: CssSubsystemCode) -> WorkedModel:
     if code.metadata.get("family") == "toric":
         loops = _axis_loops(code)
     else:
-        loops, _ = css_logical_reps(code.css_complex())
+        loops = css_logical_reps(code.css_complex())
     n_fin = len(code.stabilizer_x)
     relations = [BitVec(n_fin, (1 << n_fin) - 1)] if n_fin else []
     setup = make_setup(code.n, list(code.stabilizer_z) + loops,
@@ -250,9 +250,7 @@ def gcc_model(length: int = 2) -> WorkedModel:
     return WorkedModel("gcc", code, gauge_hamiltonian(code), setup,
                        extra={"edge_classes": edge_classes,
                               "pair_edges": pair_edges,
-                              "vertex_relation_count": vertex_relation_count,
-                              "topological_z_count": len(topo_z),
-                              "topological_relation_count": len(topo_relations)})
+                              "vertex_relation_count": vertex_relation_count})
 
 
 def full_gauge_lgt(length: int = 2) -> dict:
@@ -320,11 +318,10 @@ def fractal_model(length: int = 4, boundary: str = "periodic") -> WorkedModel:
     empty on a periodic torus) is computed as a kernel basis.
     """
     code = builders.build_fractal_code(length, boundary)
-    z_logicals, _ = css_logical_reps(code.css_complex())
+    z_logicals = css_logical_reps(code.css_complex())
     setup = make_setup(code.n, list(code.stabilizer_z) + z_logicals,
                        x_gens=list(code.stabilizer_x))
-    return WorkedModel("fractal", code, stabilizer_hamiltonian(code), setup,
-                       extra={"z_logical_count": len(z_logicals)})
+    return WorkedModel("fractal", code, stabilizer_hamiltonian(code), setup)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +368,11 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
 
     preserved = []
     preserved_combos = []
-    preserved_vertices = []
     for v in range(lattice.n_cells(0)):
         if vcol[v] == color:
             continue
         preserved.append(code.stabilizer_x[v])
         preserved_combos.append(combo(v, color))
-        preserved_vertices.append(v)
 
     setup = make_setup(code.n, z_syms, x_gens=x_gens, relations=relations,
                        preserved=preserved, preserved_combos=preserved_combos)
@@ -402,8 +397,7 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
                        PauliOp(code.n, BitVec(code.n), code.stabilizer_z[v])))
 
     return WorkedModel("color2d-partial", code, h, setup,
-                       extra={"color": color, "sym_edges": sym_edges,
-                              "preserved_vertices": preserved_vertices})
+                       extra={"color": color, "sym_edges": sym_edges})
 
 
 # ---------------------------------------------------------------------------

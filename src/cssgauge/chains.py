@@ -82,12 +82,6 @@ class ChainComplex:
             "orientation": self.orientation,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ChainComplex":
-        spaces = [LabeledBasis(s["name"], tuple(s["labels"])) for s in data["spaces"]]
-        maps = [BitMatrix.from_json(m) for m in data["maps"]]
-        return cls(spaces, maps, data["orientation"])
-
     def __repr__(self):
         dims = " -> ".join(f"{s.name}[{len(s)}]" for s in self.spaces)
         return f"ChainComplex({dims}; {self.orientation})"
@@ -122,19 +116,18 @@ def _coset_representatives(kernel: BitMatrix, image_gens: BitMatrix) -> list[Bit
     return [kernel.row(i) for i in range(kernel.rows) if span.add(kernel.row_bits(i))]
 
 
-def css_logical_reps(c: ChainComplex) -> tuple[list[BitVec], list[BitVec]]:
-    """Coset representatives of the logical operators of a CSS complex.
+def css_logical_reps(c: ChainComplex) -> list[BitVec]:
+    """Coset representatives of the logical Z operators of a CSS complex.
 
-    Returns (Z-representatives, X-representatives): elements of
-    ker d_x modulo the column space of d_z, and of ker d_z^T modulo the
-    row space of d_x.  Both lists have the same length.
+    Returns elements of ker d_x modulo the column space of d_z, greedily
+    in kernel-basis order.  The X representatives are those of the dual
+    complex ``ChainComplex.css(d_x^T, d_z^T, labels)``.  Raises
+    ``AssertionError`` unless d_x d_z = 0.
     """
     d_z, d_x = c.maps[0], c.maps[1]
-    z_reps = _coset_representatives(kernel_basis(d_x), d_z.transpose())
-    x_reps = _coset_representatives(kernel_basis(d_z.transpose()), d_x)
-    if len(z_reps) != len(x_reps):
-        raise AssertionError("Z and X logical counts disagree; complex is inconsistent")
-    return z_reps, x_reps
+    if not is_zero_product(d_x, d_z):
+        raise AssertionError("d_x d_z != 0; complex is inconsistent")
+    return _coset_representatives(kernel_basis(d_x), d_z.transpose())
 
 
 def augment_with_logicals(c: ChainComplex, z_reps: Sequence[BitVec]) -> ChainComplex:

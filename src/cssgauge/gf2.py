@@ -130,13 +130,6 @@ class BitVec:
     def __repr__(self):
         return f"BitVec({self.length}, support={list(self.support)})"
 
-    def to_json(self) -> dict:
-        return {"length": self.length, "support": list(self.support)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BitVec":
-        return cls.from_support(data["length"], data["support"])
-
 
 class BitMatrix:
     """A matrix over GF(2); rows stored as integer bitmasks."""
@@ -347,10 +340,6 @@ class BitMatrix:
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": [list(e) for e in self.entries]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BitMatrix":
-        return cls.from_entries(data["rows"], data["cols"], [tuple(e) for e in data["entries"]])
 
 
 

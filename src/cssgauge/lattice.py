@@ -160,11 +160,6 @@ class CellComplex:
             "vertex_colors": self.vertex_colors,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CellComplex":
-        boundary = [None] + [BitMatrix.from_json(m) for m in data["incidence"][1:]]
-        return cls(data["dimension"], data["cells"], boundary, data.get("vertex_colors"))
-
     def incidence_dot(self, d: int) -> str:
         """Graphviz rendering of the d-cell / (d-1)-cell incidence graph."""
         lines = ["graph incidence {"]

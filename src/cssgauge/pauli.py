@@ -127,10 +127,6 @@ class PauliOp:
             "phase": self.phase,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "PauliOp":
-        return cls.from_xz(data["n"], data["x"], data["z"], data["phase"])
-
 
 def symplectic_product(p: PauliOp, q: PauliOp) -> int:
     """0 when the operators commute, 1 when they anticommute."""
@@ -216,10 +212,6 @@ class CliffordCircuit:
 
     def to_json(self) -> dict:
         return {"n": self.n, "gates": [list(g) for g in self.gates]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CliffordCircuit":
-        return cls(data["n"], [tuple(g) for g in data["gates"]])
 
     def __repr__(self):
         return f"CliffordCircuit(n={self.n}, gates={len(self.gates)})"
@@ -384,9 +376,6 @@ class Hamiltonian:
             raise ValueError("term qubit count mismatch")
         self.terms.append(term)
 
-    def add_term(self, name: str, coupling: str, op: PauliOp, meta: Optional[dict] = None):
-        self.add(Term(name, coupling, op, meta))
-
     def __iter__(self):
         return iter(self.terms)
 
@@ -418,13 +407,6 @@ class Hamiltonian:
                 {"name": t.name, "coupling": t.coupling, "op": t.op.to_json()} for t in self.terms
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Hamiltonian":
-        h = cls(data["n"])
-        for t in data["terms"]:
-            h.add_term(t["name"], t["coupling"], PauliOp.from_json(t["op"]))
-        return h
 
     def __repr__(self):
         return f"Hamiltonian(n={self.n}, terms={len(self.terms)})"

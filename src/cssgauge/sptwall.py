@@ -58,8 +58,7 @@ def tensor_code(code: CssSubsystemCode, other: CssSubsystemCode) -> CssSubsystem
         stabilizer_z=[lift(v, 0) for v in code.stabilizer_z]
         + [lift(v, code.n) for v in other.stabilizer_z],
         qubit_labels=list(code.qubit_labels) + list(other.qubit_labels),
-        metadata={"tensor_of": (code.name, other.name), "base_n": code.n,
-                  "base_metadata": dict(code.metadata)})
+        metadata={"base_n": code.n})
 
 
 def pairing_circuit(tensor: CssSubsystemCode,
@@ -139,7 +138,6 @@ class WallDecomposition:
     h_rc: Hamiltonian
     replaced_terms: int
     group_preserved: bool
-    region: Region
 
     def total(self) -> Hamiltonian:
         out = Hamiltonian(self.h_r.n)
@@ -202,7 +200,7 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
     by_support = _by_support(shared)
     preserved = _all_in_group(pairs, new_gens, by_support) and _all_in_group(
         ((original, img) for img, original in pairs), conjugated_all, by_support)
-    return WallDecomposition(h_r, h_wall, h_rc, len(pairs), preserved, region)
+    return WallDecomposition(h_r, h_wall, h_rc, len(pairs), preserved)
 
 
 @dataclass
@@ -211,7 +209,6 @@ class SptResult:
     symmetries: list[PauliOp]
     setup: UngaugeSetup
     wall_qubits: frozenset[int]
-    bulk_hamiltonian: Hamiltonian
     report: dict = field(default_factory=dict)
 
 
@@ -230,7 +227,7 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
         raise ValueError("transversal CZ is not a logical gate for this code")
     wall = domain_wall(tensor, region)
 
-    z_logicals, _ = css_logical_reps(tensor.css_complex())
+    z_logicals = css_logical_reps(tensor.css_complex())
     setup = make_setup(tensor.n, list(tensor.stabilizer_z) + z_logicals,
                        x_gens=list(tensor.stabilizer_x))
 
@@ -272,7 +269,7 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
         "symmetry_count": len(symmetries),
         "total_image_terms": len(bulk) + len(wall_h),
     }
-    return SptResult(wall_h, symmetries, setup, frozenset(wall_qubits.support), bulk, report)
+    return SptResult(wall_h, symmetries, setup, frozenset(wall_qubits.support), report)
 
 
 def find_cz_disentangler(h: Hamiltonian) -> Optional[CliffordCircuit]:

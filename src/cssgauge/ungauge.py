@@ -166,12 +166,12 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
 
 
 def _hermitian_sign_or_raise(p: PauliOp, what: str) -> int:
-    d = (p.phase - p.x.overlap(p.z)) % 4
-    if d == 0:
-        return 0
-    if d == 2:
-        return 2
-    raise NotSymmetricError(f"{what} must carry a real (+1/-1) sign; phase is i^{p.phase}")
+    """The phase 0 or 2 of a real sign +1 or -1 relative to the Hermitian form."""
+    try:
+        return 1 - p.hermitian_sign()
+    except ValueError:
+        raise NotSymmetricError(
+            f"{what} must carry a real (+1/-1) sign; phase is i^{p.phase}") from None
 
 
 def ungauge_pauli(p: PauliOp, s: UngaugeSetup,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cssgauge import cli, gf2
+from cssgauge import cli, gf2, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,12 +24,17 @@ def test_tracer_installs_every_boundary():
 
 # Echelon constructions per command: a guard against a repeated
 # elimination coming back.  The spt wall certifies its CZ gate and group
-# by witness, and make_setup eliminates d_x on one side only.
+# by witness, make_setup eliminates d_x on one side only, and the logical
+# representatives are computed on the Z side only.
 @pytest.mark.parametrize("argv,echelons", [
-    (["spt", "--code", "toric2d", "--L", "10", "--slab", "0:2"], 7),
+    (["spt", "--code", "toric2d", "--L", "10", "--slab", "0:2"], 5),
     (["ungauge", "--code", "gcc", "--L", "2"], 7),
+    (["ungauge", "--code", "toric-sphere"], 5),
+    (["verify", "--pairs", "0", "--cases", "0"], 71),
 ])
 def test_echelons_built_per_command(tmp_path, monkeypatch, capsys, argv, echelons):
+    # verify reuses the worked models of an earlier run in this process.
+    monkeypatch.setattr(verify, "_MODEL_CACHE", {})
     built = []
     init = gf2.Echelon.__init__
 

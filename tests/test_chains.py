@@ -89,19 +89,34 @@ def test_homology_bounds():
             assert 0 <= h <= len(c.spaces[pos])
 
 
+def dual_complex(c: ChainComplex) -> ChainComplex:
+    """The CSS complex with X and Z swapped: its Z representatives are c's X ones."""
+    return ChainComplex.css(c.d_x.transpose(), c.d_z.transpose(), c.spaces[1].labels)
+
+
 def test_css_logical_reps_torus():
     c = build_toric(2, 3, 1).css_complex()
-    z_reps, x_reps = css_logical_reps(c)
+    z_reps = css_logical_reps(c)
+    x_reps = css_logical_reps(dual_complex(c))
     assert len(z_reps) == len(x_reps) == 2
     for rep in z_reps:
-        assert c.maps[1].mul_vec(rep).is_zero()   # zero syndrome
+        assert c.d_x.mul_vec(rep).is_zero()   # zero syndrome
     for rep in x_reps:
-        assert c.maps[0].transpose().mul_vec(rep).is_zero()
+        assert c.d_z.transpose().mul_vec(rep).is_zero()
 
 
 def test_css_logical_reps_sphere():
-    z_reps, x_reps = css_logical_reps(build_toric_sphere().css_complex())
-    assert z_reps == [] and x_reps == []
+    c = build_toric_sphere().css_complex()
+    assert css_logical_reps(c) == [] and css_logical_reps(dual_complex(c)) == []
+
+
+def test_css_logical_reps_rejects_inconsistent_complex():
+    # One X check and one Z check, both on qubit 0: they anticommute, yet
+    # each side has one logical class, so the Z and X counts agree.
+    d_z = BitMatrix.from_columns(2, [BitVec.from_support(2, [0])])
+    d_x = BitMatrix.from_rows(2, [BitVec.from_support(2, [0])])
+    with pytest.raises(AssertionError):
+        css_logical_reps(ChainComplex.css(d_z, d_x, ["q0", "q1"]))
 
 
 def test_augment_torus_exact():
@@ -156,8 +171,10 @@ def test_ungauge_complex_validate():
     assert not validate(bad)
 
 
-def test_chain_complex_json_roundtrip():
+def test_chain_complex_to_json():
     c = build_toric_sphere().css_complex()
-    again = ChainComplex.from_json(c.to_json())
-    assert validate(again)
-    assert again.maps[0] == c.maps[0] and again.maps[1] == c.maps[1]
+    data = c.to_json()
+    assert validate(c)
+    assert data["maps"] == [c.d_z.to_json(), c.d_x.to_json()]
+    assert [s["labels"] for s in data["spaces"]] == [list(s.labels) for s in c.spaces]
+    assert data["orientation"] == "css"

@@ -36,7 +36,6 @@ def test_bitvec_basics():
         BitVec.from_support(3, [3])
     with pytest.raises(ValueError):
         v.dot(BitVec(4))
-    assert BitVec.from_json(v.to_json()) == v
 
 
 def test_bitmatrix_basics():
@@ -44,7 +43,6 @@ def test_bitmatrix_basics():
     assert m.entries == ((0, 0), (0, 2), (1, 1))
     assert m.transpose().entries == ((0, 0), (1, 1), (2, 0))
     assert m.column(2).support == (0,)
-    assert BitMatrix.from_json(m.to_json()) == m
     with pytest.raises(ValueError):
         BitMatrix.from_entries(2, 2, [(0, 0), (0, 0)])
     with pytest.raises(ValueError):

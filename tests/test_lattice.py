@@ -181,12 +181,13 @@ def test_color_pair_sublattice_hexagons():
         assert hc.boundary[1].row(v).weight == 3
 
 
-def test_cell_complex_json_roundtrip():
+def test_cell_complex_to_json():
     lat = triangular_torus(3)
-    again = CellComplex.from_json(lat.to_json())
-    assert again.validate()
-    assert again.cells == lat.cells
-    assert again.vertex_colors == lat.vertex_colors
+    data = lat.to_json()
+    assert lat.validate()
+    assert data["cells"] == [list(layer) for layer in lat.cells]
+    assert data["incidence"] == [None] + [lat.boundary[d].to_json() for d in (1, 2)]
+    assert data["vertex_colors"] == lat.vertex_colors
 
 
 def test_incidence_dot():
