@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .codes import CssSubsystemCode, gauge_group_rank
 from .gf2 import Echelon
 from .pauli import Hamiltonian, symplectic_gram
 
 
-@dataclass(frozen=True)
-class CodeParameters:
+class CodeParameters(NamedTuple):
     n: int
     gauge_rank: int
     stabilizer_rank: int
@@ -43,15 +41,13 @@ def code_parameters(code: CssSubsystemCode) -> CodeParameters:
     return CodeParameters(code.n, g, s, k, a)
 
 
-@dataclass
-class Component:
+class Component(NamedTuple):
     qubits: frozenset[int]
     term_indices: tuple[int, ...]
     weight_histogram: dict[int, int]
 
 
-@dataclass
-class ComponentReport:
+class ComponentReport(NamedTuple):
     count: int
     components: list[Component]
 

@@ -8,7 +8,7 @@ parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .codes import CssSubsystemCode
 from .gf2 import BitVec
@@ -123,7 +123,6 @@ def build_bacon_shor(length: int) -> CssSubsystemCode:
                   "qubit_coords": [(float(c), float(r)) for r, c in verts]})
 
 
-@dataclass
 class XuMooreModel:
     """The Xu-Moore model: qubits on horizontal edges of an L x L torus.
 
@@ -132,10 +131,15 @@ class XuMooreModel:
     column X operators the preserved ones.
     """
 
-    n: int
-    hamiltonian: Hamiltonian
-    emergent: list[PauliOp] = field(default_factory=list)
-    preserved: list[PauliOp] = field(default_factory=list)
+    __slots__ = ("n", "hamiltonian", "emergent", "preserved")
+
+    def __init__(self, n: int, hamiltonian: Hamiltonian,
+                 emergent: Optional[list[PauliOp]] = None,
+                 preserved: Optional[list[PauliOp]] = None):
+        self.n = n
+        self.hamiltonian = hamiltonian
+        self.emergent = [] if emergent is None else emergent
+        self.preserved = [] if preserved is None else preserved
 
 
 def build_xu_moore(length: int) -> XuMooreModel:

@@ -9,7 +9,6 @@ owns those choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -29,15 +28,18 @@ from .ungauge import (
 )
 
 
-@dataclass
 class WorkedModel:
     """A code, the Hamiltonian being mapped, and its ungauging setup."""
 
-    name: str
-    code: Optional[CssSubsystemCode]
-    hamiltonian: Hamiltonian
-    setup: UngaugeSetup
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("name", "code", "hamiltonian", "setup", "extra")
+
+    def __init__(self, name: str, code: Optional[CssSubsystemCode], hamiltonian: Hamiltonian,
+                 setup: UngaugeSetup, extra: Optional[dict] = None):
+        self.name = name
+        self.code = code
+        self.hamiltonian = hamiltonian
+        self.setup = setup
+        self.extra = {} if extra is None else extra
 
 
 # ---------------------------------------------------------------------------

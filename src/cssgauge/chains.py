@@ -16,14 +16,14 @@ The two shapes used by the rest of the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, kernel_basis, rank
 
 
-@dataclass(frozen=True)
-class LabeledBasis:
+class LabeledBasis(NamedTuple):
+    """A named basis of one space; its ``len`` is the dimension, the label count."""
+
     name: str
     labels: tuple[str, ...]
 

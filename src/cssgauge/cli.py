@@ -28,7 +28,7 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import catalog
 from .analysis import code_parameters, commuting_check, components
@@ -72,14 +72,18 @@ def _gcc_model(L, hamiltonian):
     return model
 
 
+DEFAULT_L = 3      # the --L of a sized code that states no other
+
+
 class Code(NamedTuple):
     """How the commands run one ``--code``.
 
     ``build`` (build, export, spt) and ``model`` (ungauge: the worked
     model; gauge: the gauging check) are called as ``f(L, **flags)``
     with the code flags the command reads for this code, each given or
-    else defaulted as ``reads[command]`` states; a code of one size
-    (``sized`` false) is called without ``L``.
+    else defaulted as ``reads[command]`` states.  ``L`` is ``--L`` or
+    else ``default_L``; a code of one size (``default_L`` None) is
+    called without it.
     The entries call through module names, so a wrapper installed on a
     module attribute after import (``perfbench/tracer.py``) sees the call.
     """
@@ -87,7 +91,7 @@ class Code(NamedTuple):
     build: Callable
     model: Callable
     reads: dict[str, dict]
-    sized: bool = True
+    default_L: Optional[int] = DEFAULT_L
 
 
 _PINNED = {"D": None, "k": None}
@@ -102,7 +106,7 @@ CODES = {
                   _toric_model(lambda L: catalog.toric_torus_model(L), 2),
                   {"build": {"D": 2, "k": 1}, "export": {"D": 2, "k": 1}, "ungauge": _PINNED}),
     "toric-sphere": Code(lambda: build_toric_sphere(), lambda: catalog.toric_sphere_model(),
-                         {"build": {}, "export": {}, "ungauge": {}}, sized=False),
+                         {"build": {}, "export": {}, "ungauge": {}}, default_L=None),
     "bacon-shor": Code(lambda L: build_bacon_shor(L), lambda L: catalog.bacon_shor_model(L),
                        {"build": {}, "export": {}, "ungauge": {}}),
     "xu-moore": Code(lambda L: build_xu_moore(L), lambda L: catalog.xu_moore_check(L),
@@ -110,15 +114,15 @@ CODES = {
     "color2d": Code(lambda L: build_color_code_2d(L),
                     lambda L, partial: catalog.color2d_partial_model(L, partial),
                     {"build": {}, "export": {}, "ungauge": {"partial": "c"}}),
+    # The gcc lattice coloring needs an even length.
     "gcc": Code(lambda L: build_gcc(L), _gcc_model,
-                {"build": {}, "export": {}, "ungauge": {"hamiltonian": "XZ"}}),
+                {"build": {}, "export": {}, "ungauge": {"hamiltonian": "XZ"}}, default_L=2),
     # spt defaults to the open y boundary: the torus admits no fractal symmetries.
     "fractal": Code(lambda L, boundary: build_fractal_code(L, boundary),
                     lambda L, boundary: catalog.fractal_model(L, boundary),
                     {"build": {"boundary": "periodic"}, "export": {"boundary": "periodic"},
                      "ungauge": {"boundary": "periodic"}, "spt": {"boundary": "open_y"}}),
 }
-DEFAULT_L = 3      # the --L of a sized code when none is given
 # The argparse keywords of each code flag; the defaults are per code, in ``CODES``.
 CODE_FLAGS = {
     "D": {"type": int, "help": "spatial dimension (toric)"},
@@ -144,12 +148,12 @@ def _construct(args, command: str):
         elif given is not None:
             raise UsageError(f"{command} --code {args.code} takes no --{flag}")
     make = code.model if command in ("ungauge", "gauge") else code.build
-    if not code.sized:
+    if code.default_L is None:
         if args.L is not None:
             raise UsageError(f"{args.code} has one size; {command} takes no --L for it")
         return make(**flags)
     if args.L is None:
-        args.L = DEFAULT_L      # the commands' messages print the length too
+        args.L = code.default_L     # the commands' messages print the length too
     return make(args.L, **flags)
 
 
@@ -329,16 +333,18 @@ def _count(text: str) -> int:
 def _parse_slab(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(part) for part in text.split(":"))
+        well_formed = lo < hi       # false for a NaN bound too
     except ValueError:
-        raise UsageError(f"bad slab argument {text!r}; expected lo:hi") from None
-    if hi <= lo:
-        raise UsageError(f"empty slab {text!r}; expected lo < hi")
+        well_formed = False
+    if not well_formed:
+        raise UsageError(f"bad slab argument {text!r}; expected lo:hi with lo < hi")
     return lo, hi
 
 
 def cmd_spt(args) -> int:
+    lo, hi = _parse_slab(args.slab)
     code = _construct(args, "spt")
-    region = Region.slab(code, *_parse_slab(args.slab))
+    region = Region.slab(code, lo, hi)
     if not region.sites:
         raise UsageError(f"slab {args.slab!r} selects no qubits of {code.name} at L={args.L}")
     result = spt_pipeline(code, region)
@@ -395,7 +401,9 @@ def _code_command(sub, command: str, help: str, func) -> argparse.ArgumentParser
     p = sub.add_parser(command, help=help)
     codes = [name for name, code in CODES.items() if command in code.reads]
     p.add_argument("--code", required=True, choices=codes)
-    p.add_argument("--L", type=int, help=f"linear lattice size (default: {DEFAULT_L}; "
+    own = "".join(f", {CODES[c].default_L} for {c}" for c in codes
+                  if CODES[c].default_L not in (None, DEFAULT_L))
+    p.add_argument("--L", type=int, help=f"linear lattice size (default: {DEFAULT_L}{own}; "
                                          "a code of one size takes none)")
     for flag, spec in CODE_FLAGS.items():
         if any(flag in CODES[code].reads[command] for code in codes):

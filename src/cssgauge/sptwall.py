@@ -12,8 +12,7 @@ symmetries as its protecting group.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chains import css_logical_reps
 from .codes import CssSubsystemCode, stabilizer_hamiltonian
@@ -115,8 +114,7 @@ def transversal_cz_is_logical(tensor: CssSubsystemCode) -> bool:
     return _all_in_group(images, gens, _by_support(gens))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A subset of the paired sites (base-code qubit indices)."""
 
     sites: frozenset[int]
@@ -131,8 +129,7 @@ class Region:
         return cls(frozenset(sites), f"slab[{lo}:{hi})@axis{a}")
 
 
-@dataclass
-class WallDecomposition:
+class WallDecomposition(NamedTuple):
     h_r: Hamiltonian
     h_wall: Hamiltonian
     h_rc: Hamiltonian
@@ -203,13 +200,17 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
     return WallDecomposition(h_r, h_wall, h_rc, len(pairs), preserved)
 
 
-@dataclass
 class SptResult:
-    wall_hamiltonian: Hamiltonian
-    symmetries: list[PauliOp]
-    setup: UngaugeSetup
-    wall_qubits: frozenset[int]
-    report: dict = field(default_factory=dict)
+    __slots__ = ("wall_hamiltonian", "symmetries", "setup", "wall_qubits", "report")
+
+    def __init__(self, wall_hamiltonian: Hamiltonian, symmetries: list[PauliOp],
+                 setup: UngaugeSetup, wall_qubits: frozenset[int],
+                 report: Optional[dict] = None):
+        self.wall_hamiltonian = wall_hamiltonian
+        self.symmetries = symmetries
+        self.setup = setup
+        self.wall_qubits = wall_qubits
+        self.report = {} if report is None else report
 
 
 def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:

@@ -25,7 +25,7 @@ at any h.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from .analysis import (
@@ -64,8 +64,7 @@ from .ungauge import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: int
     name: str
     passed: bool

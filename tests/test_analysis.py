@@ -1,5 +1,4 @@
 import random
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +12,8 @@ from cssgauge.analysis import (
     is_self_dual,
     match_against_builder,
 )
-from cssgauge.builders import build_bacon_shor, build_gcc, build_toric
-from cssgauge.codes import CssSubsystemCode
+from cssgauge.builders import build_bacon_shor, build_color_code_2d, build_gcc, build_toric
+from cssgauge.codes import CssSubsystemCode, stabilizer_hamiltonian
 from cssgauge.gf2 import BitVec
 from cssgauge.pauli import Hamiltonian, PauliOp, Term
 from cssgauge.ungauge import strip_identity_terms
@@ -60,7 +59,7 @@ def css_subsystem_codes(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(css_subsystem_codes())
 def test_property_code_parameters_match_gram_rank(code):
-    assert astuple(code_parameters(code)) == naive_code_parameters(code)
+    assert tuple(code_parameters(code)) == naive_code_parameters(code)
 
 
 def test_code_parameters_edge_cases_match_gram_rank():
@@ -69,8 +68,48 @@ def test_code_parameters_edge_cases_match_gram_rank():
     for gauge_x, gauge_z in (([], []), ([a], []), ([], [b]), ([zero, zero], [zero]),
                              ([a, a, b], [a, a, b]), ([a, b], [b, b, zero])):
         code = CssSubsystemCode("edge", n, gauge_x, gauge_z)
-        assert astuple(code_parameters(code)) == naive_code_parameters(code)
-    assert astuple(code_parameters(CssSubsystemCode("empty", n, [], []))) == (n, 0, 0, n, 0)
+        assert tuple(code_parameters(code)) == naive_code_parameters(code)
+    assert tuple(code_parameters(CssSubsystemCode("empty", n, [], []))) == (n, 0, 0, n, 0)
+
+
+RELABELLED_BUILDERS = {
+    "toric2d": lambda: build_toric(2, 3, 1),
+    "bacon-shor": lambda: build_bacon_shor(3),
+    "color2d": lambda: build_color_code_2d(3),
+    "gcc": lambda: build_gcc(2),
+}
+
+
+@pytest.fixture(scope="module")
+def relabelled_bases():
+    """Each small code with its parameters and stabilizer-Hamiltonian components."""
+    out = {}
+    for name, build in RELABELLED_BUILDERS.items():
+        code = build()
+        out[name] = (code, code_parameters(code), components(stabilizer_hamiltonian(code)))
+    return out
+
+
+def _relabelled(code: CssSubsystemCode, perm: list[int]) -> CssSubsystemCode:
+    """The code with qubit i moved to perm[i]; gauge and stabilizer listings keep their order."""
+    def move(vectors):
+        return [BitVec.from_support(code.n, [perm[q] for q in v.support]) for v in vectors]
+    return CssSubsystemCode(code.name, code.n, move(code.gauge_x), move(code.gauge_z),
+                            move(code.stabilizer_x), move(code.stabilizer_z))
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED_BUILDERS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_relabelling_keeps_parameters_and_components(relabelled_bases, name, data):
+    code, params, report = relabelled_bases[name]
+    perm = data.draw(st.permutations(range(code.n)))
+    moved = _relabelled(code, perm)
+    assert code_parameters(moved) == params
+    moved_report = components(stabilizer_hamiltonian(moved))
+    assert moved_report.sizes() == report.sizes()
+    assert set(moved_report.qubit_sets()) == {frozenset(perm[q] for q in s)
+                                              for s in report.qubit_sets()}
 
 
 def test_components_gcc_z_image(gcc_images):

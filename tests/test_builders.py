@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import pytest
 
 from cssgauge.analysis import code_parameters
@@ -39,7 +37,7 @@ ALL_BUILDERS = [
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 def test_every_builder_code_parameters_match_gram_rank(builder):
     code = builder()
-    assert astuple(code_parameters(code)) == naive_code_parameters(code)
+    assert tuple(code_parameters(code)) == naive_code_parameters(code)
 
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)

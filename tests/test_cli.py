@@ -35,6 +35,13 @@ def test_build_invalid_length(tmp_path):
     assert run(["build", "--code", "gcc", "--L", "3", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("code", [name for name, c in cli.CODES.items() if c.default_L])
+def test_build_without_length_uses_the_code_default(tmp_path, code):
+    # gcc's coloring needs an even length, so its default is 2, not 3.
+    assert run(["build", "--code", code, "--out", str(tmp_path)]) == 0
+    assert list(tmp_path.iterdir())
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["build", "--code", "nonsense", "--L", "2"])
@@ -174,6 +181,22 @@ def test_spt_bad_slab(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("slab", ["0:nan", "nan:3"])
+def test_spt_nan_slab_is_malformed(tmp_path, capsys, monkeypatch, slab):
+    def unbuilt(*args):
+        raise AssertionError("the code was built before the slab was checked")
+    monkeypatch.setattr(cli, "build_toric", unbuilt)
+    assert run(["spt", "--code", "toric2d", "--L", "4", "--slab", slab,
+                "--out", str(tmp_path)]) == 2
+    assert f"bad slab argument '{slab}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_spt_unbounded_slab_is_valid(tmp_path):
+    assert run(["spt", "--code", "toric2d", "--L", "4", "--slab", "1:inf",
+                "--out", str(tmp_path)]) == 0
+
+
 def test_export_matrices(tmp_path):
     out = tmp_path / "o"
     assert run(["export", "--code", "toric2d", "--L", "3", "--what", "matrices",
@@ -205,11 +228,18 @@ def test_verify_fast(tmp_path):
 def test_cli_import_leaves_numpy_unloaded():
     # The package runs on the standard library alone; numpy, which takes
     # about 0.1 s to import, is a test dependency and must not join any
-    # command's start-up.
+    # command's start-up.  Nor may dataclasses, which pulls in inspect,
+    # ast, dis and tokenize.  Only the modules the import adds count, so
+    # a site hook that loads one of them at start-up cannot fail this.
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, cssgauge.cli; sys.exit(int('numpy' in sys.modules))"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import cssgauge.cli\n"
+            "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": str(src)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    ran = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout == "[]\n"
 
 
 def test_verify_leaves_numpy_unloaded():
