@@ -8,7 +8,7 @@ parameters).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple
 
 from .codes import CssSubsystemCode
 from .gf2 import BitVec
@@ -123,7 +123,7 @@ def build_bacon_shor(length: int) -> CssSubsystemCode:
                   "qubit_coords": [(float(c), float(r)) for r, c in verts]})
 
 
-class XuMooreModel:
+class XuMooreModel(NamedTuple):
     """The Xu-Moore model: qubits on horizontal edges of an L x L torus.
 
     Terms: single-qubit X per edge (J_X) and a four-qubit Z plaquette per
@@ -131,15 +131,10 @@ class XuMooreModel:
     column X operators the preserved ones.
     """
 
-    __slots__ = ("n", "hamiltonian", "emergent", "preserved")
-
-    def __init__(self, n: int, hamiltonian: Hamiltonian,
-                 emergent: Optional[list[PauliOp]] = None,
-                 preserved: Optional[list[PauliOp]] = None):
-        self.n = n
-        self.hamiltonian = hamiltonian
-        self.emergent = [] if emergent is None else emergent
-        self.preserved = [] if preserved is None else preserved
+    n: int
+    hamiltonian: Hamiltonian
+    emergent: list[PauliOp]
+    preserved: list[PauliOp]
 
 
 def build_xu_moore(length: int) -> XuMooreModel:

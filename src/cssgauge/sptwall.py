@@ -200,17 +200,12 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
     return WallDecomposition(h_r, h_wall, h_rc, len(pairs), preserved)
 
 
-class SptResult:
-    __slots__ = ("wall_hamiltonian", "symmetries", "setup", "wall_qubits", "report")
-
-    def __init__(self, wall_hamiltonian: Hamiltonian, symmetries: list[PauliOp],
-                 setup: UngaugeSetup, wall_qubits: frozenset[int],
-                 report: Optional[dict] = None):
-        self.wall_hamiltonian = wall_hamiltonian
-        self.symmetries = symmetries
-        self.setup = setup
-        self.wall_qubits = wall_qubits
-        self.report = {} if report is None else report
+class SptResult(NamedTuple):
+    wall_hamiltonian: Hamiltonian
+    symmetries: list[PauliOp]
+    setup: UngaugeSetup
+    wall_qubits: frozenset[int]
+    report: dict
 
 
 def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:

@@ -9,7 +9,10 @@ routes that call the package's GF(2) and Pauli-group kernels:
 ``naive_code_parameters``, the whole-group route to the code parameters,
 with the symplectic Gram matrix in place of the CSS rank formula;
 ``rank_and_membership_preserved``, the domain wall's earlier
-group-preservation predicate; ``signed_search_cz_is_logical`` and
+group-preservation predicate; ``pairwise_commutation_check``, the
+commutation check one operator pair at a time, each operator drawn by
+``random_symmetric_pauli`` and mapped by ``ungauge_pauli``;
+``signed_search_cz_is_logical`` and
 ``mutual_signed_membership``, the all-generator signed searches that the
 transversal-CZ and domain-wall checks ran before they took witnesses;
 and ``center_of_group``, which the code tests use to state the center of
@@ -169,6 +172,36 @@ def naive_x_preimage(gen_rows: list[int], n: int, x: int) -> int | None:
     if any(a[r][m] for r in range(len(pivots), n)):
         return None
     return sum(1 << col for r, col in enumerate(pivots) if a[r][m])
+
+
+def random_symmetric_pauli(s, rng):
+    """A random element of the symmetric Pauli group of setup ``s``, with its X combo."""
+    from cssgauge.gf2 import BitVec
+    from cssgauge.pauli import PauliOp
+
+    combo = BitVec(s.n_fin, rng.getrandbits(s.n_fin))
+    x = s._dxt.mul_vec(combo)
+    z = BitVec(s.n_ini, rng.getrandbits(s.n_ini))
+    sign = 2 * rng.getrandbits(1)
+    return PauliOp(s.n_ini, x, z, sign + x.overlap(z)), combo
+
+
+def pairwise_commutation_check(s, pairs: int, seed: int) -> bool:
+    """The commutation check one pair at a time: each operator is drawn,
+    mapped by ``ungauge_pauli`` with its combo, and the symplectic products
+    before and after the map are compared."""
+    import random
+
+    from cssgauge.pauli import symplectic_product
+    from cssgauge.ungauge import ungauge_pauli
+
+    rng = random.Random(seed)
+    for _ in range(pairs):
+        (p1, c1), (p2, c2) = random_symmetric_pauli(s, rng), random_symmetric_pauli(s, rng)
+        if symplectic_product(p1, p2) != symplectic_product(
+                ungauge_pauli(p1, s, x_combo=c1), ungauge_pauli(p2, s, x_combo=c2)):
+            return False
+    return True
 
 
 def rank_and_membership_preserved(old_ops, new_ops) -> bool:

@@ -4,8 +4,8 @@ No linter ships with the project, so these checks stand in for one.
 
 - A deletion easily leaves its imports behind: each name that an import
   binds in a module under ``src/cssgauge/`` must be read somewhere in
-  that module.  ``__init__.py`` is left out, because its imports are the
-  package's re-exports.
+  that module.  The package re-exports nothing, so this holds for
+  ``__init__.py`` too.
 - The package has no runtime dependencies: every module imports only
   the standard library (``sys.stdlib_module_names``) and the package
   itself.  numpy and hypothesis are for the tests alone.
@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cssgauge"
-ALL_MODULES = sorted(PACKAGE.glob("*.py"))
-MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,6 +69,6 @@ def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_the_standard_library(path):
     assert foreign_imports(path.read_text()) == []

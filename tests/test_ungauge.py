@@ -1,17 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssgauge import catalog, gf2
+from cssgauge import catalog, gf2, verify
 from cssgauge.builders import build_toric, build_toric_sphere
 from cssgauge.gf2 import BitMatrix, BitVec, kernel_basis, rank, solve
 from cssgauge.pauli import Hamiltonian, PauliOp, Term, symplectic_product
 from cssgauge.ungauge import (
+    _PAIR_BLOCK,
+    _paired_products,
     CommutationError,
     CompletenessError,
     NotSymmetricError,
     UngaugeError,
+    UngaugeSetup,
     annihilation_check,
     commutation_preservation_check,
     dim_check,
@@ -20,14 +24,13 @@ from cssgauge.ungauge import (
     gauge_pauli,
     make_setup,
     preserved_symmetries,
-    random_symmetric_pauli,
     setup_report,
     strip_identity_terms,
     ungauge_hamiltonian,
     ungauge_pauli,
 )
 
-from tests.oracles import naive_x_preimage
+from tests.oracles import naive_x_preimage, pairwise_commutation_check, random_symmetric_pauli
 
 
 @pytest.fixture(scope="module")
@@ -325,9 +328,106 @@ def test_round_trip_exact_with_provenance(bs_model):
     assert forward_again.same_terms(mapped)
 
 
-def test_commutation_preservation_every_model():
-    for name, model in catalog.worked_models().items():
+@pytest.fixture(scope="module")
+def worked_models():
+    return catalog.worked_models()
+
+
+def test_commutation_preservation_every_model(worked_models):
+    assert len(worked_models) == 7
+    for name, model in worked_models.items():
         assert commutation_preservation_check(model.setup, pairs=120, seed=7), name
+        assert pairwise_commutation_check(model.setup, pairs=120, seed=7), name
+
+
+def test_bit_sliced_products_are_the_pairs_symplectic_products(bs_model):
+    # The documented draws, unpacked pair by pair: bit k of each row is the
+    # first operator of pair k, bit width + k the second.
+    s, width = bs_model.setup, 37
+    rng = random.Random(5)
+    c = BitMatrix(s.n_fin, 2 * width, [rng.getrandbits(2 * width) for _ in range(s.n_fin)])
+    z = BitMatrix(s.n_ini, 2 * width, [rng.getrandbits(2 * width) for _ in range(s.n_ini)])
+    before = _paired_products(s._dxt @ c, z, width)
+    after = _paired_products(c, s.d_x @ z, width)
+
+    def operator(k):
+        combo, zk = c.transpose().row(k), z.transpose().row(k)
+        x = s._dxt.mul_vec(combo)
+        return PauliOp(s.n_ini, x, zk, x.overlap(zk)), combo
+
+    for k in range(width):
+        (p1, c1), (p2, c2) = operator(k), operator(width + k)
+        assert (before >> k) & 1 == symplectic_product(p1, p2)
+        assert (after >> k) & 1 == symplectic_product(ungauge_pauli(p1, s, x_combo=c1),
+                                                      ungauge_pauli(p2, s, x_combo=c2))
+    assert before >> width == after >> width == 0
+
+
+def _flip(m: BitMatrix, row: int, col: int) -> BitMatrix:
+    rows = [m.row_bits(i) for i in range(m.rows)]
+    rows[row] ^= 1 << col
+    return BitMatrix(m.rows, m.cols, rows)
+
+
+def _faulty(s: UngaugeSetup, where: str) -> UngaugeSetup:
+    """``s`` with one entry flipped in the matrix that builds X parts
+    (``_dxt``) or in the one that maps Z parts (``d_x``), but not in both."""
+    if where == "_dxt":
+        return UngaugeSetup(s.d_z, s.d_x, _flip(s._dxt, s.n_ini // 2, s.n_fin // 3), s.d_r)
+    return UngaugeSetup(s.d_z, _flip(s.d_x, s.n_fin // 2, s.n_ini // 3), s._dxt, s.d_r)
+
+
+@pytest.mark.parametrize("where", ["_dxt", "d_x"])
+def test_commutation_checks_catch_one_flipped_entry(worked_models, where):
+    for name, model in worked_models.items():
+        bad = _faulty(model.setup, where)
+        assert not commutation_preservation_check(bad, pairs=120, seed=7), name
+        assert not pairwise_commutation_check(bad, pairs=120, seed=7), name
+
+
+@pytest.mark.parametrize("where", ["_dxt", "d_x"])
+def test_verify_commutation_names_the_faulty_model(monkeypatch, where):
+    models = verify._models()
+    for name, model in models.items():
+        bad = catalog.WorkedModel(name, model.code, model.hamiltonian,
+                                  _faulty(model.setup, where), model.extra)
+        monkeypatch.setitem(verify._MODEL_CACHE, "worked", {**models, name: bad})
+        result = verify.check_commutation()
+        assert not result.passed
+        assert result.details == f"failures: {[name]}"
+
+
+def test_commutation_check_across_block_boundaries(gcc_model):
+    pairs = 2 * _PAIR_BLOCK + 7
+    assert commutation_preservation_check(gcc_model.setup, pairs, seed=3)
+    for where in ("_dxt", "d_x"):
+        assert not commutation_preservation_check(_faulty(gcc_model.setup, where), pairs, seed=3)
+
+
+def test_commutation_check_of_no_pairs_draws_nothing(monkeypatch, gcc_model):
+    def refuse(self, k):
+        raise AssertionError("drew random bits")
+
+    monkeypatch.setattr(random.Random, "getrandbits", refuse)
+    assert commutation_preservation_check(_faulty(gcc_model.setup, "_dxt"), 0, seed=3)
+
+
+def test_commutation_check_is_bit_sliced(monkeypatch, worked_models):
+    # No operator is built or mapped one at a time: each block of pairs
+    # costs one sparse matrix product per side.
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for cls, name in ((BitMatrix, "mul_vec"), (BitMatrix, "__matmul__"), (PauliOp, "__init__")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    for model in worked_models.values():
+        assert commutation_preservation_check(model.setup, pairs=2 * _PAIR_BLOCK + 7, seed=3)
+    assert calls == {"__matmul__": 2 * 3 * len(worked_models)}
 
 
 def test_hamiltonian_error_names_term(sphere_model):
