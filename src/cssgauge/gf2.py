@@ -163,14 +163,13 @@ class BitMatrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "BitMatrix":
         row_bits = [0] * rows
-        seen = set()
         for r, c in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) out of range")
-            if (r, c) in seen:
+            bits = row_bits[r]
+            if bits >> c & 1:
                 raise ValueError(f"duplicate entry ({r},{c})")
-            seen.add((r, c))
-            row_bits[r] |= 1 << c
+            row_bits[r] = bits | 1 << c
         return cls(rows, cols, row_bits)
 
     @classmethod

@@ -185,46 +185,42 @@ class CellComplex:
 AXES = "xyzw"
 
 
+def _torus_sites(dim: int, length: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
+    """The sites s = (p[0]*L + p[1])*L + ... of the periodic grid, in point order.
+
+    Returns one ``str(p)`` per site and the neighbour tables
+    ``forward[axis][s]`` and ``backward[axis][s]``, the site one step
+    along or against the axis.
+    """
+    points = list(itertools.product(range(length), repeat=dim))
+    forward, backward = [], []
+    for a in range(dim):
+        stride = length ** (dim - 1 - a)
+        wrap = length * stride
+        forward.append([s + stride - wrap * (p[a] == length - 1) for s, p in enumerate(points)])
+        backward.append([s - stride + wrap * (p[a] == 0) for s, p in enumerate(points)])
+    return [str(p) for p in points], forward, backward
+
+
 def hypercubic_torus(dim: int, length: int) -> CellComplex:
     """Periodic hypercubic lattice: d-cells are (axis subset, base point)."""
     if dim < 1 or length < 2:
         raise ValueError("need dim >= 1 and length >= 2")
     if dim > len(AXES):
         raise ValueError(f"hypercubic lattices have at most {len(AXES)} axes ({AXES})")
-    axis_sets = [
-        [frozenset(s) for s in itertools.combinations(range(dim), d)]
-        for d in range(dim + 1)
-    ]
-    points = list(itertools.product(range(length), repeat=dim))
-
-    def lab(axes: frozenset[int], p: tuple[int, ...]) -> str:
-        ax = "".join(AXES[a] for a in sorted(axes)) or "."
-        return f"{ax}{p}"
-
-    cells: list[list[str]] = []
-    index: list[dict] = []
-    for d in range(dim + 1):
-        layer = []
-        idx = {}
-        for axes in axis_sets[d]:
-            for p in points:
-                idx[(axes, p)] = len(layer)
-                layer.append(lab(axes, p))
-        cells.append(layer)
-        index.append(idx)
-
+    names, fwd, _ = _torus_sites(dim, length)
+    n = len(names)
+    axis_sets = [list(itertools.combinations(range(dim), d)) for d in range(dim + 1)]
+    cells = [[f"{''.join(AXES[a] for a in axes) or '.'}{p}" for axes in layer for p in names]
+             for layer in axis_sets]
     boundary: list[Optional[BitMatrix]] = [None]
     for d in range(1, dim + 1):
+        first = {axes: i * n for i, axes in enumerate(axis_sets[d - 1])}
         entries = []
-        col = 0
-        for axes in axis_sets[d]:
-            for p in points:
-                for a in sorted(axes):
-                    sub = axes - {a}
-                    shifted = tuple((p[i] + (1 if i == a else 0)) % length for i in range(dim))
-                    for q in (p, shifted):
-                        entries.append((index[d - 1][(sub, q)], col))
-                col += 1
+        for col, (axes, s) in enumerate(itertools.product(axis_sets[d], range(n))):
+            for a in axes:
+                face = first[tuple(b for b in axes if b != a)]
+                entries += ((face + s, col), (face + fwd[a][s], col))
         boundary.append(BitMatrix.from_entries(len(cells[d - 1]), len(cells[d]), entries))
     return CellComplex(dim, cells, boundary)
 
@@ -305,110 +301,77 @@ def gcc_lattice(length: int) -> CellComplex:
     plus cube centers (colors c/d by parity).  Every cubic face carries
     four tetrahedra: the two centers it separates joined with each of its
     four edges.  Cell counts: V=2L^3, E=14L^3, F=24L^3, C=12L^3.
+
+    Built on the integer sites of ``_torus_sites``: corner and center s
+    are vertices s and N + s, cubic edge (a, s) is edge a*N + s and the
+    cd edge crossing face (a, s) is edge 3N + a*N + s.
     """
     if length < 2 or length % 2:
         raise ValueError("gcc lattice coloring needs even length >= 2")
-    L = length
-    pts = [(i, j, k) for i in range(L) for j in range(L) for k in range(L)]
+    names, fwd, back = _torus_sites(3, length)
+    n = len(names)
+    others = ((1, 2), (0, 2), (0, 1))
+    verts = [f"cor{p}" for p in names] + [f"cen{p}" for p in names]
+    parity = [sum(p) % 2 for p in itertools.product(range(length), repeat=3)]
+    colors = dict(zip(verts, ["ab"[x] for x in parity] + ["cd"[x] for x in parity]))
 
-    def par(p):
-        return sum(p) % 2
+    # Cubic (ab) edges: (axis, base).  cd edges: one per cubic face (axis,
+    # base), joining the cube at the base to the one behind it along the axis.
+    # Corner-center edges: corner s and each of the 8 cubes q = s - delta it
+    # belongs to, in site order (the order of their points); ``cc`` maps
+    # s*N + q to the edge.
+    edge_labels = [f"{kind}:{AXES[a]}{p}" for kind in ("ab", "cd") for a in range(3) for p in names]
+    edge_entries = []
+    for a in range(3):
+        for s in range(n):
+            e = a * n + s
+            edge_entries += ((s, e), (fwd[a][s], e), (n + s, 3 * n + e), (n + back[a][s], 3 * n + e))
+    cc = {}
+    for s in range(n):
+        for q in sorted(z for x in (s, back[0][s]) for y in (x, back[1][x]) for z in (y, back[2][y])):
+            e = cc[s * n + q] = len(edge_labels)
+            edge_labels.append(f"cc:{names[s]}|{names[q]}")
+            edge_entries += ((s, e), (n + q, e))
+    b1 = BitMatrix.from_entries(2 * n, len(edge_labels), edge_entries)
 
-    corner_lab = {p: f"cor{p}" for p in pts}
-    center_lab = {p: f"cen{p}" for p in pts}
-    verts = [corner_lab[p] for p in pts] + [center_lab[p] for p in pts]
-    v_index = {lab: i for i, lab in enumerate(verts)}
-    colors = {corner_lab[p]: ("a" if par(p) == 0 else "b") for p in pts}
-    colors.update({center_lab[p]: ("c" if par(p) == 0 else "d") for p in pts})
-
-    def shift(p, axis, amount=1):
-        return tuple((p[i] + (amount if i == axis else 0)) % L for i in range(3))
-
-    # Cubic (ab) edges: (axis, base).  cd edges: one per cubic face.
-    # Corner-center (ac/ad/bc/bd) edges: (corner point, cube point).
-    axes = ("x", "y", "z")
-    cubic_edges = [(a, p) for a in range(3) for p in pts]
-    faces_cubic = [(a, p) for a in range(3) for p in pts]  # face normal to axis a at base p
-
-    def face_corners(a, p):
-        t1, t2 = [ax for ax in range(3) if ax != a]
-        return [p, shift(p, t1), shift(p, t2), shift(shift(p, t1), t2)]
-
-    def face_edges(a, p):
-        t1, t2 = [ax for ax in range(3) if ax != a]
-        return [(t1, p), (t1, shift(p, t2)), (t2, p), (t2, shift(p, t1))]
-
-    def face_cubes(a, p):
-        return [p, shift(p, a, -1)]
-
-    corner_center = sorted(
-        {(p, shift(shift(shift(p, 0, -dx), 1, -dy), 2, -dz))
-         for p in pts for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)}
-    )
-    # (corner, cube) pairs: corner p belongs to cube q iff q = p - delta.
-
-    edge_labels = []
-    e_index = {}
-    edge_vertices = []
-    for a, p in cubic_edges:
-        key = ("ab", a, p)
-        e_index[key] = len(edge_labels)
-        edge_labels.append(f"ab:{axes[a]}{p}")
-        edge_vertices.append((corner_lab[p], corner_lab[shift(p, a)]))
-    for a, p in faces_cubic:
-        key = ("cd", a, p)
-        e_index[key] = len(edge_labels)
-        edge_labels.append(f"cd:{axes[a]}{p}")
-        c1, c2 = face_cubes(a, p)
-        edge_vertices.append((center_lab[c1], center_lab[c2]))
-    for corner, cube in corner_center:
-        key = ("cc", corner, cube)
-        e_index[key] = len(edge_labels)
-        edge_labels.append(f"cc:{corner}|{cube}")
-        edge_vertices.append((corner_lab[corner], center_lab[cube]))
-
-    b1 = BitMatrix.from_entries(
-        len(verts), len(edge_labels),
-        [(v_index[v], k) for k, pair in enumerate(edge_vertices) for v in pair])
-
-    # Triangles: (cubic edge, cube containing it) and (face corner, face).
+    # Triangles: (cubic edge, cube containing it), keyed (a*N + s)*N + cube,
+    # then (face corner, face), the four corners of face (a, s) in a row.
     tri_labels = []
-    t_index = {}
     tri_entries = []
-
-    def add_triangle(key, label, edge_keys):
-        t_index[key] = len(tri_labels)
-        tri_labels.append(label)
-        for ek in edge_keys:
-            tri_entries.append((e_index[ek], len(tri_labels) - 1))
-
-    for a, p in cubic_edges:
-        t1, t2 = [ax for ax in range(3) if ax != a]
-        for dy in (0, -1):
-            for dz in (0, -1):
-                cube = shift(shift(p, t1, dy), t2, dz)
-                q = shift(p, a)
-                add_triangle(("ec", a, p, cube), f"ec:{axes[a]}{p}|{cube}",
-                             [("ab", a, p), ("cc", p, cube), ("cc", q, cube)])
-    for a, p in faces_cubic:
-        c1, c2 = face_cubes(a, p)
-        for corner in face_corners(a, p):
-            add_triangle(("vf", corner, a, p), f"vf:{corner}|{axes[a]}{p}",
-                         [("cd", a, p), ("cc", corner, c1), ("cc", corner, c2)])
+    ec = {}
+    for a, (t1, t2) in enumerate(others):
+        for s in range(n):
+            q = fwd[a][s]
+            for y in (s, back[t1][s]):
+                for cube in (y, back[t2][y]):
+                    t = ec[(a * n + s) * n + cube] = len(tri_labels)
+                    tri_labels.append(f"ec:{AXES[a]}{names[s]}|{names[cube]}")
+                    tri_entries += ((a * n + s, t), (cc[s * n + cube], t), (cc[q * n + cube], t))
+    for a, (t1, t2) in enumerate(others):
+        for s in range(n):
+            behind = back[a][s]
+            for corner in (s, fwd[t1][s], fwd[t2][s], fwd[t2][fwd[t1][s]]):
+                t = len(tri_labels)
+                tri_labels.append(f"vf:{names[corner]}|{AXES[a]}{names[s]}")
+                tri_entries += ((3 * n + a * n + s, t), (cc[corner * n + s], t),
+                                (cc[corner * n + behind], t))
     b2 = BitMatrix.from_entries(len(edge_labels), len(tri_labels), tri_entries)
 
-    # Tetrahedra: one per (face, edge of that face).
+    # Tetrahedra: one per (face, edge of that face), the edge joining face
+    # corners i and j; the face's vf triangles start at 12N + 4*(a*N + s).
     tet_labels = []
     tet_entries = []
-    for a, p in faces_cubic:
-        c1, c2 = face_cubes(a, p)
-        for ea, ep in face_edges(a, p):
-            col = len(tet_labels)
-            tet_labels.append(f"t:{axes[a]}{p}|{axes[ea]}{ep}")
-            eq = shift(ep, ea)
-            for tk in [("ec", ea, ep, c1), ("ec", ea, ep, c2),
-                       ("vf", ep, a, p), ("vf", eq, a, p)]:
-                tet_entries.append((t_index[tk], col))
+    for a, (t1, t2) in enumerate(others):
+        for s in range(n):
+            behind = back[a][s]
+            vf = 12 * n + 4 * (a * n + s)
+            for ea, ep, i, j in ((t1, s, 0, 1), (t1, fwd[t2][s], 2, 3),
+                                 (t2, s, 0, 2), (t2, fwd[t1][s], 1, 3)):
+                col = len(tet_labels)
+                tet_labels.append(f"t:{AXES[a]}{names[s]}|{AXES[ea]}{names[ep]}")
+                key = (ea * n + ep) * n
+                tet_entries += ((ec[key + s], col), (ec[key + behind], col),
+                                (vf + i, col), (vf + j, col))
     b3 = BitMatrix.from_entries(len(tri_labels), len(tet_labels), tet_entries)
 
     cells = [verts, edge_labels, tri_labels, tet_labels]

@@ -3,8 +3,9 @@
 These share no code with the package: dense list-of-lists elimination
 for ranks, literal 2x2 / 4x4 / 2^n complex matrices for Pauli algebra,
 and the package's earlier kernels (a row-by-row matrix-vector product,
-gate-by-gate conjugation and a per-component rescan of the terms) for
-the faster kernels that replaced them.  The exceptions keep earlier
+gate-by-gate conjugation, a per-component rescan of the terms and the
+tuple-coordinate hypercubic and gauge color code lattices) for the
+faster kernels that replaced them.  The exceptions keep earlier
 routes that call the package's GF(2) and Pauli-group kernels:
 ``naive_code_parameters``, the whole-group route to the code parameters,
 with the symplectic Gram matrix in place of the CSS rank formula;
@@ -21,6 +22,8 @@ Slow and obvious on purpose.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -81,6 +84,116 @@ def naive_generalized_boundary(lattice, k: int, l: int) -> set[tuple[int, int]]:
             frontier = nxt
         out.update((f, c) if k > l else (c, f) for f in frontier)
     return out
+
+
+def naive_gcc_lattice(length: int) -> tuple[list[list[str]], dict[str, str], list]:
+    """(cells, vertex colors, boundary rows) of the gauge color code lattice.
+
+    The tuple-coordinate construction that ``lattice.gcc_lattice``
+    replaced: points are coordinate tuples, shifted one axis at a time,
+    and every incidence is looked up through a tuple key.  Boundary d is
+    given by rows, row i the sorted (d)-cells on (d-1)-cell i.
+    """
+    L = length
+    axes = ("x", "y", "z")
+    pts = [(i, j, k) for i in range(L) for j in range(L) for k in range(L)]
+
+    def shift(p, axis, amount=1):
+        return tuple((p[i] + (amount if i == axis else 0)) % L for i in range(3))
+
+    def sides(a):
+        return [ax for ax in range(3) if ax != a]
+
+    verts = [f"cor{p}" for p in pts] + [f"cen{p}" for p in pts]
+    v_index = {lab: i for i, lab in enumerate(verts)}
+    colors = {f"cor{p}": "ab"[sum(p) % 2] for p in pts}
+    colors.update({f"cen{p}": "cd"[sum(p) % 2] for p in pts})
+
+    edge_labels, e_index, edge_vertices = [], {}, []
+
+    def add_edge(key, label, ends):
+        e_index[key] = len(edge_labels)
+        edge_labels.append(label)
+        edge_vertices.append(ends)
+
+    for a in range(3):
+        for p in pts:
+            add_edge(("ab", a, p), f"ab:{axes[a]}{p}", (f"cor{p}", f"cor{shift(p, a)}"))
+    for a in range(3):
+        for p in pts:
+            add_edge(("cd", a, p), f"cd:{axes[a]}{p}", (f"cen{p}", f"cen{shift(p, a, -1)}"))
+    corner_center = sorted(
+        {(p, shift(shift(shift(p, 0, -dx), 1, -dy), 2, -dz))
+         for p in pts for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)})
+    for corner, cube in corner_center:
+        add_edge(("cc", corner, cube), f"cc:{corner}|{cube}", (f"cor{corner}", f"cen{cube}"))
+
+    tri_labels, t_index, tri_edges = [], {}, []
+    for a in range(3):
+        t1, t2 = sides(a)
+        for p in pts:
+            for dy in (0, -1):
+                for dz in (0, -1):
+                    cube = shift(shift(p, t1, dy), t2, dz)
+                    t_index[("ec", a, p, cube)] = len(tri_labels)
+                    tri_labels.append(f"ec:{axes[a]}{p}|{cube}")
+                    tri_edges.append([("ab", a, p), ("cc", p, cube), ("cc", shift(p, a), cube)])
+    for a in range(3):
+        t1, t2 = sides(a)
+        for p in pts:
+            behind = shift(p, a, -1)
+            for corner in (p, shift(p, t1), shift(p, t2), shift(shift(p, t1), t2)):
+                t_index[("vf", corner, a, p)] = len(tri_labels)
+                tri_labels.append(f"vf:{corner}|{axes[a]}{p}")
+                tri_edges.append([("cd", a, p), ("cc", corner, p), ("cc", corner, behind)])
+
+    tet_labels, tet_tris = [], []
+    for a in range(3):
+        t1, t2 = sides(a)
+        for p in pts:
+            behind = shift(p, a, -1)
+            for ea, ep in ((t1, p), (t1, shift(p, t2)), (t2, p), (t2, shift(p, t1))):
+                tet_labels.append(f"t:{axes[a]}{p}|{axes[ea]}{ep}")
+                tet_tris.append([("ec", ea, ep, p), ("ec", ea, ep, behind),
+                                 ("vf", ep, a, p), ("vf", shift(ep, ea), a, p)])
+
+    boundary = [None,
+                _incidence_rows(len(verts), [[v_index[v] for v in ends] for ends in edge_vertices]),
+                _incidence_rows(len(edge_labels), [[e_index[k] for k in ks] for ks in tri_edges]),
+                _incidence_rows(len(tri_labels), [[t_index[k] for k in ks] for ks in tet_tris])]
+    return [verts, edge_labels, tri_labels, tet_labels], colors, boundary
+
+
+def naive_hypercubic_torus(dim: int, length: int) -> tuple[list[list[str]], list]:
+    """(cells, boundary rows) of the periodic hypercubic lattice.
+
+    The tuple-coordinate construction that ``lattice.hypercubic_torus``
+    replaced: a d-cell is keyed (axis set, base point), and its faces are
+    looked up through those keys at the base and one step along each axis.
+    """
+    points = list(itertools.product(range(length), repeat=dim))
+    index = [{(frozenset(axes), p): i for i, (axes, p) in enumerate(
+        itertools.product(itertools.combinations(range(dim), d), points))} for d in range(dim + 1)]
+    cells = [[f"{''.join('xyzw'[a] for a in sorted(axes)) or '.'}{p}" for axes, p in layer]
+             for layer in index]
+    boundary = [None]
+    for d in range(1, dim + 1):
+        faces = []
+        for axes, p in index[d]:
+            faces.append([index[d - 1][(axes - {a}, q)] for a in sorted(axes)
+                          for q in (p, tuple((x + (i == a)) % length for i, x in enumerate(p)))])
+        boundary.append(_incidence_rows(len(cells[d - 1]), faces))
+    return cells, boundary
+
+
+def _incidence_rows(n_rows: int, columns: list[list[int]]) -> list[list[int]]:
+    """Rows of the incidence matrix whose column c lists its rows in columns[c]."""
+    out = [set() for _ in range(n_rows)]
+    for c, faces in enumerate(columns):
+        for f in faces:
+            assert c not in out[f], "repeated incidence"
+            out[f].add(c)
+    return [sorted(r) for r in out]
 
 
 def naive_noncommuting_pair(ops) -> tuple[int, int] | None:

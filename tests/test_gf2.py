@@ -43,10 +43,15 @@ def test_bitmatrix_basics():
     assert m.entries == ((0, 0), (0, 2), (1, 1))
     assert m.transpose().entries == ((0, 0), (1, 1), (2, 0))
     assert m.column(2).support == (0,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate entry \(0,0\)$"):
         BitMatrix.from_entries(2, 2, [(0, 0), (0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry \(2,0\) out of range$"):
         BitMatrix.from_entries(2, 2, [(2, 0)])
+    # The range is checked before the repeat, so an entry both out of range
+    # and repeated, or a negative one, reports the range.
+    for bad in ((0, 2), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"^entry \({bad[0]},{bad[1]}\) out of range$"):
+            BitMatrix.from_entries(2, 2, [bad, bad])
 
 
 def test_rank_identity():

@@ -13,7 +13,7 @@ from cssgauge.lattice import (
     triangular_torus,
 )
 
-from tests.oracles import naive_generalized_boundary
+from tests.oracles import naive_gcc_lattice, naive_generalized_boundary, naive_hypercubic_torus
 
 
 def euler_characteristic(lattice) -> int:
@@ -62,7 +62,7 @@ def test_triangular_torus():
 
 
 def test_gcc_lattice_counts():
-    for L in (2, 4):
+    for L in (2, 4, 6):
         lat = gcc_lattice(L)
         assert (lat.n_cells(0), lat.n_cells(1), lat.n_cells(2), lat.n_cells(3)) == (
             2 * L ** 3, 14 * L ** 3, 24 * L ** 3, 12 * L ** 3)
@@ -70,6 +70,29 @@ def test_gcc_lattice_counts():
     assert gcc_lattice(2).validate()
     with pytest.raises(ValueError):
         gcc_lattice(3)
+
+
+def assert_same_complex(lat, cells, boundary):
+    """``lat`` has these cell labels, in order, and these boundary rows."""
+    assert [list(layer) for layer in lat.cells] == cells
+    for d in range(1, lat.dimension + 1):
+        b = lat.boundary[d]
+        assert (b.rows, b.cols) == (len(cells[d - 1]), len(cells[d]))
+        assert [list(b.row(i).support) for i in range(b.rows)] == boundary[d], d
+
+
+@pytest.mark.parametrize("dim,L", [(1, 3), (2, 2), (2, 5), (3, 3), (4, 2)])
+def test_hypercubic_torus_matches_tuple_construction(dim, L):
+    cells, boundary = naive_hypercubic_torus(dim, L)
+    assert_same_complex(hypercubic_torus(dim, L), cells, boundary)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_gcc_lattice_matches_tuple_construction(L):
+    cells, colors, boundary = naive_gcc_lattice(L)
+    lat = gcc_lattice(L)
+    assert_same_complex(lat, cells, boundary)
+    assert list(lat.vertex_colors.items()) == list(colors.items())
 
 
 def test_gcc_every_tetrahedron_sees_four_colors():

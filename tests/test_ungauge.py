@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssgauge import catalog, gf2, verify
+from cssgauge import catalog, codes, gf2, verify
+from cssgauge.analysis import code_parameters, components
 from cssgauge.builders import build_toric, build_toric_sphere
 from cssgauge.gf2 import BitMatrix, BitVec, kernel_basis, rank, solve
 from cssgauge.pauli import Hamiltonian, PauliOp, Term, symplectic_product
@@ -277,6 +278,21 @@ def test_dim_check_values(torus_model, bs_model, gcc_model):
     assert (r["n_ini"] - r["rank_d_z"], r["n_fin"] - r["rank_d_r"]) == (6, 6)
     assert dim_check(bs_model.setup)
     assert dim_check(gcc_model.setup)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_gcc_invariants_do_not_depend_on_L(L):
+    """The 3-torus carries 9 topological Z classes and 9 non-contractible
+    relations at every size; k = 0, and the Z image splits into the six
+    color-pair toric codes, four of 2L^3 qubits and two of 3L^3."""
+    model = catalog.gcc_model(L)
+    code, setup = model.code, model.setup
+    assert setup.d_z.cols - len(code.stabilizer_z) == 9
+    assert setup.d_r.rows - model.extra["vertex_relation_count"] == 9
+    assert code_parameters(code).k == 0
+    image, _ = strip_identity_terms(
+        ungauge_hamiltonian(codes.gauge_hamiltonian(code, kinds="Z"), setup))
+    assert components(image).sizes() == [2 * L ** 3] * 4 + [3 * L ** 3] * 2
 
 
 # -- inverse map and round trips ----------------------------------------------
