@@ -3,7 +3,8 @@
 Thin composition of the library: build codes, run the duality maps,
 emit JSON reports and exchange files.  Exit codes: 0 ok, 1 a check
 failed or the maps met an internal inconsistency (an ``UngaugeError``,
-reported without a traceback), 2 usage error.
+reported without a traceback), 2 usage error or a report file that could
+not be written (an ``OSError``, reported as one ``error:`` line).
 
 The flag contract: a command declares only the flags it reads, and
 ``--code`` offers only the codes it runs.  The code flags (``--D``,
@@ -18,7 +19,9 @@ A report file holds exactly the bytes of ``json.dumps(data, indent=2,
 sort_keys=True)`` and a newline.  ``_write_json`` renders them with a
 direct encoder (the stdlib falls back to pure Python whenever ``indent``
 is set) and, like ``json.dumps``, raises ``TypeError`` on a value that
-is not JSON and ``ValueError`` on a cycle.
+is not JSON and ``ValueError`` on a cycle.  It streams the text to the
+file in pieces (``_pieces``), so its memory follows the largest piece,
+not the report; a write that fails part way removes the file.
 """
 
 from __future__ import annotations
@@ -239,13 +242,50 @@ def _encode(o, nl: str, path: set) -> str:
     return "[" + inner + ("," + inner).join(body) + nl + "]"
 
 
+def _pieces(o, nl: str, path: set):
+    """The text ``_encode(o, nl, path)`` returns, yielded in pieces: a dict key by
+    key and a list that holds a dict element by element, each element and every
+    other value whole, so that no piece is much larger than one element.
+    """
+    is_dict = isinstance(o, dict)
+    holds_dict = isinstance(o, (list, tuple)) and dict in set(map(type, o))
+    if not (is_dict and o or holds_dict):
+        yield _encode(o, nl, path)
+        return
+    if id(o) in path:
+        raise ValueError("Circular reference detected")
+    inner = nl + "  "
+    sep = ("{" if is_dict else "[") + inner
+    path.add(id(o))
+    if is_dict:
+        for k, v in sorted(o.items()):
+            yield sep + _key(k) + ": "
+            yield from _pieces(v, inner, path)
+            sep = "," + inner
+    else:
+        for v in o:
+            yield sep + _encode(v, inner, path)
+            sep = "," + inner
+    path.discard(id(o))
+    yield nl + ("}" if is_dict else "]")
+
+
 def _dumps(data) -> str:
     """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte."""
-    return _encode(data, "\n", set())
+    return "".join(_pieces(data, "\n", set()))
 
 
 def _write_json(path: Path, data) -> None:
-    path.write_text(_dumps(data) + "\n")
+    """Write ``_dumps(data)`` and a newline to ``path`` piece by piece, never holding
+    the whole text; if any piece fails, remove the file and raise."""
+    file = path.open("w", encoding="utf-8")   # a failed open leaves nothing to remove
+    try:
+        with file:
+            file.writelines(_pieces(data, "\n", set()))
+            file.write("\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def cmd_build(args) -> int:
@@ -459,7 +499,7 @@ def main(argv=None) -> int:
     except UngaugeError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:     # OSError: a report file could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

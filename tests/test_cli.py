@@ -290,3 +290,15 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys, command, under):
     assert captured.out == ""       # refused before any work
     assert existing.read_text() == "keep\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("taken,written", [("gcc.json", []), ("gcc.dot", ["gcc.json"])],
+                         ids=["json", "dot"])
+def test_report_path_that_is_a_directory_is_an_error(tmp_path, capsys, taken, written):
+    out = tmp_path / "o"
+    (out / taken).mkdir(parents=True)
+    assert run(["build", "--code", "gcc", "--L", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(out / taken) in err
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == written

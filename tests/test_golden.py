@@ -11,7 +11,7 @@ criterion lines that ``test_acceptance`` already asserts at full budget.
 
 The normalised digest cannot see whitespace, so each run also renders
 every report it writes with ``json.dumps(indent=2, sort_keys=True)`` and
-requires the report writer's bytes to equal them.
+requires the bytes of the written file to equal them and a newline.
 """
 
 import hashlib
@@ -51,8 +51,9 @@ def test_report_matches_recorded_digest(tmp_path, monkeypatch, name, variant):
 
     def write_json(path, data):
         written.append(path.name)
-        assert cli._dumps(data) == json.dumps(data, indent=2, sort_keys=True), path.name
         write(path, data)
+        expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode(), path.name
 
     write = cli._write_json
     monkeypatch.setattr(cli, "_write_json", write_json)

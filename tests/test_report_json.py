@@ -1,11 +1,14 @@
-"""The report writer renders exactly the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+"""The report writer renders exactly the bytes of ``json.dumps(indent=2, sort_keys=True)``,
+streamed to the file in pieces."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssgauge.cli import _dumps
+from cssgauge import cli
+from cssgauge.cli import _dumps, _write_json
 from cssgauge.gf2 import BitVec
 
 
@@ -55,6 +58,7 @@ def test_property_writer_matches_stdlib(data):
     {10: "ten", 2: "two", -1: "minus"}, {True: 1, False: 0}, {None: 1}, {0.5: 1, -2.0: 2},
     {"weight_histogram": {12: 3, 4: 1}}, -(1 << 70), 1 << 65, "\"\\\n\x01é漢", 1e300, -0.0,
     float("nan"), [float("inf"), float("-inf")], (1, (2, 3)), [[1, 2], (3, 4)],
+    [{"a": [1]}, 2, "x", [{}]], ({"b": ()},), {"a": [{"c": {1: [{}]}}], "b": [[{"d": 1}]]},
 ], ids=repr)
 def test_writer_matches_stdlib_on_edge_cases(data):
     assert _dumps(data) == _stdlib(data)
@@ -77,10 +81,40 @@ def test_writer_rejects_cycles():
     looped.append(looped)
     nested = {"a": {"b": []}}
     nested["a"]["b"].append(nested)
-    for data in (looped, nested):
+    dict_in_list = [{"a": 1}]
+    dict_in_list[0]["b"] = dict_in_list
+    for data in (looped, nested, dict_in_list):
         with pytest.raises(ValueError, match="Circular reference"):
             _stdlib(data)
         with pytest.raises(ValueError, match="Circular reference"):
             _dumps(data)
     shared = [1]
     assert _dumps([shared, shared, {"a": shared}]) == _stdlib([shared, shared, {"a": shared}])
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        _write_json(path, {"a": [1], "b": {1, 2}})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["build", "--code", "gcc", "--L", "4"], 1.5),
+    (["ungauge", "--code", "gcc", "--L", "2"], 0.5),
+], ids=["build-gcc-L4", "ungauge-gcc-L2"])
+def test_writer_memory_does_not_grow_with_the_report(tmp_path, monkeypatch, argv, bound):
+    # The tracemalloc peak of writing one report, relative to the file's bytes.
+    # Rendering the whole text before writing peaks at 3.0x on both reports;
+    # streaming leaves the largest piece (one element of a list of dicts) to set it.
+    reports = []
+    monkeypatch.setattr(cli, "_write_json", lambda path, data: reports.append((path, data)))
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    path, data = reports[0]
+    tracemalloc.start()
+    try:
+        _write_json(path, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * path.stat().st_size
