@@ -29,14 +29,10 @@ itself and the pivots, in ascending column order.  These make kernel
 bases, solutions and everything derived from them reproducible across
 runs.
 
-``BitMatrix.mul_vec`` costs min(weight of the vector column XORs, cols/8
-byte steps), never one parity per row.  A sparse vector XORs the columns
-it selects, read from the transpose's rows, which are memoised per
-matrix.  A dense vector walks its bytes through Four-Russians tables
-(Albrecht, Bard & Hart, *Algorithm 898: Efficient multiplication of
-dense matrices over GF(2)*, ACM TOMS 37, 2010): nibble tables, one
-16-entry table of every XOR of each group of four columns, built on the
-matrix's first dense product only.
+``BitMatrix.mul_vec`` and ``@`` share one walk, ``_xor_rows``: the sum
+of the rows a bitmask selects.  ``mul_vec`` XORs the columns its vector
+selects, read from the transpose's rows, which are memoised per matrix,
+so it costs one XOR per set bit of the vector, never one parity per row.
 """
 
 from __future__ import annotations
@@ -51,6 +47,16 @@ def _mask_to_support(bits: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return tuple(out)
+
+
+def _xor_rows(bits: int, rows: Sequence[int]) -> int:
+    """XOR of ``rows[j]`` over the set bits j of ``bits``."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
 
 class BitVec:
@@ -134,7 +140,7 @@ class BitVec:
 class BitMatrix:
     """A matrix over GF(2); rows stored as integer bitmasks."""
 
-    __slots__ = ("rows", "cols", "_rows", "_cols", "_rref", "_tables")
+    __slots__ = ("rows", "cols", "_rows", "_cols", "_rref")
 
     def __init__(self, rows: int, cols: int, row_bits: Sequence[int]):
         if rows < 0 or cols < 0:
@@ -149,7 +155,6 @@ class BitMatrix:
         object.__setattr__(self, "_rows", tuple(row_bits))
         object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "_rref", None)
-        object.__setattr__(self, "_tables", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitMatrix is immutable")
@@ -259,62 +264,16 @@ class BitMatrix:
             self.transpose()
         return self._cols
 
-    def _byte_tables(self) -> list[tuple[list[int], list[int]]]:
-        """Per byte of a vector, the nibble tables of its low and high four columns.
-
-        Entry i of a nibble table is the XOR of the columns that i's bits
-        select; each table is filled by doubling, one column at a time.
-        Columns past ``cols`` count as zero, so the last byte's tables are
-        full too.  Built once per matrix, on its first dense product.
-        """
-        if self._tables is None:
-            cols = self._columns()
-            nibbles = []
-            for base in range(0, 8 * ((self.cols + 7) // 8), 4):
-                table = [0]
-                for c in cols[base:base + 4]:
-                    table += [t ^ c for t in table]
-                nibbles.append(table * (16 // len(table)))
-            object.__setattr__(self, "_tables", list(zip(nibbles[::2], nibbles[1::2])))
-        return self._tables
-
     def mul_vec(self, v: BitVec) -> BitVec:
-        """M v over GF(2), in min(weight of v column XORs, cols/8 byte steps).
-
-        A sparse v XORs the columns in its support.  A dense v, one with
-        ``8 * weight > cols``, takes two nibble-table lookups and their XOR
-        into the sum per nonzero byte (see ``_byte_tables``).  The switch sits at the crossover
-        measured on the gauge color code's d_x and d_x^T at L=2 (96 x 112),
-        where the two branches cost the same near weight cols/11; at L=4
-        and L=6 the tables already win from about cols/30 and cols/64.
-        """
+        """M v over GF(2): the XOR of the columns in the support of v."""
         if v.length != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        bits = v.bits
-        acc = 0
-        if 8 * bits.bit_count() > self.cols:
-            for b, (low, high) in zip(bits.to_bytes((self.cols + 7) // 8, "little"),
-                                      self._byte_tables()):
-                if b:
-                    acc ^= low[b & 15] ^ high[b >> 4]
-            return BitVec(self.rows, acc)
-        cols = self._columns()
-        while bits:
-            low = bits & -bits
-            acc ^= cols[low.bit_length() - 1]
-            bits ^= low
-        return BitVec(self.rows, acc)
+        return BitVec(self.rows, _xor_rows(v.bits, self._columns()))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for r in self._rows:
-            acc = 0
-            for j in _mask_to_support(r):
-                acc ^= other._rows[j]
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, out)
+        return BitMatrix(self.rows, other.cols, [_xor_rows(r, other._rows) for r in self._rows])
 
     def augment_columns(self, extra: Iterable[BitVec]) -> "BitMatrix":
         """Append extra columns (each a BitVec of length ``rows``)."""

@@ -26,7 +26,13 @@ from .pauli import (
     conjugate_by_circuit,
     multiply,
 )
-from .ungauge import UngaugeSetup, emergent_symmetries, make_setup, ungauge_hamiltonian
+from .ungauge import (
+    UngaugeSetup,
+    emergent_symmetries,
+    make_setup,
+    strip_identity_terms,
+    ungauge_hamiltonian,
+)
 
 
 def dual_code(code: CssSubsystemCode) -> CssSubsystemCode:
@@ -227,16 +233,12 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
     setup = make_setup(tensor.n, list(tensor.stabilizer_z) + z_logicals,
                        x_gens=list(tensor.stabilizer_x))
 
-    image = ungauge_hamiltonian(wall.total(), setup)
+    image, dropped = strip_identity_terms(ungauge_hamiltonian(wall.total(), setup))
     wall_names = {t.name for t in wall.h_wall}
     bulk = Hamiltonian(setup.n_fin)
     wall_h = Hamiltonian(setup.n_fin)
-    dropped = 0
     for t in image:
-        if t.op.x.is_zero() and t.op.z.is_zero():
-            dropped += 1
-        else:
-            (wall_h if t.name in wall_names else bulk).add(t)
+        (wall_h if t.name in wall_names else bulk).add(t)
 
     bulk_trivial = all(t.op.weight == 1 and t.op.z.is_zero() for t in bulk)
 
@@ -287,14 +289,10 @@ def find_cz_disentangler(h: Hamiltonian) -> Optional[CliffordCircuit]:
             return None
         adjacency[v] = t.op.z.bits
     # Symmetry: u in N(v) iff v in N(u); undecorated qubits have N = {}.
+    pairs = set()
     for v, nbrs in adjacency.items():
-        b = nbrs
-        while b:
-            u = (b & -b).bit_length() - 1
-            b &= b - 1
+        for u in BitVec(h.n, nbrs).support:
             if not (adjacency.get(u, 0) >> v) & 1:
                 return None
-    pairs = sorted({(min(v, u), max(v, u))
-                    for v, nbrs in adjacency.items()
-                    for u in BitVec(h.n, nbrs).support})
-    return CliffordCircuit.cz_pairs(h.n, pairs)
+            pairs.add((min(v, u), max(v, u)))
+    return CliffordCircuit.cz_pairs(h.n, sorted(pairs))

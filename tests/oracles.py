@@ -1,11 +1,12 @@
 """Deliberately naive reference implementations used as test oracles.
 
 These share no code with the package: dense list-of-lists elimination
-for ranks, literal 2x2 / 4x4 / 2^n complex matrices for Pauli algebra,
-and the package's earlier kernels (a row-by-row matrix-vector product,
-gate-by-gate conjugation, a per-component rescan of the terms and the
-tuple-coordinate hypercubic and gauge color code lattices) for the
-faster kernels that replaced them.  The exceptions keep earlier
+for ranks and an entrywise matrix product, literal 2x2 / 4x4 / 2^n
+complex matrices for Pauli algebra, and the package's earlier kernels
+(a row-by-row matrix-vector product, gate-by-gate conjugation, a
+per-component rescan of the terms and the tuple-coordinate hypercubic
+and gauge color code lattices) for the faster kernels that replaced
+them.  The exceptions keep earlier
 routes that call the package's GF(2) and Pauli-group kernels:
 ``naive_code_parameters``, the whole-group route to the code parameters,
 with the symplectic Gram matrix in place of the CSS rank formula;
@@ -391,6 +392,15 @@ def row_parity_mul_vec(m, v) -> int:
     for i in range(m.rows):
         bits |= ((m.row_bits(i) & v.bits).bit_count() & 1) << i
     return bits
+
+
+def naive_matmul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[int]]:
+    """Entrywise GF(2) product of dense 0/1 lists: entry (i, j) is sum_k a[i][k] b[k][j] mod 2.
+
+    ``cols`` is the width of ``b``, which an empty ``b`` cannot tell.
+    """
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) % 2 for j in range(cols)]
+            for row in a]
 
 
 def gate_by_gate_conjugate(op, circuit) -> tuple[int, int, int]:

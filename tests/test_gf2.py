@@ -1,9 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cssgauge import cli
 from cssgauge.chains import _coset_representatives
 from cssgauge.gf2 import (
     BitMatrix,
@@ -17,7 +17,7 @@ from cssgauge.gf2 import (
 )
 from cssgauge.lattice import octahedron_sphere
 
-from tests.oracles import matrix_rows, naive_rank, row_parity_mul_vec
+from tests.oracles import matrix_rows, naive_matmul, naive_rank, row_parity_mul_vec
 
 
 def random_matrix(rng, rows, cols, density=0.4):
@@ -142,7 +142,7 @@ def test_is_zero_product_boundary_of_boundary():
 
 def test_is_zero_product_identity():
     assert not is_zero_product(BitMatrix.identity(2), BitMatrix.identity(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension mismatch in matrix product$"):
         is_zero_product(BitMatrix.identity(2), BitMatrix.identity(3))
 
 
@@ -179,8 +179,8 @@ PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
 
 @st.composite
-def matrices(draw, cols=None):
-    rows = draw(st.integers(0, 12))
+def matrices(draw, cols=None, rows=None):
+    rows = draw(st.integers(0, 12)) if rows is None else rows
     cols = draw(st.integers(0, 12)) if cols is None else cols
     bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
     return BitMatrix(rows, cols, bits)
@@ -261,10 +261,9 @@ def test_property_coset_representative_count(pair):
 def products(draw):
     """A matrix up to 40 columns wide, vectors for it and vectors for its transpose.
 
-    The widths cover every ``cols % 8`` and several byte boundaries of the
-    dense branch.  The vectors for the matrix sit on both sides of the
-    sparse/dense switch (``8 * weight = cols``), besides all-ones, zero,
-    single columns and random ones.
+    The widths cover every ``cols % 8``.  The vectors for the matrix have
+    weights ``cols // 8`` and one more, besides all-ones, zero, single
+    columns and random ones.
     """
     rows = draw(st.integers(0, 20))
     cols = draw(st.integers(0, 40))
@@ -272,8 +271,7 @@ def products(draw):
                                             min_size=rows, max_size=rows)))
     full = (1 << cols) - 1
     order = draw(st.permutations(range(cols)))
-    switch = cols // 8          # the largest weight still on the sparse branch
-    vectors = [sum(1 << j for j in order[:w]) for w in (switch, switch + 1)] + [full, 0]
+    vectors = [sum(1 << j for j in order[:w]) for w in (cols // 8, cols // 8 + 1)] + [full, 0]
     sparse = st.sampled_from([1 << j for j in range(cols)] or [0])
     vectors += draw(st.lists(st.one_of(sparse, st.integers(0, full)), max_size=3))
     left = draw(st.lists(st.integers(0, (1 << rows) - 1), min_size=1, max_size=3))
@@ -286,10 +284,9 @@ def test_property_mul_vec_matches_row_parity(case):
     m, vectors, left = case
     unfilled = BitMatrix(m.rows, m.cols, [m.row_bits(i) for i in range(m.rows)])
     key = hash(m)
-    for bits in vectors + vectors:  # the second pass reads the filled column memo and tables
+    for bits in vectors + vectors:  # the second pass reads the filled column memo
         v = BitVec(m.cols, bits)
         assert m.mul_vec(v) == BitVec(m.rows, row_parity_mul_vec(unfilled, v))
-    assert (m._tables is not None) == (m.cols > 0)     # all-ones is dense
     t = m.transpose()
     for bits in left:
         u = BitVec(m.rows, bits)
@@ -298,34 +295,39 @@ def test_property_mul_vec_matches_row_parity(case):
     assert hash(m) == hash(unfilled) == hash(t.transpose()) == key
 
 
-def test_mul_vec_builds_tables_on_the_first_dense_product_only():
-    m = random_matrix(random.Random(8), 9, 33)
-    m.mul_vec(BitVec(33, 0b1111))                    # 8 * 4 <= 33: sparse
-    assert m._tables is None
-    m.mul_vec(BitVec(33, 0b11111))                   # 8 * 5 > 33: dense
-    tables = m._tables
-    assert len(tables) == 5                          # one (low, high) pair per byte
-    assert all(len(low) == len(high) == 16 for low, high in tables)
-    m.mul_vec(BitVec(33, (1 << 33) - 1))
-    assert m._tables is tables
+@st.composite
+def factor_pairs(draw):
+    """Matrices A (n x k) and B (k x m), each dimension 0 to 12."""
+    n, k, m = (draw(st.integers(0, 12)) for _ in range(3))
+    return draw(matrices(rows=n, cols=k)), draw(matrices(rows=k, cols=m))
 
 
-@pytest.mark.parametrize("command, dense", [
-    ("spt --code toric2d --L 10 --slab 1:3", False),
-    ("build --code gcc --L 4", False),
-    ("ungauge --code gcc --L 2 --pairs 5", True),
-], ids=["spt-toric2d", "build-gcc", "ungauge-gcc"])
-def test_only_dense_products_build_tables(tmp_path, monkeypatch, command, dense):
-    # The spt and build commands are the benchmark's controls for this kernel:
-    # every product they make is sparse, so no matrix of theirs holds tables.
-    made = []
-    init = BitMatrix.__init__
+@PROPERTY
+@given(factor_pairs())
+@example((BitMatrix(0, 3, []), BitMatrix(3, 4, [0b1011, 0b0001, 0b0110])))
+@example((BitMatrix(3, 0, [0, 0, 0]), BitMatrix(0, 4, [])))
+@example((BitMatrix(2, 3, [0b101, 0b011]), BitMatrix(3, 0, [0, 0, 0])))
+def test_property_matmul_matches_entrywise_product(pair):
+    a, b = pair
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert matrix_rows(product) == naive_matmul(matrix_rows(a), matrix_rows(b), b.cols)
 
-    def recording_init(self, *args):
-        init(self, *args)
-        made.append(self)
 
-    monkeypatch.setattr(BitMatrix, "__init__", recording_init)
-    assert cli.main([*command.split(), "--out", str(tmp_path)]) == 0
-    assert made
-    assert any(m._tables is not None for m in made) == dense
+def test_dense_mul_vec_allocates_only_its_result():
+    # A sparse 3024 x 2592 matrix (weight-4 rows) with its column memo built
+    # first: an all-ones product then allocates only its running sum, so its
+    # memory does not grow with the vector's weight.
+    rng = random.Random(5)
+    rows, cols = 3024, 2592
+    m = BitMatrix(rows, cols, [sum(1 << j for j in rng.sample(range(cols), 4))
+                               for _ in range(rows)])
+    m.mul_vec(BitVec(cols, 1))
+    ones = BitVec(cols, (1 << cols) - 1)
+    tracemalloc.start()
+    try:
+        m.mul_vec(ones)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
