@@ -79,7 +79,9 @@ def test_gauge_report_matches_pinned_sha256(tmp_path):
 
 # Reports no benchmark digest covers, pinned the same way: the SHA-256 of
 # each file's bytes.  They run the setup validation of every code family,
-# the fractal wall's slab region and the chain-complex export.
+# the fractal wall's slab region, the chain-complex export and the
+# builders of the periodic families (Bacon-Shor, Xu-Moore, the 2D color
+# code and both fractal boundaries) at sizes the worked models do not use.
 PINNED_REPORTS = [
     (["ungauge", "--code", "toric-sphere"], {
         "ungauge-toric-sphere.json": "a2ea7e8fcedf316273df10168f1e3468b9064664b845ab4b7bae2304ff3f0713"}),
@@ -106,6 +108,22 @@ PINNED_REPORTS = [
         "toric2d-dz.json": "5b8eeba729b70c921f45a3b8c1b6d6f2f37279d7ab4b5f64f3a20f0dac80b75e"}),
     (["export", "--code", "gcc", "--L", "2", "--what", "complex"], {
         "gcc-complex.json": "453f20a98e1a60d924d50aa2cc17851bec9df3754cf70f30eb9108de2d391b95"}),
+    (["build", "--code", "bacon-shor", "--L", "4"], {
+        "bacon-shor.json": "424914910eb861a6c1dfee69f4c07dd6280606db30fe3b02d1ff6402521e7e23"}),
+    (["build", "--code", "xu-moore", "--L", "5"], {
+        "xu-moore.json": "01ec57366d1579d5181324f9c3f66986ca1456a57f71cadc465b6bd0fafc4a0b"}),
+    (["build", "--code", "color2d", "--L", "6"], {
+        "color2d.dot": "71379eecf7cb750b143623ba6bbc7aec5c3ff44f1e4883ac4b9cebee484b7b34",
+        "color2d.json": "c47f36fb3371f9b056f88f77e7abef23dacec2798b8226f21544f267c35c625e"}),
+    (["export", "--code", "color2d", "--L", "3", "--what", "lattice"], {
+        "color2d-incidence.dot": "b1045673cd77927379c9bd67dd76bcf867de7fbbaafc4f4aa1b8e24b855ba0df",
+        "color2d-lattice.json": "c19c8b25ffda86f46b88b84e507a97cb44f69bf2fe1bdadfcb42f83cfd8aaa6f"}),
+    (["build", "--code", "fractal", "--L", "4"], {
+        "fractal3d.json": "f0bb94f8588c91497d0ac006a7c4df521583493a443c59a630ae6eb3691b8fd5"}),
+    (["build", "--code", "fractal", "--L", "4", "--boundary", "open_y"], {
+        "fractal3d.json": "49864ebb2bb8c6a2e49d0bcb738a6b502353d5742f1c163a53aa04451622f06c"}),
+    (["spt", "--code", "fractal", "--L", "5", "--slab", "0:2"], {
+        "spt-fractal3d.json": "698052dd04e40a7eb30f22b62072c200265c9704fedaf641efbd072a165f7614"}),
 ]
 
 
