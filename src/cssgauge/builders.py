@@ -8,36 +8,21 @@ parameters).
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .codes import CssSubsystemCode
 from .gf2 import BitVec
 from .lattice import (
-    AXES,
     CellComplex,
+    _torus_sites,
     gcc_lattice,
+    hypercubic_centers,
     hypercubic_torus,
     octahedron_sphere,
     triangular_torus,
 )
 from .pauli import Hamiltonian, PauliOp, Term
-
-
-def _parse_hypercubic_label(label: str) -> tuple[str, tuple[int, ...]]:
-    axes, _, rest = label.partition("(")
-    point = tuple(int(t) for t in rest.rstrip(")").split(",") if t.strip() != "")
-    return (axes if axes != "." else "", point)
-
-
-def _hypercubic_coords(lattice: CellComplex, d: int) -> list[tuple[float, ...]]:
-    coords = []
-    for label in lattice.cells[d]:
-        axes, p = _parse_hypercubic_label(label)
-        c = [float(v) for v in p]
-        for a in axes:
-            c[AXES.index(a)] += 0.5
-        coords.append(tuple(c))
-    return coords
 
 
 def toric_code_from_complex(lattice: CellComplex, k: int = 1,
@@ -72,7 +57,7 @@ def build_toric(dim: int, length: int, k: int = 1) -> CssSubsystemCode:
     code = toric_code_from_complex(lattice, k, name=f"toric{dim}d")
     code.metadata.update({
         "family": "toric", "D": dim, "L": length, "k": k,
-        "qubit_coords": _hypercubic_coords(lattice, k),
+        "qubit_coords": hypercubic_centers(dim, length, k),
         "slab_axis": 1 if dim == 2 else 2,
     })
     return code
@@ -86,38 +71,29 @@ def build_toric_sphere() -> CssSubsystemCode:
     return code
 
 
-def _torus_vertices(length: int) -> list[tuple[int, int]]:
-    return [(r, c) for r in range(length) for c in range(length)]
-
-
 def build_bacon_shor(length: int) -> CssSubsystemCode:
     """The 2D subsystem Bacon-Shor code on an L x L torus.
 
     Qubits on vertices; two-qubit X gauge generators on horizontal edges
     and Z gauge generators on vertical edges; stabilizers are two-column
-    X and two-row Z operators.
+    X and two-row Z operators.  Vertex (r, c) is qubit r*L + c, the site
+    of ``_torus_sites``, and h-edge and v-edge (r, c) start there.
     """
     if length < 2:
         raise ValueError("need length >= 2")
     L = length
-    verts = _torus_vertices(L)
-    vid = {v: i for i, v in enumerate(verts)}
+    names, (down, right), _ = _torus_sites(2, L)
     n = L * L
-
-    def pair(a, b):
-        return BitVec.from_support(n, [vid[a], vid[b]])
-
-    gauge_x = [pair((r, c), (r, (c + 1) % L)) for r, c in verts]   # horizontal
-    gauge_z = [pair((r, c), ((r + 1) % L, c)) for r, c in verts]   # vertical
-    stab_x = [BitVec.from_support(n, [vid[(r, c)] for r in range(L)]
-                                  + [vid[(r, (c + 1) % L)] for r in range(L)])
-              for c in range(L)]
-    stab_z = [BitVec.from_support(n, [vid[(r, c)] for c in range(L)]
-                                  + [vid[((r + 1) % L, c)] for c in range(L)])
-              for r in range(L)]
+    gauge_x = [BitVec.from_support(n, (s, right[s])) for s in range(n)]
+    gauge_z = [BitVec.from_support(n, (s, down[s])) for s in range(n)]
+    cols = [range(c, n, L) for c in range(L)]
+    rows = [range(r * L, r * L + L) for r in range(L)]
+    stab_x = [BitVec.from_support(n, [*col, *(right[s] for s in col)]) for col in cols]
+    stab_z = [BitVec.from_support(n, [*row, *(down[s] for s in row)]) for row in rows]
+    verts = list(itertools.product(range(L), repeat=2))
     return CssSubsystemCode(
         "bacon-shor", n, gauge_x, gauge_z, stab_x, stab_z,
-        qubit_labels=[f"v{v}" for v in verts],
+        qubit_labels=[f"v{p}" for p in names],
         metadata={"family": "bacon-shor", "L": L,
                   "h_edges": verts, "v_edges": verts,
                   "qubit_coords": [(float(c), float(r)) for r, c in verts]})
@@ -141,22 +117,20 @@ def build_xu_moore(length: int) -> XuMooreModel:
     if length < 2:
         raise ValueError("need length >= 2")
     L = length
-    edges = _torus_vertices(L)          # h-edge (r, c) joins (r,c)-(r,c+1)
-    eid = {e: i for i, e in enumerate(edges)}
+    names, (down, _), (_, left) = _torus_sites(2, L)   # h-edge s joins s to its right neighbour
     n = L * L
     h = Hamiltonian(n)
-    for r, c in edges:
-        h.add(Term(f"X[{(r, c)}]", "J_X", PauliOp.x_op(n, [eid[(r, c)]])))
-    for r, c in edges:                   # plaquette of the vertical edge (r,c)-(r+1,c)
-        support = [eid[(r, (c - 1) % L)], eid[(r, c)],
-                   eid[((r + 1) % L, (c - 1) % L)], eid[((r + 1) % L, c)]]
+    for s in range(n):
+        h.add(Term(f"X[{names[s]}]", "J_X", PauliOp.x_op(n, [s])))
+    for s in range(n):                   # plaquette of the vertical edge s -- down[s]
+        support = [left[s], s, left[down[s]], down[s]]
         # z_combo: the vertical pair of Bacon-Shor vertices, for gauging back;
         # vertices and horizontal edges share the same row-major (r, c) index.
-        z_combo = BitVec.from_support(n, [eid[(r, c)], eid[((r + 1) % L, c)]])
-        h.add(Term(f"Zplaq[{(r, c)}]", "J_Z", PauliOp.z_op(n, support),
-                   {"z_combo": z_combo, "plaquette_index": eid[(r, c)]}))
-    emergent = [PauliOp.x_op(n, [eid[(r, c)] for c in range(L)]) for r in range(L)]
-    preserved = [PauliOp.x_op(n, [eid[(r, c)] for r in range(L)]) for c in range(L)]
+        z_combo = BitVec.from_support(n, [s, down[s]])
+        h.add(Term(f"Zplaq[{names[s]}]", "J_Z", PauliOp.z_op(n, support),
+                   {"z_combo": z_combo, "plaquette_index": s}))
+    emergent = [PauliOp.x_op(n, range(r * L, r * L + L)) for r in range(L)]
+    preserved = [PauliOp.x_op(n, range(c, n, L)) for c in range(L)]
     return XuMooreModel(n, h, emergent, preserved)
 
 
@@ -204,41 +178,25 @@ def build_fractal_code(length: int, boundary: str = "periodic") -> CssSubsystemC
     if boundary not in ("periodic", "open_y"):
         raise ValueError("boundary must be 'periodic' or 'open_y'")
     L = length
+    names, fwd, back = _torus_sites(3, L)
+    N = len(names)
+    n = 2 * N
+    # A is qubit s and B qubit N + s.  Under open_y a y step that wraps
+    # (from y = 0 down or from y = L-1 up) leaves the lattice and is dropped.
     open_y = boundary == "open_y"
-    verts = [(i, j, k) for i in range(L) for j in range(L) for k in range(L)]
-    vid = {v: i for i, v in enumerate(verts)}
-    n = 2 * L ** 3
-
-    def a_q(v):
-        return vid[v]
-
-    def b_q(v):
-        return L ** 3 + vid[v]
-
-    def site(v):
-        i, j, k = v
-        if open_y and not 0 <= j < L:
-            return None
-        return (i % L, j % L if not open_y else j, k % L)
-
-    def collect(qubit, offsets, v):
-        out = []
-        for d in offsets:
-            w = site((v[0] + d[0], v[1] + d[1], v[2] + d[2]))
-            if w is not None:
-                out.append(qubit(w))
-        return out
-
     stab_x, stab_z = [], []
-    for v in verts:
-        sx = collect(a_q, [(0, 0, 0), (0, 0, -1)], v) \
-            + collect(b_q, [(0, 0, 0), (-1, 0, 0), (0, -1, 0)], v)
-        sz = collect(a_q, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], v) \
-            + collect(b_q, [(0, 0, 0), (0, 0, 1)], v)
+    for s in range(N):
+        sx = [s, back[2][s], N + s, N + back[0][s]]
+        sz = [s, fwd[0][s], N + s, N + fwd[2][s]]
+        if not (open_y and back[1][s] > s):
+            sx.append(N + back[1][s])
+        if not (open_y and fwd[1][s] < s):
+            sz.append(fwd[1][s])
         stab_x.append(BitVec.from_support(n, sx))
         stab_z.append(BitVec.from_support(n, sz))
 
-    labels = [f"A{v}" for v in verts] + [f"B{v}" for v in verts]
+    verts = list(itertools.product(range(L), repeat=3))
+    labels = [f"A{p}" for p in names] + [f"B{p}" for p in names]
     coords = [tuple(map(float, v)) for v in verts] * 2
     return CssSubsystemCode(
         "fractal3d", n, gauge_x=stab_x, gauge_z=stab_z,

@@ -114,14 +114,12 @@ def bacon_shor_model(length: int = 3) -> WorkedModel:
     identity).  Two-column X stabilizers are the preserved symmetries.
     """
     code = builders.build_bacon_shor(length)
-    L = length
-    verts = code.metadata["h_edges"]
-    eid = {v: i for i, v in enumerate(verts)}
-    n = code.n
+    L, n = length, code.n
     # Row r is both the r-th Z symmetry and the r-th relation among the
-    # horizontal-edge X generators, which are indexed like the qubits.
-    row_z = [BitVec.from_support(n, [eid[(r, c)] for c in range(L)]) for r in range(L)]
-    col_combos = [BitVec.from_support(n, [eid[(r, c)] for r in range(L)]) for c in range(L)]
+    # horizontal-edge X generators, which are indexed like the qubits
+    # (vertex and h-edge (r, c) are both r*L + c).
+    row_z = [BitVec.from_support(n, range(r * L, r * L + L)) for r in range(L)]
+    col_combos = [BitVec.from_support(n, range(c, n, L)) for c in range(L)]
     setup = make_setup(
         n, row_z, x_gens=list(code.gauge_x), relations=row_z,
         preserved=list(code.stabilizer_x), preserved_combos=col_combos)
@@ -162,10 +160,9 @@ def xu_moore_check(length: int = 3) -> dict:
 
     # Transposition: the gauged system's qubit j sits on the vertical
     # edge (r, c); the Hadamard conjugate lives on horizontal edges, and
-    # (r, c) -> (c, r) matches plaquettes to plaquettes.
-    code_edges = builders._torus_vertices(L)
-    eid = {v: i for i, v in enumerate(code_edges)}
-    relabel = {eid[(r, c)]: eid[(c, r)] for r, c in code_edges}
+    # (r, c) -> (c, r), that is r*L + c -> c*L + r, matches plaquettes to
+    # plaquettes.
+    relabel = {s: (s % L) * L + s // L for s in range(xm.n)}
     reference = transversal_hadamard_hamiltonian(xm.hamiltonian)
     full_report = full_gauge_comparison(h_for_full, s_swapped, reference, relabel)
 
@@ -360,21 +357,17 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
         return BitVec.from_support(len(sym_edges),
                                    [gen_of_edge[e] for e in pair_edges[v][partner]])
 
-    vertex_edges = lattice.generalized_boundary(1, 0)
+    # A chosen-color vertex's pair groups hold all of its edges.
     relations = []
-    for v in range(lattice.n_cells(0)):
-        if vcol[v] != color:
-            continue
-        relations.append(BitVec.from_support(
-            len(sym_edges), [gen_of_edge[e] for e in vertex_edges.row(v).support]))
-
     preserved = []
     preserved_combos = []
     for v in range(lattice.n_cells(0)):
         if vcol[v] == color:
-            continue
-        preserved.append(code.stabilizer_x[v])
-        preserved_combos.append(combo(v, color))
+            relations.append(BitVec.from_support(len(sym_edges), [
+                gen_of_edge[e] for edges in pair_edges[v].values() for e in edges]))
+        else:
+            preserved.append(code.stabilizer_x[v])
+            preserved_combos.append(combo(v, color))
 
     setup = make_setup(code.n, z_syms, x_gens=x_gens, relations=relations,
                        preserved=preserved, preserved_combos=preserved_combos)

@@ -105,12 +105,6 @@ class BitVec:
             raise ValueError("length mismatch")
         return BitVec(self.length, self.bits ^ other.bits)
 
-    def dot(self, other: "BitVec") -> int:
-        """Parity of the overlap, i.e. the GF(2) inner product."""
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
     def overlap(self, other: "BitVec") -> int:
         """Size of the common support (an integer, not mod 2)."""
         if self.length != other.length:

@@ -225,6 +225,16 @@ def hypercubic_torus(dim: int, length: int) -> CellComplex:
     return CellComplex(dim, cells, boundary)
 
 
+def hypercubic_centers(dim: int, length: int, d: int) -> list[tuple[float, ...]]:
+    """The center of each d-cell of ``hypercubic_torus(dim, length)``, in cell order.
+
+    A cell's center is its base point plus 0.5 along each of its axes.
+    """
+    points = list(itertools.product(range(length), repeat=dim))
+    return [tuple(x + 0.5 * (a in axes) for a, x in enumerate(p))
+            for axes in itertools.combinations(range(dim), d) for p in points]
+
+
 def octahedron_sphere() -> CellComplex:
     """The octahedron triangulation of the 2-sphere: V=6, E=12, F=8."""
     verts = ["+x", "-x", "+y", "-y", "+z", "-z"]
@@ -250,46 +260,31 @@ def triangular_torus(length: int) -> CellComplex:
     Vertices (i,j) with neighbors along +x, +y and the (+x,-y) diagonal;
     color (i - j) mod 3 makes every edge bichromatic and every triangle
     carry all three colors.
+
+    Built on the sites of ``_torus_sites``: the E, N and D edges of site s
+    are edges 3s, 3s+1 and 3s+2, and its up and down triangles are faces
+    2s and 2s+1.
     """
     if length < 3 or length % 3:
         raise ValueError("triangular torus coloring needs length divisible by 3")
-    L = length
-    verts = [(i, j) for i in range(L) for j in range(L)]
-    v_index = {v: k for k, v in enumerate(verts)}
-    color_names = ("a", "b", "c")
-
-    def vlab(v):
-        return f"v{v}"
-
-    colors = {vlab(v): color_names[(v[0] - v[1]) % 3] for v in verts}
-
-    edges: list[tuple[str, tuple, tuple, tuple]] = []
-    for i, j in verts:
-        edges.append(("E", (i, j), (i, j), ((i + 1) % L, j)))
-        edges.append(("N", (i, j), (i, j), (i, (j + 1) % L)))
-        edges.append(("D", (i, j), ((i + 1) % L, j), (i, (j + 1) % L)))
-    e_index = {(kind, base): k for k, (kind, base, a, b) in enumerate(edges)}
-    b1 = BitMatrix.from_entries(
-        len(verts), len(edges),
-        [(v_index[v], k) for k, (kind, base, a, b) in enumerate(edges) for v in (a, b)])
-
-    faces = []
-    face_entries = []
-    for i, j in verts:
-        up_edges = [("E", (i, j)), ("N", (i, j)), ("D", (i, j))]
-        faces.append(f"up{(i, j)}")
-        for e in up_edges:
-            face_entries.append((e_index[e], len(faces) - 1))
-        down_edges = [("D", (i, j)), ("E", (i, (j + 1) % L)), ("N", ((i + 1) % L, j))]
-        faces.append(f"dn{(i, j)}")
-        for e in down_edges:
-            face_entries.append((e_index[e], len(faces) - 1))
-    b2 = BitMatrix.from_entries(len(edges), len(faces), face_entries)
-
+    names, fwd, _ = _torus_sites(2, length)
+    n = len(names)
+    east, north = fwd
+    verts = [f"v{p}" for p in names]
+    colors = dict(zip(verts, ["abc"[(s // length - s % length) % 3] for s in range(n)]))
+    edge_entries, face_entries = [], []
+    for s in range(n):
+        e, f = 3 * s, 2 * s
+        edge_entries += ((s, e), (east[s], e), (s, e + 1), (north[s], e + 1),
+                         (east[s], e + 2), (north[s], e + 2))
+        face_entries += ((e, f), (e + 1, f), (e + 2, f),
+                         (e + 2, f + 1), (3 * north[s], f + 1), (3 * east[s] + 1, f + 1))
+    b1 = BitMatrix.from_entries(n, 3 * n, edge_entries)
+    b2 = BitMatrix.from_entries(3 * n, 2 * n, face_entries)
     cells = [
-        [vlab(v) for v in verts],
-        [f"{kind}{base}" for kind, base, a, b in edges],
-        faces,
+        verts,
+        [f"{kind}{p}" for p in names for kind in "END"],
+        [f"{kind}{p}" for p in names for kind in ("up", "dn")],
     ]
     return CellComplex(2, cells, [None, b1, b2], colors)
 

@@ -68,10 +68,6 @@ class PauliOp:
         s = BitVec.from_support(n, support)
         return cls(n, s, s, s.weight % 4)
 
-    @classmethod
-    def from_xz(cls, n: int, x_support: Iterable[int], z_support: Iterable[int], phase: int = 0) -> "PauliOp":
-        return cls(n, BitVec.from_support(n, x_support), BitVec.from_support(n, z_support), phase)
-
     # -- queries -----------------------------------------------------
 
     def is_identity(self) -> bool:

@@ -4,9 +4,9 @@ These share no code with the package: dense list-of-lists elimination
 for ranks and an entrywise matrix product, literal 2x2 / 4x4 / 2^n
 complex matrices for Pauli algebra, and the package's earlier kernels
 (a row-by-row matrix-vector product, gate-by-gate conjugation, a
-per-component rescan of the terms and the tuple-coordinate hypercubic
-and gauge color code lattices) for the faster kernels that replaced
-them.  The exceptions keep earlier
+per-component rescan of the terms and the tuple-coordinate hypercubic,
+triangular and gauge color code lattices) for the faster kernels that
+replaced them.  The exceptions keep earlier
 routes that call the package's GF(2) and Pauli-group kernels:
 ``naive_code_parameters``, the whole-group route to the code parameters,
 with the symplectic Gram matrix in place of the CSS rank formula;
@@ -163,6 +163,36 @@ def naive_gcc_lattice(length: int) -> tuple[list[list[str]], dict[str, str], lis
                 _incidence_rows(len(edge_labels), [[e_index[k] for k in ks] for ks in tri_edges]),
                 _incidence_rows(len(tri_labels), [[t_index[k] for k in ks] for ks in tet_tris])]
     return [verts, edge_labels, tri_labels, tet_labels], colors, boundary
+
+
+def naive_triangular_torus(length: int) -> tuple[list[list[str]], dict[str, str], list]:
+    """(cells, vertex colors, boundary rows) of the three-colored triangular torus.
+
+    The tuple-coordinate construction that ``lattice.triangular_torus``
+    replaced: vertices (i, j) wrap with ``% L``, and every edge and face
+    is looked up through a (kind, base point) key.
+    """
+    L = length
+    verts = [(i, j) for i in range(L) for j in range(L)]
+    v_index = {v: k for k, v in enumerate(verts)}
+    colors = {f"v{v}": "abc"[(v[0] - v[1]) % 3] for v in verts}
+    edges = []
+    for i, j in verts:
+        edges.append(("E", (i, j), (i, j), ((i + 1) % L, j)))
+        edges.append(("N", (i, j), (i, j), (i, (j + 1) % L)))
+        edges.append(("D", (i, j), ((i + 1) % L, j), (i, (j + 1) % L)))
+    e_index = {(kind, base): k for k, (kind, base, _, _) in enumerate(edges)}
+    faces, face_edges = [], []
+    for i, j in verts:
+        faces.append(f"up{(i, j)}")
+        face_edges.append([("E", (i, j)), ("N", (i, j)), ("D", (i, j))])
+        faces.append(f"dn{(i, j)}")
+        face_edges.append([("D", (i, j)), ("E", (i, (j + 1) % L)), ("N", ((i + 1) % L, j))])
+    cells = [[f"v{v}" for v in verts], [f"{kind}{base}" for kind, base, _, _ in edges], faces]
+    boundary = [None,
+                _incidence_rows(len(verts), [[v_index[a], v_index[b]] for _, _, a, b in edges]),
+                _incidence_rows(len(edges), [[e_index[k] for k in ks] for ks in face_edges])]
+    return cells, colors, boundary
 
 
 def naive_hypercubic_torus(dim: int, length: int) -> tuple[list[list[str]], list]:

@@ -30,12 +30,12 @@ def test_bitvec_basics():
     assert v.support == (0, 3)
     assert v.weight == 2
     assert (v ^ BitVec.from_support(5, [3, 4])).support == (0, 4)
-    assert v.dot(BitVec.from_support(5, [3])) == 1
-    assert v.dot(BitVec.from_support(5, [0, 3])) == 0
+    assert v.overlap(BitVec.from_support(5, [3])) == 1
+    assert v.overlap(BitVec.from_support(5, [0, 3])) == 2
     with pytest.raises(ValueError):
         BitVec.from_support(3, [3])
     with pytest.raises(ValueError):
-        v.dot(BitVec(4))
+        v.overlap(BitVec(4))
 
 
 def test_bitmatrix_basics():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 
 import pytest
@@ -7,13 +8,20 @@ from cssgauge.lattice import (
     CellComplex,
     color_pair_sublattice,
     edge_color_class,
+    _torus_sites,
     gcc_lattice,
+    hypercubic_centers,
     hypercubic_torus,
     octahedron_sphere,
     triangular_torus,
 )
 
-from tests.oracles import naive_gcc_lattice, naive_generalized_boundary, naive_hypercubic_torus
+from tests.oracles import (
+    naive_gcc_lattice,
+    naive_generalized_boundary,
+    naive_hypercubic_torus,
+    naive_triangular_torus,
+)
 
 
 def euler_characteristic(lattice) -> int:
@@ -93,6 +101,41 @@ def test_gcc_lattice_matches_tuple_construction(L):
     lat = gcc_lattice(L)
     assert_same_complex(lat, cells, boundary)
     assert list(lat.vertex_colors.items()) == list(colors.items())
+
+
+@pytest.mark.parametrize("L", [3, 6, 9])
+def test_triangular_torus_matches_tuple_construction(L):
+    cells, colors, boundary = naive_triangular_torus(L)
+    lat = triangular_torus(L)
+    assert_same_complex(lat, cells, boundary)
+    assert list(lat.vertex_colors.items()) == list(colors.items())
+
+
+@pytest.mark.parametrize("dim,L", [(dim, L) for dim in range(1, 5) for L in range(2, 6)])
+def test_torus_site_tables(dim, L):
+    names, fwd, back = _torus_sites(dim, L)
+    points = [ast.literal_eval(name) for name in names]
+    n = L ** dim
+    assert len(points) == n
+    for s, p in enumerate(points):
+        # names[s] is the point whose row-major index is s.
+        assert len(p) == dim and all(0 <= x < L for x in p)
+        assert sum(x * L ** (dim - 1 - a) for a, x in enumerate(p)) == s
+    for a in range(dim):
+        assert sorted(fwd[a]) == sorted(back[a]) == list(range(n))
+        for s, p in enumerate(points):
+            assert back[a][fwd[a][s]] == fwd[a][back[a][s]] == s
+            for step, q in ((1, points[fwd[a][s]]), (-1, points[back[a][s]])):
+                assert [i for i in range(dim) if q[i] != p[i]] == [a]
+                assert q[a] == (p[a] + step) % L
+    lattice = hypercubic_torus(dim, L)
+    for d in range(dim + 1):
+        axes_sets = list(itertools.combinations(range(dim), d))
+        centers = hypercubic_centers(dim, L, d)
+        assert len(centers) == lattice.n_cells(d) == len(axes_sets) * n
+        for i, (axes, s) in enumerate(itertools.product(axes_sets, range(n))):
+            assert lattice.cells[d][i] == ("".join("xyzw"[a] for a in axes) or ".") + names[s]
+            assert centers[i] == tuple(x + 0.5 * (a in axes) for a, x in enumerate(points[s]))
 
 
 def test_gcc_every_tetrahedron_sees_four_colors():

@@ -86,8 +86,8 @@ def test_multiply_identity():
 
 
 def test_multiply_xz_zx_two_qubits():
-    p = PauliOp.from_xz(2, [0], [1])     # X_0 Z_1
-    q = PauliOp.from_xz(2, [1], [0])     # Z_0 X_1
+    p = PauliOp(2, BitVec.from_support(2, [0]), BitVec.from_support(2, [1]))     # X_0 Z_1
+    q = PauliOp(2, BitVec.from_support(2, [1]), BitVec.from_support(2, [0]))     # Z_0 X_1
     prod = multiply(p, q)
     assert np.allclose(pauli_matrix(prod), pauli_matrix(p) @ pauli_matrix(q))
     assert np.allclose(pauli_matrix(prod), pauli_matrix(PauliOp.y_op(2, [0, 1])))
@@ -124,7 +124,7 @@ def test_square_is_plus_minus_identity():
 def test_cz_on_x_tensor_i():
     circ = CliffordCircuit(2, [("CZ", 0, 1)])
     img = conjugate_by_circuit(PauliOp.x_op(2, [0]), circ)
-    assert img == PauliOp.from_xz(2, [0], [1])
+    assert img == PauliOp(2, BitVec.from_support(2, [0]), BitVec.from_support(2, [1]))
 
 
 def test_cz_fixes_z_type():
@@ -287,7 +287,7 @@ def test_group_membership_matches_in_group():
 
 
 def test_label_roundtrip():
-    p = PauliOp.from_xz(4, [0, 1], [1, 2], 3)
+    p = PauliOp(4, BitVec.from_support(4, [0, 1]), BitVec.from_support(4, [1, 2]), 3)
     assert p.to_label() == "-iXYZI"
 
 

@@ -193,7 +193,8 @@ def test_disentangler_cluster_chain():
     n = 6
     h = Hamiltonian(n)
     for i in range(n):
-        h.add(Term(f"c{i}", "J", PauliOp.from_xz(n, [i], [(i - 1) % n, (i + 1) % n])))
+        h.add(Term(f"c{i}", "J", PauliOp(n, BitVec.from_support(n, [i]),
+                                          BitVec.from_support(n, [(i - 1) % n, (i + 1) % n]))))
     circ = find_cz_disentangler(h)
     assert circ is not None
     # The nearest-neighbor CZ cycle: n gates, each joining adjacent sites.
@@ -239,7 +240,7 @@ def test_disentangler_rejects_bad_shapes():
 
 def test_disentangler_none_for_asymmetric_adjacency():
     h = Hamiltonian(2)
-    h.add(Term("a", "J", PauliOp.from_xz(2, [0], [1])))
+    h.add(Term("a", "J", PauliOp(2, BitVec.from_support(2, [0]), BitVec.from_support(2, [1]))))
     h.add(Term("b", "J", PauliOp.x_op(2, [1])))
     assert find_cz_disentangler(h) is None
 
