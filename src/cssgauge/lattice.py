@@ -374,9 +374,15 @@ def gcc_lattice(length: int) -> CellComplex:
 
 
 def edge_color_class(lattice: CellComplex, e: int) -> str:
-    """Two-letter color class of an edge, letters sorted (e.g. 'ab')."""
-    cols = sorted(lattice.cell_colors(1, e))
-    return "".join(cols)
+    """Two-letter color class of an edge, letters sorted (e.g. 'ab').
+
+    The endpoints are read off row e of the memoised edge-vertex incidence.
+    """
+    if lattice.vertex_colors is None:
+        raise ValueError("lattice is not colored")
+    labels, colors = lattice.cells[0], lattice.vertex_colors
+    ends = lattice.generalized_boundary(0, 1).row(e).support
+    return "".join(sorted({colors[labels[v]] for v in ends}))
 
 
 def color_pair_sublattice(tri: CellComplex, colors: Iterable[str]) -> CellComplex:

@@ -7,18 +7,19 @@ the left of all Z factors ("XZ form").  A Y on qubit q therefore has
 signs under this bookkeeping, which is what the domain-wall logical
 checks need.
 
-Only Hadamard and controlled-Z conjugations are implemented; these are
-the only gates the constructions require, and both have closed-form
-action on XZ-form operators:
+The constructions need two Cliffords, and both act in closed form on
+XZ-form operators:
 
-* ``H_q``:  swap ``x_q, z_q``; add phase 2 when both are set (Y -> -Y),
-* ``CZ(a,b)``:  ``z_a ^= x_b``, ``z_b ^= x_a``; add phase ``2*x_a*x_b``.
+* transversal Hadamard: swap ``x`` and ``z``; add phase 2 per Y (Y -> -Y),
+* a circuit of controlled-Z gates: ``CZ(a,b)`` sets ``z_a ^= x_b``,
+  ``z_b ^= x_a`` and adds phase ``2*x_a*x_b``.
 
-Conjugation goes through a stabilizer tableau, as in Aaronson &
-Gottesman, *Improved simulation of stabilizer circuits*, PRA 70, 052328
-(2004): each circuit is compiled once into the images of every X_q and
-Z_q, and an operator's image is the product of the images over its
-support, so one conjugation costs O(weight), not O(gates).
+CZ gates commute and fix ``x``, so a whole circuit maps
+``i^k X(x) Z(z)`` to ``i^(k + 2e) X(x) Z(z ^ N(x))``: N(x) is the XOR of
+the CZ partners of the qubits in x and e the number of gates with both
+ends in x (the graph-state rule of Hein, Eisert & Briegel, PRA 69,
+062311 (2004)).  One conjugation costs O(weight x degree); no tableau
+is built.
 """
 
 from __future__ import annotations
@@ -169,32 +170,32 @@ def _qubit_index(q) -> int:
 
 
 class CliffordCircuit:
-    """An ordered list of H and CZ gates on n qubits."""
+    """An ordered list of CZ gates on n qubits.
 
-    __slots__ = ("n", "gates", "_images")
+    ``_partners[q]`` holds the other end of every gate on qubit q, a
+    pair listed twice appearing twice.
+    """
+
+    __slots__ = ("n", "gates", "_partners")
 
     def __init__(self, n: int, gates: Iterable[tuple] = ()):
         checked = []
+        partners: list[list[int]] = [[] for _ in range(n)]
         for g in gates:
-            if g[0] == "H":
-                _, q = g
-                q = _qubit_index(q)
-                if not 0 <= q < n:
-                    raise ValueError("H qubit out of range")
-                checked.append(("H", q))
-            elif g[0] == "CZ":
-                _, a, b = g
-                a, b = _qubit_index(a), _qubit_index(b)
-                if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError("CZ qubit out of range")
-                if a == b:
-                    raise ValueError("CZ needs two distinct qubits")
-                checked.append(("CZ", a, b))
-            else:
+            if g[0] != "CZ":
                 raise ValueError(f"unsupported gate {g[0]!r}")
+            _, a, b = g
+            a, b = _qubit_index(a), _qubit_index(b)
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError("CZ qubit out of range")
+            if a == b:
+                raise ValueError("CZ needs two distinct qubits")
+            checked.append(("CZ", a, b))
+            partners[a].append(b)
+            partners[b].append(a)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gates", tuple(checked))
-        object.__setattr__(self, "_images", None)
+        object.__setattr__(self, "_partners", tuple(map(tuple, partners)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordCircuit is immutable")
@@ -212,59 +213,23 @@ class CliffordCircuit:
     def __repr__(self):
         return f"CliffordCircuit(n={self.n}, gates={len(self.gates)})"
 
-    def _tableau(self) -> tuple[tuple[int, int, int], ...]:
-        """Images ``(x, z, phase)`` of X_0..X_{n-1}, then Z_0..Z_{n-1}, under U . U^dagger.
-
-        Built once, in one pass over the gates on bit-sliced columns:
-        ``xc[q]`` and ``zc[q]`` are bitmasks over the 2n generator rows
-        holding their x and z bits on qubit q, and ``sign`` marks the rows
-        whose phase is 2.  Every gate adds 0 or 2 to a phase, so the
-        images stay Hermitian with phase 0 or 2.
-        """
-        if self._images is None:
-            n = self.n
-            xc = [1 << q for q in range(n)]
-            zc = [1 << (n + q) for q in range(n)]
-            sign = 0
-            for g in self.gates:
-                if g[0] == "H":
-                    q = g[1]
-                    sign ^= xc[q] & zc[q]
-                    xc[q], zc[q] = zc[q], xc[q]
-                else:
-                    a, b = g[1], g[2]
-                    zc[b] ^= xc[a]
-                    zc[a] ^= xc[b]
-                    sign ^= xc[a] & xc[b]
-            x_rows = BitMatrix(n, 2 * n, xc).transpose()
-            z_rows = BitMatrix(n, 2 * n, zc).transpose()
-            object.__setattr__(self, "_images", tuple(
-                (x_rows.row_bits(r), z_rows.row_bits(r), 2 * ((sign >> r) & 1))
-                for r in range(2 * n)))
-        return self._images
-
 
 def conjugate_by_circuit(p: PauliOp, circuit: CliffordCircuit) -> PauliOp:
-    """U p U^dagger with gates applied in circuit order, phases exact.
+    """U p U^dagger for the CZ circuit U, phases exact.
 
-    The image is the product of the tableau rows of the X factors and
-    then the Z factors of ``p`` (XZ form), multiplied left to right.
+    Each partner b of a qubit in ``p.x`` flips z_b; a gate with both
+    ends in ``p.x`` is met once from each end and adds 1 to the phase
+    each time, 2 in all.
     """
     if p.n != circuit.n:
         raise ValueError("qubit count mismatch")
-    images = circuit._tableau()
-    n = p.n
-    x = z = 0
-    phase = p.phase
-    for bits, offset in ((p.x.bits, 0), (p.z.bits, n)):
-        while bits:
-            low = bits & -bits
-            ix, iz, ip = images[offset + low.bit_length() - 1]
-            phase += ip + 2 * (z & ix).bit_count()
-            x ^= ix
-            z ^= iz
-            bits ^= low
-    return PauliOp(n, BitVec(n, x), BitVec(n, z), phase % 4)
+    x, z, phase = p.x.bits, p.z.bits, p.phase
+    partners = circuit._partners
+    for a in p.x.support:
+        for b in partners[a]:
+            z ^= 1 << b
+            phase += x >> b & 1
+    return PauliOp(p.n, p.x, BitVec(p.n, z), phase)
 
 
 def transversal_hadamard(p: PauliOp) -> PauliOp:

@@ -5,21 +5,17 @@ Every check returns a CheckResult; ``run_all`` executes the whole suite.
 The dense-matrix oracle of criterion 12 lives here as an independent
 implementation: it reads only a ``PauliOp``'s bits and phase and a
 circuit's gate list, and shares no code with the symplectic engine.  It
-builds the 2^n x 2^n matrices from the definitions (X, Z, H, CZ as
+builds the 2^n x 2^n matrices from the definitions (X, Z, CZ as
 matrices, Kronecker products) in exact Python integers, storing only
 the nonzero entries: a dict per matrix keyed ``row << n | col``.  A
-Pauli, and its image under H and CZ, is a signed permutation matrix up
-to a scale, with 2^n nonzero entries, so a product P Q by the
-mixed-product rule over the per-qubit 2x2 factors, and a conjugation
-U P U^dagger by butterfly (H) and sign (CZ) steps, cost O(2^n) per gate
-and O(2^n * gates) per case.
+Pauli, and its image under CZ, is a signed permutation matrix with 2^n
+nonzero entries, so a product P Q by the mixed-product rule over the
+per-qubit 2x2 factors, and a conjugation U P U^dagger by one sign step
+per CZ, cost O(2^n) per gate and O(2^n * gates) per case.
 
-X^x Z^z, H and CZ are real, so every dense operator is a pair (k, M)
+X^x Z^z and CZ are real, so every dense operator is a pair (k, M)
 meaning i^k M, with M a real integer matrix and the global phase i^k
-carried as an integer mod 4.  A conjugation by h H gates leaves its
-butterflies unscaled, so it is compared with 2^h times the engine's
-matrix.  Python integers never wrap around, so the comparison is exact
-at any h.
+carried as an integer mod 4.
 """
 
 from __future__ import annotations
@@ -357,54 +353,34 @@ def _dense_product(p: PauliOp, q: PauliOp) -> tuple:
 
 
 def _dense_conjugate(op: PauliOp, circuit: CliffordCircuit) -> tuple:
-    """``(k, M)`` with i^k M = 2^h U P U^dagger, h the circuit's H count.
+    """``(k, M)`` with i^k M = U P U^dagger for the CZ circuit U.
 
-    H and CZ are real, so U conjugates the real part M of P alone and the
-    phase i^k passes through.  H on qubit q is the unscaled butterfly
-    B = [[1, 1], [1, -1]] on the rows and on the columns at once, i.e.
-    2 H P H: each 2x2 block [[a, b], [c, d]] of the entries that differ
-    only in q's row and column bits becomes B [[a, b], [c, d]] B, and the
-    entries that cancel are dropped.  The factors 2 are kept, so M is 2^h
-    times the true real part.  CZ on qubits a, b negates the entries whose
-    row has both bits set, then those whose column has.
+    CZ is real, so U conjugates the real part M of P alone and the phase
+    i^k passes through.  CZ on qubits a, b negates the entries whose row
+    has both bits set, then those whose column has.
     """
     n = op.n
     k, mat = _dense_pauli(op)
-    for g in circuit.gates:
-        if g[0] == "H":
-            col = 1 << (n - 1 - g[1])
-            row = col << n
-            both = row | col
-            get = mat.get
-            out: dict = {}
-            for base in {key & ~both for key in mat}:
-                a, b = get(base, 0), get(base | col, 0)
-                c, d = get(base | row, 0), get(base | both, 0)
-                for target, w in ((base, a + b + c + d), (base | col, a - b + c - d),
-                                  (base | row, a + b - c - d), (base | both, a - b - c + d)):
-                    if w:
-                        out[target] = w
-            mat = out
-        else:
-            cols = 1 << (n - 1 - g[1]) | 1 << (n - 1 - g[2])
-            rows = cols << n
-            mat = {key: -v if ((key & rows) == rows) != ((key & cols) == cols) else v
-                   for key, v in mat.items()}
+    for _, a, b in circuit.gates:
+        cols = 1 << (n - 1 - a) | 1 << (n - 1 - b)
+        rows = cols << n
+        mat = {key: -v if ((key & rows) == rows) != ((key & cols) == cols) else v
+               for key, v in mat.items()}
     return k, mat
 
 
-def _agrees(dense: tuple, op: PauliOp, hadamards: int = 0) -> bool:
-    """Whether ``dense`` = (k, M), meaning i^k M, is 2^hadamards times the matrix of ``op``.
+def _agrees(dense: tuple, op: PauliOp) -> bool:
+    """Whether ``dense`` = (k, M), meaning i^k M, is the matrix of ``op``.
 
     Real nonzero M and R satisfy i^k M = i^k' R exactly when k' - k is
     even and M = (-1)^((k'-k)/2) R; the engine's matrix is built already
-    signed and scaled, and the two are compared entry for entry.
+    signed, and the two are compared entry for entry.
     """
     k, mat = dense
     d = (op.phase - k) % 4
     if d % 2:
         return False
-    return mat == _kron(_pauli_factors(op), (1 - d) << hadamards)
+    return mat == _kron(_pauli_factors(op), 1 - d)
 
 
 def _random_pauli(n: int, rng: random.Random) -> PauliOp:
@@ -413,14 +389,10 @@ def _random_pauli(n: int, rng: random.Random) -> PauliOp:
 
 
 def _random_circuit(n: int, depth: int, rng: random.Random) -> CliffordCircuit:
-    gates = []
-    for _ in range(depth):
-        if n >= 2 and rng.random() < 0.5:
-            a, b = rng.sample(range(n), 2)
-            gates.append(("CZ", a, b))
-        else:
-            gates.append(("H", rng.randrange(n)))
-    return CliffordCircuit(n, gates)
+    """``depth`` CZ gates on random ordered pairs of qubits; none when n = 1."""
+    if n < 2:
+        return CliffordCircuit(n)
+    return CliffordCircuit.cz_pairs(n, [rng.sample(range(n), 2) for _ in range(depth)])
 
 
 def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
@@ -429,9 +401,9 @@ def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
     Each dense operator is a pair (k, M) meaning i^k M, M a real integer
     2^n x 2^n matrix of its nonzero entries.  For each case the dense side
     is computed first and independently of the engine (``_dense_product``,
-    ``_dense_conjugate``); ``_agrees`` then expands the engine's result,
-    scaled by 2^h for a circuit with h H gates: the phase difference must
-    be even and M must equal the signed, scaled matrix entry for entry.
+    ``_dense_conjugate``); ``_agrees`` then expands the engine's result:
+    the phase difference must be even and M must equal the signed matrix
+    entry for entry.
     """
     rng = random.Random(seed)
     for case in range(cases):
@@ -442,8 +414,7 @@ def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
             return CheckResult(12, "dense oracle agreement", False,
                                f"multiplication mismatch at case {case}")
         circ = _random_circuit(n, rng.randint(1, 6), rng)
-        if not _agrees(_dense_conjugate(p, circ), conjugate_by_circuit(p, circ),
-                       sum(g[0] == "H" for g in circ.gates)):
+        if not _agrees(_dense_conjugate(p, circ), conjugate_by_circuit(p, circ)):
             return CheckResult(12, "dense oracle agreement", False,
                                f"conjugation mismatch at case {case}")
     return CheckResult(12, "dense oracle agreement", True, f"{cases} randomized cases, n <= 10")

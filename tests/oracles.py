@@ -25,6 +25,7 @@ Slow and obvious on purpose.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -431,6 +432,15 @@ def naive_matmul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list
     """
     return [[sum(row[k] * b[k][j] for k in range(len(b))) % 2 for j in range(cols)]
             for row in a]
+
+
+def hadamard_layer(n: int) -> SimpleNamespace:
+    """H on every qubit, the circuit that ``pauli.transversal_hadamard`` stands for.
+
+    A bare ``n`` and ``gates``, the two fields the oracles below read:
+    ``pauli.CliffordCircuit`` holds CZ gates only.
+    """
+    return SimpleNamespace(n=n, gates=tuple(("H", q) for q in range(n)))
 
 
 def gate_by_gate_conjugate(op, circuit) -> tuple[int, int, int]:

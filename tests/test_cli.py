@@ -255,10 +255,10 @@ def test_verify_leaves_numpy_unloaded():
     assert ran.stdout.count("[PASS]") == 13
 
 
-def _module_run(*args):
+def _module_run(*args, cwd=None, **env):
     src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-m", "cssgauge", *args], env=env,
+    env = {**os.environ, "PYTHONPATH": str(src), **env}
+    return subprocess.run([sys.executable, "-m", "cssgauge", *args], env=env, cwd=cwd,
                           capture_output=True, text=True)
 
 
@@ -269,6 +269,24 @@ def test_python_dash_m_runs_the_cli():
     rejected = _module_run("build", "--code", "gcc", "--nonsense")
     assert rejected.returncode == 2
     assert "unrecognized arguments: --nonsense" in rejected.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "spt --code toric2d --L 4 --slab 1:3",
+    "ungauge --code color2d --L 3",
+], ids=["spt", "ungauge-color2d"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, command):
+    # Iterating a set or dict of strings follows PYTHONHASHSEED; a report
+    # or a printed line built that way would differ between the two runs.
+    runs = []
+    for seed in ("1", "2"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        ran = _module_run(*command.split(), "--out", "o", cwd=cwd, PYTHONHASHSEED=seed)
+        assert ran.returncode == 0, ran.stderr
+        runs.append((ran.stdout, {p.name: p.read_bytes() for p in (cwd / "o").iterdir()}))
+    assert runs[0][1]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("command", [

@@ -24,6 +24,7 @@ from tests.oracles import (
     conjugate_dense,
     gate_by_gate_conjugate,
     gauge_ops,
+    hadamard_layer,
     naive_rank,
     pauli_matrix,
 )
@@ -35,13 +36,10 @@ def random_pauli(n, rng):
 
 
 def random_circuit(n, depth, rng):
-    gates = []
-    for _ in range(depth):
-        if n >= 2 and rng.random() < 0.5:
-            gates.append(("CZ", *rng.sample(range(n), 2)))
-        else:
-            gates.append(("H", rng.randrange(n)))
-    return CliffordCircuit(n, gates)
+    """``depth`` CZ gates on random ordered pairs, repeats allowed; empty when n = 1."""
+    if n < 2:
+        return CliffordCircuit(n)
+    return CliffordCircuit.cz_pairs(n, [rng.sample(range(n), 2) for _ in range(depth)])
 
 
 # -- symplectic product --------------------------------------------------
@@ -141,12 +139,13 @@ def test_cz_on_x_tensor_x():
 
 
 def test_hadamard_rules():
-    circ = CliffordCircuit(1, [("H", 0)])
-    assert conjugate_by_circuit(PauliOp.x_op(1, [0]), circ) == PauliOp.z_op(1, [0])
-    assert conjugate_by_circuit(PauliOp.z_op(1, [0]), circ) == PauliOp.x_op(1, [0])
-    y = PauliOp.y_op(1, [0])
-    img = conjugate_by_circuit(y, circ)
-    assert np.allclose(pauli_matrix(img), -pauli_matrix(y))
+    x, z, y = PauliOp.x_op(1, [0]), PauliOp.z_op(1, [0]), PauliOp.y_op(1, [0])
+    assert transversal_hadamard(x) == z
+    assert transversal_hadamard(z) == x
+    assert np.allclose(pauli_matrix(transversal_hadamard(y)), -pauli_matrix(y))
+    for p in (x, z, y):
+        assert np.allclose(pauli_matrix(transversal_hadamard(p)),
+                           conjugate_dense(p, hadamard_layer(1)))
 
 
 def test_conjugation_against_dense_randomized():
@@ -173,47 +172,58 @@ def test_circuit_inverse_roundtrip():
     rng = random.Random(8)
     circ = random_circuit(5, 12, rng)
     p = random_pauli(5, rng)
-    # H and CZ are self-inverse, so the reversed circuit is the inverse.
+    # CZ is self-inverse, so the reversed circuit is the inverse.
     reverse = CliffordCircuit(circ.n, reversed(circ.gates))
     assert conjugate_by_circuit(conjugate_by_circuit(p, circ), reverse) == p
 
 
 def test_transversal_hadamard_matches_circuit():
     rng = random.Random(9)
-    hadamard_all = CliffordCircuit(4, [("H", q) for q in range(4)])
+    layer = hadamard_layer(4)
     for _ in range(20):
         p = random_pauli(4, rng)
-        assert transversal_hadamard(p) == conjugate_by_circuit(p, hadamard_all)
+        image = transversal_hadamard(p)
+        assert (image.x.bits, image.z.bits, image.phase) == gate_by_gate_conjugate(p, layer)
+        assert np.allclose(pauli_matrix(image), conjugate_dense(p, layer))
 
 
 def test_circuit_validation():
     with pytest.raises(ValueError):
         CliffordCircuit(2, [("CZ", 0, 0)])
     with pytest.raises(ValueError):
-        CliffordCircuit(2, [("H", 2)])
-    with pytest.raises(ValueError):
+        CliffordCircuit(2, [("CZ", 0, 2)])
+    with pytest.raises(ValueError, match="unsupported gate 'H'"):
+        CliffordCircuit(2, [("H", 0)])
+    with pytest.raises(ValueError, match="unsupported gate 'SWAP'"):
         CliffordCircuit(2, [("SWAP", 0, 1)])
 
 
 def test_circuit_rejects_non_integer_qubits():
     with pytest.raises(ValueError, match="not an integer"):
-        CliffordCircuit(3, [("H", 1.0)])
+        CliffordCircuit(3, [("CZ", 1.0, 2)])
     with pytest.raises(ValueError, match="not an integer"):
         CliffordCircuit(3, [("CZ", 0, 2.0)])
-    circ = CliffordCircuit(3, [("H", np.int64(1)), ("CZ", np.int64(0), 2)])
-    assert circ.gates == (("H", 1), ("CZ", 0, 2))
+    circ = CliffordCircuit(3, [("CZ", 1, np.int64(0)), ("CZ", np.int64(0), 2)])
+    assert circ.gates == (("CZ", 1, 0), ("CZ", 0, 2))
     assert all(type(q) is int for g in circ.gates for q in g[1:])
 
 
 @st.composite
 def conjugations(draw):
-    """An H/CZ circuit on n <= 8 qubits (maybe empty) and Paulis with any phase."""
+    """A CZ circuit on n <= 8 qubits (maybe empty) and Paulis with any phase.
+
+    Some of the drawn pairs are listed again, either way round, at
+    random places, so a pair's two gates must cancel.
+    """
     n = draw(st.integers(1, 8))
-    gate = st.tuples(st.just("H"), st.integers(0, n - 1))
+    pairs = []
     if n >= 2:
         pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
-        gate = st.one_of(gate, pair.map(lambda ab: ("CZ", *ab)))
-    circuit = CliffordCircuit(n, draw(st.lists(gate, max_size=12)))
+        pairs = draw(st.lists(pair.map(tuple), max_size=8))
+    if pairs:
+        again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=4))
+        pairs += [(b, a) if flip else (a, b) for (a, b), flip in again]
+    circuit = CliffordCircuit.cz_pairs(n, draw(st.permutations(pairs)))
     mask = st.integers(0, (1 << n) - 1)
     ops = draw(st.lists(st.builds(lambda x, z, ph: PauliOp(n, BitVec(n, x), BitVec(n, z), ph),
                                   mask, mask, st.integers(0, 3)), min_size=1, max_size=4))
@@ -224,7 +234,7 @@ def conjugations(draw):
 @given(conjugations())
 def test_property_conjugation_matches_gate_by_gate(case):
     circuit, ops = case
-    for p in ops + ops:  # the second pass reads the compiled tableau
+    for p in ops:
         img = conjugate_by_circuit(p, circuit)
         assert (img.x.bits, img.z.bits, img.phase) == gate_by_gate_conjugate(p, circuit)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from cssgauge import catalog, sptwall
@@ -69,6 +71,24 @@ def test_transversal_cz_fixes_z_stabilizers():
     for sz in tensor.stabilizer_z:
         op = PauliOp(tensor.n, BitVec(tensor.n), sz)
         assert conjugate_by_circuit(op, circuit) == op
+
+
+def test_cz_conjugation_memory_is_not_quadratic():
+    # The transversal CZ on toric2d L=32 pairs n = 4096 qubits.  A table of
+    # the 2n images of X_q and Z_q, n bits each, would take several MB;
+    # the circuit's partner lists and one image stay well under 2 MiB.
+    code = build_toric(2, 32, 1)
+    tensor = tensor_code(code, dual_code(code))
+    op = PauliOp(tensor.n, tensor.stabilizer_x[0], BitVec(tensor.n))
+    tracemalloc.start()
+    try:
+        image = conjugate_by_circuit(op, pairing_circuit(tensor))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tensor.n == 4096
+    assert image == PauliOp(tensor.n, op.x, BitVec(tensor.n, op.x.bits << code.n))
+    assert peak <= 2 * 2 ** 20, f"peak {peak} bytes"
 
 
 def _count_searches(monkeypatch) -> list[int]:
