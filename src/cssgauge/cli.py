@@ -15,13 +15,15 @@ to a code of one size (``toric-sphere``), a negative count (``--pairs``,
 ``--cases``), and an ``--out`` that names, or lies under, an existing
 file that is not a directory; that one is raised before any work.
 
-A report file holds exactly the bytes of ``json.dumps(data, indent=2,
-sort_keys=True)`` and a newline.  ``_write_json`` renders them with a
-direct encoder (the stdlib falls back to pure Python whenever ``indent``
-is set) and, like ``json.dumps``, raises ``TypeError`` on a value that
-is not JSON and ``ValueError`` on a cycle.  It streams the text to the
-file in pieces (``_pieces``), so its memory follows the largest piece,
-not the report; a write that fails part way removes the file.
+A report holds dicts (keyed by str, int, bool or None), lists, tuples,
+strings, ints, bools and None, and its file holds exactly the bytes of
+``json.dumps(data, indent=2, sort_keys=True)`` and a newline.
+``_write_json`` renders them with a direct encoder (the stdlib falls
+back to pure Python whenever ``indent`` is set).  It raises
+``TypeError`` on any other value, a float included, and ``ValueError``
+on a cycle.  It streams the text to the file in pieces (``_pieces``), so
+its memory follows the largest piece, not the report; a write that
+fails part way removes the file.
 """
 
 from __future__ import annotations
@@ -176,11 +178,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _scalar(o):
-    """The JSON text of None, a bool, an int or a float; None for any other value."""
+    """The JSON text of None, a bool or an int; None for any other value."""
     if o is None:
         return "null"
     if o is True:
@@ -189,9 +188,6 @@ def _scalar(o):
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _NONFINITE.get(text, text)
     return None
 
 
@@ -199,7 +195,7 @@ def _key(k) -> str:
     """A dict key, stringified as ``json.dumps`` does, then quoted."""
     text = k if isinstance(k, str) else _scalar(k)
     if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        raise TypeError(f"keys must be str, int, bool or None, not {k.__class__.__name__}")
     return _quote(text)
 
 
@@ -270,14 +266,10 @@ def _pieces(o, nl: str, path: set):
     yield nl + ("}" if is_dict else "]")
 
 
-def _dumps(data) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte."""
-    return "".join(_pieces(data, "\n", set()))
-
-
 def _write_json(path: Path, data) -> None:
-    """Write ``_dumps(data)`` and a newline to ``path`` piece by piece, never holding
-    the whole text; if any piece fails, remove the file and raise."""
+    """Write ``json.dumps(data, indent=2, sort_keys=True)`` and a newline to ``path``
+    piece by piece, never holding the whole text; if any piece fails, remove the
+    file and raise."""
     file = path.open("w", encoding="utf-8")   # a failed open leaves nothing to remove
     try:
         with file:

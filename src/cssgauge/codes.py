@@ -1,8 +1,10 @@
 """CSS subsystem codes: gauge generators, stabilizers and Hamiltonians.
 
 A stabilizer code is the abelian special case (gauge group = stabilizer
-group).  Stabilizer generators may be supplied geometrically by a
-builder.
+group), and omitting the stabilizers declares one: the constructor takes
+the gauge generators as the stabilizers, and its CSS check then proves
+that they commute.  A subsystem code lists its stabilizers, as Bacon-Shor
+and the gauge color code do.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from .pauli import Hamiltonian, PauliOp, Term
 
 
 class CssSubsystemCode:
+    """A CSS code from its X and Z gauge generators and stabilizers.
+
+    Omitted stabilizers are the gauge generators.  A stabilizer that
+    anticommutes with a gauge generator raises ``ValueError``.
+    """
+
     def __init__(self, name: str, n: int,
                  gauge_x: Sequence[BitVec], gauge_z: Sequence[BitVec],
                  stabilizer_x: Optional[Sequence[BitVec]] = None,
@@ -30,7 +38,7 @@ class CssSubsystemCode:
         for v in self.gauge_x + self.gauge_z:
             if v.length != n:
                 raise ValueError("gauge support length mismatch")
-        if stabilizer_x is None and stabilizer_z is None and self.is_stabilizer_code():
+        if stabilizer_x is None and stabilizer_z is None:
             stabilizer_x, stabilizer_z = self.gauge_x, self.gauge_z
         self.stabilizer_x = list(stabilizer_x or [])
         self.stabilizer_z = list(stabilizer_z or [])

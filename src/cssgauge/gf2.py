@@ -156,10 +156,6 @@ class BitMatrix:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "BitMatrix":
         row_bits = [0] * rows
         for r, c in entries:
@@ -172,28 +168,21 @@ class BitMatrix:
         return cls(rows, cols, row_bits)
 
     @classmethod
-    def from_rows(cls, cols: int, rows: Iterable) -> "BitMatrix":
-        """Rows may be BitVec instances or raw bitmask integers."""
+    def from_rows(cls, cols: int, rows: Iterable[BitVec]) -> "BitMatrix":
         bits = []
         for r in rows:
-            if isinstance(r, BitVec):
-                if r.length != cols:
-                    raise ValueError("row length mismatch")
-                bits.append(r.bits)
-            else:
-                bits.append(int(r))
+            if r.length != cols:
+                raise ValueError("row length mismatch")
+            bits.append(r.bits)
         return cls(len(bits), cols, bits)
 
     @classmethod
-    def from_columns(cls, rows: int, columns: Iterable) -> "BitMatrix":
+    def from_columns(cls, rows: int, columns: Iterable[BitVec]) -> "BitMatrix":
         cols_list = []
         for c in columns:
-            if isinstance(c, BitVec):
-                if c.length != rows:
-                    raise ValueError("column length mismatch")
-                cols_list.append(c.bits)
-            else:
-                cols_list.append(int(c))
+            if c.length != rows:
+                raise ValueError("column length mismatch")
+            cols_list.append(c.bits)
         return cls(len(cols_list), rows, cols_list).transpose()
 
     # -- access ------------------------------------------------------
@@ -347,9 +336,6 @@ class Echelon:
         self.relations.append(combo)
         return False
 
-    def contains(self, v: int) -> bool:
-        return not self.reduce(v)[0]
-
 
 def rank(m: BitMatrix) -> int:
     """GF(2) rank."""
@@ -398,4 +384,4 @@ def row_space_contains(m: BitMatrix, v: BitVec) -> bool:
     """True iff v lies in the span of the rows of M."""
     if v.length != m.cols:
         raise ValueError("length mismatch")
-    return Echelon(m._rows).contains(v.bits)
+    return not Echelon(m._rows).reduce(v.bits)[0]

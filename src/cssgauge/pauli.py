@@ -52,10 +52,6 @@ class PauliOp:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOp":
-        return cls(n, BitVec(n), BitVec(n))
-
-    @classmethod
     def x_op(cls, n: int, support: Iterable[int]) -> "PauliOp":
         return cls(n, BitVec.from_support(n, support), BitVec(n))
 
@@ -149,17 +145,6 @@ def multiply(p: PauliOp, q: PauliOp) -> PauliOp:
     # Moving X(q.x) left past Z(p.z) contributes (-1)^{|p.z & q.x|}.
     phase = (p.phase + q.phase + 2 * (p.z.bits & q.x.bits).bit_count()) % 4
     return PauliOp(p.n, p.x ^ q.x, p.z ^ q.z, phase)
-
-
-def multiply_all(ops: Sequence[PauliOp], n: Optional[int] = None) -> PauliOp:
-    if not ops:
-        if n is None:
-            raise ValueError("empty product needs an explicit qubit count")
-        return PauliOp.identity(n)
-    acc = ops[0]
-    for op in ops[1:]:
-        acc = multiply(acc, op)
-    return acc
 
 
 def _qubit_index(q) -> int:
@@ -284,8 +269,10 @@ class GroupMembership:
             return False
         if not track_sign:
             return True
-        support = BitVec(len(self.gens), combo).support
-        return multiply_all([self.gens[i] for i in support], self.n).phase == p.phase
+        product = PauliOp(self.n, BitVec(self.n), BitVec(self.n))
+        for i in BitVec(len(self.gens), combo).support:
+            product = multiply(product, self.gens[i])
+        return product.phase == p.phase
 
 
 def in_group(p: PauliOp, gens: Sequence[PauliOp], track_sign: bool = False) -> bool:

@@ -46,7 +46,12 @@ def dual_code(code: CssSubsystemCode) -> CssSubsystemCode:
 
 
 def tensor_code(code: CssSubsystemCode, other: CssSubsystemCode) -> CssSubsystemCode:
-    """The tensor-product code with qubit i of ``code`` paired with i+n of ``other``."""
+    """The tensor-product code with qubit i of ``code`` paired with i+n of ``other``.
+
+    Both inputs are stabilizer codes: each generator is lifted once, as a
+    gauge generator, and the result's stabilizers are those same lifts.
+    A subsystem input raises ``ValueError`` when the tensor is built.
+    """
     if code.n != other.n:
         raise ValueError(f"unpaired qubit counts: {code.n} vs {other.n}")
     n = 2 * code.n
@@ -58,10 +63,6 @@ def tensor_code(code: CssSubsystemCode, other: CssSubsystemCode) -> CssSubsystem
         f"{code.name}(x){other.name}", n,
         gauge_x=[lift(v, 0) for v in code.gauge_x] + [lift(v, code.n) for v in other.gauge_x],
         gauge_z=[lift(v, 0) for v in code.gauge_z] + [lift(v, code.n) for v in other.gauge_z],
-        stabilizer_x=[lift(v, 0) for v in code.stabilizer_x]
-        + [lift(v, code.n) for v in other.stabilizer_x],
-        stabilizer_z=[lift(v, 0) for v in code.stabilizer_z]
-        + [lift(v, code.n) for v in other.stabilizer_z],
         qubit_labels=list(code.qubit_labels) + list(other.qubit_labels),
         metadata={"base_n": code.n})
 

@@ -272,8 +272,8 @@ def center_of_group(gens) -> list:
     combination is multiplied out in index order and its sign normalised
     to +1 when the phase is real.
     """
-    from cssgauge.gf2 import Echelon, kernel_basis
-    from cssgauge.pauli import PauliOp, multiply_all, symplectic_gram
+    from cssgauge.gf2 import BitVec, Echelon, kernel_basis
+    from cssgauge.pauli import PauliOp, multiply, symplectic_gram
 
     if not gens:
         return []
@@ -282,7 +282,9 @@ def center_of_group(gens) -> list:
     out = []
     seen = Echelon()
     for i in range(combos.rows):
-        element = multiply_all([gens[idx] for idx in combos.row(i).support], n)
+        element = PauliOp(n, BitVec(n), BitVec(n))
+        for idx in combos.row(i).support:
+            element = multiply(element, gens[idx])
         if element.x.is_zero() and element.z.is_zero():
             continue
         if element.phase == 2:

@@ -41,7 +41,8 @@ def test_code_parameters_examples():
 @st.composite
 def css_subsystem_codes(draw):
     """Up to 12 X and 12 Z gauge rows on up to 12 qubits, with zero and repeated
-    rows, empty lists, and self-dual draws (the Z rows equal to the X rows)."""
+    rows, empty lists, and self-dual draws (the Z rows equal to the X rows).
+    The rows may anticommute, so no stabilizers are listed."""
     n = draw(st.integers(1, 12))
     row = st.one_of(st.just(0), st.integers(0, (1 << n) - 1))
 
@@ -53,7 +54,7 @@ def css_subsystem_codes(draw):
 
     gauge_x = rows()
     gauge_z = list(gauge_x) if draw(st.booleans()) else rows()
-    return CssSubsystemCode("random", n, gauge_x, gauge_z)
+    return CssSubsystemCode("random", n, gauge_x, gauge_z, stabilizer_x=[], stabilizer_z=[])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -67,7 +68,7 @@ def test_code_parameters_edge_cases_match_gram_rank():
     zero, a, b = BitVec(n), BitVec(n, 0b0011), BitVec(n, 0b0110)
     for gauge_x, gauge_z in (([], []), ([a], []), ([], [b]), ([zero, zero], [zero]),
                              ([a, a, b], [a, a, b]), ([a, b], [b, b, zero])):
-        code = CssSubsystemCode("edge", n, gauge_x, gauge_z)
+        code = CssSubsystemCode("edge", n, gauge_x, gauge_z, stabilizer_x=[], stabilizer_z=[])
         assert tuple(code_parameters(code)) == naive_code_parameters(code)
     assert tuple(code_parameters(CssSubsystemCode("empty", n, [], []))) == (n, 0, 0, n, 0)
 
@@ -291,7 +292,7 @@ def test_property_components_match_rescan(h):
 
 def test_components_edge_cases_match_rescan(gcc_images):
     empty = Hamiltonian(4)
-    identities = Hamiltonian(3, [Term(f"i{k}", "J", PauliOp.identity(3)) for k in range(3)])
+    identities = Hamiltonian(3, [Term(f"i{k}", "J", PauliOp(3, BitVec(3), BitVec(3))) for k in range(3)])
     paramagnet = Hamiltonian(5, [Term(f"x{q}", "J", PauliOp.x_op(5, [q])) for q in range(5)])
     assert components(empty).count == components(identities).count == 0
     assert components(paramagnet).sizes() == [1] * 5

@@ -229,3 +229,16 @@ def test_css_check_names_the_anticommuting_side():
         CssSubsystemCode("bad", 2, gauge_x=[], gauge_z=one, stabilizer_x=one, stabilizer_z=[])
     with pytest.raises(ValueError, match="^Z stabilizer anticommutes with an X gauge generator$"):
         CssSubsystemCode("bad", 2, gauge_x=one, gauge_z=[], stabilizer_x=[], stabilizer_z=one)
+
+
+def test_omitted_stabilizers_declare_a_stabilizer_code():
+    # Omitted stabilizers are the gauge generators, so anticommuting gauge
+    # generators are rejected instead of leaving a code with no stabilizers.
+    one = [BitVec.from_support(2, [0])]
+    bacon_shor = build_bacon_shor(3)
+    for gauge_x, gauge_z in ((one, one), (bacon_shor.gauge_x, bacon_shor.gauge_z)):
+        with pytest.raises(ValueError, match="^X stabilizer anticommutes with a Z gauge generator$"):
+            CssSubsystemCode("bad", gauge_x[0].length, gauge_x=gauge_x, gauge_z=gauge_z)
+    pair = [BitVec.from_support(2, [0, 1])]
+    code = CssSubsystemCode("bell", 2, gauge_x=pair, gauge_z=pair)
+    assert code.stabilizer_x == pair and code.stabilizer_z == pair

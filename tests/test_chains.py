@@ -167,7 +167,7 @@ def test_ungauge_complex_validate():
                       [d_z, d_x, BitMatrix(0, 2, [])], orientation="ungauge")
     assert validate(uc)
     bad = ChainComplex(spaces + [LabeledBasis.indexed("R", 1)],
-                       [d_z, d_x, BitMatrix.from_rows(2, [0b01])], orientation="ungauge")
+                       [d_z, d_x, BitMatrix(1, 2, [0b01])], orientation="ungauge")
     assert not validate(bad)
 
 

@@ -1,4 +1,5 @@
-"""Package modules import only what they read, and only the standard library.
+"""Package modules import only what they read, only the standard library,
+and define nothing that no caller reads.
 
 No linter ships with the project, so these checks stand in for one.
 
@@ -6,19 +7,25 @@ No linter ships with the project, so these checks stand in for one.
   binds in a module under ``src/cssgauge/`` must be read somewhere in
   that module.  The package re-exports nothing, so this holds for
   ``__init__.py`` too.
+- A deletion of a caller easily leaves its callee behind: see
+  ``dead_names``.
 - The package has no runtime dependencies: every module imports only
   the standard library (``sys.stdlib_module_names``) and the package
   itself.  numpy and hypothesis are for the tests alone.
 """
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cssgauge"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cssgauge"
 MODULES = sorted(PACKAGE.glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,6 +59,44 @@ def foreign_imports(source: str) -> list[str]:
     return found
 
 
+def dead_names(defining: list[str], reading: list[str], exempt: set[str]) -> list[str]:
+    """Functions and classes defined in ``defining`` whose name nothing in ``reading`` reads.
+
+    A name is read when it appears as a loaded name (``f(x)``), as an
+    attribute (``obj.f``) or as an imported name (``from m import f``).
+    Dunder methods are called implicitly, and the names in ``exempt``
+    are taken as read.  The lint matches names, not objects: a dead
+    function that shares its name with a live one, such as a method
+    named like another class's method, passes.
+    """
+    read = set(exempt)
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                    found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def boundary_names() -> set[str]:
+    """Every part of every ``perfbench/tracer.py`` boundary (``Class.method`` gives both):
+    the benchmark wraps them by name, so they are read from outside the package."""
+    spec = importlib.util.spec_from_file_location("_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {part for _, attribute, _ in tracer.BOUNDARIES for part in attribute.split(".")}
+
+
 def test_unused_imports_are_found():
     source = "import os.path\nfrom typing import Optional, Sequence as Seq\nx: Optional[int] = None\n"
     assert unused_imports(source) == ["Seq (line 2)", "os (line 1)"]
@@ -62,6 +107,21 @@ def test_foreign_imports_are_found():
               "from cssgauge.gf2 import BitVec\n\n"
               "def f():\n    from scipy.linalg import lu\n")
     assert foreign_imports(source) == ["numpy (line 1)", "scipy (line 7)"]
+
+
+def test_dead_names_are_found():
+    source = ("class A:\n    def __init__(self): pass\n    def used(self): pass\n"
+              "    def unused(self): pass\n\n"
+              "def helper(): pass\n\ndef spare(): pass\n\ndef wrapped(): pass\n")
+    caller = "from m import helper\nA().used()\n"
+    assert dead_names([source], [source, caller], {"wrapped"}) == ["spare (line 8)",
+                                                                  "unused (line 4)"]
+
+
+def test_every_definition_is_read():
+    package = [path.read_text() for path in MODULES]
+    assert dead_names(package, package + [path.read_text() for path in DEMOS],
+                      boundary_names()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -59,6 +59,29 @@ def test_tensor_requires_matching_sizes():
         tensor_code(build_toric(2, 3, 1), build_toric(2, 2, 1))
 
 
+def test_tensor_lifts_each_generator_once():
+    # Both inputs are stabilizer codes, so each stabilizer of the tensor is
+    # the lifted gauge generator itself.  Lifting the stabilizers a second
+    # time retained 3.53 MB at toric2d L=32; one lift retains 1.82 MB.
+    code = build_toric(2, 32, 1)
+    dual = dual_code(code)
+    tracemalloc.start()
+    try:
+        tensor = tensor_code(code, dual)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(s is g for s, g in zip(tensor.stabilizer_x, tensor.gauge_x, strict=True))
+    assert all(s is g for s, g in zip(tensor.stabilizer_z, tensor.gauge_z, strict=True))
+    assert retained <= 2_500_000, f"retained {retained} bytes"
+
+
+def test_tensor_rejects_a_subsystem_code():
+    code = build_bacon_shor(3)
+    with pytest.raises(ValueError, match="anticommutes"):
+        tensor_code(code, dual_code(code))
+
+
 def test_transversal_cz_logical_toric():
     code = build_toric(2, 3, 1)
     assert transversal_cz_is_logical(tensor_code(code, dual_code(code)))
