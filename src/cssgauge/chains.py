@@ -6,12 +6,12 @@ with ``maps[i]`` the matrix of the arrow out of ``spaces[i]`` (shape
 boundaries, coboundaries or code maps is recorded in the free-form
 ``orientation`` tag; the math below only uses indices.
 
-The two shapes used by the rest of the package:
-
-* a CSS code complex ``[Z-checks, qubits, X-checks]`` with maps
-  ``(d_z, d_x)``, and
-* the four-term ungauging complex ``[Z-syms, qubits, X-gens, relations]``
-  with maps ``(d_z, d_x, d_r)``.
+The package builds one shape: the CSS code complex
+``[Z-checks, qubits, X-checks]`` with maps ``(d_z, d_x)``, from
+``CssSubsystemCode.css_complex`` (``augment_with_logicals`` appends
+logical-Z columns to its ``d_z``).  The ungauging sequence
+``Z-syms -> qubits -> X-gens -> relations`` is not built as a complex:
+``ungauge.UngaugeSetup`` holds its ``d_z``, ``d_x`` and ``d_r`` directly.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """CSS subsystem codes: gauge generators, stabilizers and Hamiltonians.
 
 A stabilizer code is the abelian special case (gauge group = stabilizer
-group), and omitting the stabilizers declares one: the constructor takes
-the gauge generators as the stabilizers, and its CSS check then proves
-that they commute.  A subsystem code lists its stabilizers, as Bacon-Shor
-and the gauge color code do.
+group), and omitting both stabilizer lists declares one: the constructor
+takes the gauge generators as the stabilizers and proves that they
+commute with one product, G_X·G_Zᵀ (the other is its transpose).  A
+subsystem code lists both its stabilizer lists, as Bacon-Shor and the
+gauge color code do, and is checked with both products.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .pauli import Hamiltonian, PauliOp, Term
 class CssSubsystemCode:
     """A CSS code from its X and Z gauge generators and stabilizers.
 
-    Omitted stabilizers are the gauge generators.  A stabilizer that
-    anticommutes with a gauge generator raises ``ValueError``.
+    Give both stabilizer lists or neither; omitted, they are the gauge
+    generators.  A stabilizer that anticommutes with a gauge generator,
+    or one stabilizer list without the other, raises ``ValueError``.
     """
 
     def __init__(self, name: str, n: int,
@@ -38,27 +40,27 @@ class CssSubsystemCode:
         for v in self.gauge_x + self.gauge_z:
             if v.length != n:
                 raise ValueError("gauge support length mismatch")
-        if stabilizer_x is None and stabilizer_z is None:
+        abelian = stabilizer_x is None and stabilizer_z is None
+        if abelian:
             stabilizer_x, stabilizer_z = self.gauge_x, self.gauge_z
-        self.stabilizer_x = list(stabilizer_x or [])
-        self.stabilizer_z = list(stabilizer_z or [])
+        elif stabilizer_x is None or stabilizer_z is None:
+            missing = "stabilizer_x" if stabilizer_x is None else "stabilizer_z"
+            raise ValueError(f"{missing} is missing: give both stabilizer lists or neither")
+        self.stabilizer_x = list(stabilizer_x)
+        self.stabilizer_z = list(stabilizer_z)
         self.qubit_labels = tuple(qubit_labels) if qubit_labels else tuple(f"q{i}" for i in range(n))
         if len(self.qubit_labels) != n:
             raise ValueError("qubit label count mismatch")
         self.lattice = lattice
         self.metadata = dict(metadata) if metadata else {}
-        self._check_css()
-
-    def _check_css(self):
         if not is_zero_product(self.stabilizer_x_matrix(), self.gauge_z_matrix().transpose()):
             raise ValueError("X stabilizer anticommutes with a Z gauge generator")
-        if not is_zero_product(self.stabilizer_z_matrix(), self.gauge_x_matrix().transpose()):
+        # A stabilizer code's G_Z·G_Xᵀ is the transpose of the product above.
+        if not abelian and not is_zero_product(self.stabilizer_z_matrix(),
+                                               self.gauge_x_matrix().transpose()):
             raise ValueError("Z stabilizer anticommutes with an X gauge generator")
 
     # -- group views ---------------------------------------------------
-
-    def is_stabilizer_code(self) -> bool:
-        return is_zero_product(self.gauge_x_matrix(), self.gauge_z_matrix().transpose())
 
     def gauge_x_matrix(self) -> BitMatrix:
         return BitMatrix.from_rows(self.n, self.gauge_x)

@@ -1,7 +1,7 @@
 """Gapped domain walls from transversal CZ, and the SPT construction.
 
-The pipeline: dualise a CSS stabilizer code, tensor it with the dual,
-certify that the pairwise transversal CZ is a logical gate, conjugate
+The pipeline: tensor a CSS stabilizer code with its transversal-Hadamard
+dual, certify that the pairwise transversal CZ is a logical gate, conjugate
 the stabilizer Hamiltonian by CZ restricted to a region, replace the
 decorated interior generators, then ungauge all Z symmetries.  The bulk
 images are single-qubit X paramagnets; the terms straddling the region
@@ -35,36 +35,25 @@ from .ungauge import (
 )
 
 
-def dual_code(code: CssSubsystemCode) -> CssSubsystemCode:
-    """Transversal-Hadamard dual: X and Z generator lists swapped."""
-    return CssSubsystemCode(
-        f"dual-{code.name}", code.n,
-        gauge_x=list(code.gauge_z), gauge_z=list(code.gauge_x),
-        stabilizer_x=list(code.stabilizer_z), stabilizer_z=list(code.stabilizer_x),
-        qubit_labels=[f"~{lab}" for lab in code.qubit_labels],
-        lattice=code.lattice, metadata=dict(code.metadata))
+def tensor_code(code: CssSubsystemCode) -> CssSubsystemCode:
+    """The code tensored with its transversal-Hadamard dual, qubit i paired with i+n.
 
-
-def tensor_code(code: CssSubsystemCode, other: CssSubsystemCode) -> CssSubsystemCode:
-    """The tensor-product code with qubit i of ``code`` paired with i+n of ``other``.
-
-    Both inputs are stabilizer codes: each generator is lifted once, as a
-    gauge generator, and the result's stabilizers are those same lifts.
-    A subsystem input raises ``ValueError`` when the tensor is built.
+    The dual swaps the X and Z generator lists and marks its qubit labels
+    with ``~``.  Each generator is lifted once, as a gauge generator, and
+    the stabilizers are omitted, so the constructor's one product proves
+    the tensor abelian: a subsystem input raises ``ValueError``.
     """
-    if code.n != other.n:
-        raise ValueError(f"unpaired qubit counts: {code.n} vs {other.n}")
-    n = 2 * code.n
+    n, length = code.n, 2 * code.n
 
-    def lift(v: BitVec, shift: int) -> BitVec:
-        return BitVec(n, v.bits << shift)
+    def lift(vs: Sequence[BitVec], shift: int) -> list[BitVec]:
+        return [BitVec(length, v.bits << shift) for v in vs]
 
     return CssSubsystemCode(
-        f"{code.name}(x){other.name}", n,
-        gauge_x=[lift(v, 0) for v in code.gauge_x] + [lift(v, code.n) for v in other.gauge_x],
-        gauge_z=[lift(v, 0) for v in code.gauge_z] + [lift(v, code.n) for v in other.gauge_z],
-        qubit_labels=list(code.qubit_labels) + list(other.qubit_labels),
-        metadata={"base_n": code.n})
+        f"{code.name}(x)dual-{code.name}", length,
+        gauge_x=lift(code.gauge_x, 0) + lift(code.gauge_z, n),
+        gauge_z=lift(code.gauge_z, 0) + lift(code.gauge_x, n),
+        qubit_labels=list(code.qubit_labels) + [f"~{lab}" for lab in code.qubit_labels],
+        metadata={"base_n": n})
 
 
 def pairing_circuit(tensor: CssSubsystemCode,
@@ -218,14 +207,13 @@ class SptResult(NamedTuple):
 def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
     """The full construction from a CSS stabilizer code to a wall SPT model.
 
-    Steps: dual code, tensor code, transversal-CZ logicality gate,
+    Steps: tensor with the dual code, transversal-CZ logicality gate,
     domain wall in the region, ungauging of all Z symmetries of the
-    tensor code.  Aborts when the CZ gate fails the logical check.
+    tensor code.  A subsystem code raises ``ValueError`` when the tensor
+    is built; the construction aborts when the CZ gate fails the logical
+    check.
     """
-    if not code.is_stabilizer_code():
-        raise ValueError("the construction needs a stabilizer (abelian) code")
-    dual = dual_code(code)
-    tensor = tensor_code(code, dual)
+    tensor = tensor_code(code)
     if not transversal_cz_is_logical(tensor):
         raise ValueError("transversal CZ is not a logical gate for this code")
     wall = domain_wall(tensor, region)

@@ -44,7 +44,6 @@ from .pauli import (
 )
 from .sptwall import (
     Region,
-    dual_code,
     find_cz_disentangler,
     pairing_circuit,
     spt_pipeline,
@@ -215,7 +214,7 @@ def check_transversal_cz() -> CheckResult:
     for name in ("fractal", "toric-torus"):
         code = _models()[name].code
         tag = f"{code.name} L={code.metadata['L']}"
-        tensor = tensor_code(code, dual_code(code))
+        tensor = tensor_code(code)
         if not transversal_cz_is_logical(tensor):
             problems.append(f"{tag}: CZ not logical")
             continue

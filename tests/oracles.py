@@ -6,7 +6,8 @@ complex matrices for Pauli algebra, and the package's earlier kernels
 (a row-by-row matrix-vector product, gate-by-gate conjugation, a
 per-component rescan of the terms and the tuple-coordinate hypercubic,
 triangular and gauge color code lattices) for the faster kernels that
-replaced them.  The exceptions keep earlier
+replaced them; ``naive_tensor_with_dual`` lifts a code and its
+transversal-Hadamard dual on support tuples.  The exceptions keep earlier
 routes that call the package's GF(2) and Pauli-group kernels:
 ``naive_code_parameters``, the whole-group route to the code parameters,
 with the symplectic Gram matrix in place of the CSS rank formula;
@@ -357,6 +358,25 @@ def rank_and_membership_preserved(old_ops, new_ops) -> bool:
 
     same_rank = group_rank(new_ops) == group_rank(old_ops) == group_rank(new_ops + old_ops)
     return same_rank and mutual_signed_membership(old_ops, new_ops)
+
+
+def naive_tensor_with_dual(code) -> SimpleNamespace:
+    """The code tensored with its transversal-Hadamard dual, from support
+    tuples: the dual lists the code's Z generators as X and its X
+    generators as Z, its qubit i is qubit i + n of the tensor, and its
+    labels are the code's with a ``~`` in front."""
+    n = code.n
+    xs = [tuple(v.support) for v in code.gauge_x]
+    zs = [tuple(v.support) for v in code.gauge_z]
+
+    def shifted(supports):
+        return [tuple(q + n for q in s) for s in supports]
+
+    return SimpleNamespace(
+        name=f"{code.name}(x)dual-{code.name}", n=2 * n,
+        gauge_x=xs + shifted(zs), gauge_z=zs + shifted(xs),
+        qubit_labels=tuple(code.qubit_labels) + tuple("~" + lab for lab in code.qubit_labels),
+        metadata={"base_n": n})
 
 
 def signed_search_cz_is_logical(tensor) -> bool:

@@ -22,26 +22,42 @@ def test_tracer_installs_every_boundary():
     assert result.returncode == 0, result.stderr
 
 
+COMMANDS = [
+    ["spt", "--code", "toric2d", "--L", "10", "--slab", "0:2"],
+    ["ungauge", "--code", "gcc", "--L", "2"],
+    ["ungauge", "--code", "toric-sphere"],
+    ["verify", "--pairs", "0", "--cases", "0"],
+]
+
+
+def _calls_in_command(tmp_path, monkeypatch, owner, name, argv) -> int:
+    """Calls of ``owner.name``, patched on the class, while ``argv`` runs."""
+    # verify reuses the worked models of an earlier run in this process.
+    monkeypatch.setattr(verify, "_MODEL_CACHE", {})
+    calls = []
+    method = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return method(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    return len(calls)
+
+
 # Echelon constructions per command: a guard against a repeated
 # elimination coming back.  The spt wall certifies its CZ gate and group
 # by witness, make_setup eliminates d_x on one side only, and the logical
 # representatives are computed on the Z side only.
-@pytest.mark.parametrize("argv,echelons", [
-    (["spt", "--code", "toric2d", "--L", "10", "--slab", "0:2"], 5),
-    (["ungauge", "--code", "gcc", "--L", "2"], 7),
-    (["ungauge", "--code", "toric-sphere"], 5),
-    (["verify", "--pairs", "0", "--cases", "0"], 71),
-])
+@pytest.mark.parametrize("argv,echelons", zip(COMMANDS, (5, 7, 5, 71)))
 def test_echelons_built_per_command(tmp_path, monkeypatch, capsys, argv, echelons):
-    # verify reuses the worked models of an earlier run in this process.
-    monkeypatch.setattr(verify, "_MODEL_CACHE", {})
-    built = []
-    init = gf2.Echelon.__init__
+    assert _calls_in_command(tmp_path, monkeypatch, gf2.Echelon, "__init__", argv) == echelons
 
-    def counted(self, vectors=()):
-        built.append(1)
-        init(self, vectors)
 
-    monkeypatch.setattr(gf2.Echelon, "__init__", counted)
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
-    assert len(built) == echelons
+# Matrix products per command: a guard against a repeated commutation
+# check coming back.  A stabilizer code's constructor forms G_X·G_Zᵀ only,
+# and the spt tensor is checked once, not again as a dual and a gate.
+@pytest.mark.parametrize("argv,products", zip(COMMANDS, (6, 6, 6, 71)))
+def test_products_per_command(tmp_path, monkeypatch, capsys, argv, products):
+    assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "__matmul__", argv) == products

@@ -231,6 +231,16 @@ def test_css_check_names_the_anticommuting_side():
         CssSubsystemCode("bad", 2, gauge_x=one, gauge_z=[], stabilizer_x=[], stabilizer_z=one)
 
 
+def test_one_stabilizer_list_without_the_other_is_rejected():
+    # Each list alone would commute with the gauge generators; the missing
+    # one is named instead of being left empty.
+    pair = [BitVec.from_support(2, [0, 1])]
+    with pytest.raises(ValueError, match="^stabilizer_z is missing"):
+        CssSubsystemCode("half", 2, pair, pair, stabilizer_x=pair)
+    with pytest.raises(ValueError, match="^stabilizer_x is missing"):
+        CssSubsystemCode("half", 2, pair, pair, stabilizer_z=pair)
+
+
 def test_omitted_stabilizers_declare_a_stabilizer_code():
     # Omitted stabilizers are the gauge generators, so anticommuting gauge
     # generators are rejected instead of leaving a code with no stabilizers.

@@ -4,8 +4,13 @@ import pytest
 
 from cssgauge import catalog, sptwall
 from cssgauge.analysis import commuting_check, components
-from cssgauge.builders import build_bacon_shor, build_fractal_code, build_gcc, build_toric
-from cssgauge.codes import stabilizer_hamiltonian
+from cssgauge.builders import (
+    build_bacon_shor,
+    build_color_code_2d,
+    build_fractal_code,
+    build_toric,
+)
+from cssgauge.codes import CssSubsystemCode, stabilizer_hamiltonian
 from cssgauge.gf2 import BitVec
 from cssgauge.pauli import (
     GroupMembership,
@@ -18,7 +23,6 @@ from cssgauge.pauli import (
 from cssgauge.sptwall import (
     Region,
     domain_wall,
-    dual_code,
     find_cz_disentangler,
     pairing_circuit,
     spt_pipeline,
@@ -29,45 +33,38 @@ from cssgauge.ungauge import strip_identity_terms
 
 from tests.oracles import (
     mutual_signed_membership,
+    naive_tensor_with_dual,
     rank_and_membership_preserved,
     signed_search_cz_is_logical,
 )
 
 
-def test_dual_is_involution():
-    code = build_fractal_code(3)
-    again = dual_code(dual_code(code))
-    assert [v.bits for v in again.stabilizer_x] == [v.bits for v in code.stabilizer_x]
-    assert [v.bits for v in again.stabilizer_z] == [v.bits for v in code.stabilizer_z]
-
-
-def test_dual_swaps_generators():
-    code = build_fractal_code(3)
-    dual = dual_code(code)
-    assert [v.bits for v in dual.stabilizer_x] == [v.bits for v in code.stabilizer_z]
-    assert [v.bits for v in dual.stabilizer_z] == [v.bits for v in code.stabilizer_x]
-
-
-def test_dual_of_self_dual_listing():
-    gcc = build_gcc(2)
-    dual = dual_code(gcc)
-    assert [v.bits for v in dual.gauge_x] == [v.bits for v in gcc.gauge_x]
-
-
-def test_tensor_requires_matching_sizes():
-    with pytest.raises(ValueError, match="unpaired"):
-        tensor_code(build_toric(2, 3, 1), build_toric(2, 2, 1))
+@pytest.mark.parametrize("build", [
+    lambda: build_toric(2, 3, 1),
+    lambda: build_toric(3, 3, 1),
+    lambda: build_toric(3, 3, 2),
+    lambda: build_fractal_code(4, "periodic"),
+    lambda: build_fractal_code(4, "open_y"),
+    lambda: build_color_code_2d(3),
+], ids=["toric2d", "toric3d-k1", "toric3d-k2", "fractal-periodic", "fractal-open_y", "color2d"])
+def test_tensor_matches_the_naive_lift(build):
+    code = build()
+    tensor, expected = tensor_code(code), naive_tensor_with_dual(code)
+    assert (tensor.name, tensor.n) == (expected.name, expected.n)
+    assert [v.support for v in tensor.gauge_x] == expected.gauge_x
+    assert [v.support for v in tensor.gauge_z] == expected.gauge_z
+    assert tensor.qubit_labels == expected.qubit_labels
+    assert tensor.metadata == expected.metadata
 
 
 def test_tensor_lifts_each_generator_once():
-    # Both inputs are stabilizer codes, so each stabilizer of the tensor is
-    # the lifted gauge generator itself.  Lifting the stabilizers a second
+    # The tensor is a stabilizer code, so each of its stabilizers is the
+    # lifted gauge generator itself.  Lifting the stabilizers a second
     # time retained 3.53 MB at toric2d L=32; one lift retains 1.82 MB.
     code = build_toric(2, 32, 1)
-    dual = dual_code(code)
     tracemalloc.start()
     try:
-        tensor = tensor_code(code, dual)
+        tensor = tensor_code(code)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -79,17 +76,17 @@ def test_tensor_lifts_each_generator_once():
 def test_tensor_rejects_a_subsystem_code():
     code = build_bacon_shor(3)
     with pytest.raises(ValueError, match="anticommutes"):
-        tensor_code(code, dual_code(code))
+        tensor_code(code)
 
 
 def test_transversal_cz_logical_toric():
     code = build_toric(2, 3, 1)
-    assert transversal_cz_is_logical(tensor_code(code, dual_code(code)))
+    assert transversal_cz_is_logical(tensor_code(code))
 
 
 def test_transversal_cz_fixes_z_stabilizers():
     code = build_toric(2, 3, 1)
-    tensor = tensor_code(code, dual_code(code))
+    tensor = tensor_code(code)
     circuit = pairing_circuit(tensor)
     for sz in tensor.stabilizer_z:
         op = PauliOp(tensor.n, BitVec(tensor.n), sz)
@@ -101,7 +98,7 @@ def test_cz_conjugation_memory_is_not_quadratic():
     # the 2n images of X_q and Z_q, n bits each, would take several MB;
     # the circuit's partner lists and one image stay well under 2 MiB.
     code = build_toric(2, 32, 1)
-    tensor = tensor_code(code, dual_code(code))
+    tensor = tensor_code(code)
     op = PauliOp(tensor.n, tensor.stabilizer_x[0], BitVec(tensor.n))
     tracemalloc.start()
     try:
@@ -131,7 +128,16 @@ def test_transversal_cz_not_logical_without_dual(monkeypatch):
     # Without the dual no X image has a witness: the first miss builds the
     # search, which rejects that image at once.
     code = build_toric(2, 3, 1)
-    tensor = tensor_code(code, code)
+    n = code.n
+
+    def lift(vs, shift):
+        return [BitVec(2 * n, v.bits << shift) for v in vs]
+
+    tensor = CssSubsystemCode(
+        "toric2d(x)toric2d", 2 * n,
+        gauge_x=lift(code.gauge_x, 0) + lift(code.gauge_x, n),
+        gauge_z=lift(code.gauge_z, 0) + lift(code.gauge_z, n),
+        metadata={"base_n": n})
     assert not signed_search_cz_is_logical(tensor)
     builds = _count_searches(monkeypatch)
     assert not transversal_cz_is_logical(tensor)
@@ -140,7 +146,7 @@ def test_transversal_cz_not_logical_without_dual(monkeypatch):
 
 def test_domain_wall_everything_and_empty():
     code = build_toric(2, 3, 1)
-    tensor = tensor_code(code, dual_code(code))
+    tensor = tensor_code(code)
     whole, none = Region.slab(code, 0, 3), Region.slab(code, 0, 0)
     assert whole.sites == frozenset(range(code.n)) and none.sites == frozenset()
     everything = domain_wall(tensor, whole)
@@ -155,7 +161,7 @@ def test_domain_wall_everything_and_empty():
 
 def test_domain_wall_slab_locality():
     code = build_fractal_code(4, "open_y")
-    tensor = tensor_code(code, dual_code(code))
+    tensor = tensor_code(code)
     wall = domain_wall(tensor, Region.slab(code, 1, 3))
     assert wall.group_preserved
     coords = code.metadata["qubit_coords"]
@@ -167,7 +173,7 @@ def test_domain_wall_slab_locality():
 
 def test_domain_wall_validates_region():
     code = build_toric(2, 3, 1)
-    tensor = tensor_code(code, dual_code(code))
+    tensor = tensor_code(code)
     with pytest.raises(ValueError):
         domain_wall(tensor, Region(frozenset([code.n + 1]), "custom"))
     with pytest.warns(UserWarning):
@@ -293,7 +299,7 @@ def _slab_walls():
     fractal = build_fractal_code(4, "open_y")
     for code, lo, hi in ((toric, 0, 2), (toric, 1, 3), (toric, 2, 4),
                          (fractal, 0, 2), (fractal, 1, 3)):
-        yield code, tensor_code(code, dual_code(code)), Region.slab(code, lo, hi)
+        yield code, tensor_code(code), Region.slab(code, lo, hi)
 
 
 def test_group_preserved_matches_rank_and_membership():
@@ -308,7 +314,7 @@ def test_group_preserved_matches_rank_and_membership():
 
 def _toric3d_walls():
     code = catalog.toric3d_model(2).code
-    tensor = tensor_code(code, dual_code(code))
+    tensor = tensor_code(code)
     for lo, hi in ((0, 1), (0.5, 1.5), (1, 2), (0, 2)):
         yield code, tensor, Region.slab(code, lo, hi)
 
