@@ -6,16 +6,10 @@ The dense-matrix oracle of criterion 12 lives here as an independent
 implementation: it reads only a ``PauliOp``'s bits and phase and a
 circuit's gate list, and shares no code with the symplectic engine.  It
 builds the 2^n x 2^n matrices from the definitions (X, Z, CZ as
-matrices, Kronecker products) in exact Python integers, storing only
-the nonzero entries: a dict per matrix keyed ``row << n | col``.  A
-Pauli, and its image under CZ, is a signed permutation matrix with 2^n
-nonzero entries, so a product P Q by the mixed-product rule over the
-per-qubit 2x2 factors, and a conjugation U P U^dagger by one sign step
-per CZ, cost O(2^n) per gate and O(2^n * gates) per case.
-
-X^x Z^z and CZ are real, so every dense operator is a pair (k, M)
-meaning i^k M, with M a real integer matrix and the global phase i^k
-carried as an integer mod 4.
+matrices, Kronecker products) in exact Python integers, as pairs (k, M)
+meaning i^k M, with M real and k mod 4.  Every M it meets is a signed
+permutation matrix, held row-sliced in 2^n-bit ints (``_kron``), so a
+case costs O(n + gates) operations on 2^n-bit ints.
 """
 
 from __future__ import annotations
@@ -309,6 +303,9 @@ def check_color_code_split() -> CheckResult:
 # X^x Z^z for each (x, z), as ((m00, m01), (m10, m11)).
 _FACTORS = {(0, 0): ((1, 0), (0, 1)), (1, 0): ((0, 1), (1, 0)),
             (0, 1): ((1, 0), (0, -1)), (1, 1): ((0, -1), (1, 0))}
+# The four rows of a signed 2x2 permutation matrix -> (column of the nonzero, 1 if it is -1).
+_SIGNED_ROWS = {(1, 0): (0, 0), (-1, 0): (0, 1), (0, 1): (1, 0), (0, -1): (1, 1)}
+_PLANES: dict = {}  # n -> (all rows, per qubit q (0, rows with q clear, rows with q set, all))
 
 
 def _pauli_factors(op: PauliOp) -> list:
@@ -317,20 +314,37 @@ def _pauli_factors(op: PauliOp) -> list:
     return [_FACTORS[(xb >> q & 1, zb >> q & 1)] for q in range(op.n)]
 
 
-def _kron(factors: list, lead: int) -> dict:
-    """``lead`` times the Kronecker product of 2x2 ``factors`` (qubit 0 leftmost).
+def _kron(factors: list, lead: int) -> tuple:
+    """``lead`` (+1 or -1) times the Kronecker product of 2x2 ``factors``, row-sliced.
 
-    Nonzero entries only, keyed ``row << n | col``: qubit q is bit
-    n-1-q of a row or column index.  Each factor's nonzero entries OR
-    their two bits into every key built so far.
+    Qubit 0 is leftmost: qubit q is bit n-1-q of a row or column index.
+    Returns ``(cols, neg)``, 2^n-bit ints with bit r for row r: ``cols[q]``
+    holds qubit q's bit of the column of row r's nonzero entry, ``neg``
+    whether that entry is -1.  Factor q writes its row b's column and sign
+    over the rows whose qubit-q bit is b.  A factor row with no nonzero,
+    two, or one other than +1 or -1 raises ``ValueError``, so all other
+    entries are zero.
     """
+    if lead not in (1, -1):
+        raise ValueError(f"lead {lead} is not +1 or -1")
     n = len(factors)
-    out = {0: lead}
-    for q, f in enumerate(factors):
-        shift = n - 1 - q
-        terms = [((r << n | c) << shift, f[r][c]) for r in (0, 1) for c in (0, 1) if f[r][c]]
-        out = {key | bits: a * v for key, a in out.items() for bits, v in terms}
-    return out
+    if n not in _PLANES:
+        full = (1 << (1 << n)) - 1
+        planes = []
+        for q in range(n):
+            s = 1 << n - 1 - q  # qubit q's rows: s clear, then s set, repeated
+            rows = ((1 << s) - 1 << s) * (full // ((1 << 2 * s) - 1))
+            planes.append((0, full ^ rows, rows, full))
+        _PLANES[n] = full, planes
+    full, planes = _PLANES[n]
+    cols, neg = [], 0 if lead == 1 else full
+    for rows, (row0, row1) in zip(planes, factors):
+        if row0 not in _SIGNED_ROWS or row1 not in _SIGNED_ROWS:
+            raise ValueError(f"2x2 factor {(row0, row1)} is not a signed permutation matrix")
+        (c0, s0), (c1, s1) = _SIGNED_ROWS[row0], _SIGNED_ROWS[row1]
+        cols.append(rows[c0 | c1 << 1])
+        neg ^= rows[s0 | s1 << 1]
+    return tuple(cols), neg
 
 
 def _dense_pauli(op: PauliOp) -> tuple:
@@ -354,18 +368,14 @@ def _dense_product(p: PauliOp, q: PauliOp) -> tuple:
 def _dense_conjugate(op: PauliOp, circuit: CliffordCircuit) -> tuple:
     """``(k, M)`` with i^k M = U P U^dagger for the CZ circuit U.
 
-    CZ is real, so U conjugates the real part M of P alone and the phase
-    i^k passes through.  CZ on qubits a, b negates the entries whose row
-    has both bits set, then those whose column has.
+    CZ is diagonal, so no nonzero moves, and real, so i^k passes through.
+    CZ on qubits a, b negates entry (r, c) exactly when r_a r_b != c_a c_b.
     """
-    n = op.n
-    k, mat = _dense_pauli(op)
+    k, (cols, neg) = _dense_pauli(op)
+    rows = [sets[2] for sets in _PLANES[op.n][1]]  # filled by _kron
     for _, a, b in circuit.gates:
-        cols = 1 << (n - 1 - a) | 1 << (n - 1 - b)
-        rows = cols << n
-        mat = {key: -v if ((key & rows) == rows) != ((key & cols) == cols) else v
-               for key, v in mat.items()}
-    return k, mat
+        neg ^= (rows[a] & rows[b]) ^ (cols[a] & cols[b])
+    return k, (cols, neg)
 
 
 def _agrees(dense: tuple, op: PauliOp) -> bool:
@@ -373,7 +383,7 @@ def _agrees(dense: tuple, op: PauliOp) -> bool:
 
     Real nonzero M and R satisfy i^k M = i^k' R exactly when k' - k is
     even and M = (-1)^((k'-k)/2) R; the engine's matrix is built already
-    signed, and the two are compared entry for entry.
+    signed, and the two are compared plane for plane.
     """
     k, mat = dense
     d = (op.phase - k) % 4
@@ -397,12 +407,12 @@ def _random_circuit(n: int, depth: int, rng: random.Random) -> CliffordCircuit:
 def check_dense_oracles(cases: int = 500, seed: int = 77) -> CheckResult:
     """12: symplectic conjugation and multiplication match 2^n matrices, phases included.
 
-    Each dense operator is a pair (k, M) meaning i^k M, M a real integer
-    2^n x 2^n matrix of its nonzero entries.  For each case the dense side
-    is computed first and independently of the engine (``_dense_product``,
+    Each dense operator is a pair (k, M) meaning i^k M, M a real signed
+    permutation matrix held row-sliced.  For each case the dense side is
+    computed first and independently of the engine (``_dense_product``,
     ``_dense_conjugate``); ``_agrees`` then expands the engine's result:
     the phase difference must be even and M must equal the signed matrix
-    entry for entry.
+    plane for plane.  A case costs O(n + gates) operations on 2^n-bit ints.
     """
     rng = random.Random(seed)
     for case in range(cases):

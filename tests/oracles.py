@@ -7,8 +7,10 @@ complex matrices for Pauli algebra, and the package's earlier kernels
 per-component rescan of the terms and the tuple-coordinate hypercubic,
 triangular and gauge color code lattices) for the faster kernels that
 replaced them; ``naive_tensor_with_dual`` lifts a code and its
-transversal-Hadamard dual on support tuples.  The exceptions keep earlier
-routes that call the package's GF(2) and Pauli-group kernels:
+transversal-Hadamard dual on support tuples, and ``fractal_k`` gives the
+fractal code's k in closed form by carry-less GF(2)[x] arithmetic on
+ints.  The exceptions keep earlier routes that call the package's GF(2)
+and Pauli-group kernels:
 ``naive_code_parameters``, the whole-group route to the code parameters,
 with the symplectic Gram matrix in place of the CSS rank formula;
 ``rank_and_membership_preserved``, the domain wall's earlier
@@ -535,3 +537,27 @@ def circuit_unitary(circuit) -> np.ndarray:
 def conjugate_dense(op, circuit) -> np.ndarray:
     u = circuit_unitary(circuit)
     return u @ pauli_matrix(op) @ u.conj().T
+
+
+def _poly_mod(a: int, b: int) -> int:
+    """a mod b in GF(2)[x]; a polynomial is an int, bit i the coefficient of x^i."""
+    while a.bit_length() >= b.bit_length():
+        a ^= b << (a.bit_length() - b.bit_length())
+    return a
+
+
+def fractal_k(L: int, boundary: str) -> int:
+    """The fractal code's k in closed form, from its cellular automaton.
+
+    The Z checks of ``build_fractal_code`` are A(1+x+y) and B(1+z).  The
+    quotient by them sets z = 1 and y = 1+x, which leaves the automaton
+    row -> (1+x) row on F2[x]/(x^L+1), so k = 2 deg gcd(x^L+1, f) with
+    f = (1+x)^L+1 (periodic) or (1+x)^L (``open_y``).
+    """
+    f = 1
+    for _ in range(L):
+        f ^= f << 1
+    a, b = 1 << L | 1, f ^ {"periodic": 1, "open_y": 0}[boundary]
+    while b:
+        a, b = b, _poly_mod(a, b)
+    return 2 * (a.bit_length() - 1)

@@ -17,7 +17,14 @@ from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, rank
 from cssgauge.lattice import color_pair_sublattice, edge_color_class, triangular_torus
 from cssgauge.pauli import PauliOp, group_rank, symplectic_product
 
-from tests.oracles import center_of_group, gauge_ops, matrix_rows, naive_code_parameters, naive_rank
+from tests.oracles import (
+    center_of_group,
+    fractal_k,
+    gauge_ops,
+    matrix_rows,
+    naive_code_parameters,
+    naive_rank,
+)
 
 
 ALL_BUILDERS = [
@@ -205,6 +212,16 @@ def test_fractal_layer_operator_commutes_in_bulk():
             continue                      # top boundary row exempt
         sz = code.stabilizer_z[vid[v]]
         assert symplectic_product(op, PauliOp(code.n, BitVec(code.n), sz)) == 0
+
+
+@pytest.mark.parametrize("boundary,expected", [
+    ("periodic", [4, 0, 0, 8, 12, 0, 4, 0, 0, 16]),
+    ("open_y", [2, 8, 2, 4, 2, 16, 2, 4, 2, 8]),
+])
+def test_fractal_k_matches_the_automaton_closed_form(boundary, expected):
+    sizes = range(3, 13)
+    assert [fractal_k(L, boundary) for L in sizes] == expected
+    assert [code_parameters(build_fractal_code(L, boundary)).k for L in sizes] == expected
 
 
 def test_fractal_validation():

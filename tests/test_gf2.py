@@ -230,6 +230,15 @@ def test_property_kernel_basis_canonical(m):
 
 
 @PROPERTY
+@given(matrices().flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(m.rows)))))
+def test_property_kernel_basis_ignores_the_row_order(case):
+    # The canonical relations depend on the column order only, so a
+    # fill-reducing row (bit) order may be chosen freely.
+    m, perm = case
+    assert kernel_basis(m.select_rows(perm)) == kernel_basis(m)
+
+
+@PROPERTY
 @given(systems())
 def test_property_solve_canonical(system):
     m, b = system

@@ -1,34 +1,39 @@
 """The dense oracle of criterion 12 against the naive matrices of ``tests.oracles``,
 and faults injected into the symplectic engine that it must catch.
 
-The oracle returns a pair (k, M) meaning i^k M, M a real integer matrix
-given by its nonzero entries, keyed ``row << n | col``."""
+The oracle returns a pair (k, M) meaning i^k M, M a real signed
+permutation matrix held row-sliced as ``(cols, neg)``: bit r of
+``cols[q]`` is qubit q's bit (bit n-1-q of an index) of the column of row
+r's nonzero entry, and bit r of ``neg`` is set when that entry is -1."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cssgauge import catalog, verify
-from cssgauge.pauli import PauliOp, conjugate_by_circuit, multiply
+from cssgauge.pauli import CliffordCircuit, PauliOp, conjugate_by_circuit, multiply
 from tests.oracles import conjugate_dense, pauli_matrix
 
 
-def _draws(seed, count=60):
-    """Fixed-seed random Pauli pairs and circuits on 1 to 6 qubits."""
+def _draws(seed, count=60, lo=1, hi=6):
+    """Fixed-seed random Pauli pairs and circuits on ``lo`` to ``hi`` qubits."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(1, 6)
+        n = rng.randint(lo, hi)
         p, q = verify._random_pauli(n, rng), verify._random_pauli(n, rng)
         yield p, q, verify._random_circuit(n, rng.randint(1, 6), rng)
 
 
 def _expand(dense, n):
-    """The complex 2^n x 2^n array i^k M of the oracle's ``(k, M)``."""
-    k, entries = dense
+    """The complex 2^n x 2^n array i^k M of the oracle's ``(k, (cols, neg))``."""
+    k, (cols, neg) = dense
+    assert len(cols) == n and all(plane >> 2 ** n == 0 for plane in (*cols, neg))
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for key, v in entries.items():
-        out[key >> n, key & (2 ** n - 1)] = v
+    for r in range(2 ** n):
+        c = sum((cols[q] >> r & 1) << (n - 1 - q) for q in range(n))
+        out[r, c] = -1 if neg >> r & 1 else 1
     return (1j ** k) * out
 
 
@@ -47,6 +52,44 @@ def test_dense_conjugate_matches_full_unitary(seed):
                            conjugate_dense(p, circ))
 
 
+# One battery case in ten draws n = 7..10; a full matrix product at n = 10
+# costs about 0.1 s, so these take a few draws each.
+@pytest.mark.parametrize("n,count", [(9, 3), (10, 2)])
+def test_dense_pauli_and_product_are_exact_at_large_n(n, count):
+    for p, q, _ in _draws(n, count, n, n):
+        a, b = pauli_matrix(p), pauli_matrix(q)
+        assert np.array_equal(_expand(verify._dense_pauli(p), n), a)
+        assert np.array_equal(_expand(verify._dense_product(p, q), n), a @ b)
+
+
+@pytest.mark.parametrize("n,count", [(7, 4), (8, 3)])
+def test_dense_conjugate_matches_full_unitary_at_large_n(n, count):
+    for p, _, circ in _draws(n, count, n, n):
+        assert np.allclose(_expand(verify._dense_conjugate(p, circ), n),
+                           conjugate_dense(p, circ))
+
+
+@pytest.mark.parametrize("factor", [((1, 1), (1, -1)), ((1, 0), (0, 0)), ((2, 0), (0, 1))],
+                         ids=["hadamard", "zero-row", "entry-2"])
+def test_kron_rejects_a_factor_that_is_not_a_signed_permutation(factor):
+    with pytest.raises(ValueError, match="not a signed permutation matrix"):
+        verify._kron([((0, 1), (1, 0)), factor], 1)
+
+
+def test_dense_oracle_traced_peak(monkeypatch):
+    # A first run fills the interpreter's tuple free lists, which tracemalloc
+    # would count as live; a fresh table then puts building it in the peak.
+    verify.check_dense_oracles(500)
+    monkeypatch.setattr(verify, "_PLANES", {})
+    tracemalloc.start()
+    try:
+        assert verify.check_dense_oracles(500).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000, peak
+
+
 def _phase_shifted(engine_map, shift=2):
     def shifted(*args):
         r = engine_map(*args)
@@ -63,6 +106,16 @@ def test_dense_oracle_catches_a_phase_fault(monkeypatch, name, engine_map, side)
     result = verify.check_dense_oracles(cases=20)
     assert not result.passed
     assert result.details == f"{side} mismatch at case 0"
+
+
+def test_dense_oracle_catches_a_dropped_gate(monkeypatch):
+    def drop_last_gate(op, circuit):
+        return conjugate_by_circuit(op, CliffordCircuit(circuit.n, circuit.gates[:-1]))
+
+    monkeypatch.setattr(verify, "conjugate_by_circuit", drop_last_gate)
+    result = verify.check_dense_oracles(cases=50)
+    assert not result.passed
+    assert result.details == "conjugation mismatch at case 3"
 
 
 def _x_z_swapped(engine_map):
