@@ -202,8 +202,9 @@ def _key(k) -> str:
 def _encode(o, nl: str, path: set) -> str:
     """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it, nested where
     ``nl`` (a newline and the indent) starts its lines; ``path`` holds the ids of
-    the containers around ``o``.  Lists of ints, of strings and of int lists
-    are joined at C speed.
+    the containers around ``o``.  Lists of ints and of strings are joined at C
+    speed; a list of int lists becomes one ``%d`` template, a row template per
+    distinct row length, filled with all its ints by one ``%``.
     """
     if isinstance(o, str):
         return _quote(o)
@@ -227,10 +228,15 @@ def _encode(o, nl: str, path: set) -> str:
         body = map(int.__repr__, o)
     elif kinds == {str}:
         body = map(_quote, o)
-    elif kinds == {list} and set(map(type, chain.from_iterable(o))) <= {int}:
+    elif kinds == {list} and set(map(type, values := tuple(chain.from_iterable(o)))) <= {int}:
         deeper = inner + "  "
-        start, sep, end = "[" + deeper, "," + deeper, inner + "]"
-        body = [start + sep.join(map(int.__repr__, v)) + end if v else "[]" for v in o]
+        rows = {k: "[" + deeper + ("," + deeper).join(["%d"] * k) + inner + "]" if k else "[]"
+                for k in set(map(len, o))}
+        # The brackets go on the end rows, so one join builds the template, uncopied.
+        template = list(map(rows.__getitem__, map(len, o)))
+        template[0] = "[" + inner + template[0]
+        template[-1] += nl + "]"
+        return ("," + inner).join(template) % values
     else:
         path.add(id(o))
         body = [_encode(v, inner, path) for v in o]

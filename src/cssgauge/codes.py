@@ -5,7 +5,9 @@ group), and omitting both stabilizer lists declares one: the constructor
 takes the gauge generators as the stabilizers and proves that they
 commute with one product, G_X·G_Zᵀ (the other is its transpose).  A
 subsystem code lists both its stabilizer lists, as Bacon-Shor and the
-gauge color code do, and is checked with both products.
+gauge color code do, and is checked with S_X·G_Zᵀ and S_Z·G_Xᵀ; a
+self-dual listing (S_Z = S_X and G_X = G_Z, as for the gauge color code)
+makes the second product equal to the first, so it is checked once.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ class CssSubsystemCode:
         self.metadata = dict(metadata) if metadata else {}
         if not is_zero_product(self.stabilizer_x_matrix(), self.gauge_z_matrix().transpose()):
             raise ValueError("X stabilizer anticommutes with a Z gauge generator")
-        # A stabilizer code's G_Z·G_Xᵀ is the transpose of the product above.
-        if not abelian and not is_zero_product(self.stabilizer_z_matrix(),
-                                               self.gauge_x_matrix().transpose()):
+        # S_Z·G_Xᵀ is the product above transposed (stabilizer code) or repeated (self-dual).
+        proved = abelian or (self.stabilizer_z == self.stabilizer_x and self.gauge_x == self.gauge_z)
+        if not proved and not is_zero_product(self.stabilizer_z_matrix(),
+                                              self.gauge_x_matrix().transpose()):
             raise ValueError("Z stabilizer anticommutes with an X gauge generator")
 
     # -- group views ---------------------------------------------------
@@ -87,14 +90,17 @@ class CssSubsystemCode:
     # -- serialisation ---------------------------------------------------
 
     def to_json(self) -> dict:
+        # Equal generator lists (as a self-dual listing's) are decomposed once, shared.
+        lists = (self.gauge_x, self.gauge_z, self.stabilizer_x, self.stabilizer_z)
+        rows = []
+        for i, vs in enumerate(lists):
+            first = lists.index(vs)
+            rows.append(rows[first] if first < i else [list(v.support) for v in vs])
         return {
             "name": self.name,
             "n": self.n,
             "qubit_labels": list(self.qubit_labels),
-            "gauge_x": [list(v.support) for v in self.gauge_x],
-            "gauge_z": [list(v.support) for v in self.gauge_z],
-            "stabilizer_x": [list(v.support) for v in self.stabilizer_x],
-            "stabilizer_z": [list(v.support) for v in self.stabilizer_z],
+            **dict(zip(("gauge_x", "gauge_z", "stabilizer_x", "stabilizer_z"), rows)),
             "metadata": {k: v for k, v in self.metadata.items() if k != "qubit_coords"},
         }
 

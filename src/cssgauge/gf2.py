@@ -234,8 +234,10 @@ class BitMatrix:
             row_bits = [0] * self.cols
             for i, r in enumerate(self._rows):
                 bit = 1 << i
-                for j in _mask_to_support(r):
-                    row_bits[j] |= bit
+                while r:
+                    low = r & -r
+                    row_bits[low.bit_length() - 1] |= bit
+                    r ^= low
             object.__setattr__(self, "_cols", tuple(row_bits))
         t = BitMatrix(self.cols, self.rows, self._cols)
         object.__setattr__(t, "_cols", self._rows)
@@ -280,7 +282,8 @@ class BitMatrix:
     # -- serialisation -----------------------------------------------
 
     def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": [list(e) for e in self.entries]}
+        entries = [[i, j] for i, r in enumerate(self._rows) for j in _mask_to_support(r)]
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
 
 

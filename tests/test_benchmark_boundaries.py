@@ -57,7 +57,16 @@ def test_echelons_built_per_command(tmp_path, monkeypatch, capsys, argv, echelon
 
 # Matrix products per command: a guard against a repeated commutation
 # check coming back.  A stabilizer code's constructor forms G_X·G_Zᵀ only,
-# and the spt tensor is checked once, not again as a dual and a gate.
-@pytest.mark.parametrize("argv,products", zip(COMMANDS, (6, 6, 6, 71)))
+# so does a self-dual subsystem listing (gcc), and the spt tensor is
+# checked once, not again as a dual and a gate.
+@pytest.mark.parametrize("argv,products", zip(COMMANDS, (6, 5, 6, 70)))
 def test_products_per_command(tmp_path, monkeypatch, capsys, argv, products):
     assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "__matmul__", argv) == products
+
+
+def test_transposes_in_the_gcc_build(tmp_path, monkeypatch, capsys):
+    # G_Z for the one commutation product and for the overlaps of
+    # code_parameters, the stabilizer columns of the complex, and the
+    # lattice incidence of the DOT file.
+    argv = ["build", "--code", "gcc", "--L", "4"]
+    assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "transpose", argv) == 4

@@ -242,10 +242,29 @@ def test_toric_code_from_complex_honeycomb():
 
 def test_css_check_names_the_anticommuting_side():
     one = [BitVec.from_support(2, [0])]
-    with pytest.raises(ValueError, match="^X stabilizer anticommutes with a Z gauge generator$"):
-        CssSubsystemCode("bad", 2, gauge_x=[], gauge_z=one, stabilizer_x=one, stabilizer_z=[])
-    with pytest.raises(ValueError, match="^Z stabilizer anticommutes with an X gauge generator$"):
-        CssSubsystemCode("bad", 2, gauge_x=one, gauge_z=[], stabilizer_x=[], stabilizer_z=one)
+    pair = [BitVec.from_support(2, [0, 1])]
+    # The second listing is self-dual: equal lists, not the same objects.
+    for listing in (([], one, one, []), (one, list(one), pair, list(pair))):
+        with pytest.raises(ValueError, match="^X stabilizer anticommutes with a Z gauge generator$"):
+            CssSubsystemCode("bad", 2, *listing)
+    other = [BitVec.from_support(2, [1])]
+    # The second product is skipped only when both its operands repeat the first's.
+    for gauge_x, gauge_z, stabilizer_x in ((one, [], []), (one, other, one), (one, one, [])):
+        with pytest.raises(ValueError, match="^Z stabilizer anticommutes with an X gauge generator$"):
+            CssSubsystemCode("bad", 2, gauge_x=gauge_x, gauge_z=gauge_z,
+                             stabilizer_x=stabilizer_x, stabilizer_z=one)
+
+
+def test_a_self_dual_listing_forms_one_commutation_product(monkeypatch):
+    # With S_Z = S_X and G_X = G_Z the product S_Z·G_Xᵀ is S_X·G_Zᵀ, so it is
+    # formed once; Bacon-Shor is not self-dual and forms both.
+    products = []
+    matmul = BitMatrix.__matmul__
+    monkeypatch.setattr(BitMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    build_gcc(2)
+    assert len(products) == 1
+    build_bacon_shor(3)
+    assert len(products) == 3
 
 
 def test_one_stabilizer_list_without_the_other_is_rejected():

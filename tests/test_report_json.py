@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cssgauge import cli
+from cssgauge.builders import build_gcc
 from cssgauge.cli import _write_json
 from cssgauge.gf2 import BitVec
 
@@ -33,10 +34,24 @@ TEXT = st.text(alphabet=st.sampled_from(
      "[", "]", "{", "}", ",", ":", " ", "a", "Z", "0"]), max_size=8)
 INTS = st.one_of(st.integers(-1000, 1000), st.integers(-(1 << 80), 1 << 80))
 SCALARS = st.one_of(INTS, st.booleans(), st.none(), TEXT)
-# The shapes the fast paths take, bools mixed into int lists included.
+
+
+@st.composite
+def int_rows_with_a_bool(draw):
+    """A list of int lists with one bool in one row: it must miss the fast path."""
+    rows = draw(st.lists(st.lists(INTS, max_size=4), min_size=1, max_size=4))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    row.insert(draw(st.integers(0, len(row))), draw(st.booleans()))
+    return rows
+
+
+# The shapes the fast paths take, bools mixed into int lists included.  The
+# long lists of int lists, with rows of many lengths, make many row templates.
 LEAF_LISTS = st.one_of(st.lists(INTS, max_size=6), st.lists(TEXT, max_size=6),
                        st.lists(st.lists(INTS, max_size=4), max_size=4),
-                       st.lists(st.one_of(INTS, st.booleans()), max_size=6))
+                       st.lists(st.lists(INTS, max_size=12), max_size=40),
+                       st.lists(st.one_of(INTS, st.booleans()), max_size=6),
+                       int_rows_with_a_bool())
 KEYS = st.one_of(st.lists(TEXT), st.lists(INTS), st.lists(st.booleans()),
                  st.lists(st.none(), max_size=1))
 
@@ -120,7 +135,7 @@ def test_writer_rejects_floats(tmp_path, data):
 
 
 @pytest.mark.parametrize("argv,bound", [
-    (["build", "--code", "gcc", "--L", "4"], 1.5),
+    (["build", "--code", "gcc", "--L", "4"], 1.0),
     (["ungauge", "--code", "gcc", "--L", "2"], 0.5),
 ], ids=["build-gcc-L4", "ungauge-gcc-L2"])
 def test_writer_memory_does_not_grow_with_the_report(tmp_path, monkeypatch, argv, bound):
@@ -138,3 +153,17 @@ def test_writer_memory_does_not_grow_with_the_report(tmp_path, monkeypatch, argv
     finally:
         tracemalloc.stop()
     assert peak <= bound * path.stat().st_size
+
+
+def test_encoder_memory_on_a_list_of_int_lists():
+    # One map of the gcc L=4 complex: a dict whose "entries" is 3072 [i, j]
+    # lists.  One filled template per list leaves the dict's own join to set
+    # the peak; a string per row peaked at 3.8x the text.
+    entry = build_gcc(4).css_complex().to_json()["maps"][0]
+    tracemalloc.start()
+    try:
+        text = cli._encode(entry, "\n      ", set())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * len(text)
