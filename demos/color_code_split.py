@@ -28,7 +28,7 @@ for other in ("a", "b"):
     correspondence = {}
     for q, e in enumerate(model.extra["sym_edges"]):
         label = lattice.cells[1][e]
-        if label in sub._index[1]:
+        if label in sub.cells[1]:
             correspondence[q] = sub.index(1, label)
     comp = next(c for c in rep.components if set(c.qubits) == set(correspondence))
     ok = match_against_builder(image, comp, reference, correspondence)

@@ -15,11 +15,11 @@ from .codes import CssSubsystemCode
 from .gf2 import BitVec
 from .lattice import (
     CellComplex,
-    _torus_sites,
     gcc_lattice,
     hypercubic_centers,
     hypercubic_torus,
     octahedron_sphere,
+    torus_sites,
     triangular_torus,
 )
 from .pauli import Hamiltonian, PauliOp, Term
@@ -77,12 +77,12 @@ def build_bacon_shor(length: int) -> CssSubsystemCode:
     Qubits on vertices; two-qubit X gauge generators on horizontal edges
     and Z gauge generators on vertical edges; stabilizers are two-column
     X and two-row Z operators.  Vertex (r, c) is qubit r*L + c, the site
-    of ``_torus_sites``, and h-edge and v-edge (r, c) start there.
+    of ``torus_sites``, and h-edge and v-edge (r, c) start there.
     """
     if length < 2:
         raise ValueError("need length >= 2")
     L = length
-    names, (down, right), _ = _torus_sites(2, L)
+    names, (down, right), _ = torus_sites(2, L)
     n = L * L
     gauge_x = [BitVec.from_support(n, (s, right[s])) for s in range(n)]
     gauge_z = [BitVec.from_support(n, (s, down[s])) for s in range(n)]
@@ -117,7 +117,7 @@ def build_xu_moore(length: int) -> XuMooreModel:
     if length < 2:
         raise ValueError("need length >= 2")
     L = length
-    names, (down, _), (_, left) = _torus_sites(2, L)   # h-edge s joins s to its right neighbour
+    names, (down, _), (_, left) = torus_sites(2, L)   # h-edge s joins s to its right neighbour
     n = L * L
     h = Hamiltonian(n)
     for s in range(n):
@@ -178,7 +178,7 @@ def build_fractal_code(length: int, boundary: str = "periodic") -> CssSubsystemC
     if boundary not in ("periodic", "open_y"):
         raise ValueError("boundary must be 'periodic' or 'open_y'")
     L = length
-    names, fwd, back = _torus_sites(3, L)
+    names, fwd, back = torus_sites(3, L)
     N = len(names)
     n = 2 * N
     # A is qubit s and B qubit N + s.  Under open_y a y step that wraps

@@ -47,7 +47,7 @@ class WorkedModel:
 # ---------------------------------------------------------------------------
 
 
-def _axis_loops(code: CssSubsystemCode) -> list[BitVec]:
+def axis_loops(code: CssSubsystemCode) -> list[BitVec]:
     """Natural Z-logical loops of a k=1 hypercubic toric code: one per axis."""
     lattice = code.lattice
     dim, length = code.metadata["D"], code.metadata["L"]
@@ -72,7 +72,7 @@ def toric_setup(code: CssSubsystemCode) -> WorkedModel:
     if code.metadata.get("k", 1) != 1:
         raise ValueError("natural toric setup is for type k=1")
     if code.metadata.get("family") == "toric":
-        loops = _axis_loops(code)
+        loops = axis_loops(code)
     else:
         loops = css_logical_reps(code.css_complex())
     n_fin = len(code.stabilizer_x)

@@ -222,7 +222,10 @@ def _encode(o, nl: str, path: set) -> str:
         path.add(id(o))
         body = [_key(k) + ": " + _encode(v, inner, path) for k, v in sorted(o.items())]
         path.discard(id(o))
-        return "{" + inner + ("," + inner).join(body) + nl + "}"
+        # The braces go on the end items, so the one join is the only copy of the text.
+        body[0] = "{" + inner + body[0]
+        body[-1] += nl + "}"
+        return ("," + inner).join(body)
     kinds = set(map(type, o))
     if kinds == {int}:
         body = map(int.__repr__, o)

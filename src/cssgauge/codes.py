@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .chains import ChainComplex
+from .chains import CssComplex
 from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, rank
 from .lattice import CellComplex
 from .pauli import Hamiltonian, PauliOp, Term
@@ -81,11 +81,10 @@ class CssSubsystemCode:
         return ([PauliOp(self.n, v, BitVec(self.n)) for v in self.stabilizer_x]
                 + [PauliOp(self.n, BitVec(self.n), v) for v in self.stabilizer_z])
 
-    def css_complex(self) -> ChainComplex:
+    def css_complex(self) -> CssComplex:
         """The stabilizer CSS complex: Z-checks -> qubits -> X-checks."""
-        d_z = BitMatrix.from_columns(self.n, self.stabilizer_z)
-        d_x = self.stabilizer_x_matrix()
-        return ChainComplex.css(d_z, d_x, qubit_labels=self.qubit_labels)
+        return CssComplex(BitMatrix.from_columns(self.n, self.stabilizer_z),
+                          self.stabilizer_x_matrix(), self.qubit_labels)
 
     # -- serialisation ---------------------------------------------------
 

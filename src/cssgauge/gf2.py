@@ -212,17 +212,6 @@ class BitMatrix:
     def is_zero(self) -> bool:
         return all(r == 0 for r in self._rows)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._rows == other._rows
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._rows))
-
     def __repr__(self):
         return f"BitMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import BitMatrix, BitVec, is_zero_product
+from .gf2 import BitMatrix, BitVec
 
 
 class CellComplex:
@@ -48,20 +48,6 @@ class CellComplex:
 
     def index(self, d: int, label: str) -> int:
         return self._index[d][label]
-
-    def validate(self) -> bool:
-        """Boundary-of-boundary vanishes; colored lattices have no monochromatic edge."""
-        for d in range(2, self.dimension + 1):
-            if not is_zero_product(self.boundary[d - 1], self.boundary[d]):
-                return False
-        if self.vertex_colors is not None:
-            edge_vertices = self.generalized_boundary(0, 1)
-            for e in range(self.n_cells(1)):
-                cols = {self.vertex_colors[self.cells[0][v]]
-                        for v in edge_vertices.row(e).support}
-                if len(cols) < 2:
-                    return False
-        return True
 
     # -- derived incidence ----------------------------------------------
 
@@ -185,7 +171,7 @@ class CellComplex:
 AXES = "xyzw"
 
 
-def _torus_sites(dim: int, length: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
+def torus_sites(dim: int, length: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
     """The sites s = (p[0]*L + p[1])*L + ... of the periodic grid, in point order.
 
     Returns one ``str(p)`` per site and the neighbour tables
@@ -208,7 +194,7 @@ def hypercubic_torus(dim: int, length: int) -> CellComplex:
         raise ValueError("need dim >= 1 and length >= 2")
     if dim > len(AXES):
         raise ValueError(f"hypercubic lattices have at most {len(AXES)} axes ({AXES})")
-    names, fwd, _ = _torus_sites(dim, length)
+    names, fwd, _ = torus_sites(dim, length)
     n = len(names)
     axis_sets = [list(itertools.combinations(range(dim), d)) for d in range(dim + 1)]
     cells = [[f"{''.join(AXES[a] for a in axes) or '.'}{p}" for axes in layer for p in names]
@@ -261,13 +247,13 @@ def triangular_torus(length: int) -> CellComplex:
     color (i - j) mod 3 makes every edge bichromatic and every triangle
     carry all three colors.
 
-    Built on the sites of ``_torus_sites``: the E, N and D edges of site s
+    Built on the sites of ``torus_sites``: the E, N and D edges of site s
     are edges 3s, 3s+1 and 3s+2, and its up and down triangles are faces
     2s and 2s+1.
     """
     if length < 3 or length % 3:
         raise ValueError("triangular torus coloring needs length divisible by 3")
-    names, fwd, _ = _torus_sites(2, length)
+    names, fwd, _ = torus_sites(2, length)
     n = len(names)
     east, north = fwd
     verts = [f"v{p}" for p in names]
@@ -297,13 +283,13 @@ def gcc_lattice(length: int) -> CellComplex:
     four tetrahedra: the two centers it separates joined with each of its
     four edges.  Cell counts: V=2L^3, E=14L^3, F=24L^3, C=12L^3.
 
-    Built on the integer sites of ``_torus_sites``: corner and center s
+    Built on the integer sites of ``torus_sites``: corner and center s
     are vertices s and N + s, cubic edge (a, s) is edge a*N + s and the
     cd edge crossing face (a, s) is edge 3N + a*N + s.
     """
     if length < 2 or length % 2:
         raise ValueError("gcc lattice coloring needs even length >= 2")
-    names, fwd, back = _torus_sites(3, length)
+    names, fwd, back = torus_sites(3, length)
     n = len(names)
     others = ((1, 2), (0, 2), (0, 1))
     verts = [f"cor{p}" for p in names] + [f"cen{p}" for p in names]

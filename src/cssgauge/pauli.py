@@ -100,9 +100,6 @@ class PauliOp:
             and self.phase == other.phase
         )
 
-    def __hash__(self):
-        return hash((self.n, self.x, self.z, self.phase))
-
     def to_label(self) -> str:
         letters = []
         for q in range(self.n):
@@ -184,9 +181,6 @@ class CliffordCircuit:
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordCircuit is immutable")
-
-    def __len__(self):
-        return len(self.gates)
 
     @classmethod
     def cz_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "CliffordCircuit":

@@ -20,8 +20,9 @@ commutation check one operator pair at a time, each operator drawn by
 ``signed_search_cz_is_logical`` and
 ``mutual_signed_membership``, the all-generator signed searches that the
 transversal-CZ and domain-wall checks ran before they took witnesses;
-and ``center_of_group``, which the code tests use to state the center of
-a gauge group.
+``center_of_group``, which the code tests use to state the center of
+a gauge group; and ``lattice_is_valid``, the boundary-of-boundary and
+edge-coloring check on a cell complex.
 Slow and obvious on purpose.
 """
 
@@ -89,6 +90,21 @@ def naive_generalized_boundary(lattice, k: int, l: int) -> set[tuple[int, int]]:
             frontier = nxt
         out.update((f, c) if k > l else (c, f) for f in frontier)
     return out
+
+
+def lattice_is_valid(lattice) -> bool:
+    """Boundary of boundary vanishes, and on a colored lattice every edge
+    joins vertices of two colors."""
+    from cssgauge.gf2 import is_zero_product
+
+    if not all(is_zero_product(lattice.boundary[d - 1], lattice.boundary[d])
+               for d in range(2, lattice.dimension + 1)):
+        return False
+    if lattice.vertex_colors is None:
+        return True
+    ends = lattice.generalized_boundary(0, 1)
+    return all(len({lattice.vertex_colors[lattice.cells[0][v]] for v in ends.row(e).support}) == 2
+               for e in range(lattice.n_cells(1)))
 
 
 def naive_gcc_lattice(length: int) -> tuple[list[list[str]], dict[str, str], list]:

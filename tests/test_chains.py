@@ -3,95 +3,86 @@ import random
 import pytest
 
 from cssgauge.builders import build_bacon_shor, build_toric, build_toric_sphere
-from cssgauge.catalog import _axis_loops
+from cssgauge.catalog import axis_loops
 from cssgauge.chains import (
-    ChainComplex,
-    LabeledBasis,
+    CssComplex,
     augment_with_logicals,
     css_logical_reps,
-    homology_dim,
-    validate,
+    qubit_homology_dim,
 )
-from cssgauge.gf2 import BitMatrix, BitVec, rank
+from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, rank
 from cssgauge.lattice import octahedron_sphere
 
 
-def octahedron_complex():
-    oc = octahedron_sphere()
-    return ChainComplex(
-        [LabeledBasis("F", oc.cells[2]), LabeledBasis("E", oc.cells[1]),
-         LabeledBasis("V", oc.cells[0])],
-        [oc.boundary[2], oc.boundary[1]], orientation="boundary")
-
-
 def test_validate_toric_complex():
-    assert validate(build_toric(2, 3, 1).css_complex())
-    assert validate(build_toric_sphere().css_complex())
+    for code in (build_toric(2, 3, 1), build_toric_sphere()):
+        c = code.css_complex()
+        assert is_zero_product(c.d_x, c.d_z)
 
 
 def test_validate_detects_flipped_bit():
     c = build_toric_sphere().css_complex()
-    d_x = c.maps[1]
-    entries = set(d_x.entries)
-    flipped = entries ^ {(0, 0)}
-    broken = ChainComplex(c.spaces, [c.maps[0],
-                                     BitMatrix.from_entries(d_x.rows, d_x.cols, flipped)],
-                          orientation="css")
-    assert not validate(broken)
+    d_x = c.d_x
+    flipped = set(d_x.entries) ^ {(0, 0)}
+    broken = CssComplex(c.d_z, BitMatrix.from_entries(d_x.rows, d_x.cols, flipped),
+                        c.qubit_labels)
+    assert not is_zero_product(broken.d_x, broken.d_z)
+    with pytest.raises(AssertionError):
+        css_logical_reps(broken)
 
 
 def test_validate_empty_complex():
-    assert validate(ChainComplex([], []))
-    single = ChainComplex([LabeledBasis.indexed("q", 3)], [])
-    assert validate(single)
+    # No qubits and no checks: both maps are empty and the complex is exact.
+    c = CssComplex(BitMatrix(0, 0, []), BitMatrix(0, 0, []), [])
+    assert is_zero_product(c.d_x, c.d_z)
+    assert qubit_homology_dim(c) == 0 and css_logical_reps(c) == []
+
+
+def test_css_complex_rejects_mismatched_shapes():
+    c = build_toric(2, 3, 1).css_complex()
+    with pytest.raises(ValueError):
+        CssComplex(c.d_z, c.d_x, c.qubit_labels[:-1])
+    with pytest.raises(ValueError):
+        CssComplex(c.d_z, c.d_x.transpose(), c.qubit_labels)   # d_x with mx columns
 
 
 def test_validate_invariant_under_basis_permutation():
     rng = random.Random(0)
     c = build_toric(2, 3, 1).css_complex()
-    perm = list(range(len(c.spaces[1])))
+    perm = list(range(len(c.qubit_labels)))
     rng.shuffle(perm)
-    d_z = c.maps[0]
-    d_x = c.maps[1]
+    d_z, d_x = c.d_z, c.d_x
     d_z2 = BitMatrix.from_entries(d_z.rows, d_z.cols,
                                   [(perm[r], col) for r, col in d_z.entries])
     d_x2 = BitMatrix.from_entries(d_x.rows, d_x.cols,
                                   [(r, perm[col]) for r, col in d_x.entries])
-    permuted = ChainComplex(c.spaces, [d_z2, d_x2], orientation="css")
-    assert validate(permuted)
+    assert is_zero_product(d_x2, d_z2)
+    assert qubit_homology_dim(CssComplex(d_z2, d_x2, c.qubit_labels)) == 2
 
 
 def test_homology_octahedron_sphere():
-    c = octahedron_complex()
-    assert homology_dim(c, 1) == 0        # edges: first homology of the sphere
-    assert homology_dim(c, 2) == 1        # vertices: connected components
-    assert homology_dim(c, 0) == 1        # faces: the enclosed volume class
+    # Faces -> edges -> vertices: the first homology of the sphere vanishes.
+    oc = octahedron_sphere()
+    c = CssComplex(oc.boundary[2], oc.boundary[1], oc.cells[1])
+    assert qubit_homology_dim(c) == 0
 
 
 def test_homology_torus_edges():
     c = build_toric(2, 3, 1).css_complex()
-    assert homology_dim(c, 1) == 2
-
-
-def test_homology_end_position():
-    c = build_toric(2, 3, 1).css_complex()
-    # Zero outgoing map at the last position: dim - rank(incoming).
-    assert homology_dim(c, 2) == len(c.spaces[2]) - rank(c.maps[1])
-    with pytest.raises(ValueError):
-        homology_dim(c, 3)
+    assert qubit_homology_dim(c) == 2
 
 
 def test_homology_bounds():
-    for code in (build_toric(2, 3, 1), build_toric_sphere()):
+    # The homology at the qubits counts the logical Z classes.
+    for code in (build_toric(2, 3, 1), build_toric(3, 2, 1), build_toric_sphere(),
+                 build_bacon_shor(3)):
         c = code.css_complex()
-        for pos in range(3):
-            h = homology_dim(c, pos)
-            assert 0 <= h <= len(c.spaces[pos])
+        assert qubit_homology_dim(c) == len(css_logical_reps(c))
 
 
-def dual_complex(c: ChainComplex) -> ChainComplex:
+def dual_complex(c: CssComplex) -> CssComplex:
     """The CSS complex with X and Z swapped: its Z representatives are c's X ones."""
-    return ChainComplex.css(c.d_x.transpose(), c.d_z.transpose(), c.spaces[1].labels)
+    return CssComplex(c.d_x.transpose(), c.d_z.transpose(), c.qubit_labels)
 
 
 def test_css_logical_reps_torus():
@@ -116,24 +107,25 @@ def test_css_logical_reps_rejects_inconsistent_complex():
     d_z = BitMatrix.from_columns(2, [BitVec.from_support(2, [0])])
     d_x = BitMatrix.from_rows(2, [BitVec.from_support(2, [0])])
     with pytest.raises(AssertionError):
-        css_logical_reps(ChainComplex.css(d_z, d_x, ["q0", "q1"]))
+        css_logical_reps(CssComplex(d_z, d_x, ["q0", "q1"]))
 
 
 def test_augment_torus_exact():
     code = build_toric(2, 3, 1)
     c = code.css_complex()
-    augmented = augment_with_logicals(c, _axis_loops(code))
-    assert validate(augmented)
-    assert homology_dim(augmented, 1) == 0
+    augmented = augment_with_logicals(c, axis_loops(code))
+    assert is_zero_product(augmented.d_x, augmented.d_z)
+    assert qubit_homology_dim(augmented) == 0
 
 
 def test_augment_with_image_element_keeps_rank():
     c = build_toric_sphere().css_complex()
-    stab = c.maps[0].column(0)
+    stab = c.d_z.column(0)
     augmented = augment_with_logicals(c, [stab])
-    assert rank(augmented.maps[0]) == rank(c.maps[0])
+    assert augmented.d_z.cols == c.d_z.cols + 1
+    assert rank(augmented.d_z) == rank(c.d_z)
     # Kernel of d_x is untouched by construction.
-    assert augmented.maps[1] == c.maps[1]
+    assert augmented.d_x is c.d_x
 
 
 def test_augment_rejects_nonzero_syndrome():
@@ -156,25 +148,14 @@ def test_bacon_shor_rows_generate_stabilizers():
     assert rank(row_m.augment_columns(code.stabilizer_z)) == rank(row_m)
 
 
-def test_ungauge_complex_validate():
-    d_z = BitMatrix.from_columns(3, [BitVec.from_support(3, [0, 1])])
-    d_x = BitMatrix.from_rows(3, [BitVec.from_support(3, [0, 1]),
-                                  BitVec.from_support(3, [0, 1, 2])])
-    spaces = [LabeledBasis.indexed("Z", 1), LabeledBasis.indexed("q", 3),
-              LabeledBasis.indexed("X", 2)]
-    # Left kernel of d_x is empty here, so no relations.
-    uc = ChainComplex(spaces + [LabeledBasis.indexed("R", 0)],
-                      [d_z, d_x, BitMatrix(0, 2, [])], orientation="ungauge")
-    assert validate(uc)
-    bad = ChainComplex(spaces + [LabeledBasis.indexed("R", 1)],
-                       [d_z, d_x, BitMatrix(1, 2, [0b01])], orientation="ungauge")
-    assert not validate(bad)
-
-
 def test_chain_complex_to_json():
+    # The sphere has 8 Z checks and 6 X checks, so a swapped label range shows.
     c = build_toric_sphere().css_complex()
     data = c.to_json()
-    assert validate(c)
     assert data["maps"] == [c.d_z.to_json(), c.d_x.to_json()]
-    assert [s["labels"] for s in data["spaces"]] == [list(s.labels) for s in c.spaces]
+    assert data["spaces"] == [
+        {"name": "Z", "labels": [f"Z{i}" for i in range(8)]},
+        {"name": "Q", "labels": list(c.qubit_labels)},
+        {"name": "X", "labels": [f"X{i}" for i in range(6)]},
+    ]
     assert data["orientation"] == "css"

@@ -108,6 +108,9 @@ PINNED_REPORTS = [
         "toric2d-dz.json": "5b8eeba729b70c921f45a3b8c1b6d6f2f37279d7ab4b5f64f3a20f0dac80b75e"}),
     (["export", "--code", "gcc", "--L", "2", "--what", "complex"], {
         "gcc-complex.json": "453f20a98e1a60d924d50aa2cc17851bec9df3754cf70f30eb9108de2d391b95"}),
+    # The sphere has 8 Z checks and 6 X checks, so a swapped label range shows.
+    (["export", "--code", "toric-sphere", "--what", "complex"], {
+        "toric-sphere-complex.json": "199278db0a33d44ebb6e9f086ffa16f7677e93290ebe9c2cafea87a944820872"}),
     (["build", "--code", "bacon-shor", "--L", "4"], {
         "bacon-shor.json": "424914910eb861a6c1dfee69f4c07dd6280606db30fe3b02d1ff6402521e7e23"}),
     (["build", "--code", "xu-moore", "--L", "5"], {

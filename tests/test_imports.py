@@ -9,6 +9,8 @@ No linter ships with the project, so these checks stand in for one.
   ``__init__.py`` too.
 - A deletion of a caller easily leaves its callee behind: see
   ``dead_names``.
+- A module that reads another module's private name couples to what
+  that module may change at will: see ``foreign_private_names``.
 - The package has no runtime dependencies: every module imports only
   the standard library (``sys.stdlib_module_names``) and the package
   itself.  numpy and hypothesis are for the tests alone.
@@ -88,6 +90,46 @@ def dead_names(defining: list[str], reading: list[str], exempt: set[str]) -> lis
     return found
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_names(source: str, exempt: set[str]) -> list[str]:
+    """Private names that ``source`` imports, or reads as an attribute without defining them.
+
+    A module defines a name when it defines a function or class of that
+    name, assigns it (``_x = ...``, ``self._x = ...``), takes it as a
+    parameter or spells it in a string (``__slots__``,
+    ``object.__setattr__``).  Like ``dead_names``, the lint matches
+    names: an attribute that shares its name with one the module
+    defines passes.  The names in ``exempt`` are taken as public.
+    """
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.arg):
+            defined.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            defined.add(node.value)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names = [node.attr] if node.attr not in defined else []
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if _is_private(name) and name not in exempt]
+    return sorted(found)
+
+
 def boundary_names() -> set[str]:
     """Every part of every ``perfbench/tracer.py`` boundary (``Class.method`` gives both):
     the benchmark wraps them by name, so they are read from outside the package."""
@@ -122,6 +164,21 @@ def test_every_definition_is_read():
     package = [path.read_text() for path in MODULES]
     assert dead_names(package, package + [path.read_text() for path in DEMOS],
                       boundary_names()) == []
+
+
+def test_foreign_private_names_are_found():
+    source = ("from .lattice import _sites, _kept, public\nimport m\n\n"
+              "class A:\n    __slots__ = ('_slot',)\n\n"
+              "    def __init__(self, _arg):\n        self._own = _arg\n\n"
+              "    def f(self, other):\n"
+              "        return m._helper(), other._index, self._own, self._slot, self.__class__\n")
+    assert foreign_private_names(source, {"_kept"}) == ["_helper (line 11)", "_index (line 11)",
+                                                        "_sites (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_no_private_name_of_another(path):
+    assert foreign_private_names(path.read_text(), boundary_names()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
