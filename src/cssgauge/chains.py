@@ -52,7 +52,7 @@ def qubit_homology_dim(c: CssComplex) -> int:
 
 def _coset_representatives(kernel: BitMatrix, image_gens: BitMatrix) -> list[BitVec]:
     """Rows of ``kernel`` that extend the row space of ``image_gens``, greedily in order."""
-    span = Echelon(image_gens.row_bits(i) for i in range(image_gens.rows))
+    span = Echelon((image_gens.row_bits(i) for i in range(image_gens.rows)), combos=False)
     return [kernel.row(i) for i in range(kernel.rows) if span.add(kernel.row_bits(i))]
 
 

@@ -3,11 +3,13 @@
 A stabilizer code is the abelian special case (gauge group = stabilizer
 group), and omitting both stabilizer lists declares one: the constructor
 takes the gauge generators as the stabilizers and proves that they
-commute with one product, G_X·G_Zᵀ (the other is its transpose).  A
+commute with one product, G_Z·G_Xᵀ (the other is its transpose).  A
 subsystem code lists both its stabilizer lists, as Bacon-Shor and the
-gauge color code do, and is checked with S_X·G_Zᵀ and S_Z·G_Xᵀ; a
+gauge color code do, and is checked with G_Z·S_Xᵀ and G_X·S_Zᵀ; a
 self-dual listing (S_Z = S_X and G_X = G_Z, as for the gauge color code)
 makes the second product equal to the first, so it is checked once.
+The products transpose the stabilizers, so G_Z is transposed only where
+``analysis.code_parameters`` forms G_X·G_Zᵀ.
 """
 
 from __future__ import annotations
@@ -55,12 +57,12 @@ class CssSubsystemCode:
             raise ValueError("qubit label count mismatch")
         self.lattice = lattice
         self.metadata = dict(metadata) if metadata else {}
-        if not is_zero_product(self.stabilizer_x_matrix(), self.gauge_z_matrix().transpose()):
+        if not is_zero_product(self.gauge_z_matrix(), self.stabilizer_x_matrix().transpose()):
             raise ValueError("X stabilizer anticommutes with a Z gauge generator")
-        # S_Z·G_Xᵀ is the product above transposed (stabilizer code) or repeated (self-dual).
+        # G_X·S_Zᵀ is the product above transposed (stabilizer code) or repeated (self-dual).
         proved = abelian or (self.stabilizer_z == self.stabilizer_x and self.gauge_x == self.gauge_z)
-        if not proved and not is_zero_product(self.stabilizer_z_matrix(),
-                                              self.gauge_x_matrix().transpose()):
+        if not proved and not is_zero_product(self.gauge_x_matrix(),
+                                              self.stabilizer_z_matrix().transpose()):
             raise ValueError("Z stabilizer anticommutes with an X gauge generator")
 
     # -- group views ---------------------------------------------------
@@ -171,7 +173,7 @@ def gauge_group_rank(code: CssSubsystemCode) -> int:
     gauge color code at L=4.  A self-dual listing (G_Z = G_X row for
     row, as for the gauge color code) is eliminated once.
     """
-    rank_x = len(Echelon(v.bits for v in code.gauge_x))
+    rank_x = len(Echelon((v.bits for v in code.gauge_x), combos=False))
     if [v.bits for v in code.gauge_x] == [v.bits for v in code.gauge_z]:
         return 2 * rank_x
-    return rank_x + len(Echelon(v.bits for v in code.gauge_z))
+    return rank_x + len(Echelon((v.bits for v in code.gauge_z), combos=False))

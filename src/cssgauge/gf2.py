@@ -6,12 +6,14 @@ construction API stays sparse (sets of positions).  Everything is
 immutable by convention except ``Echelon``.
 
 ``Echelon`` is the one elimination kernel: an incremental basis of the
-span of the vectors added so far, each row keyed by the index of its
-lowest set bit and carrying its combination of the added vectors.
-``rank``, ``kernel_basis``, ``solve`` and ``LinearSolver`` read the
-echelon of a matrix's columns, added in index order and memoised per
-matrix; span membership and coset questions elsewhere in the package add
-rows to an ``Echelon`` of their own.
+span of the vectors added so far, each row keyed by its highest set bit
+(its ``bit_length``, a small int) and carrying its combination of the
+added vectors.  ``rank``, ``kernel_basis``, ``solve`` and
+``LinearSolver`` read the echelon of a matrix's columns, added in index
+order and memoised per matrix; span membership and coset questions
+elsewhere in the package add rows to an ``Echelon`` of their own, and
+those that read only a rank or ``add``'s answer build it with
+``combos=False``, which keeps the rows alone.
 
 Canonical conventions, relied on throughout the package:
 
@@ -27,7 +29,13 @@ it is the unique solution with every free variable zero; and each
 dependent column yields, as it is added, the kernel vector supported on
 itself and the pivots, in ascending column order.  These make kernel
 bases, solutions and everything derived from them reproducible across
-runs.
+runs.  None of them depends on the pivot bit: see ``Echelon``.
+
+Set bits are walked from the top in ``_mask_to_support``, ``_xor_rows``
+and ``BitMatrix.transpose``: ``bit_length`` finds the highest and
+``1 << top`` clears it, with no negated copy as ``v & -v`` makes.
+``_mask_to_support`` reverses once at the end, so supports stay
+ascending.
 
 ``BitMatrix.mul_vec`` and ``@`` share one walk, ``_xor_rows``: the sum
 of the rows a bitmask selects.  ``mul_vec`` XORs the columns its vector
@@ -43,9 +51,10 @@ from typing import Iterable, Optional, Sequence
 def _mask_to_support(bits: int) -> tuple[int, ...]:
     out = []
     while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+        top = bits.bit_length() - 1
+        out.append(top)
+        bits ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 
@@ -53,9 +62,9 @@ def _xor_rows(bits: int, rows: Sequence[int]) -> int:
     """XOR of ``rows[j]`` over the set bits j of ``bits``."""
     acc = 0
     while bits:
-        low = bits & -bits
-        acc ^= rows[low.bit_length() - 1]
-        bits ^= low
+        top = bits.bit_length() - 1
+        acc ^= rows[top]
+        bits ^= 1 << top
     return acc
 
 
@@ -224,9 +233,9 @@ class BitMatrix:
             for i, r in enumerate(self._rows):
                 bit = 1 << i
                 while r:
-                    low = r & -r
-                    row_bits[low.bit_length() - 1] |= bit
-                    r ^= low
+                    top = r.bit_length() - 1
+                    row_bits[top] |= bit
+                    r ^= 1 << top
             object.__setattr__(self, "_cols", tuple(row_bits))
         t = BitMatrix(self.cols, self.rows, self._cols)
         object.__setattr__(t, "_cols", self._rows)
@@ -280,22 +289,34 @@ class BitMatrix:
 class Echelon:
     """Incremental echelon basis of the span of the vectors added so far.
 
-    Vectors are bitmask integers.  ``rows`` maps the index of each basis
-    row's lowest set bit to ``(row, combo)``, where bit i of ``combo``
-    stands for the i-th vector added; the lowest bits are distinct, so a
-    vector lies in the span exactly when reducing it by lowest bit clears
-    it.  The key is the index, not the power of two ``v & -v``, so it is a
-    small integer, cheap to hash.  Each added vector that does not enlarge
-    the span leaves its dependency (itself plus the combination producing
-    it) in ``relations``.
+    Vectors are bitmask integers.  ``rows`` maps the ``bit_length`` of
+    each basis row (its highest set bit, plus one) to ``(row, combo)``,
+    where bit i of ``combo`` stands for the i-th vector added; the highest
+    bits are distinct, so a vector lies in the span exactly when reducing
+    it by highest bit clears it.  The key is a small integer, cheap to
+    hash, and finding it makes no big-int copy.  Each added vector that
+    does not enlarge the span leaves its dependency (itself plus the
+    combination producing it) in ``relations``.
+
+    Nothing read from an echelon depends on which bit is the pivot:
+    whether a vector enlarges the span depends on the insertion order
+    alone, and the combination ``reduce`` returns for a vector in the
+    span is its unique expansion over the independent added vectors.
+    So ranks, ``add``'s answers, ``relations`` and solutions are the same
+    under any pivot rule; only the residual of a vector outside the span
+    depends on it, and callers read only whether it is zero.
+
+    ``combos=False`` keeps the rows only, for callers that read a rank or
+    ``add``'s answer: every combo is then 0 and ``relations`` stays empty.
     """
 
-    __slots__ = ("rows", "added", "relations")
+    __slots__ = ("rows", "added", "relations", "combos")
 
-    def __init__(self, vectors: Iterable[int] = ()):
+    def __init__(self, vectors: Iterable[int] = (), combos: bool = True):
         self.rows: dict[int, tuple[int, int]] = {}
         self.added = 0
         self.relations: list[int] = []
+        self.combos = combos
         for v in vectors:
             self.add(v)
 
@@ -310,7 +331,7 @@ class Echelon:
         rows = self.rows
         combo = 0
         while v:
-            hit = rows.get((v & -v).bit_length())
+            hit = rows.get(v.bit_length())
             if hit is None:
                 break
             v ^= hit[0]
@@ -320,12 +341,14 @@ class Echelon:
     def add(self, v: int) -> bool:
         """Add the next vector; True when it enlarged the span."""
         residual, combo = self.reduce(v)
-        combo ^= 1 << self.added
+        if self.combos:
+            combo ^= 1 << self.added
         self.added += 1
         if residual:
-            self.rows[(residual & -residual).bit_length()] = (residual, combo)
+            self.rows[residual.bit_length()] = (residual, combo)
             return True
-        self.relations.append(combo)
+        if self.combos:
+            self.relations.append(combo)
         return False
 
 

@@ -234,7 +234,7 @@ def group_rank(gens: Sequence[PauliOp]) -> int:
     for g in gens:
         if g.n != n:
             raise ValueError("qubit count mismatch")
-    return len(Echelon(g.symplectic_row().bits for g in gens))
+    return len(Echelon((g.symplectic_row().bits for g in gens), combos=False))
 
 
 class GroupMembership:

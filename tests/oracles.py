@@ -3,7 +3,8 @@
 These share no code with the package: dense list-of-lists elimination
 for ranks and an entrywise matrix product, literal 2x2 / 4x4 / 2^n
 complex matrices for Pauli algebra, and the package's earlier kernels
-(a row-by-row matrix-vector product, gate-by-gate conjugation, a
+(the echelon keyed by lowest set bit, a row-by-row matrix-vector
+product, gate-by-gate conjugation, a
 per-component rescan of the terms and the tuple-coordinate hypercubic,
 triangular and gauge color code lattices) for the faster kernels that
 replaced them; ``naive_tensor_with_dual`` lifts a code and its
@@ -463,6 +464,40 @@ def row_parity_mul_vec(m, v) -> int:
     for i in range(m.rows):
         bits |= ((m.row_bits(i) & v.bits).bit_count() & 1) << i
     return bits
+
+
+class LowestBitEchelon:
+    """The earlier echelon kernel: each basis row keyed by its lowest set bit.
+
+    ``rows`` maps ``(v & -v).bit_length()`` to ``(row, combo)``, bit i of
+    ``combo`` standing for the i-th vector added; a dependent vector
+    leaves its combination in ``relations``.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, tuple[int, int]] = {}
+        self.added = 0
+        self.relations: list[int] = []
+
+    def reduce(self, v: int) -> tuple[int, int]:
+        combo = 0
+        while v:
+            hit = self.rows.get((v & -v).bit_length())
+            if hit is None:
+                break
+            v ^= hit[0]
+            combo ^= hit[1]
+        return v, combo
+
+    def add(self, v: int) -> bool:
+        residual, combo = self.reduce(v)
+        combo ^= 1 << self.added
+        self.added += 1
+        if residual:
+            self.rows[(residual & -residual).bit_length()] = (residual, combo)
+            return True
+        self.relations.append(combo)
+        return False
 
 
 def naive_matmul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[int]]:

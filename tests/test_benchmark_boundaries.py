@@ -30,20 +30,55 @@ COMMANDS = [
 ]
 
 
-def _calls_in_command(tmp_path, monkeypatch, owner, name, argv) -> int:
-    """Calls of ``owner.name``, patched on the class, while ``argv`` runs."""
+def _run(tmp_path, monkeypatch, argv):
     # verify reuses the worked models of an earlier run in this process.
     monkeypatch.setattr(verify, "_MODEL_CACHE", {})
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def _calls_in_command(tmp_path, monkeypatch, owner, name, argv) -> int:
+    """Calls of ``owner.name``, patched on the class, while ``argv`` runs."""
     calls = []
     method = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return method(*args)
+        return method(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    _run(tmp_path, monkeypatch, argv)
     return len(calls)
+
+
+def _words(v: int) -> int:
+    return (v.bit_length() + 63) >> 6
+
+
+def _elimination_work(tmp_path, monkeypatch, argv) -> tuple[int, int]:
+    """Row XORs, and 64-bit words of rows and combinations XORed, by ``Echelon.reduce``.
+
+    A counting copy of ``reduce`` stands in for it while ``argv`` runs;
+    each call's result is checked against the original's.
+    """
+    original = gf2.Echelon.reduce
+    work = [0, 0]
+
+    def counted(self, v):
+        rows, combo, start = self.rows, 0, v
+        while v:
+            hit = rows.get(v.bit_length())
+            if hit is None:
+                break
+            v ^= hit[0]
+            combo ^= hit[1]
+            work[0] += 1
+            work[1] += _words(hit[0]) + _words(hit[1])
+        assert (v, combo) == original(self, start)
+        return v, combo
+
+    monkeypatch.setattr(gf2.Echelon, "reduce", counted)
+    _run(tmp_path, monkeypatch, argv)
+    return work[0], work[1]
 
 
 # Echelon constructions per command: a guard against a repeated
@@ -65,8 +100,22 @@ def test_products_per_command(tmp_path, monkeypatch, capsys, argv, products):
 
 
 def test_transposes_in_the_gcc_build(tmp_path, monkeypatch, capsys):
-    # G_Z for the one commutation product and for the overlaps of
+    # S_X for the one commutation product, G_Z for the overlaps of
     # code_parameters, the stabilizer columns of the complex, and the
     # lattice incidence of the DOT file.
     argv = ["build", "--code", "gcc", "--L", "4"]
     assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "transpose", argv) == 4
+
+
+# Elimination work on two rungs of each family (n is the base code's qubit
+# count).  The counts are exact on every host, so a change in the work
+# shows here and is re-pinned.  Between the rungs, row XORs grow as
+# n^1.40 (toric2d) and n^1.42 (gcc), words XORed as n^2.21 and n^2.17.
+@pytest.mark.parametrize("argv,row_xors,words", [
+    (["spt", "--code", "toric2d", "--L", "8", "--slab", "1:3"], 2104, 7094),
+    (["spt", "--code", "toric2d", "--L", "16", "--slab", "1:3"], 14584, 151043),
+    (["ungauge", "--code", "gcc", "--L", "2"], 3185, 7836),
+    (["ungauge", "--code", "gcc", "--L", "4"], 60710, 714713),
+], ids=["toric2d-n128", "toric2d-n512", "gcc-n96", "gcc-n768"])
+def test_elimination_work_per_command(tmp_path, monkeypatch, capsys, argv, row_xors, words):
+    assert _elimination_work(tmp_path, monkeypatch, argv) == (row_xors, words)

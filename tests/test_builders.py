@@ -12,7 +12,7 @@ from cssgauge.builders import (
     toric_code_from_complex,
 )
 from cssgauge.codes import CssSubsystemCode, stabilizer_ranks, y_gauge_hamiltonian
-from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, rank
+from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product
 from cssgauge.lattice import color_pair_sublattice, edge_color_class, triangular_torus
 from cssgauge.pauli import PauliOp, group_rank, symplectic_product
 

@@ -8,7 +8,10 @@ from cssgauge.chains import _coset_representatives
 from cssgauge.gf2 import (
     BitMatrix,
     BitVec,
+    Echelon,
     LinearSolver,
+    _mask_to_support,
+    _xor_rows,
     is_zero_product,
     kernel_basis,
     rank,
@@ -17,7 +20,13 @@ from cssgauge.gf2 import (
 )
 from cssgauge.lattice import octahedron_sphere
 
-from tests.oracles import matrix_rows, naive_matmul, naive_rank, row_parity_mul_vec
+from tests.oracles import (
+    LowestBitEchelon,
+    matrix_rows,
+    naive_matmul,
+    naive_rank,
+    row_parity_mul_vec,
+)
 
 
 def random_matrix(rng, rows, cols, density=0.4):
@@ -273,6 +282,81 @@ def test_property_coset_representative_count(pair):
     assert len(reps) == naive_rank(stacked) - naive_rank(matrix_rows(image))
     with_reps = matrix_rows(image) + [[v.get(j) for j in range(v.length)] for v in reps]
     assert naive_rank(with_reps) == naive_rank(stacked)
+
+
+@st.composite
+def vector_sequences(draw):
+    """Vectors up to 80 bits wide, and queries: XORs of some of them, then random vectors.
+
+    Widths up to 16 make dependent vectors common among 20; wider ones
+    span more than one 64-bit word.
+    """
+    full = (1 << draw(st.sampled_from([0, 1, 2, 5, 8, 16, 80]))) - 1
+    vectors = draw(st.lists(st.integers(0, full), max_size=20))
+    picks = draw(st.lists(st.integers(0, (1 << len(vectors)) - 1), max_size=4))
+    queries = [_naive_xor(vectors, pick) for pick in picks]
+    return vectors, queries + draw(st.lists(st.integers(0, full), max_size=4))
+
+
+def _naive_xor(vectors, pick):
+    acc = 0
+    for i, v in enumerate(vectors):
+        if pick >> i & 1:
+            acc ^= v
+    return acc
+
+
+@PROPERTY
+@given(vector_sequences())
+def test_property_echelon_matches_the_lowest_bit_kernel(case):
+    # Nothing read from an echelon depends on its pivot bit: whether a
+    # vector enlarges the span depends on the insertion order alone, and
+    # a vector in the span has one expansion over the independent added
+    # vectors.  Only an out-of-span residual may differ, in value, not
+    # in being nonzero.
+    vectors, queries = case
+    echelon, oracle = Echelon(), LowestBitEchelon()
+    assert [echelon.add(v) for v in vectors] == [oracle.add(v) for v in vectors]
+    assert echelon.relations == oracle.relations
+    for q in vectors + queries:
+        (residual, combo), (expected, expected_combo) = echelon.reduce(q), oracle.reduce(q)
+        assert residual ^ _naive_xor(vectors, combo) == q
+        assert (residual == 0) == (expected == 0)
+        if not residual:
+            assert combo == expected_combo
+
+
+@PROPERTY
+@given(vector_sequences())
+def test_property_rows_only_echelon_matches_the_full_one(case):
+    vectors, queries = case
+    full, rows_only = Echelon(), Echelon(combos=False)
+    assert [rows_only.add(v) for v in vectors] == [full.add(v) for v in vectors]
+    assert len(rows_only) == len(full)
+    assert rows_only.relations == []
+    for q in vectors + queries:
+        assert rows_only.reduce(q) == (full.reduce(q)[0], 0)
+
+
+@PROPERTY
+@given(st.integers(0, 80).flatmap(lambda width: st.tuples(
+    st.integers(0, (1 << width) - 1), st.randoms(use_true_random=False))))
+def test_property_bit_walks_match_naive_ones(case):
+    bits, rng = case
+    rows = [rng.getrandbits(70) for _ in range(bits.bit_length())]
+    support = [j for j in range(bits.bit_length()) if bits >> j & 1]
+    assert _mask_to_support(bits) == tuple(support)
+    assert _xor_rows(bits, rows) == _naive_xor(rows, bits)
+
+
+@PROPERTY
+@given(st.tuples(st.integers(0, 20), st.integers(0, 70)).flatmap(
+    lambda shape: matrices(rows=shape[0], cols=shape[1])))
+def test_property_transpose_matches_the_entrywise_one(m):
+    # Rows up to 70 bits wide span two 64-bit words.
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert matrix_rows(t) == dense_columns(m)
 
 
 @st.composite

@@ -4,9 +4,9 @@ and define nothing that no caller reads.
 No linter ships with the project, so these checks stand in for one.
 
 - A deletion easily leaves its imports behind: each name that an import
-  binds in a module under ``src/cssgauge/`` must be read somewhere in
-  that module.  The package re-exports nothing, so this holds for
-  ``__init__.py`` too.
+  binds in a module under ``src/cssgauge/`` or ``tests/`` must be read
+  somewhere in that module.  The package re-exports nothing, so this
+  holds for ``__init__.py`` too.
 - A deletion of a caller easily leaves its callee behind: see
   ``dead_names``.
 - A module that reads another module's private name couples to what
@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cssgauge"
 MODULES = sorted(PACKAGE.glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
@@ -183,6 +184,11 @@ def test_module_reads_no_private_name_of_another(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cssgauge import catalog, codes, gf2, verify
 from cssgauge.analysis import code_parameters, components
-from cssgauge.builders import build_toric, build_toric_sphere
+from cssgauge.builders import build_toric_sphere
 from cssgauge.gf2 import BitMatrix, BitVec, kernel_basis, rank, solve
 from cssgauge.pauli import Hamiltonian, PauliOp, Term, symplectic_product
 from cssgauge.ungauge import (
