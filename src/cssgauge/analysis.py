@@ -6,7 +6,7 @@ from collections import Counter
 from typing import NamedTuple, Optional
 
 from .codes import CssSubsystemCode, gauge_group_rank
-from .gf2 import Echelon
+from .gf2 import rank
 from .pauli import Hamiltonian, symplectic_gram
 
 
@@ -33,7 +33,7 @@ def code_parameters(code: CssSubsystemCode) -> CodeParameters:
     """
     g = gauge_group_rank(code)
     overlaps = code.gauge_x_matrix() @ code.gauge_z_matrix().transpose()
-    a = len(Echelon((overlaps.row_bits(i) for i in range(overlaps.rows)), combos=False))
+    a = rank(overlaps)
     s = g - 2 * a
     k = code.n - s - a
     if k < 0:

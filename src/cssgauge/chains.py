@@ -47,7 +47,7 @@ class CssComplex:
 
 def qubit_homology_dim(c: CssComplex) -> int:
     """dim ker d_x - rank d_z = n - rank d_x - rank d_z: the logical qubits, or 0 when exact."""
-    return c.d_z.rows - rank(c.d_x) - rank(c.d_z)
+    return c.d_z.rows - rank(c.d_x) - rank(c.d_z.transpose())
 
 
 def _coset_representatives(kernel: BitMatrix, image_gens: BitMatrix) -> list[BitVec]:

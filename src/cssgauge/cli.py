@@ -473,7 +473,7 @@ def make_parser() -> argparse.ArgumentParser:
                      help="also require the full-gauging Hadamard twist to match")
 
     p_spt = _code_command(sub, "spt", "domain-wall SPT pipeline", cmd_spt)
-    p_spt.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis")
+    p_spt.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis; write a negative lo as --slab=-1:3")
 
     p_v = sub.add_parser("verify", help="run the full acceptance battery")
     p_v.add_argument("--pairs", type=_count, default=1000)

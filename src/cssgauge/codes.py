@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .chains import CssComplex
-from .gf2 import BitMatrix, BitVec, Echelon, is_zero_product, rank
+from .gf2 import BitMatrix, BitVec, is_zero_product, rank
 from .lattice import CellComplex
 from .pauli import Hamiltonian, PauliOp, Term
 
@@ -168,12 +168,10 @@ def gauge_group_rank(code: CssSubsystemCode) -> int:
     The X and Z generators fill disjoint coordinate blocks of the (x|z)
     rows, so this equals the rank of the stacked rows exactly (Bravyi,
     *Subsystem codes with spatially local generators*, PRA 83, 012320,
-    2011).  Each block is eliminated over its rows: ``gf2.rank`` would
-    transpose first and add the columns, which took twice as long on the
-    gauge color code at L=4.  A self-dual listing (G_Z = G_X row for
-    row, as for the gauge color code) is eliminated once.
+    2011).  A self-dual listing (G_Z = G_X row for row, as for the gauge
+    color code) is eliminated once.
     """
-    rank_x = len(Echelon((v.bits for v in code.gauge_x), combos=False))
-    if [v.bits for v in code.gauge_x] == [v.bits for v in code.gauge_z]:
+    rank_x = rank(code.gauge_x_matrix())
+    if code.gauge_x == code.gauge_z:
         return 2 * rank_x
-    return rank_x + len(Echelon((v.bits for v in code.gauge_z), combos=False))
+    return rank_x + rank(code.gauge_z_matrix())

@@ -8,12 +8,12 @@ immutable by convention except ``Echelon``.
 ``Echelon`` is the one elimination kernel: an incremental basis of the
 span of the vectors added so far, each row keyed by its highest set bit
 (its ``bit_length``, a small int) and carrying its combination of the
-added vectors.  ``rank``, ``kernel_basis``, ``solve`` and
-``LinearSolver`` read the echelon of a matrix's columns, added in index
-order and memoised per matrix; span membership and coset questions
-elsewhere in the package add rows to an ``Echelon`` of their own, and
-those that read only a rank or ``add``'s answer build it with
-``combos=False``, which keeps the rows alone.
+added vectors.  ``kernel_basis``, ``solve`` and ``LinearSolver`` read
+the echelon of a matrix's columns, added in index order and memoised
+per matrix.  ``rank`` eliminates a matrix's rows with ``combos=False``,
+which keeps the rows alone, and memoises nothing.  Span membership and
+coset questions elsewhere add rows to an ``Echelon`` of their own, rows
+only where they read no combination.
 
 Canonical conventions, relied on throughout the package:
 
@@ -270,8 +270,8 @@ class BitMatrix:
     def _echelon(self) -> "Echelon":
         """The echelon of the columns, added in index order.
 
-        Memoised and shared by every query on this matrix, so callers
-        read it and never ``add`` to it.
+        Memoised for ``kernel_basis``, ``solve`` and ``LinearSolver``,
+        which read it and never ``add`` to it.
         """
         if self._rref is None:
             object.__setattr__(self, "_rref", Echelon(self._columns()))
@@ -353,8 +353,8 @@ class Echelon:
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank."""
-    return len(m._echelon())
+    """GF(2) rank: one rows-only elimination of the rows, kept by nothing."""
+    return len(Echelon(m._rows, combos=False))
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:

@@ -28,7 +28,7 @@ import operator
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import BitMatrix, BitVec, Echelon
+from .gf2 import BitMatrix, BitVec, Echelon, rank
 
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -234,7 +234,7 @@ def group_rank(gens: Sequence[PauliOp]) -> int:
     for g in gens:
         if g.n != n:
             raise ValueError("qubit count mismatch")
-    return len(Echelon((g.symplectic_row().bits for g in gens), combos=False))
+    return rank(BitMatrix.from_rows(2 * n, [g.symplectic_row() for g in gens]))
 
 
 class GroupMembership:

@@ -119,6 +119,9 @@ class Region(NamedTuple):
     @classmethod
     def slab(cls, code: CssSubsystemCode, lo: float, hi: float) -> "Region":
         """All sites whose coordinate along the slab axis lies in [lo, hi)."""
+        for key in ("qubit_coords", "slab_axis"):
+            if key not in code.metadata:
+                raise ValueError(f"code {code.name} has no {key!r} metadata to cut a slab from")
         coords = code.metadata["qubit_coords"]
         a = code.metadata["slab_axis"]
         sites = [i for i, c in enumerate(coords) if lo <= c[a] < hi]

@@ -71,6 +71,11 @@ class UngaugeSetup:
         self.preserved_combos = list(preserved_combos) if preserved_combos else [None] * len(self.preserved_x_ini)
         self.notes = list(notes) if notes else []
         self._dxt = dxt
+        # The ranks, stated once; rank d_x by rank-nullity, from the one
+        # echelon of d_x^T that the default relations and x_preimage read.
+        self._ranks = {"n_ini": self.n_ini, "n_fin": self.n_fin,
+                       "rank_d_z": rank(d_z.transpose()),
+                       "rank_d_x": self.n_fin - kernel_basis(dxt).rows, "rank_d_r": rank(d_r)}
 
     def x_preimage(self, x: BitVec) -> Optional[BitVec]:
         """Canonical generator combination with d_x^T combo = x.
@@ -90,13 +95,7 @@ class UngaugeSetup:
         return solve(self.d_x, z)
 
     def ranks(self) -> dict:
-        return {
-            "n_ini": self.n_ini,
-            "n_fin": self.n_fin,
-            "rank_d_z": rank(self.d_z),
-            "rank_d_x": rank(self._dxt),
-            "rank_d_r": rank(self.d_r),
-        }
+        return dict(self._ranks)
 
     def __repr__(self):
         return (f"UngaugeSetup(n_ini={self.n_ini}, n_fin={self.n_fin}, "
@@ -114,13 +113,13 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
     The caller's natural (geometric) X generating set is validated for
     commutation and completeness, never replaced.  When ``relations`` is
     omitted a canonical basis of the left kernel of d_x is used;
-    supplied relations are validated the same way.
+    supplied relations are validated the same way, and the completeness
+    checks then read the built setup's ranks.
     """
     for v in z_syms:
         if v.length != n:
             raise UngaugeError("Z symmetry support length mismatch")
     d_z = BitMatrix.from_columns(n, list(z_syms))
-    rank_dz = rank(d_z)
 
     for v in x_gens:
         if v.length != n:
@@ -130,16 +129,9 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
         bad = list((d_x @ d_z).entries[:4])
         raise CommutationError(
             f"X generators anticommute with Z symmetries at (generator, symmetry) pairs {bad}")
-    # Every rank, the default relations and x_preimage read the one
-    # echelon of d_x^T; d_x's own columns are eliminated only by z_preimage.
+    # rank d_x, the default relations and x_preimage read the one echelon
+    # of d_x^T; d_x's own columns are eliminated only by z_preimage.
     dxt = d_x.transpose()
-    rank_dx = rank(dxt)
-    needed = n - rank_dz
-    if rank_dx != needed:
-        raise CompletenessError(
-            f"X generators span rank {rank_dx} but the symmetric group needs {needed}; "
-            f"deficit {needed - rank_dx}")
-
     if relations is None:
         d_r = kernel_basis(dxt)
     else:
@@ -149,13 +141,19 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
         d_r = BitMatrix.from_rows(d_x.rows, list(relations))
         if not is_zero_product(d_r, d_x):
             raise UngaugeError("a supplied relation does not multiply to the identity")
-    expected_rel_rank = d_x.rows - rank_dx
-    if rank(d_r) != expected_rel_rank:
-        raise CompletenessError(
-            f"relations span rank {rank(d_r)} but the full relation space has rank "
-            f"{expected_rel_rank}")
 
     setup = UngaugeSetup(d_z, d_x, dxt, d_r, preserved, preserved_combos, notes)
+    r = setup.ranks()
+    needed = n - r["rank_d_z"]
+    if r["rank_d_x"] != needed:
+        raise CompletenessError(
+            f"X generators span rank {r['rank_d_x']} but the symmetric group needs {needed}; "
+            f"deficit {needed - r['rank_d_x']}")
+    expected_rel_rank = d_x.rows - r["rank_d_x"]
+    if r["rank_d_r"] != expected_rel_rank:
+        raise CompletenessError(
+            f"relations span rank {r['rank_d_r']} but the full relation space has rank "
+            f"{expected_rel_rank}")
     for i, v in enumerate(setup.preserved_x_ini):
         if v.length != n:
             raise UngaugeError("preserved symmetry support length mismatch")
@@ -398,7 +396,7 @@ def setup_report(s: UngaugeSetup, mapped: Optional[Hamiltonian] = None,
         },
         "emergent": [op.to_json() for op in emergent_symmetries(s)],
         "preserved": [op.to_json() for op in preserved_symmetries(s)],
-        "relation_space_dim": rank(s.d_r),
+        "relation_space_dim": s.ranks()["rank_d_r"],
         "notes": list(s.notes),
     }
     if mapped is not None:

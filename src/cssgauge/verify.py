@@ -120,7 +120,7 @@ def check_toric_reproductions() -> CheckResult:
     img, _ = strip_identity_terms(ungauge_hamiltonian(sphere.hamiltonian, sphere.setup))
     if not all(t.op.weight == 1 and t.op.z.is_zero() for t in img):
         problems.append("sphere image is not a paramagnet")
-    if rank(sphere.setup.d_r) != 1:
+    if sphere.setup.ranks()["rank_d_r"] != 1:
         problems.append("sphere relation rank is not 1")
 
     torus = _models()["toric-torus"]
@@ -138,7 +138,7 @@ def check_toric_reproductions() -> CheckResult:
     if not (all(t.op.weight == 1 and t.op.z.is_zero() for t in img3)
             and vertex_images == list(range(t3.setup.n_fin))):
         problems.append("3D toric image is not the vertex paramagnet")
-    if rank(t3.setup.d_r) != 1:
+    if t3.setup.ranks()["rank_d_r"] != 1:
         problems.append("3D toric relation rank is not 1")
     return CheckResult(5, "toric reproductions", not problems, "; ".join(problems))
 

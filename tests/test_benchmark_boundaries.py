@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -110,12 +111,55 @@ def test_transposes_in_the_gcc_build(tmp_path, monkeypatch, capsys):
 # Elimination work on two rungs of each family (n is the base code's qubit
 # count).  The counts are exact on every host, so a change in the work
 # shows here and is re-pinned.  Between the rungs, row XORs grow as
-# n^1.40 (toric2d) and n^1.42 (gcc), words XORed as n^2.21 and n^2.17.
+# n^1.42 (toric2d) and n^1.45 (gcc), words XORed as n^2.24 and n^2.22.
 @pytest.mark.parametrize("argv,row_xors,words", [
-    (["spt", "--code", "toric2d", "--L", "8", "--slab", "1:3"], 2104, 7094),
-    (["spt", "--code", "toric2d", "--L", "16", "--slab", "1:3"], 14584, 151043),
-    (["ungauge", "--code", "gcc", "--L", "2"], 3185, 7836),
-    (["ungauge", "--code", "gcc", "--L", "4"], 60710, 714713),
+    (["spt", "--code", "toric2d", "--L", "8", "--slab", "1:3"], 1978, 6590),
+    (["spt", "--code", "toric2d", "--L", "16", "--slab", "1:3"], 14074, 146711),
+    (["ungauge", "--code", "gcc", "--L", "2"], 2626, 6572),
+    (["ungauge", "--code", "gcc", "--L", "4"], 53297, 658615),
 ], ids=["toric2d-n128", "toric2d-n512", "gcc-n96", "gcc-n768"])
 def test_elimination_work_per_command(tmp_path, monkeypatch, capsys, argv, row_xors, words):
     assert _elimination_work(tmp_path, monkeypatch, argv) == (row_xors, words)
+
+
+def _retained_at_report(tmp_path, monkeypatch, argv) -> tuple[int, int]:
+    """Live echelons, and the bits of their rows and combinations, when the first report is written.
+
+    A memory proxy that no allocator moves: ``gc`` finds every ``Echelon``
+    still alive as ``cli._write_json`` is first called.  Echelons alive
+    before the command, such as those of models cached by earlier tests,
+    are left out.
+    """
+    def live():
+        gc.collect()
+        return [e for e in gc.get_objects() if isinstance(e, gf2.Echelon)]
+
+    before = live()                   # held, so that no id is reused
+    earlier = {id(e) for e in before}
+    original = cli._write_json
+    seen = []
+
+    def counted(path, data):
+        if not seen:
+            new = [e for e in live() if id(e) not in earlier]
+            seen.append((len(new), sum(row.bit_length() + combo.bit_length()
+                                       for e in new for row, combo in e.rows.values())))
+        original(path, data)
+
+    monkeypatch.setattr(cli, "_write_json", counted)
+    _run(tmp_path, monkeypatch, argv)
+    return seen[0]
+
+
+# Echelons and bits still held when the report is written, on the rungs
+# above: what a command's memoised eliminations keep alive.  The one left
+# is the setup's echelon of d_x^T, which x_preimage reads; its bits grow
+# as n^2.01 (toric2d) and n^2.04 (gcc).
+@pytest.mark.parametrize("argv,live,bits", [
+    (["spt", "--code", "toric2d", "--L", "8", "--slab", "1:3"], 1, 27895),
+    (["spt", "--code", "toric2d", "--L", "16", "--slab", "1:3"], 1, 453615),
+    (["ungauge", "--code", "gcc", "--L", "2"], 1, 7094),
+    (["ungauge", "--code", "gcc", "--L", "4"], 1, 494818),
+], ids=["toric2d-n128", "toric2d-n512", "gcc-n96", "gcc-n768"])
+def test_echelon_bits_retained_at_report(tmp_path, monkeypatch, capsys, argv, live, bits):
+    assert _retained_at_report(tmp_path, monkeypatch, argv) == (live, bits)

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from cssgauge.analysis import code_parameters
@@ -223,6 +225,26 @@ def test_fractal_k_matches_the_automaton_closed_form(boundary, expected):
     sizes = range(3, 13)
     assert [fractal_k(L, boundary) for L in sizes] == expected
     assert [code_parameters(build_fractal_code(L, boundary)).k for L in sizes] == expected
+
+
+# L-independent invariants, asserted at three sizes so that a fault seen
+# only past the smallest lattice shows.  The k-cell toric code on the
+# D-torus encodes dim H_k(T^D) = C(D, k) qubits.
+@pytest.mark.parametrize("dim,k,L", [(2, 1, L) for L in (2, 3, 4)] + [(3, 1, L) for L in (2, 3, 4)]
+                         + [(3, 2, L) for L in (2, 3)] + [(4, 2, L) for L in (2, 3)])
+def test_toric_k_is_the_torus_betti_number(dim, k, L):
+    assert code_parameters(build_toric(dim, L, k)).k == comb(dim, k)
+
+
+@pytest.mark.parametrize("L", [3, 6, 9])
+def test_color_code_2d_k_is_four(L):
+    assert code_parameters(build_color_code_2d(L)).k == 4
+
+
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_bacon_shor_k_is_one_with_l_minus_one_squared_gauge_qubits(L):
+    params = code_parameters(build_bacon_shor(L))
+    assert (params.k, params.gauge_qubits) == (1, (L - 1) ** 2)
 
 
 def test_fractal_validation():

@@ -197,6 +197,18 @@ def test_spt_unbounded_slab_is_valid(tmp_path):
                 "--out", str(tmp_path)]) == 0
 
 
+def test_spt_negative_slab_bound_is_written_with_an_equals_sign(tmp_path, capsys):
+    # argparse reads a value that starts with "-" as a flag: "--slab -1:1"
+    # is a usage error, "--slab=-1:1" is the slab [-1, 1).
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_:
+        run(["spt", "--code", "toric2d", "--L", "3", "--slab", "-1:1", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "--slab: expected one argument" in capsys.readouterr().err
+    assert run(["spt", "--code", "toric2d", "--L", "3", "--slab=-1:1", "--out", str(out)]) == 0
+    assert json.loads((out / "spt-toric2d.json").read_text())["wall_terms"] == 12
+
+
 def test_export_matrices(tmp_path):
     out = tmp_path / "o"
     assert run(["export", "--code", "toric2d", "--L", "3", "--what", "matrices",

@@ -14,6 +14,7 @@ No linter ships with the project, so these checks stand in for one.
 - The package has no runtime dependencies: every module imports only
   the standard library (``sys.stdlib_module_names``) and the package
   itself.  numpy and hypothesis are for the tests alone.
+- A rank has one body, ``gf2.rank``: see ``echelon_lengths``.
 """
 
 import ast
@@ -131,6 +132,23 @@ def foreign_private_names(source: str, exempt: set[str]) -> list[str]:
     return sorted(found)
 
 
+def echelon_lengths(source: str) -> list[str]:
+    """Calls ``len(Echelon(...))``: a rank computed outside ``gf2.rank``.
+
+    ``Echelon`` is matched by name, bare or as an attribute (``gf2.Echelon``).
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "len" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Call)):
+            func = node.args[0].func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Echelon":
+                found.append(f"len(Echelon(...)) (line {node.lineno})")
+    return found
+
+
 def boundary_names() -> set[str]:
     """Every part of every ``perfbench/tracer.py`` boundary (``Class.method`` gives both):
     the benchmark wraps them by name, so they are read from outside the package."""
@@ -175,6 +193,18 @@ def test_foreign_private_names_are_found():
               "        return m._helper(), other._index, self._own, self._slot, self.__class__\n")
     assert foreign_private_names(source, {"_kept"}) == ["_helper (line 11)", "_index (line 11)",
                                                         "_sites (line 1)"]
+
+
+def test_echelon_lengths_are_found():
+    source = ("from . import gf2\nfrom .gf2 import Echelon, rank\n\n"
+              "a = len(Echelon(rows, combos=False))\nb = len(gf2.Echelon(rows))\n"
+              "span = Echelon(rows)\nc = len(span) + len(rows) + rank(m)\n")
+    assert echelon_lengths(source) == ["len(Echelon(...)) (line 4)", "len(Echelon(...)) (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf2.py"], ids=lambda p: p.name)
+def test_module_ranks_only_through_gf2_rank(path):
+    assert echelon_lengths(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

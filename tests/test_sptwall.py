@@ -8,7 +8,9 @@ from cssgauge.builders import (
     build_bacon_shor,
     build_color_code_2d,
     build_fractal_code,
+    build_gcc,
     build_toric,
+    build_toric_sphere,
 )
 from cssgauge.codes import CssSubsystemCode, stabilizer_hamiltonian
 from cssgauge.gf2 import BitVec
@@ -169,6 +171,14 @@ def test_domain_wall_slab_locality():
         zs = {coords[q % code.n][2] for q in t.op.support}
         # Straddling terms live within one unit of a slab face (z = 1 or 3).
         assert zs <= {0.0, 1.0} or zs <= {2.0, 3.0}
+
+
+@pytest.mark.parametrize("build", [lambda: build_color_code_2d(3), lambda: build_gcc(2),
+                                   build_toric_sphere], ids=["color2d", "gcc", "toric-sphere"])
+def test_slab_of_a_code_without_coordinates_names_the_code(build):
+    code = build()
+    with pytest.raises(ValueError, match=f"code {code.name} has no 'qubit_coords' metadata"):
+        Region.slab(code, 0, 1)
 
 
 def test_domain_wall_validates_region():

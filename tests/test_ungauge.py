@@ -76,22 +76,27 @@ def test_make_setup_kernel_defaults():
 
 
 def test_make_setup_eliminates_d_x_once(monkeypatch):
-    # The rank, the default relations, x_preimage and ranks() all read the
-    # one echelon of d_x^T; the columns of d_x are never eliminated.
+    # rank d_x, the default relations and x_preimage read the one echelon
+    # of d_x^T, built once with combinations; the columns of d_x are never
+    # eliminated, and d_z and d_r are ranked rows only, with no memo.
     code = build_toric_sphere()
     sx = list(code.stabilizer_x)
     built = []
     init = gf2.Echelon.__init__
 
-    def counted(self, vectors=()):
-        built.append(self)
-        init(self, vectors)
+    def counted(self, vectors=(), combos=True):
+        built.append((self, combos))
+        init(self, vectors, combos)
 
     monkeypatch.setattr(gf2.Echelon, "__init__", counted)
     s = make_setup(code.n, list(code.stabilizer_z), x_gens=sx, preserved=[sx[0], sx[0] ^ sx[1]])
-    assert s.ranks()["rank_d_x"] == s.n_fin - 1
-    assert s.d_x._rref is None
-    assert built == [s.d_z._rref, s._dxt._rref, s.d_r._rref]
+    ranks = s.ranks()
+    assert ranks == {"n_ini": 12, "n_fin": 6, "rank_d_z": 7, "rank_d_x": 5, "rank_d_r": 1}
+    ranks["rank_d_z"] = 0
+    assert s.ranks()["rank_d_z"] == 7                   # a copy
+    assert s.d_x._rref is None and s.d_z._rref is None and s.d_r._rref is None
+    assert [combos for _, combos in built] == [True, False, False]
+    assert built[0][0] is s._dxt._rref
 
 
 def test_make_setup_rejects_incomplete_generators():
@@ -113,6 +118,16 @@ def test_make_setup_rejects_bad_relation():
     with pytest.raises(Exception, match="relation"):
         make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x),
                    relations=[BitVec.from_support(6, [0])])
+
+
+def test_make_setup_checks_relations_before_completeness():
+    # The completeness checks read the ranks the built setup states, so an
+    # input with both faults reports the relation first.
+    code = build_toric_sphere()
+    with pytest.raises(UngaugeError, match="does not multiply to the identity") as raised:
+        make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x)[:3],
+                   relations=[BitVec.from_support(3, [0])])
+    assert not isinstance(raised.value, CompletenessError)
 
 
 def test_make_setup_rejects_nonsymmetric_preserved():
