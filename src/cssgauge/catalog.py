@@ -67,7 +67,7 @@ def toric_setup(code: CssSubsystemCode) -> WorkedModel:
 
     Z symmetries are the plaquette stabilizers plus (on a torus) the
     logical Z loops, making the augmented complex exact; X generators
-    are the vertex stars, whose single relation is the all-ones product.
+    are the vertex stars; ``make_setup`` finds their all-ones relation.
     """
     if code.metadata.get("k", 1) != 1:
         raise ValueError("natural toric setup is for type k=1")
@@ -75,10 +75,8 @@ def toric_setup(code: CssSubsystemCode) -> WorkedModel:
         loops = axis_loops(code)
     else:
         loops = css_logical_reps(code.css_complex())
-    n_fin = len(code.stabilizer_x)
-    relations = [BitVec(n_fin, (1 << n_fin) - 1)] if n_fin else []
     setup = make_setup(code.n, list(code.stabilizer_z) + loops,
-                       x_gens=list(code.stabilizer_x), relations=relations)
+                       x_gens=list(code.stabilizer_x))
     return WorkedModel(code.name, code, stabilizer_hamiltonian(code), setup)
 
 
@@ -210,10 +208,10 @@ def gcc_model(length: int = 2) -> WorkedModel:
     larger than the vertex-operator span: it carries topological
     membrane classes.  The Z symmetry group here is the full Z-type
     stabilizer group, so the computed topological Z classes join the
-    vertex generators, and the relation list gains the computed
-    non-contractible relations beyond the per-vertex ones.  Vertex X
-    stabilizers are the preserved symmetries, with the
-    own-color+first-partner edge product as natural preimage.
+    vertex generators, and ``make_setup`` completes the per-vertex
+    relations with the non-contractible ones.  Vertex X stabilizers are
+    the preserved symmetries, with the own-color+first-partner edge
+    product as natural preimage.
     """
     code = builders.build_gcc(length)
     lattice = code.lattice
@@ -230,22 +228,16 @@ def gcc_model(length: int = 2) -> WorkedModel:
         preserved_combos.append(BitVec.from_support(n_edges, by_pair[0]))
     vertex_relation_count = len(relations)
 
-    d_x = BitMatrix.from_rows(code.n, code.gauge_x)
-    topo_z = _coset_representatives(kernel_basis(d_x),
+    topo_z = _coset_representatives(kernel_basis(BitMatrix.from_rows(code.n, code.gauge_x)),
                                     BitMatrix.from_rows(code.n, code.stabilizer_z))
-    z_syms = list(code.stabilizer_z) + topo_z
-    topo_relations = _coset_representatives(
-        kernel_basis(d_x.transpose()), BitMatrix.from_rows(n_edges, relations))
-    relations += topo_relations
-
     setup = make_setup(
-        code.n, z_syms, x_gens=list(code.gauge_x),
+        code.n, list(code.stabilizer_z) + topo_z, x_gens=list(code.gauge_x),
         relations=relations,
-        preserved=list(code.stabilizer_x), preserved_combos=preserved_combos,
-        notes=["Y-type gauge terms are normalised per term as i^|S| X(S) Z(S)",
-               f"torus topology: {len(topo_z)} topological Z stabilizer classes joined "
-               f"the vertex generators and {len(topo_relations)} non-contractible "
-               "relations joined the per-vertex ones"])
+        preserved=list(code.stabilizer_x), preserved_combos=preserved_combos)
+    setup.notes = ["Y-type gauge terms are normalised per term as i^|S| X(S) Z(S)",
+                   f"torus topology: {len(topo_z)} topological Z stabilizer classes joined "
+                   f"the vertex generators and {setup.d_r.rows - vertex_relation_count} "
+                   "non-contractible relations joined the per-vertex ones"]
     return WorkedModel("gcc", code, gauge_hamiltonian(code), setup,
                        extra={"edge_classes": edge_classes,
                               "pair_edges": pair_edges,

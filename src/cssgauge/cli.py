@@ -473,7 +473,7 @@ def make_parser() -> argparse.ArgumentParser:
                      help="also require the full-gauging Hadamard twist to match")
 
     p_spt = _code_command(sub, "spt", "domain-wall SPT pipeline", cmd_spt)
-    p_spt.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis; write a negative lo as --slab=-1:3")
+    p_spt.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis; a negative lo may follow as --slab -1:3")
 
     p_v = sub.add_parser("verify", help="run the full acceptance battery")
     p_v.add_argument("--pairs", type=_count, default=1000)
@@ -487,8 +487,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The starts of a negative number (-inf included), which no flag shares.
+_NEGATIVE = tuple("-" + c for c in "0123456789.iI")
+
+
 def main(argv=None) -> int:
     parser = make_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes the -1:3 of "--slab -1:3" for a flag: attach it instead.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--slab" and argv[i + 1].startswith(_NEGATIVE):
+            argv[i:i + 2] = [f"--slab={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         if args.out is not None:

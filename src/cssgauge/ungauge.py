@@ -8,7 +8,10 @@ with column j of d_z the support of the j-th Z symmetry, row k of d_x
 the support of the k-th X generator and row l of d_r the l-th relation.
 The forward map sends Z(c) to Z(d_x c) and an X operator to the
 generator combination producing it; the final system has one qubit per
-X generator.  Relations become the emergent X symmetries of the image.
+X generator.  Relations become the emergent X symmetries of the image;
+the X generators fix them, and ``make_setup`` completes the given ones
+to the kernel of d_x^T.  Only the Z symmetries are the caller's choice,
+so only the X side raises ``CompletenessError``.
 
 Two ways to map the X side:
 
@@ -32,6 +35,7 @@ import random
 from collections import Counter
 from typing import Callable, Optional, Sequence
 
+from .chains import _coset_representatives
 from .gf2 import BitMatrix, BitVec, is_zero_product, kernel_basis, rank, solve
 from .pauli import (
     Hamiltonian,
@@ -60,8 +64,7 @@ class NotSymmetricError(UngaugeError):
 class UngaugeSetup:
     def __init__(self, d_z: BitMatrix, d_x: BitMatrix, dxt: BitMatrix, d_r: BitMatrix,
                  preserved_x_ini: Sequence[BitVec] = (),
-                 preserved_combos: Optional[Sequence[Optional[BitVec]]] = None,
-                 notes: Optional[list[str]] = None):
+                 preserved_combos: Optional[Sequence[Optional[BitVec]]] = None):
         self.d_z = d_z
         self.d_x = d_x
         self.d_r = d_r
@@ -69,13 +72,14 @@ class UngaugeSetup:
         self.n_fin = d_x.rows
         self.preserved_x_ini = list(preserved_x_ini)
         self.preserved_combos = list(preserved_combos) if preserved_combos else [None] * len(self.preserved_x_ini)
-        self.notes = list(notes) if notes else []
+        self.notes: list[str] = []
         self._dxt = dxt
-        # The ranks, stated once; rank d_x by rank-nullity, from the one
-        # echelon of d_x^T that the default relations and x_preimage read.
+        # The ranks, stated once; rank d_x by rank-nullity and rank d_r (d_r
+        # spans the kernel) from the one echelon of d_x^T.
+        nullity = kernel_basis(dxt).rows
         self._ranks = {"n_ini": self.n_ini, "n_fin": self.n_fin,
                        "rank_d_z": rank(d_z.transpose()),
-                       "rank_d_x": self.n_fin - kernel_basis(dxt).rows, "rank_d_r": rank(d_r)}
+                       "rank_d_x": self.n_fin - nullity, "rank_d_r": nullity}
 
     def x_preimage(self, x: BitVec) -> Optional[BitVec]:
         """Canonical generator combination with d_x^T combo = x.
@@ -104,17 +108,17 @@ class UngaugeSetup:
 
 def make_setup(n: int, z_syms: Sequence[BitVec],
                x_gens: Sequence[BitVec],
-               relations: Optional[Sequence[BitVec]] = None,
+               relations: Sequence[BitVec] = (),
                preserved: Sequence[BitVec] = (),
-               preserved_combos: Optional[Sequence[Optional[BitVec]]] = None,
-               notes: Optional[list[str]] = None) -> UngaugeSetup:
+               preserved_combos: Optional[Sequence[Optional[BitVec]]] = None) -> UngaugeSetup:
     """Validate and assemble an ungauging setup.
 
     The caller's natural (geometric) X generating set is validated for
-    commutation and completeness, never replaced.  When ``relations`` is
-    omitted a canonical basis of the left kernel of d_x is used;
-    supplied relations are validated the same way, and the completeness
-    checks then read the built setup's ranks.
+    commutation and completeness, never replaced; generators that fall
+    short of the symmetric group raise ``CompletenessError``.  The given
+    ``relations`` must multiply to the identity, and d_r is them followed
+    by each row of the canonical kernel basis of d_x^T that extends their
+    span, greedily in order; so with none given d_r is that basis.
     """
     for v in z_syms:
         if v.length != n:
@@ -129,31 +133,25 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
         bad = list((d_x @ d_z).entries[:4])
         raise CommutationError(
             f"X generators anticommute with Z symmetries at (generator, symmetry) pairs {bad}")
-    # rank d_x, the default relations and x_preimage read the one echelon
+    for v in relations:
+        if v.length != d_x.rows:
+            raise UngaugeError("relation length must equal the X generator count")
+    given = BitMatrix.from_rows(d_x.rows, list(relations))
+    if relations and not is_zero_product(given, d_x):
+        raise UngaugeError("a supplied relation does not multiply to the identity")
+    # The relations, rank d_x, rank d_r and x_preimage read the one echelon
     # of d_x^T; d_x's own columns are eliminated only by z_preimage.
     dxt = d_x.transpose()
-    if relations is None:
-        d_r = kernel_basis(dxt)
-    else:
-        for v in relations:
-            if v.length != d_x.rows:
-                raise UngaugeError("relation length must equal the X generator count")
-        d_r = BitMatrix.from_rows(d_x.rows, list(relations))
-        if not is_zero_product(d_r, d_x):
-            raise UngaugeError("a supplied relation does not multiply to the identity")
+    d_r = BitMatrix.from_rows(d_x.rows, list(relations)
+                              + _coset_representatives(kernel_basis(dxt), given))
 
-    setup = UngaugeSetup(d_z, d_x, dxt, d_r, preserved, preserved_combos, notes)
+    setup = UngaugeSetup(d_z, d_x, dxt, d_r, preserved, preserved_combos)
     r = setup.ranks()
     needed = n - r["rank_d_z"]
     if r["rank_d_x"] != needed:
         raise CompletenessError(
             f"X generators span rank {r['rank_d_x']} but the symmetric group needs {needed}; "
             f"deficit {needed - r['rank_d_x']}")
-    expected_rel_rank = d_x.rows - r["rank_d_x"]
-    if r["rank_d_r"] != expected_rel_rank:
-        raise CompletenessError(
-            f"relations span rank {r['rank_d_r']} but the full relation space has rank "
-            f"{expected_rel_rank}")
     for i, v in enumerate(setup.preserved_x_ini):
         if v.length != n:
             raise UngaugeError("preserved symmetry support length mismatch")

@@ -12,11 +12,18 @@ from cssgauge.analysis import (
     is_self_dual,
     match_against_builder,
 )
-from cssgauge.builders import build_bacon_shor, build_color_code_2d, build_gcc, build_toric
+from cssgauge.builders import (
+    build_bacon_shor,
+    build_color_code_2d,
+    build_gcc,
+    build_toric,
+    toric_code_from_complex,
+)
 from cssgauge.codes import CssSubsystemCode, stabilizer_hamiltonian
 from cssgauge.gf2 import BitVec
+from cssgauge.lattice import color_pair_sublattice
 from cssgauge.pauli import Hamiltonian, PauliOp, Term
-from cssgauge.ungauge import strip_identity_terms
+from cssgauge.ungauge import strip_identity_terms, ungauge_hamiltonian
 
 from tests.oracles import naive_code_parameters, naive_components, naive_noncommuting_pair
 
@@ -194,6 +201,28 @@ def test_gcc_ab_component_matches_cubic_toric_plaquettes(gcc_images):
         label = lattice.cells[1][e].removeprefix("ab:")
         correspondence[e] = toric.lattice.index(1, label)
     assert match_against_builder(img, comp, reference, correspondence)
+
+
+@pytest.mark.parametrize("L", [3, 6, 9])
+@pytest.mark.parametrize("color", "abc")
+def test_color2d_partial_image_is_two_toric_copies(L, color):
+    # Ungauging one color leaves two components, each term for term the
+    # toric code on the honeycomb of that color and one other; each copy
+    # lives on a torus, so k = 2.
+    model = catalog.color2d_partial_model(L, color)
+    lattice = model.code.lattice
+    image, _ = strip_identity_terms(ungauge_hamiltonian(model.hamiltonian, model.setup))
+    rep = components(image)
+    assert rep.count == 2
+    for other in sorted(set("abc") - {color}):
+        pair_lattice = color_pair_sublattice(lattice, {other, color})
+        reference = toric_code_from_complex(pair_lattice, 1)
+        correspondence = {q: pair_lattice.index(1, lattice.cells[1][e])
+                          for q, e in enumerate(model.extra["sym_edges"])
+                          if lattice.cells[1][e] in pair_lattice.cells[1]}
+        comp = next(c for c in rep.components if set(c.qubits) == set(correspondence))
+        assert match_against_builder(image, comp, reference, correspondence), other
+        assert code_parameters(reference).k == 2, other
 
 
 def test_match_negative_control(gcc_images):

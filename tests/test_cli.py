@@ -197,16 +197,28 @@ def test_spt_unbounded_slab_is_valid(tmp_path):
                 "--out", str(tmp_path)]) == 0
 
 
-def test_spt_negative_slab_bound_is_written_with_an_equals_sign(tmp_path, capsys):
-    # argparse reads a value that starts with "-" as a flag: "--slab -1:1"
-    # is a usage error, "--slab=-1:1" is the slab [-1, 1).
+def test_spt_negative_slab_bound_is_written_with_an_equals_sign(tmp_path):
+    # "--slab=-1:1" is the slab [-1, 1).
     out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exit_:
-        run(["spt", "--code", "toric2d", "--L", "3", "--slab", "-1:1", "--out", str(out)])
-    assert exit_.value.code == 2
-    assert "--slab: expected one argument" in capsys.readouterr().err
     assert run(["spt", "--code", "toric2d", "--L", "3", "--slab=-1:1", "--out", str(out)]) == 0
     assert json.loads((out / "spt-toric2d.json").read_text())["wall_terms"] == 12
+
+
+def test_spt_negative_slab_bound_may_be_the_next_token(tmp_path, capsys):
+    # argparse reads a value that starts with "-" as a flag; main attaches
+    # one that starts like a negative number to --slab, so "--slab -1:1"
+    # writes the same report as "--slab=-1:1".  A flag after --slab still
+    # leaves it with no value.
+    for argv, out in ((["--slab", "-1:1"], tmp_path / "a"), (["--slab=-1:1"], tmp_path / "b")):
+        assert run(["spt", "--code", "toric2d", "--L", "3", *argv, "--out", str(out)]) == 0
+    assert (tmp_path / "a" / "spt-toric2d.json").read_bytes() == \
+        (tmp_path / "b" / "spt-toric2d.json").read_bytes()
+    assert json.loads((tmp_path / "a" / "spt-toric2d.json").read_text())["wall_terms"] == 12
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        run(["spt", "--code", "toric2d", "--L", "3", "--slab", "--out", str(tmp_path / "c")])
+    assert exit_.value.code == 2
+    assert "--slab: expected one argument" in capsys.readouterr().err
 
 
 def test_export_matrices(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cssgauge import catalog, codes, gf2, verify
 from cssgauge.analysis import code_parameters, components
 from cssgauge.builders import build_toric_sphere
-from cssgauge.gf2 import BitMatrix, BitVec, kernel_basis, rank, solve
+from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, kernel_basis, rank, solve
 from cssgauge.pauli import Hamiltonian, PauliOp, Term, symplectic_product
 from cssgauge.ungauge import (
     _PAIR_BLOCK,
@@ -31,7 +32,13 @@ from cssgauge.ungauge import (
     ungauge_pauli,
 )
 
-from tests.oracles import naive_x_preimage, pairwise_commutation_check, random_symmetric_pauli
+from tests.oracles import (
+    matrix_rows,
+    naive_rank,
+    naive_x_preimage,
+    pairwise_commutation_check,
+    random_symmetric_pauli,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,17 +75,63 @@ def test_bacon_shor_one_relation_per_row(bs_model):
 
 
 def test_make_setup_kernel_defaults():
-    # Omitting relations falls back to a canonical basis of d_x's left kernel.
+    # With no relations given, d_r is the canonical basis of d_x's left
+    # kernel: the completion of the empty list, whether omitted or ().
     code = build_toric_sphere()
-    s = make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x))
+    z_syms, x_gens = list(code.stabilizer_z), list(code.stabilizer_x)
+    s = make_setup(code.n, z_syms, x_gens=x_gens)
     assert s.d_r.rows == s.n_fin - rank(s.d_x) == 1
     assert dim_check(s)
+    kernel = kernel_basis(BitMatrix.from_rows(code.n, x_gens).transpose())
+    for d_r in (s.d_r, make_setup(code.n, z_syms, x_gens=x_gens, relations=()).d_r):
+        assert matrix_rows(d_r) == matrix_rows(kernel)
+
+
+def _spans_the_relation_space(s: UngaugeSetup) -> bool:
+    """d_r lies in the left kernel of d_x and spans it, by the test's own eliminations."""
+    return (is_zero_product(s.d_r, s.d_x) and naive_rank(matrix_rows(s.d_r))
+            == s.ranks()["rank_d_r"] == s.n_fin - naive_rank(matrix_rows(s.d_x)))
+
+
+@pytest.fixture(scope="module")
+def catalog_setups():
+    """Every setup the catalog builds for the seven worked models, the
+    Xu-Moore check and the lattice gauge theory, swapped setups included."""
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(make_setup(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "make_setup", recorded)
+        catalog.worked_models()
+        catalog.xu_moore_check(3)
+        catalog.full_gauge_lgt(2)
+    return built
+
+
+def test_every_catalog_setup_spans_the_relation_space(catalog_setups):
+    assert len(catalog_setups) == 7 + 2 + 2
+    for s in catalog_setups:
+        assert _spans_the_relation_space(s), s
+
+
+def test_color2d_per_vertex_relations_are_complete():
+    # One relation per chosen-color vertex spans the relation space, so the
+    # completion joins none (Bacon-Shor's per-row relations: see above).
+    for color in "abc":
+        model = catalog.color2d_partial_model(3, color)
+        lattice = model.code.lattice
+        chosen = sum(lattice.vertex_colors[lab] == color for lab in lattice.cells[0])
+        assert model.setup.d_r.rows == chosen == model.setup.ranks()["rank_d_r"], color
 
 
 def test_make_setup_eliminates_d_x_once(monkeypatch):
-    # rank d_x, the default relations and x_preimage read the one echelon
+    # rank d_x, rank d_r, the relations and x_preimage read the one echelon
     # of d_x^T, built once with combinations; the columns of d_x are never
-    # eliminated, and d_z and d_r are ranked rows only, with no memo.
+    # eliminated, the relations are completed through a rows-only span and
+    # d_z is ranked rows only, with no memo.
     code = build_toric_sphere()
     sx = list(code.stabilizer_x)
     built = []
@@ -298,12 +351,20 @@ def test_dim_check_values(torus_model, bs_model, gcc_model):
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_gcc_invariants_do_not_depend_on_L(L):
     """The 3-torus carries 9 topological Z classes and 9 non-contractible
-    relations at every size; k = 0, and the Z image splits into the six
-    color-pair toric codes, four of 2L^3 qubits and two of 3L^3."""
+    relations at every size: the completion joins 9 rows to the three
+    per-vertex relations (two of a vertex's color-pair edge groups each),
+    which lead d_r.  k = 0, and the Z image splits into the six color-pair
+    toric codes, four of 2L^3 qubits and two of 3L^3."""
     model = catalog.gcc_model(L)
     code, setup = model.code, model.setup
     assert setup.d_z.cols - len(code.stabilizer_z) == 9
-    assert setup.d_r.rows - model.extra["vertex_relation_count"] == 9
+    n_edges = code.lattice.n_cells(1)
+    per_vertex = [BitVec.from_support(n_edges, a + b) for groups in model.extra["pair_edges"]
+                  for a, b in combinations(groups.values(), 2)]
+    assert len(per_vertex) == model.extra["vertex_relation_count"] == 6 * L ** 3
+    assert [setup.d_r.row(i) for i in range(len(per_vertex))] == per_vertex
+    assert setup.d_r.rows - len(per_vertex) == 9
+    assert "and 9 non-contractible relations joined" in setup.notes[1]
     assert code_parameters(code).k == 0
     image, _ = strip_identity_terms(
         ungauge_hamiltonian(codes.gauge_hamiltonian(code, kinds="Z"), setup))
@@ -516,12 +577,15 @@ def _product(rows: list[int], combo: int) -> int:
 
 @st.composite
 def small_setups(draw):
-    """A setup ``make_setup`` accepts, its X generator rows and its qubit count.
+    """A setup ``make_setup`` accepts, its X generator rows, its qubit count
+    and the relations it was given.
 
     The X generators are a kernel basis of d_z^T plus redundant products
     (the zero product and repeats included), shuffled, so the relation
     space and the free generators of the canonical preimage are nontrivial.
-    Preserved symmetries are products of the generators, with their combos.
+    The given relations are products of a basis of that space (the zero
+    product and repeats included), often too few to span it.  Preserved
+    symmetries are products of the generators, with their combos.
     """
     n = draw(st.integers(1, 7))
     z_syms = [BitVec(n, z) for z in draw(st.lists(st.integers(0, 2 ** n - 1), max_size=4))]
@@ -530,19 +594,29 @@ def small_setups(draw):
     extra = draw(st.lists(st.integers(0, 2 ** len(kernel) - 1), max_size=4))
     gens = draw(st.permutations(kernel + [_product(kernel, c) for c in extra]))
     combos = draw(st.lists(st.integers(0, 2 ** len(gens) - 1), max_size=3))
-    setup = make_setup(n, z_syms, x_gens=[BitVec(n, g) for g in gens],
+    left = kernel_basis(BitMatrix(len(gens), n, gens).transpose())
+    left_rows = [left.row_bits(k) for k in range(left.rows)]
+    relations = [BitVec(len(gens), _product(left_rows, c))
+                 for c in draw(st.lists(st.integers(0, 2 ** len(left_rows) - 1), max_size=3))]
+    setup = make_setup(n, z_syms, x_gens=[BitVec(n, g) for g in gens], relations=relations,
                        preserved=[BitVec(n, _product(gens, c)) for c in combos],
                        preserved_combos=[BitVec(len(gens), c) for c in combos])
-    return setup, gens, n
+    return setup, gens, n, relations
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(small_setups(), st.data())
 def test_property_engine_on_small_setups(case, data):
-    # The canonical X preimage, both round trips, symplectic products, and
-    # the dimension and annihilation checks, on one drawn setup.
-    s, gens, n = case
+    # The relations, the canonical X preimage, both round trips, symplectic
+    # products, and the dimension and annihilation checks, on one drawn setup.
+    s, gens, n, relations = case
     m = len(gens)
+    # d_r is the given relations, then kernel rows that each extend their
+    # span, and together they span the whole relation space.
+    assert [s.d_r.row(i) for i in range(len(relations))] == relations
+    assert _spans_the_relation_space(s)
+    given = naive_rank(matrix_rows(BitMatrix.from_rows(m, relations)))
+    assert s.d_r.rows - len(relations) == s.ranks()["rank_d_r"] - given
     assert dim_check(s) and annihilation_check(s)
     images = []
     for _ in range(4):
