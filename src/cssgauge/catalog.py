@@ -2,9 +2,11 @@
 
 The engine in ``ungauge`` is generic; what makes the worked examples
 reproduce known models exactly is the choice of *natural* generating
-sets (geometric gauge generators, per-row or per-vertex relations) and
-the preimage provenance attached to Hamiltonian terms.  This module
-owns those choices.
+sets (geometric gauge generators, local Z symmetries, per-row or
+per-vertex relations) and the preimage provenance attached to
+Hamiltonian terms.  This module owns those choices; ``make_setup``
+joins the rest of each group (logical and topological classes,
+non-contractible relations), so no model computes a kernel.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from typing import Optional
 
 from . import builders
 from .builders import CssSubsystemCode
-from .chains import _coset_representatives, css_logical_reps
 from .codes import gauge_hamiltonian, stabilizer_hamiltonian, y_gauge_hamiltonian
-from .gf2 import BitMatrix, BitVec, kernel_basis
+from .gf2 import BitVec
 from .lattice import AXES, CellComplex, edge_color_class
 from .pauli import Hamiltonian, PauliOp, Term, transversal_hadamard_hamiltonian
 from .ungauge import (
@@ -65,18 +66,13 @@ def axis_loops(code: CssSubsystemCode) -> list[BitVec]:
 def toric_setup(code: CssSubsystemCode) -> WorkedModel:
     """Ungauge the Z side of a type-1 toric code.
 
-    Z symmetries are the plaquette stabilizers plus (on a torus) the
-    logical Z loops, making the augmented complex exact; X generators
-    are the vertex stars; ``make_setup`` finds their all-ones relation.
+    X generators are the vertex stars, and Z symmetries the plaquette
+    stabilizers; ``make_setup`` joins the logical Z classes (on a torus)
+    and finds the stars' all-ones relation.
     """
     if code.metadata.get("k", 1) != 1:
         raise ValueError("natural toric setup is for type k=1")
-    if code.metadata.get("family") == "toric":
-        loops = axis_loops(code)
-    else:
-        loops = css_logical_reps(code.css_complex())
-    setup = make_setup(code.n, list(code.stabilizer_z) + loops,
-                       x_gens=list(code.stabilizer_x))
+    setup = make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x))
     return WorkedModel(code.name, code, stabilizer_hamiltonian(code), setup)
 
 
@@ -204,14 +200,13 @@ def gcc_model(length: int = 2) -> WorkedModel:
 
     X generators are the edge gauge operators.  Each vertex contributes
     the three pairwise color relations, two independent per vertex.  On
-    the 3-torus the stabilizer group (center of the gauge group) is
-    larger than the vertex-operator span: it carries topological
-    membrane classes.  The Z symmetry group here is the full Z-type
-    stabilizer group, so the computed topological Z classes join the
-    vertex generators, and ``make_setup`` completes the per-vertex
-    relations with the non-contractible ones.  Vertex X stabilizers are
-    the preserved symmetries, with the own-color+first-partner edge
-    product as natural preimage.
+    the 3-torus the Z operators that commute with every X gauge
+    generator (the Z-type stabilizer group, the center of the gauge
+    group) span more than the vertex operators: they carry topological
+    membrane classes.  ``make_setup`` joins those to the vertex Z
+    stabilizers, and the non-contractible relations to the per-vertex
+    ones.  Vertex X stabilizers are the preserved symmetries, with the
+    own-color+first-partner edge product as natural preimage.
     """
     code = builders.build_gcc(length)
     lattice = code.lattice
@@ -228,14 +223,13 @@ def gcc_model(length: int = 2) -> WorkedModel:
         preserved_combos.append(BitVec.from_support(n_edges, by_pair[0]))
     vertex_relation_count = len(relations)
 
-    topo_z = _coset_representatives(kernel_basis(BitMatrix.from_rows(code.n, code.gauge_x)),
-                                    BitMatrix.from_rows(code.n, code.stabilizer_z))
     setup = make_setup(
-        code.n, list(code.stabilizer_z) + topo_z, x_gens=list(code.gauge_x),
+        code.n, list(code.stabilizer_z), x_gens=list(code.gauge_x),
         relations=relations,
         preserved=list(code.stabilizer_x), preserved_combos=preserved_combos)
+    topological = setup.d_z.cols - len(code.stabilizer_z)
     setup.notes = ["Y-type gauge terms are normalised per term as i^|S| X(S) Z(S)",
-                   f"torus topology: {len(topo_z)} topological Z stabilizer classes joined "
+                   f"torus topology: {topological} topological Z stabilizer classes joined "
                    f"the vertex generators and {setup.d_r.rows - vertex_relation_count} "
                    "non-contractible relations joined the per-vertex ones"]
     return WorkedModel("gcc", code, gauge_hamiltonian(code), setup,
@@ -247,10 +241,11 @@ def gcc_model(length: int = 2) -> WorkedModel:
 def full_gauge_lgt(length: int = 2) -> dict:
     """Gauge all X symmetries of the ungauged gauge color code model.
 
-    The gauged group is the final symmetry group (every single-color-pair
-    vertex operator) plus, on the torus, its topological X classes; the
-    swapped X generators are the link operators, one per edge.  The
-    result is compared with the transversal Hadamard conjugate of the
+    The gauged group is the final symmetry group: every single-color-pair
+    vertex operator, given as the swapped setup's Z symmetries, plus, on
+    the torus, the topological X classes that ``make_setup`` joins to
+    them.  The swapped X generators are the link operators, one per edge.
+    The result is compared with the transversal Hadamard conjugate of the
     lattice-gauge-theory image under the identity edge relabeling.
     """
     model = gcc_model(length)
@@ -260,10 +255,7 @@ def full_gauge_lgt(length: int = 2) -> dict:
                 for groups in model.extra["pair_edges"] for edges in groups.values()]
 
     links = [BitVec.from_support(n_edges, lattice.link(1, 1, e)) for e in range(n_edges)]
-    link_matrix = BitMatrix.from_rows(n_edges, links)
-    topological = _coset_representatives(
-        kernel_basis(link_matrix), BitMatrix.from_rows(n_edges, pair_ops))
-    s_swapped = make_setup(n_edges, pair_ops + topological, x_gens=links)
+    s_swapped = make_setup(n_edges, pair_ops, x_gens=links)
 
     h_lgt = ungauge_hamiltonian(gauge_hamiltonian(code), model.setup)
     h_lgt, _ = strip_identity_terms(h_lgt)
@@ -277,7 +269,7 @@ def full_gauge_lgt(length: int = 2) -> dict:
     reference = transversal_hadamard_hamiltonian(h_lgt)
     report = full_gauge_comparison(h_for_full, s_swapped,
                                    reference, {e: e for e in range(n_edges)})
-    report["topological_x_classes"] = len(topological)
+    report["topological_x_classes"] = s_swapped.d_z.cols - len(pair_ops)
     return {"model": model, "swapped_setup": s_swapped, "report": report}
 
 
@@ -303,15 +295,13 @@ def gcc_phase_hamiltonians(model: WorkedModel) -> dict:
 def fractal_model(length: int = 4, boundary: str = "periodic") -> WorkedModel:
     """Ungauge the Z side of the 3D fractal code.
 
-    Z symmetries are the vertex Z checks plus computed logical-Z
-    representatives (string/fractal shaped); X generators are the vertex
-    X checks.  The relation space (layered Sierpinski patterns, often
-    empty on a periodic torus) is computed as a kernel basis.
+    X generators are the vertex X checks, and Z symmetries the vertex Z
+    checks; ``make_setup`` joins the logical-Z classes (string/fractal
+    shaped) and computes the relation space (layered Sierpinski patterns,
+    often empty on a periodic torus) as a kernel basis.
     """
     code = builders.build_fractal_code(length, boundary)
-    z_logicals = css_logical_reps(code.css_complex())
-    setup = make_setup(code.n, list(code.stabilizer_z) + z_logicals,
-                       x_gens=list(code.stabilizer_x))
+    setup = make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x))
     return WorkedModel("fractal", code, stabilizer_hamiltonian(code), setup)
 
 

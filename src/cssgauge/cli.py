@@ -106,10 +106,11 @@ CODES = {
                     {"build": {}, "export": {}, "ungauge": _PINNED, "spt": {}}),
     "toric3d": Code(lambda L, k: build_toric(3, L, k),
                     _toric_model(lambda L: catalog.toric3d_model(L), 3),
-                    {"build": {"k": 1}, "export": {"k": 1}, "ungauge": _PINNED}),
+                    {"build": {"k": 1}, "export": {"k": 1}, "ungauge": _PINNED, "spt": {"k": 1}}),
     "toric": Code(lambda L, D, k: build_toric(D, L, k),
                   _toric_model(lambda L: catalog.toric_torus_model(L), 2),
-                  {"build": {"D": 2, "k": 1}, "export": {"D": 2, "k": 1}, "ungauge": _PINNED}),
+                  {"build": {"D": 2, "k": 1}, "export": {"D": 2, "k": 1}, "ungauge": _PINNED,
+                   "spt": {"D": 2, "k": 1}}),
     "toric-sphere": Code(lambda: build_toric_sphere(), lambda: catalog.toric_sphere_model(),
                          {"build": {}, "export": {}, "ungauge": {}}, default_L=None),
     "bacon-shor": Code(lambda L: build_bacon_shor(L), lambda L: catalog.bacon_shor_model(L),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .chains import css_logical_reps
 from .codes import CssSubsystemCode, stabilizer_hamiltonian
 from .gf2 import BitVec
 from .pauli import (
@@ -212,18 +211,17 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
 
     Steps: tensor with the dual code, transversal-CZ logicality gate,
     domain wall in the region, ungauging of all Z symmetries of the
-    tensor code.  A subsystem code raises ``ValueError`` when the tensor
-    is built; the construction aborts when the CZ gate fails the logical
-    check.
+    tensor code (its Z stabilizers, which ``make_setup`` completes with
+    the logical Z classes).  A subsystem code raises ``ValueError`` when
+    the tensor is built; the construction aborts when the CZ gate fails
+    the logical check.
     """
     tensor = tensor_code(code)
     if not transversal_cz_is_logical(tensor):
         raise ValueError("transversal CZ is not a logical gate for this code")
     wall = domain_wall(tensor, region)
 
-    z_logicals = css_logical_reps(tensor.css_complex())
-    setup = make_setup(tensor.n, list(tensor.stabilizer_z) + z_logicals,
-                       x_gens=list(tensor.stabilizer_x))
+    setup = make_setup(tensor.n, list(tensor.stabilizer_z), x_gens=list(tensor.stabilizer_x))
 
     image, dropped = strip_identity_terms(ungauge_hamiltonian(wall.total(), setup))
     wall_names = {t.name for t in wall.h_wall}

@@ -8,10 +8,11 @@ with column j of d_z the support of the j-th Z symmetry, row k of d_x
 the support of the k-th X generator and row l of d_r the l-th relation.
 The forward map sends Z(c) to Z(d_x c) and an X operator to the
 generator combination producing it; the final system has one qubit per
-X generator.  Relations become the emergent X symmetries of the image;
-the X generators fix them, and ``make_setup`` completes the given ones
-to the kernel of d_x^T.  Only the Z symmetries are the caller's choice,
-so only the X side raises ``CompletenessError``.
+X generator.  The X generators fix both ends of the complex: the Z
+symmetries that map to the identity span ker d_x, and the relations,
+which become the emergent X symmetries of the image, span ker d_x^T.
+So ``make_setup`` completes the given Z symmetries and the given
+relations to those kernels, and ``dim_check`` certifies the completion.
 
 Two ways to map the X side:
 
@@ -50,10 +51,6 @@ class UngaugeError(ValueError):
 
 
 class CommutationError(UngaugeError):
-    pass
-
-
-class CompletenessError(UngaugeError):
     pass
 
 
@@ -113,24 +110,25 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
                preserved_combos: Optional[Sequence[Optional[BitVec]]] = None) -> UngaugeSetup:
     """Validate and assemble an ungauging setup.
 
-    The caller's natural (geometric) X generating set is validated for
-    commutation and completeness, never replaced; generators that fall
-    short of the symmetric group raise ``CompletenessError``.  The given
-    ``relations`` must multiply to the identity, and d_r is them followed
-    by each row of the canonical kernel basis of d_x^T that extends their
-    span, greedily in order; so with none given d_r is that basis.
+    The caller's natural (geometric) generating sets are validated, never
+    replaced, and completed.  The given ``z_syms`` must commute with the
+    X generators, and d_z is them followed by each row of the canonical
+    kernel basis of d_x that extends their span.  The given ``relations``
+    must multiply to the identity, and d_r is them followed by each row
+    of the canonical kernel basis of d_x^T that extends their span.  Both
+    are greedy in order, so with none given each is its kernel basis.
     """
     for v in z_syms:
         if v.length != n:
             raise UngaugeError("Z symmetry support length mismatch")
-    d_z = BitMatrix.from_columns(n, list(z_syms))
-
     for v in x_gens:
         if v.length != n:
             raise UngaugeError("X generator support length mismatch")
     d_x = BitMatrix.from_rows(n, list(x_gens))
-    if not is_zero_product(d_x, d_z):
-        bad = list((d_x @ d_z).entries[:4])
+    dxt = d_x.transpose()
+    given_z = BitMatrix.from_rows(n, list(z_syms))
+    if not is_zero_product(given_z, dxt):
+        bad = sorted((k, j) for j, k in (given_z @ dxt).entries)[:4]
         raise CommutationError(
             f"X generators anticommute with Z symmetries at (generator, symmetry) pairs {bad}")
     for v in relations:
@@ -139,19 +137,16 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
     given = BitMatrix.from_rows(d_x.rows, list(relations))
     if relations and not is_zero_product(given, d_x):
         raise UngaugeError("a supplied relation does not multiply to the identity")
-    # The relations, rank d_x, rank d_r and x_preimage read the one echelon
-    # of d_x^T; d_x's own columns are eliminated only by z_preimage.
-    dxt = d_x.transpose()
+    # ker d_x is eliminated on a copy of d_x that shares its rows and is
+    # freed before the one echelon of d_x^T is built; that echelon gives the
+    # relations, rank d_x, rank d_r and x_preimage.  d_x's own columns are
+    # eliminated only by z_preimage.
+    d_z = BitMatrix.from_columns(n, list(z_syms) + _coset_representatives(
+        kernel_basis(dxt.transpose()), given_z))
     d_r = BitMatrix.from_rows(d_x.rows, list(relations)
                               + _coset_representatives(kernel_basis(dxt), given))
 
     setup = UngaugeSetup(d_z, d_x, dxt, d_r, preserved, preserved_combos)
-    r = setup.ranks()
-    needed = n - r["rank_d_z"]
-    if r["rank_d_x"] != needed:
-        raise CompletenessError(
-            f"X generators span rank {r['rank_d_x']} but the symmetric group needs {needed}; "
-            f"deficit {needed - r['rank_d_x']}")
     for i, v in enumerate(setup.preserved_x_ini):
         if v.length != n:
             raise UngaugeError("preserved symmetry support length mismatch")
@@ -275,7 +270,12 @@ def preserved_symmetries(s: UngaugeSetup) -> list[PauliOp]:
 
 
 def dim_check(s: UngaugeSetup) -> bool:
-    """Symmetric-subspace dimensions agree: n_ini - rank d_z = n_fin - rank d_r."""
+    """Symmetric-subspace dimensions agree: n_ini - rank d_z = n_fin - rank d_r.
+
+    rank d_r is n_fin - rank d_x, so this holds exactly when d_z, ranked
+    on its own, spans ker d_x: it certifies ``make_setup``'s completion of
+    the Z symmetries.
+    """
     r = s.ranks()
     return r["n_ini"] - r["rank_d_z"] == r["n_fin"] - r["rank_d_r"]
 

@@ -84,10 +84,12 @@ def _elimination_work(tmp_path, monkeypatch, argv) -> tuple[int, int]:
 
 # Echelon constructions per command: a guard against a repeated
 # elimination coming back.  The spt wall certifies its CZ gate and group
-# by witness, make_setup eliminates d_x on one side only and completes the
-# relations from that one echelon (gcc computes none of its own), and the
-# logical representatives are computed on the Z side only.
-@pytest.mark.parametrize("argv,echelons", zip(COMMANDS, (5, 5, 5, 69)))
+# by witness, and make_setup is the one place that eliminates ker d_x and
+# ker d_x^T: it completes the Z symmetries and the relations from one
+# echelon each (no caller computes a logical class, a topological class or
+# a relation).  Every setup eliminates its ker d_x, even one given a
+# complete set of Z symmetries.
+@pytest.mark.parametrize("argv,echelons", zip(COMMANDS, (5, 5, 5, 81)))
 def test_echelons_built_per_command(tmp_path, monkeypatch, capsys, argv, echelons):
     assert _calls_in_command(tmp_path, monkeypatch, gf2.Echelon, "__init__", argv) == echelons
 
@@ -95,9 +97,10 @@ def test_echelons_built_per_command(tmp_path, monkeypatch, capsys, argv, echelon
 # Matrix products per command: a guard against a repeated commutation
 # check coming back.  A stabilizer code's constructor forms G_X·G_Zᵀ only,
 # so does a self-dual subsystem listing (gcc), the spt tensor is checked
-# once, not again as a dual and a gate, and make_setup checks relations
-# only when some are given.
-@pytest.mark.parametrize("argv,products", zip(COMMANDS, (6, 5, 5, 67)))
+# once, not again as a dual and a gate, make_setup checks relations
+# only when some are given, and no caller checks a complex of its own
+# before computing logical classes.
+@pytest.mark.parametrize("argv,products", zip(COMMANDS, (5, 5, 4, 63)))
 def test_products_per_command(tmp_path, monkeypatch, capsys, argv, products):
     assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "__matmul__", argv) == products
 

@@ -8,7 +8,7 @@ import pytest
 
 from cssgauge import cli
 from cssgauge.cli import main
-from cssgauge.ungauge import CompletenessError
+from cssgauge.ungauge import NotSymmetricError
 
 
 def run(args):
@@ -120,11 +120,11 @@ def test_toric_sphere_has_one_size(tmp_path, command):
 
 def test_internal_inconsistency_exits_1(tmp_path, capsys, monkeypatch):
     def inconsistent(h, setup):
-        raise CompletenessError("relation space deficit")
+        raise NotSymmetricError("term t: X support is not a product of the setup's X generators")
     monkeypatch.setattr(cli, "ungauge_hamiltonian", inconsistent)
     assert run(["ungauge", "--code", "toric-sphere", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "CompletenessError: relation space deficit" in err
+    assert "NotSymmetricError: term t: X support is not a product" in err
     assert "Traceback" not in err
 
 
@@ -171,6 +171,22 @@ def test_spt_toric(tmp_path):
     assert report["wall_terms"] == 16
     assert report["disentangler"] is not None
     assert report["wall_commutes"] is True
+
+
+@pytest.mark.parametrize("argv,name,wall_terms,symmetries", [
+    (["--code", "toric3d", "--L", "3"], "toric3d", 54, 19),
+    (["--code", "toric3d", "--L", "4"], "toric3d", 96, 33),
+    (["--code", "toric3d", "--L", "3", "--k", "2"], "toric3d", 54, 29),
+    (["--code", "toric", "--D", "4", "--k", "2", "--L", "3"], "toric4d", 324, 121),
+], ids=["toric3d-L3", "toric3d-L4", "toric3d-k2-L3", "toric4d-k2-L3"])
+def test_spt_toric_one_and_two_dimensions_up(tmp_path, argv, name, wall_terms, symmetries):
+    # Slab 1:3 cuts two walls; each wall of the 4D type-2 code has 6L^3
+    # terms on the edges and faces of the cubic lattice.
+    out = tmp_path / "o"
+    assert run(["spt", *argv, "--slab", "1:3", "--out", str(out)]) == 0
+    report = json.loads((out / f"spt-{name}.json").read_text())
+    assert (report["wall_terms"], report["symmetry_count"]) == (wall_terms, symmetries)
+    assert report["disentangler"] is not None and report["bulk_trivial"] is True
 
 
 def test_spt_bad_slab(tmp_path):

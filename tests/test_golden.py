@@ -127,6 +127,16 @@ PINNED_REPORTS = [
         "fractal3d.json": "49864ebb2bb8c6a2e49d0bcb738a6b502353d5742f1c163a53aa04451622f06c"}),
     (["spt", "--code", "fractal", "--L", "5", "--slab", "0:2"], {
         "spt-fractal3d.json": "698052dd04e40a7eb30f22b62072c200265c9704fedaf641efbd072a165f7614"}),
+    # The SPT walls one and two dimensions up: the 3D toric code of either
+    # type, and the 4D toric code of type 2.
+    (["spt", "--code", "toric3d", "--L", "3", "--slab", "1:3"], {
+        "spt-toric3d.json": "3240baccd9e768d978e9dbc50e7f6faa78aa75a6d6ff1d289a517bf685da8acd"}),
+    (["spt", "--code", "toric3d", "--L", "4", "--slab", "1:3"], {
+        "spt-toric3d.json": "ab2e6c5fa7c185a9acf5c3bb6e67d3f5c22ea4b9f7fa32563ad89a423203da7d"}),
+    (["spt", "--code", "toric3d", "--L", "3", "--k", "2", "--slab", "1:3"], {
+        "spt-toric3d.json": "b274c9acd2a1c522ef2f2f16eb4043daa116fdc38809017fb46ae674177a9075"}),
+    (["spt", "--code", "toric", "--D", "4", "--k", "2", "--L", "3", "--slab", "1:3"], {
+        "spt-toric4d.json": "9290106de98954b83c61f8a04bcc4c956f7be1ce5984e00d455d322ab5340c39"}),
 ]
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssgauge import catalog, codes, gf2, verify
+from cssgauge import catalog, cli, codes, gf2, ungauge, verify
 from cssgauge.analysis import code_parameters, components
 from cssgauge.builders import build_toric_sphere
 from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, kernel_basis, rank, solve
@@ -14,7 +14,6 @@ from cssgauge.ungauge import (
     _PAIR_BLOCK,
     _paired_products,
     CommutationError,
-    CompletenessError,
     NotSymmetricError,
     UngaugeError,
     UngaugeSetup,
@@ -93,15 +92,22 @@ def _spans_the_relation_space(s: UngaugeSetup) -> bool:
             == s.ranks()["rank_d_r"] == s.n_fin - naive_rank(matrix_rows(s.d_x)))
 
 
+def _spans_the_z_symmetries(s: UngaugeSetup) -> bool:
+    """d_z lies in the kernel of d_x and spans it, by the test's own eliminations."""
+    return (is_zero_product(s.d_x, s.d_z) and naive_rank(matrix_rows(s.d_z.transpose()))
+            == s.ranks()["rank_d_z"] == s.n_ini - naive_rank(matrix_rows(s.d_x)))
+
+
 @pytest.fixture(scope="module")
 def catalog_setups():
     """Every setup the catalog builds for the seven worked models, the
-    Xu-Moore check and the lattice gauge theory, swapped setups included."""
+    Xu-Moore check and the lattice gauge theory, swapped setups included,
+    each with the number of Z symmetries it was given."""
     built = []
 
-    def recorded(*args, **kwargs):
-        built.append(make_setup(*args, **kwargs))
-        return built[-1]
+    def recorded(n, z_syms, *args, **kwargs):
+        built.append((make_setup(n, z_syms, *args, **kwargs), len(z_syms)))
+        return built[-1][0]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catalog, "make_setup", recorded)
@@ -113,8 +119,17 @@ def catalog_setups():
 
 def test_every_catalog_setup_spans_the_relation_space(catalog_setups):
     assert len(catalog_setups) == 7 + 2 + 2
-    for s in catalog_setups:
+    for s, _given in catalog_setups:
         assert _spans_the_relation_space(s), s
+        assert _spans_the_z_symmetries(s), s
+    # Z classes joined by make_setup: the torus loops (2), the 3-torus
+    # loops (3), gcc's membrane classes (9, at every L: see
+    # test_gcc_invariants_do_not_depend_on_L) and the lattice gauge theory's
+    # topological X classes (18).  The sphere, Bacon-Shor (twice), the
+    # periodic fractal code at L=4, color2d and the Xu-Moore swapped setup
+    # are given complete sets.
+    joined = [s.d_z.cols - given for s, given in catalog_setups]
+    assert joined == [0, 2, 3, 0, 9, 0, 0, 0, 0, 9, 18]
 
 
 def test_color2d_per_vertex_relations_are_complete():
@@ -128,10 +143,12 @@ def test_color2d_per_vertex_relations_are_complete():
 
 
 def test_make_setup_eliminates_d_x_once(monkeypatch):
-    # rank d_x, rank d_r, the relations and x_preimage read the one echelon
-    # of d_x^T, built once with combinations; the columns of d_x are never
-    # eliminated, the relations are completed through a rows-only span and
-    # d_z is ranked rows only, with no memo.
+    # ker d_x is eliminated first, on a copy that the setup does not keep,
+    # and the Z symmetries are completed through a rows-only span.  rank d_x,
+    # rank d_r, the relations and x_preimage then read the one echelon of
+    # d_x^T, built once with combinations; the columns of d_x itself are
+    # never eliminated, the relations are completed through a rows-only span
+    # and d_z is ranked rows only, with no memo.
     code = build_toric_sphere()
     sx = list(code.stabilizer_x)
     built = []
@@ -148,15 +165,22 @@ def test_make_setup_eliminates_d_x_once(monkeypatch):
     ranks["rank_d_z"] = 0
     assert s.ranks()["rank_d_z"] == 7                   # a copy
     assert s.d_x._rref is None and s.d_z._rref is None and s.d_r._rref is None
-    assert [combos for _, combos in built] == [True, False, False]
-    assert built[0][0] is s._dxt._rref
+    assert [combos for _, combos in built] == [True, False, True, False, False]
+    assert built[2][0] is s._dxt._rref
 
 
-def test_make_setup_rejects_incomplete_generators():
+def test_make_setup_completes_the_z_symmetries_of_fewer_generators():
+    # Three of the sphere's six stars leave ker d_x larger than the face
+    # span: the 8 faces are kept in order and 2 kernel rows are joined, so
+    # rank d_z = 12 - rank d_x = 9 and the dimensions match.
     code = build_toric_sphere()
-    with pytest.raises(CompletenessError, match="deficit"):
-        make_setup(code.n, list(code.stabilizer_z),
-                   x_gens=list(code.stabilizer_x)[:3])
+    faces = list(code.stabilizer_z)
+    s = make_setup(code.n, faces, x_gens=list(code.stabilizer_x)[:3])
+    assert s.d_z.cols == 8 + 2
+    assert [s.d_z.column(j) for j in range(8)] == faces
+    assert is_zero_product(s.d_x, s.d_z)
+    assert s.ranks() == {"n_ini": 12, "n_fin": 3, "rank_d_z": 9, "rank_d_x": 3, "rank_d_r": 0}
+    assert dim_check(s) and annihilation_check(s)
 
 
 def test_make_setup_rejects_anticommuting_generators():
@@ -174,13 +198,12 @@ def test_make_setup_rejects_bad_relation():
 
 
 def test_make_setup_checks_relations_before_completeness():
-    # The completeness checks read the ranks the built setup states, so an
-    # input with both faults reports the relation first.
+    # Generators that fall short of the symmetric group are completed, not
+    # rejected, so a bad relation given with them is the one error raised.
     code = build_toric_sphere()
-    with pytest.raises(UngaugeError, match="does not multiply to the identity") as raised:
+    with pytest.raises(UngaugeError, match="does not multiply to the identity"):
         make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x)[:3],
                    relations=[BitVec.from_support(3, [0])])
-    assert not isinstance(raised.value, CompletenessError)
 
 
 def test_make_setup_rejects_nonsymmetric_preserved():
@@ -346,6 +369,29 @@ def test_dim_check_values(torus_model, bs_model, gcc_model):
     assert (r["n_ini"] - r["rank_d_z"], r["n_fin"] - r["rank_d_r"]) == (6, 6)
     assert dim_check(bs_model.setup)
     assert dim_check(gcc_model.setup)
+
+
+def test_dim_check_fails_when_a_z_class_is_missed(monkeypatch, tmp_path, capsys):
+    # A fault in the Z completion: on the 18 qubits of the L=3 torus it
+    # joins one loop class too few.  The relations (kernels of 9-bit rows
+    # there) are completed as before, so only dim_check sees the fault.
+    complete = ungauge._coset_representatives
+
+    def one_short(kernel, image_gens):
+        reps = complete(kernel, image_gens)
+        return reps[:-1] if kernel.cols == 18 else reps
+
+    monkeypatch.setattr(ungauge, "_coset_representatives", one_short)
+    s = catalog.toric_torus_model(3).setup
+    assert s.d_z.cols == 9 + 1 and s.d_r.rows == 1
+    assert s.ranks() == {"n_ini": 18, "n_fin": 9, "rank_d_z": 9, "rank_d_x": 8, "rank_d_r": 1}
+    assert not dim_check(s)
+
+    assert cli.main(["ungauge", "--code", "toric2d", "--out", str(tmp_path)]) == 1
+    assert "dim_check=False" in capsys.readouterr().out
+    monkeypatch.setattr(verify, "_MODEL_CACHE", {})
+    result = verify.check_dimensions()
+    assert not result.passed and result.details == "failures: ['toric-torus']"
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
@@ -577,20 +623,22 @@ def _product(rows: list[int], combo: int) -> int:
 
 @st.composite
 def small_setups(draw):
-    """A setup ``make_setup`` accepts, its X generator rows, its qubit count
-    and the relations it was given.
+    """A setup ``make_setup`` accepts, its X generator rows, its qubit count,
+    the relations and the Z symmetries it was given.
 
-    The X generators are a kernel basis of d_z^T plus redundant products
-    (the zero product and repeats included), shuffled, so the relation
-    space and the free generators of the canonical preimage are nontrivial.
-    The given relations are products of a basis of that space (the zero
-    product and repeats included), often too few to span it.  Preserved
+    The X generators are some rows of a kernel basis of d_z^T plus
+    redundant products of them (the zero product and repeats included),
+    shuffled, so the relation space and the free generators of the
+    canonical preimage are nontrivial, and a dropped kernel row leaves a
+    Z class for ``make_setup`` to join.  The given relations are products
+    of a basis of the relation space (the zero product and repeats
+    included), often too few to span it.  Preserved
     symmetries are products of the generators, with their combos.
     """
     n = draw(st.integers(1, 7))
     z_syms = [BitVec(n, z) for z in draw(st.lists(st.integers(0, 2 ** n - 1), max_size=4))]
     basis = kernel_basis(BitMatrix.from_columns(n, z_syms).transpose())
-    kernel = [basis.row_bits(k) for k in range(basis.rows)]
+    kernel = [basis.row_bits(k) for k in range(basis.rows) if draw(st.booleans())]
     extra = draw(st.lists(st.integers(0, 2 ** len(kernel) - 1), max_size=4))
     gens = draw(st.permutations(kernel + [_product(kernel, c) for c in extra]))
     combos = draw(st.lists(st.integers(0, 2 ** len(gens) - 1), max_size=3))
@@ -601,16 +649,21 @@ def small_setups(draw):
     setup = make_setup(n, z_syms, x_gens=[BitVec(n, g) for g in gens], relations=relations,
                        preserved=[BitVec(n, _product(gens, c)) for c in combos],
                        preserved_combos=[BitVec(len(gens), c) for c in combos])
-    return setup, gens, n, relations
+    return setup, gens, n, relations, z_syms
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(small_setups(), st.data())
 def test_property_engine_on_small_setups(case, data):
-    # The relations, the canonical X preimage, both round trips, symplectic
-    # products, and the dimension and annihilation checks, on one drawn setup.
-    s, gens, n, relations = case
+    # The relations, the Z symmetries, the canonical X preimage, both round
+    # trips, symplectic products, and the dimension and annihilation checks,
+    # on one drawn setup.
+    s, gens, n, relations, z_syms = case
     m = len(gens)
+    # d_z is the given Z symmetries, then kernel rows of d_x that extend
+    # their span, and together they span ker d_x.
+    assert [s.d_z.column(j) for j in range(len(z_syms))] == z_syms
+    assert _spans_the_z_symmetries(s)
     # d_r is the given relations, then kernel rows that each extend their
     # span, and together they span the whole relation space.
     assert [s.d_r.row(i) for i in range(len(relations))] == relations
