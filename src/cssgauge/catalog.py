@@ -140,14 +140,15 @@ def xu_moore_check(length: int = 3) -> dict:
     # Full gauging: every final X symmetry (emergent rows + preserved
     # columns) is gauged in the X/Z-swapped picture; the natural swapped
     # X generators are the Xu-Moore plaquettes, one per vertical edge,
-    # numbered by their ``plaquette_index``.
+    # numbered by their ``plaquette_index``.  Each plaquette's ``z_combo``
+    # becomes that one swapped generator in place of its Bacon-Shor pair.
     plaquettes = {}
     h_for_full = Hamiltonian(xm.n)
     for t in xm.hamiltonian:
         meta = dict(t.meta)
         if "plaquette_index" in meta:
             plaquettes[meta["plaquette_index"]] = t.op.z
-            meta["swapped_x_combo"] = BitVec(xm.n, 1 << meta["plaquette_index"])
+            meta["z_combo"] = BitVec(xm.n, 1 << meta["plaquette_index"])
         h_for_full.add(Term(t.name, t.coupling, t.op, meta))
     s_swapped = make_setup(xm.n, [p.x for p in xm.emergent + xm.preserved],
                            x_gens=[plaquettes[i] for i in range(xm.n)])
@@ -264,7 +265,7 @@ def full_gauge_lgt(length: int = 2) -> dict:
         meta = {}
         if t.op.x.is_zero():
             # The image of Z gauge generator e is the link operator of edge e.
-            meta["swapped_x_combo"] = BitVec(n_edges, 1 << t.meta["z_index"])
+            meta["z_combo"] = BitVec(n_edges, 1 << t.meta["z_index"])
         h_for_full.add(Term(t.name, t.coupling, t.op, meta))
     reference = transversal_hadamard_hamiltonian(h_lgt)
     report = full_gauge_comparison(h_for_full, s_swapped,

@@ -218,11 +218,13 @@ def transversal_hadamard(p: PauliOp) -> PauliOp:
 
 
 def transversal_hadamard_hamiltonian(h: "Hamiltonian") -> "Hamiltonian":
-    """Termwise Hadamard conjugation; preimage metadata does not survive."""
+    """Termwise Hadamard conjugation; ``x_combo`` and ``z_combo`` swap with
+    the supports, and other metadata is kept."""
+    swap = {"x_combo": "z_combo", "z_combo": "x_combo"}
     out = Hamiltonian(h.n)
     for t in h:
-        extra = {k: v for k, v in t.meta.items() if k not in ("x_combo", "z_combo")}
-        out.add(Term(t.name, t.coupling, transversal_hadamard(t.op), extra))
+        meta = {swap.get(k, k): v for k, v in t.meta.items()}
+        out.add(Term(t.name, t.coupling, transversal_hadamard(t.op), meta))
     return out
 
 

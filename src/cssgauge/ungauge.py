@@ -14,16 +14,22 @@ which become the emergent X symmetries of the image, span ker d_x^T.
 So ``make_setup`` completes the given Z symmetries and the given
 relations to those kernels, and ``dim_check`` certifies the completion.
 
-Two ways to map the X side:
+The X side of a raw Pauli is solved for canonically (leftmost pivots,
+free variables zero); the solution is unique only up to the relation
+space, which ``setup_report`` surfaces.  A Hamiltonian term may instead
+carry an ``x_combo`` in its metadata naming the intended preimage, which
+the map validates and uses.  Builders attach these, and the map attaches
+the preimage's Z support to each image as ``z_combo``, so round trips
+reproduce terms exactly rather than up to a symmetry.
 
-* a raw Pauli is solved for canonically (leftmost pivots, free
-  variables zero); the solution is unique only up to the relation
-  space, which ``setup_report`` surfaces;
-* Hamiltonian terms may carry an ``x_combo`` (forward) or ``z_combo``
-  (inverse) in their metadata naming the intended preimage, which the
-  maps validate and use.  Builders attach these, and the maps attach
-  them to their own images, so round trips reproduce terms exactly
-  rather than up to a symmetry.
+There is one map: gauging is the forward map of ``UngaugeSetup.dual``
+(d_x and d_x^T trade places) between transversal Hadamards.  A final
+operator X(c) Z(w) with w = d_x pre becomes Z(c) X(w), maps to
+X(pre) Z(d_x^T c) with pre the canonical solution of d_x pre = w (or
+the term's ``z_combo``, the dual's ``x_combo``), and comes back as
+X(d_x^T c) Z(pre).  The two
+Hadamards change the sign by (-1)^(|c & w| + |d_x^T c & pre|), which is
++1 since c^T (d_x pre) = (d_x^T c)^T pre mod 2.
 
 Phases: inputs must be Hermitian with a real sign relative to the
 canonical form i^|x&z| X(x) Z(z); that sign survives the map and the
@@ -34,16 +40,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chains import _coset_representatives
 from .gf2 import BitMatrix, BitVec, is_zero_product, kernel_basis, rank, solve
-from .pauli import (
-    Hamiltonian,
-    PauliOp,
-    Term,
-    transversal_hadamard,
-)
+from .pauli import Hamiltonian, PauliOp, Term, transversal_hadamard_hamiltonian
 
 
 class UngaugeError(ValueError):
@@ -60,7 +61,7 @@ class NotSymmetricError(UngaugeError):
 
 class UngaugeSetup:
     def __init__(self, d_z: BitMatrix, d_x: BitMatrix, dxt: BitMatrix, d_r: BitMatrix,
-                 preserved_x_ini: Sequence[BitVec] = (),
+                 ranks: dict, preserved_x_ini: Sequence[BitVec] = (),
                  preserved_combos: Optional[Sequence[Optional[BitVec]]] = None):
         self.d_z = d_z
         self.d_x = d_x
@@ -71,12 +72,8 @@ class UngaugeSetup:
         self.preserved_combos = list(preserved_combos) if preserved_combos else [None] * len(self.preserved_x_ini)
         self.notes: list[str] = []
         self._dxt = dxt
-        # The ranks, stated once; rank d_x by rank-nullity and rank d_r (d_r
-        # spans the kernel) from the one echelon of d_x^T.
-        nullity = kernel_basis(dxt).rows
-        self._ranks = {"n_ini": self.n_ini, "n_fin": self.n_fin,
-                       "rank_d_z": rank(d_z.transpose()),
-                       "rank_d_x": self.n_fin - nullity, "rank_d_r": nullity}
+        self._ranks = ranks
+        self._dual: Optional[UngaugeSetup] = None   # set on a dual: the setup it came from
 
     def x_preimage(self, x: BitVec) -> Optional[BitVec]:
         """Canonical generator combination with d_x^T combo = x.
@@ -89,11 +86,21 @@ class UngaugeSetup:
             return BitVec(self.n_fin)
         return solve(self._dxt, x)
 
-    def z_preimage(self, z: BitVec) -> Optional[BitVec]:
-        """Canonical initial-qubit support with d_x pre = z."""
-        if z.is_zero():
-            return BitVec(self.n_ini)
-        return solve(self.d_x, z)
+    def dual(self) -> "UngaugeSetup":
+        """The transposed complex read backwards, relations -> X generators ->
+        qubits -> Z symmetries, whose forward map gauges this setup.
+
+        It holds this setup's d_x and d_x^T with their memoised echelons,
+        swaps the two ends of the ranks and eliminates nothing.
+        """
+        if self._dual is not None:
+            return self._dual
+        r = self._ranks
+        dual = UngaugeSetup(self.d_r.transpose(), self._dxt, self.d_x, self.d_z.transpose(),
+                            {"n_ini": r["n_fin"], "n_fin": r["n_ini"], "rank_d_z": r["rank_d_r"],
+                             "rank_d_x": r["rank_d_x"], "rank_d_r": r["rank_d_z"]})
+        dual._dual = self
+        return dual
 
     def ranks(self) -> dict:
         return dict(self._ranks)
@@ -118,6 +125,9 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
     of the canonical kernel basis of d_x^T that extends their span.  Both
     are greedy in order, so with none given each is its kernel basis.
     """
+    if preserved_combos is not None and len(preserved_combos) != len(preserved):
+        raise UngaugeError(f"{len(preserved)} preserved symmetries but "
+                           f"{len(preserved_combos)} preserved combos")
     for v in z_syms:
         if v.length != n:
             raise UngaugeError("Z symmetry support length mismatch")
@@ -139,14 +149,18 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
         raise UngaugeError("a supplied relation does not multiply to the identity")
     # ker d_x is eliminated on a copy of d_x that shares its rows and is
     # freed before the one echelon of d_x^T is built; that echelon gives the
-    # relations, rank d_x, rank d_r and x_preimage.  d_x's own columns are
-    # eliminated only by z_preimage.
+    # relations, rank d_x, rank d_r (d_r spans the kernel) and x_preimage.
+    # d_x's own columns are eliminated only by gauging, as the dual's
+    # x_preimage.
     d_z = BitMatrix.from_columns(n, list(z_syms) + _coset_representatives(
         kernel_basis(dxt.transpose()), given_z))
+    ker_dxt = kernel_basis(dxt)
     d_r = BitMatrix.from_rows(d_x.rows, list(relations)
-                              + _coset_representatives(kernel_basis(dxt), given))
+                              + _coset_representatives(ker_dxt, given))
+    ranks = {"n_ini": n, "n_fin": d_x.rows, "rank_d_z": rank(d_z.transpose()),
+             "rank_d_x": d_x.rows - ker_dxt.rows, "rank_d_r": ker_dxt.rows}
 
-    setup = UngaugeSetup(d_z, d_x, dxt, d_r, preserved, preserved_combos)
+    setup = UngaugeSetup(d_z, d_x, dxt, d_r, ranks, preserved, preserved_combos)
     for i, v in enumerate(setup.preserved_x_ini):
         if v.length != n:
             raise UngaugeError("preserved symmetry support length mismatch")
@@ -155,21 +169,17 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
     return setup
 
 
-def _hermitian_sign_or_raise(p: PauliOp, what: str) -> int:
-    """The phase 0 or 2 of a real sign +1 or -1 relative to the Hermitian form."""
-    try:
-        return 1 - p.hermitian_sign()
-    except ValueError:
-        raise NotSymmetricError(
-            f"{what} must carry a real (+1/-1) sign; phase is i^{p.phase}") from None
-
-
 def ungauge_pauli(p: PauliOp, s: UngaugeSetup,
                   x_combo: Optional[BitVec] = None) -> PauliOp:
     """Apply the forward duality map to a symmetric Pauli operator."""
     if p.n != s.n_ini:
         raise UngaugeError("operator lives on the wrong register")
-    sign = _hermitian_sign_or_raise(p, "a symmetric operator")
+    try:
+        # The phase 0 or 2 of a real sign +1 or -1 relative to the Hermitian form.
+        sign = 1 - p.hermitian_sign()
+    except ValueError:
+        raise NotSymmetricError(
+            f"a symmetric operator must carry a real (+1/-1) sign; phase is i^{p.phase}") from None
     if x_combo is not None:
         if x_combo.length != s.n_fin:
             raise UngaugeError("x_combo length must equal the X generator count")
@@ -186,62 +196,33 @@ def ungauge_pauli(p: PauliOp, s: UngaugeSetup,
     return PauliOp(s.n_fin, combo, image_z, phase)
 
 
-def gauge_pauli(p: PauliOp, s: UngaugeSetup,
-                z_combo: Optional[BitVec] = None) -> PauliOp:
-    """The inverse map: from the final system back to the initial one."""
-    if p.n != s.n_fin:
-        raise UngaugeError("operator lives on the wrong register")
-    sign = _hermitian_sign_or_raise(p, "a symmetric operator")
-    if z_combo is not None:
-        if z_combo.length != s.n_ini:
-            raise UngaugeError("z_combo length must equal the initial qubit count")
-        if s.d_x.mul_vec(z_combo) != p.z:
-            raise UngaugeError("z_combo does not reproduce the operator's Z support")
-        pre_z = z_combo
-    else:
-        pre_z = s.z_preimage(p.z)
-        if pre_z is None:
-            raise NotSymmetricError(
-                "Z support does not commute with the emergent symmetries (not in the image)")
-    image_x = s._dxt.mul_vec(p.x)
-    phase = (sign + image_x.overlap(pre_z)) % 4
-    return PauliOp(s.n_ini, image_x, pre_z, phase)
+def ungauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
+    """Termwise forward map; term provenance is used and propagated.
 
-
-def _termwise(h: Hamiltonian, n_from: int, n_to: int,
-              image: Callable[[Term], tuple[PauliOp, Optional[dict]]]) -> Hamiltonian:
-    """The Hamiltonian on ``n_to`` qubits of each term's ``(op, meta)`` image.
-
-    Names and couplings are kept; an ``UngaugeError`` is re-raised naming
-    the term it met.
+    Names and couplings are kept.  An image carries its preimage's Z
+    support as ``z_combo`` and keeps any metadata other than ``x_combo``
+    (such as ``z_index``).  An ``UngaugeError`` is re-raised naming the
+    term it met.
     """
-    if h.n != n_from:
+    if h.n != s.n_ini:
         raise UngaugeError("Hamiltonian lives on the wrong register")
-    out = Hamiltonian(n_to)
+    out = Hamiltonian(s.n_fin)
     for t in h:
         try:
-            op, meta = image(t)
+            op = ungauge_pauli(t.op, s, x_combo=t.meta.get("x_combo"))
         except UngaugeError as exc:
             raise type(exc)(f"term {t.name}: {exc}") from None
+        meta = {k: v for k, v in t.meta.items() if k != "x_combo"}
+        meta["z_combo"] = t.op.z
         out.add(Term(t.name, t.coupling, op, meta))
     return out
 
 
-def ungauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
-    """Termwise forward map; term provenance is used and propagated.
-
-    An image carries its preimage's Z support as ``z_combo`` and keeps
-    any metadata other than ``x_combo`` (such as ``z_index``).
-    """
-    return _termwise(h, s.n_ini, s.n_fin, lambda t: (
-        ungauge_pauli(t.op, s, x_combo=t.meta.get("x_combo")),
-        {**{k: v for k, v in t.meta.items() if k != "x_combo"}, "z_combo": t.op.z}))
-
-
 def gauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
-    """Termwise inverse map; term provenance is used and propagated."""
-    return _termwise(h, s.n_fin, s.n_ini, lambda t: (
-        gauge_pauli(t.op, s, z_combo=t.meta.get("z_combo")), {"x_combo": t.op.x}))
+    """Termwise gauging: the forward map of ``s.dual()`` between transversal
+    Hadamards (see the module docstring); images carry ``x_combo``."""
+    return transversal_hadamard_hamiltonian(
+        ungauge_hamiltonian(transversal_hadamard_hamiltonian(h), s.dual()))
 
 
 def strip_identity_terms(h: Hamiltonian) -> tuple[Hamiltonian, int]:
@@ -341,13 +322,12 @@ def commutation_preservation_check(s: UngaugeSetup, pairs: int = 1000,
 def full_gauge_hamiltonian(h: Hamiltonian, s_swapped: UngaugeSetup) -> Hamiltonian:
     """Gauge the entire X-type symmetry group of a final system.
 
-    Implemented as transversal-Hadamard conjugation, the forward map in
-    the X/Z-swapped setup, then transversal Hadamard back.  Terms may
-    carry ``swapped_x_combo`` metadata naming the swapped X preimage.
+    That is gauging the dual of the X/Z-swapped setup ``s_swapped``, whose
+    Z symmetries are the gauged X symmetries: transversal Hadamard, the
+    forward map of ``s_swapped``, Hadamard back.  A term's ``z_combo``
+    names its preimage among the swapped X generators.
     """
-    return _termwise(h, s_swapped.n_ini, s_swapped.n_fin, lambda t: (
-        transversal_hadamard(ungauge_pauli(transversal_hadamard(t.op), s_swapped,
-                                           x_combo=t.meta.get("swapped_x_combo"))), None))
+    return gauge_hamiltonian(h, s_swapped.dual())
 
 
 def full_gauge_comparison(h_fin: Hamiltonian, s_swapped: UngaugeSetup,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from cssgauge import cli
+from cssgauge import catalog, cli, ungauge
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GATED = ("ungauge-gcc", "spt-toric2d", "build-gcc")
@@ -147,3 +147,44 @@ def test_report_matches_pinned_sha256(tmp_path, argv, pinned):
     assert cli.main(argv + ["--out", str(out)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == pinned
+
+
+# The gauge report above holds only booleans, so the gauged terms
+# themselves are pinned: the SHA-256 of each Hamiltonian's ``to_json``
+# (sorted keys) for the Xu-Moore -> Bacon-Shor partial gauge at L=3 and
+# for the ``full_gauge_hamiltonian`` image inside ``xu_moore_check(3)``
+# and ``full_gauge_lgt(2)``, before the comparison relabels it.
+GAUGED_TERMS_SHA256 = {
+    "xu-moore-partial-L3": "bd299645971278e9d7f9a1fbd1bf0ac27169dee7147356e7f09d14622bdf170e",
+    "xu-moore-full-L3": "d1dac0594aa9a4bfffe08f847877380cf3fffbb9fcf0b35c963086b8905cd318",
+    "gcc-lgt-full-L2": "45e3fc47849572b8090adcdc0b826b051574914f7fae4ceb9b839174edfdfdbc",
+}
+
+
+def _terms_sha256(h) -> str:
+    return hashlib.sha256(json.dumps(h.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def _full_gauge_image(monkeypatch, run):
+    images = []
+    full = ungauge.full_gauge_hamiltonian
+
+    def recording(h, s):
+        images.append(full(h, s))
+        return images[-1]
+
+    monkeypatch.setattr(ungauge, "full_gauge_hamiltonian", recording)
+    run()
+    (image,) = images
+    return image
+
+
+def test_gauged_terms_match_pinned_sha256(monkeypatch):
+    found = {
+        "xu-moore-partial-L3": _terms_sha256(catalog.xu_moore_check(3)["regauged"]),
+        "xu-moore-full-L3": _terms_sha256(
+            _full_gauge_image(monkeypatch, lambda: catalog.xu_moore_check(3))),
+        "gcc-lgt-full-L2": _terms_sha256(
+            _full_gauge_image(monkeypatch, lambda: catalog.full_gauge_lgt(2))),
+    }
+    assert found == GAUGED_TERMS_SHA256

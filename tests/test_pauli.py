@@ -8,13 +8,16 @@ from cssgauge.builders import build_bacon_shor
 from cssgauge.pauli import (
     CliffordCircuit,
     GroupMembership,
+    Hamiltonian,
     PauliOp,
+    Term,
     conjugate_by_circuit,
     group_rank,
     in_group,
     multiply,
     symplectic_product,
     transversal_hadamard,
+    transversal_hadamard_hamiltonian,
 )
 from cssgauge.gf2 import BitVec
 
@@ -185,6 +188,20 @@ def test_transversal_hadamard_matches_circuit():
         image = transversal_hadamard(p)
         assert (image.x.bits, image.z.bits, image.phase) == gate_by_gate_conjugate(p, layer)
         assert np.allclose(pauli_matrix(image), conjugate_dense(p, layer))
+
+
+def test_transversal_hadamard_hamiltonian_swaps_the_combo_keys():
+    x, z = BitVec(3, 0b101), BitVec(3, 0b011)
+    p = PauliOp(3, x, z, x.overlap(z))
+    h = Hamiltonian(3, [Term("a", "J", p, {"x_combo": x, "z_combo": z, "z_index": 2}),
+                        Term("b", "K", p, {"z_combo": z}),
+                        Term("c", "K", p)])
+    a, b, c = transversal_hadamard_hamiltonian(h)
+    assert a.meta == {"z_combo": x, "x_combo": z, "z_index": 2}
+    assert b.meta == {"x_combo": z} and c.meta == {}
+    assert [(t.name, t.coupling, t.op) for t in (a, b, c)] == [
+        (name, coupling, transversal_hadamard(p)) for name, coupling in
+        (("a", "J"), ("b", "K"), ("c", "K"))]
 
 
 def test_circuit_validation():

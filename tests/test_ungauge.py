@@ -22,7 +22,6 @@ from cssgauge.ungauge import (
     dim_check,
     emergent_symmetries,
     gauge_hamiltonian,
-    gauge_pauli,
     make_setup,
     preserved_symmetries,
     setup_report,
@@ -204,6 +203,15 @@ def test_make_setup_checks_relations_before_completeness():
     with pytest.raises(UngaugeError, match="does not multiply to the identity"):
         make_setup(code.n, list(code.stabilizer_z), x_gens=list(code.stabilizer_x)[:3],
                    relations=[BitVec.from_support(3, [0])])
+
+
+def test_make_setup_rejects_unequal_preserved_counts():
+    # Bacon-Shor L=3 with its 3 preserved column symmetries but 1 combo:
+    # pairing them up would keep 1 symmetry.
+    code = catalog.builders.build_bacon_shor(3)
+    with pytest.raises(UngaugeError, match="^3 preserved symmetries but 1 preserved combos$"):
+        make_setup(code.n, [], x_gens=list(code.gauge_x), preserved=list(code.stabilizer_x),
+                   preserved_combos=[BitVec.from_support(code.n, [0, 3, 6])])
 
 
 def test_make_setup_rejects_nonsymmetric_preserved():
@@ -417,28 +425,91 @@ def test_gcc_invariants_do_not_depend_on_L(L):
     assert components(image).sizes() == [2 * L ** 3] * 4 + [3 * L ** 3] * 2
 
 
-# -- inverse map and round trips ----------------------------------------------
+# -- gauging (the dual setup's forward map) and round trips ---------------------
 
 
-def test_gauge_pauli_xu_moore_plaquette(bs_model):
+def _gauge(p: PauliOp, s: UngaugeSetup, z_combo=None) -> PauliOp:
+    """One operator through ``gauge_hamiltonian``, with ``z_combo`` if given."""
+    meta = {} if z_combo is None else {"z_combo": z_combo}
+    (t,) = gauge_hamiltonian(Hamiltonian(p.n, [Term("p", "J", p, meta)]), s)
+    return t.op
+
+
+def test_gauge_xu_moore_plaquette(bs_model):
     xm = catalog.builders.build_xu_moore(3)
     plaq = next(t for t in xm.hamiltonian if t.coupling == "J_Z")
-    img = gauge_pauli(plaq.op, bs_model.setup, z_combo=plaq.meta["z_combo"])
+    img = _gauge(plaq.op, bs_model.setup, z_combo=plaq.meta["z_combo"])
     assert img.x.is_zero() and img.z.weight == 2
     # The preimage is a vertical vertex pair.
     (a, b) = img.z.support
     assert abs(a - b) in (3, 6)
 
 
-def test_gauge_pauli_single_x(bs_model):
-    img = gauge_pauli(PauliOp.x_op(9, [4]), bs_model.setup)
+def test_gauge_single_x(bs_model):
+    img = _gauge(PauliOp.x_op(9, [4]), bs_model.setup)
     assert img.z.is_zero()
     assert img.x == bs_model.setup.d_x.row(4)
 
 
 def test_gauge_rejects_noncommuting_with_emergent(bs_model):
-    with pytest.raises(NotSymmetricError):
-        gauge_pauli(PauliOp.z_op(9, [0]), bs_model.setup)
+    # Z on one Xu-Moore edge anticommutes with the emergent row symmetry
+    # through it, so it is not d_x of any Z support; the error names the term.
+    s = bs_model.setup
+    assert s.dual().x_preimage(BitVec(9, 1)) is None
+    h = Hamiltonian(9, [Term("Xedge[4]", "J_X", PauliOp.x_op(9, [4])),
+                        Term("Zedge[0]", "J_Z", PauliOp.z_op(9, [0]))])
+    with pytest.raises(NotSymmetricError, match=r"^term Zedge\[0\]: "):
+        gauge_hamiltonian(h, s)
+
+
+def test_every_worked_model_gauges_back_exactly(worked_models):
+    # Each image carries its preimage's Z support as ``z_combo``, so
+    # gauging returns every term exactly, signs included.
+    for name, model in worked_models.items():
+        h, s = model.hamiltonian, model.setup
+        assert gauge_hamiltonian(ungauge_hamiltonian(h, s), s).same_terms(h), name
+
+
+def test_dual_ranks_are_its_own_ranks(worked_models):
+    for name, model in worked_models.items():
+        s, d = model.setup, model.setup.dual()
+        r = s.ranks()
+        assert d.ranks() == {"n_ini": r["n_fin"], "n_fin": r["n_ini"], "rank_d_z": r["rank_d_r"],
+                             "rank_d_x": r["rank_d_x"], "rank_d_r": r["rank_d_z"]}, name
+        assert d.ranks() == {"n_ini": d.n_ini, "n_fin": d.n_fin,
+                             "rank_d_z": rank(d.d_z.transpose()), "rank_d_x": rank(d.d_x),
+                             "rank_d_r": rank(d.d_r)}, name
+        assert is_zero_product(d.d_x, d.d_z) and is_zero_product(d.d_r, d.d_x), name
+        assert dim_check(d), name
+
+
+def test_dual_of_the_dual_is_the_setup(bs_model):
+    s = bs_model.setup
+    d = s.dual()
+    assert d.d_x is s._dxt and d._dxt is s.d_x
+    back = d.dual()
+    assert all(a is b for a, b in zip((back.d_z, back.d_x, back._dxt, back.d_r),
+                                      (s.d_z, s.d_x, s._dxt, s.d_r)))
+
+
+def test_dual_eliminates_nothing_and_forms_no_product(monkeypatch, gcc_model):
+    built, products = [], []
+    init, matmul = gf2.Echelon.__init__, BitMatrix.__matmul__
+
+    def counted_init(self, vectors=(), combos=True):
+        built.append(self)
+        init(self, vectors, combos)
+
+    def counted_matmul(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(gf2.Echelon, "__init__", counted_init)
+    monkeypatch.setattr(BitMatrix, "__matmul__", counted_matmul)
+    d = gcc_model.setup.dual()
+    d.ranks()
+    d.dual()
+    assert built == [] and products == []
 
 
 def test_round_trip_on_random_symmetric_paulis(gcc_model):
@@ -449,12 +520,12 @@ def test_round_trip_on_random_symmetric_paulis(gcc_model):
     for _ in range(200):
         p, combo = random_symmetric_pauli(s, rng)
         img = ungauge_pauli(p, s, x_combo=combo)
-        back = gauge_pauli(img, s)
+        back = _gauge(img, s)
         assert back.x == p.x
         diff = back.z ^ p.z
         assert solve(s.d_z, diff) is not None     # difference is a Z symmetry
         # Canonical representative: z-part already pivot-supported.
-        canonical = gauge_pauli(ungauge_pauli(back, s), s)
+        canonical = _gauge(ungauge_pauli(back, s), s)
         assert canonical == back
 
 
@@ -511,8 +582,9 @@ def _faulty(s: UngaugeSetup, where: str) -> UngaugeSetup:
     """``s`` with one entry flipped in the matrix that builds X parts
     (``_dxt``) or in the one that maps Z parts (``d_x``), but not in both."""
     if where == "_dxt":
-        return UngaugeSetup(s.d_z, s.d_x, _flip(s._dxt, s.n_ini // 2, s.n_fin // 3), s.d_r)
-    return UngaugeSetup(s.d_z, _flip(s.d_x, s.n_fin // 2, s.n_ini // 3), s._dxt, s.d_r)
+        return UngaugeSetup(s.d_z, s.d_x, _flip(s._dxt, s.n_ini // 2, s.n_fin // 3), s.d_r,
+                            s.ranks())
+    return UngaugeSetup(s.d_z, _flip(s.d_x, s.n_fin // 2, s.n_ini // 3), s._dxt, s.d_r, s.ranks())
 
 
 @pytest.mark.parametrize("where", ["_dxt", "d_x"])
@@ -687,12 +759,12 @@ def test_property_engine_on_small_setups(case, data):
         p = PauliOp(n, x, z, sign + x.overlap(z))
         # With provenance the round trip is exact for every Z part.
         img = ungauge_pauli(p, s, x_combo=combo)
-        assert gauge_pauli(img, s, z_combo=z) == p
+        assert _gauge(img, s, z_combo=z) == p
         images.append((p, img))
         # Without it, exact on the canonical Z part of each symmetry class.
-        z = s.z_preimage(s.d_x.mul_vec(z))
+        z = s.dual().x_preimage(s.d_x.mul_vec(z))
         p = PauliOp(n, x, z, sign + x.overlap(z))
-        assert gauge_pauli(ungauge_pauli(p, s), s) == p
+        assert _gauge(ungauge_pauli(p, s), s) == p
     for p1, img1 in images:
         for p2, img2 in images:
             assert symplectic_product(p1, p2) == symplectic_product(img1, img2)
