@@ -21,17 +21,25 @@ strings, ints, bools and None, and its file holds exactly the bytes of
 ``_write_json`` renders them with a direct encoder (the stdlib falls
 back to pure Python whenever ``indent`` is set).  It raises
 ``TypeError`` on any other value, a float included, and ``ValueError``
-on a cycle.  It streams the text to the file in pieces (``_pieces``), so
-its memory follows the largest piece, not the report; a write that
-fails part way removes the file.
+on a cycle.  One template rule (``_column``) renders a list at C speed:
+strs and ints are joined, and a list of int lists or of dicts of one
+key set becomes one ``%`` template per distinct shape (the kind of each
+value, the length of each int list, recursively through nested dicts),
+filled with all its values, read column by column, by one ``%``.  A
+list that does not fit (a bool or None among ints, a foreign value, a
+dict met twice) is encoded element by element.  The text is streamed
+to the file in pieces (``_pieces``): a list of dicts goes ``CHUNK``
+elements a piece, so memory follows the largest piece, not the report;
+a write that fails part way removes the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -200,12 +208,98 @@ def _key(k) -> str:
     return _quote(text)
 
 
+def _column(col, kinds: set, nl: str, seen: set):
+    """The template rule: the values ``col``, of the types ``kinds``, each written
+    where ``nl`` starts its lines, as ``(shapes, template, values)``, or None if
+    they do not fit it.  Each value has a shape and an iterable of ``%``
+    arguments, and ``template(shape)`` is the text of a value of that shape with
+    a slot for each argument.  The values fit when they are all strs (a ``%s``
+    slot for the quoted text), all exact ints (``%d``), all lists of ints (a
+    shape per length, a ``%d`` slot per item; ``_filled`` checks the items), or
+    all dicts of one key set, none in ``seen``, whose columns, read key by key,
+    fit in turn (a shape per tuple of their shapes).  Anything else does not: a
+    bool or None among ints, a foreign value, or a dict met twice (a shared dict
+    or a cycle).
+    """
+    kind = next(iter(kinds)) if len(kinds) == 1 else None
+    inner = nl + "  "
+    if kind is str:
+        return repeat(0, len(col)), lambda shape: "%s", zip(map(_quote, col))
+    if kind is int:
+        return repeat(0, len(col)), lambda shape: "%d", zip(col)
+    # The first item turns away lists of lists or of strs before any template is built.
+    if kind in (list, tuple) and type(next(chain.from_iterable(col), 0)) is int:
+        return (map(len, col), lambda k: "[" + inner + ("," + inner).join(["%d"] * k) + nl + "]"
+                if k else "[]", col)
+    if kind is not dict:
+        return None
+    ids = set(map(id, col))
+    if len(ids) < len(col) or not ids.isdisjoint(seen) or len(set(map(len, col))) > 1:
+        return None
+    seen |= ids
+    keys = sorted(col[0])
+    if not keys:
+        return repeat(0, len(col)), lambda shape: "{}", repeat((), len(col))
+    columns = []
+    for k in keys:
+        try:    # the dicts have one size, so each has the keys of the first or misses one
+            cells = list(map(itemgetter(k), col))
+        except KeyError:
+            return None
+        columns.append(_column(cells, set(map(type, cells)), inner, seen))
+        if columns[-1] is None:
+            return None
+    heads = [_key(k).replace("%", "%%") + ": " for k in keys]
+    shapes, templates, values = zip(*columns)
+
+    def template(shape):
+        return "{" + inner + ("," + inner).join(
+            [head + t(s) for head, t, s in zip(heads, templates, shape)]) + nl + "}"
+    return zip(*shapes), template, map(chain.from_iterable, zip(*values))
+
+
+def _filled(o, nl: str, path: set, head: str, tail: str) -> Optional[str]:
+    """``head``, the values ``o`` (not empty) joined by ``","`` and ``nl``, and
+    ``tail``, at C speed; None if ``o`` does not fit the template rule
+    (``_column``).  Strs and ints are joined; other values get one template per
+    distinct shape, joined and filled with every argument by one ``%``.
+    ``path`` holds the ids of the containers around ``o``.
+    """
+    kinds = set(map(type, o))
+    if kinds == {int} or kinds == {str}:
+        return head + ("," + nl).join(map(_quote if str in kinds else int.__repr__, o)) + tail
+    rule = _column(o, kinds, nl, set(path))
+    if rule is None:
+        return None
+    shapes, template, values = rule
+    # Each step drops what the next no longer reads, so the peak is the template,
+    # the arguments and the text.
+    shapes = list(shapes)
+    texts = {shape: template(shape) for shape in set(shapes)}
+    body = list(map(texts.__getitem__, shapes))
+    del shapes, texts
+    # The head and tail go on the end items, so the one join builds the template, uncopied.
+    body[0] = head + body[0]
+    body[-1] += tail
+    text = ("," + nl).join(body)
+    del body
+    args = tuple(chain.from_iterable(values))
+    # The items of int lists are checked here, in one pass: a bool, None, a float or
+    # a container among the arguments, or a str in a %d slot (a TypeError), does not fit.
+    if not set(map(type, args)) <= {int, str}:
+        return None
+    try:
+        return text % args
+    except TypeError:
+        return None
+
+
 def _encode(o, nl: str, path: set) -> str:
     """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it, nested where
     ``nl`` (a newline and the indent) starts its lines; ``path`` holds the ids of
-    the containers around ``o``.  Lists of ints and of strings are joined at C
-    speed; a list of int lists becomes one ``%d`` template, a row template per
-    distinct row length, filled with all its ints by one ``%``.
+    the containers around ``o``.  A list that fits the template rule (``_column``:
+    strs, ints, int lists or same-keyed dicts of these) is rendered at C speed by
+    ``_filled``; any other list, and every dict, is encoded element by element.
     """
     if isinstance(o, str):
         return _quote(o)
@@ -227,31 +321,27 @@ def _encode(o, nl: str, path: set) -> str:
         body[0] = "{" + inner + body[0]
         body[-1] += nl + "}"
         return ("," + inner).join(body)
-    kinds = set(map(type, o))
-    if kinds == {int}:
-        body = map(int.__repr__, o)
-    elif kinds == {str}:
-        body = map(_quote, o)
-    elif kinds == {list} and set(map(type, values := tuple(chain.from_iterable(o)))) <= {int}:
-        deeper = inner + "  "
-        rows = {k: "[" + deeper + ("," + deeper).join(["%d"] * k) + inner + "]" if k else "[]"
-                for k in set(map(len, o))}
-        # The brackets go on the end rows, so one join builds the template, uncopied.
-        template = list(map(rows.__getitem__, map(len, o)))
-        template[0] = "[" + inner + template[0]
-        template[-1] += nl + "]"
-        return ("," + inner).join(template) % values
-    else:
-        path.add(id(o))
-        body = [_encode(v, inner, path) for v in o]
-        path.discard(id(o))
+    text = _filled(o, inner, path, "[" + inner, nl + "]")
+    if text is not None:
+        return text
+    path.add(id(o))
+    body = [_encode(v, inner, path) for v in o]
+    path.discard(id(o))
     return "[" + inner + ("," + inner).join(body) + nl + "]"
+
+
+# The elements of a list of dicts that one piece holds (see _pieces).  Larger
+# chunks fill faster but peak higher: the gcc L=2 write peaks at 0.38x its file
+# with 32, and at 0.51x with 48, over the 0.5x its memory test allows.
+CHUNK = 32
 
 
 def _pieces(o, nl: str, path: set):
     """The text ``_encode(o, nl, path)`` returns, yielded in pieces: a dict key by
-    key and a list that holds a dict element by element, each element and every
-    other value whole, so that no piece is much larger than one element.
+    key, a list that holds a dict ``CHUNK`` elements at a time, and every other
+    value whole, so that no piece is much larger than a chunk.  A chunk that fits
+    the template rule is one piece; one that does not (see ``_column``) is
+    yielded element by element, as a chunk of large elements may be large.
     """
     is_dict = isinstance(o, dict)
     holds_dict = isinstance(o, (list, tuple)) and dict in set(map(type, o))
@@ -269,9 +359,16 @@ def _pieces(o, nl: str, path: set):
             yield from _pieces(v, inner, path)
             sep = "," + inner
     else:
-        for v in o:
-            yield sep + _encode(v, inner, path)
-            sep = "," + inner
+        for start in range(0, len(o), CHUNK):
+            chunk = o[start:start + CHUNK]
+            text = _filled(chunk, inner, path, sep, "")
+            if text is not None:
+                yield text
+                sep = "," + inner
+                continue
+            for v in chunk:
+                yield sep + _encode(v, inner, path)
+                sep = "," + inner
     path.discard(id(o))
     yield nl + ("}" if is_dict else "]")
 

@@ -169,9 +169,22 @@ def make_setup(n: int, z_syms: Sequence[BitVec],
     return setup
 
 
-def ungauge_pauli(p: PauliOp, s: UngaugeSetup,
-                  x_combo: Optional[BitVec] = None) -> PauliOp:
-    """Apply the forward duality map to a symmetric Pauli operator."""
+# A map error names the combination key and the Pauli type that the caller gave:
+# the forward map reads a term's x_combo and X support, and gauging, which maps
+# the Hadamard image on the dual, the term's z_combo and Z support.
+_UNGAUGING = ("x_combo length must equal the X generator count",
+              "x_combo does not reproduce the operator's X support",
+              "X support is not a product of the setup's X generators (operator not symmetric)")
+_GAUGING = ("z_combo length must equal the initial qubit count",
+            "z_combo does not reproduce the operator's Z support",
+            "Z support is not in the image of d_x (operator does not commute with the "
+            "emergent X symmetries)")
+
+
+def ungauge_pauli(p: PauliOp, s: UngaugeSetup, x_combo: Optional[BitVec] = None, *,
+                  words: tuple = _UNGAUGING) -> PauliOp:
+    """Apply the forward duality map to a symmetric Pauli operator; ``words``
+    are its three combination and support errors."""
     if p.n != s.n_ini:
         raise UngaugeError("operator lives on the wrong register")
     try:
@@ -180,20 +193,36 @@ def ungauge_pauli(p: PauliOp, s: UngaugeSetup,
     except ValueError:
         raise NotSymmetricError(
             f"a symmetric operator must carry a real (+1/-1) sign; phase is i^{p.phase}") from None
+    wrong_length, wrong_combo, not_symmetric = words
     if x_combo is not None:
         if x_combo.length != s.n_fin:
-            raise UngaugeError("x_combo length must equal the X generator count")
+            raise UngaugeError(wrong_length)
         if s._dxt.mul_vec(x_combo) != p.x:
-            raise UngaugeError("x_combo does not reproduce the operator's X support")
+            raise UngaugeError(wrong_combo)
         combo = x_combo
     else:
         combo = s.x_preimage(p.x)
         if combo is None:
-            raise NotSymmetricError(
-                "X support is not a product of the setup's X generators (operator not symmetric)")
+            raise NotSymmetricError(not_symmetric)
     image_z = s.d_x.mul_vec(p.z)
     phase = (sign + combo.overlap(image_z)) % 4
     return PauliOp(s.n_fin, combo, image_z, phase)
+
+
+def _map_terms(h: Hamiltonian, s: UngaugeSetup, words: tuple) -> Hamiltonian:
+    """Termwise forward map (see ``ungauge_hamiltonian``), with errors worded by ``words``."""
+    if h.n != s.n_ini:
+        raise UngaugeError("Hamiltonian lives on the wrong register")
+    out = Hamiltonian(s.n_fin)
+    for t in h:
+        try:
+            op = ungauge_pauli(t.op, s, x_combo=t.meta.get("x_combo"), words=words)
+        except UngaugeError as exc:
+            raise type(exc)(f"term {t.name}: {exc}") from None
+        meta = {k: v for k, v in t.meta.items() if k != "x_combo"}
+        meta["z_combo"] = t.op.z
+        out.add(Term(t.name, t.coupling, op, meta))
+    return out
 
 
 def ungauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
@@ -204,25 +233,15 @@ def ungauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
     (such as ``z_index``).  An ``UngaugeError`` is re-raised naming the
     term it met.
     """
-    if h.n != s.n_ini:
-        raise UngaugeError("Hamiltonian lives on the wrong register")
-    out = Hamiltonian(s.n_fin)
-    for t in h:
-        try:
-            op = ungauge_pauli(t.op, s, x_combo=t.meta.get("x_combo"))
-        except UngaugeError as exc:
-            raise type(exc)(f"term {t.name}: {exc}") from None
-        meta = {k: v for k, v in t.meta.items() if k != "x_combo"}
-        meta["z_combo"] = t.op.z
-        out.add(Term(t.name, t.coupling, op, meta))
-    return out
+    return _map_terms(h, s, _UNGAUGING)
 
 
 def gauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
     """Termwise gauging: the forward map of ``s.dual()`` between transversal
-    Hadamards (see the module docstring); images carry ``x_combo``."""
+    Hadamards (see the module docstring); images carry ``x_combo``.  An error
+    names the term and what it gave: its ``z_combo`` or its Z support."""
     return transversal_hadamard_hamiltonian(
-        ungauge_hamiltonian(transversal_hadamard_hamiltonian(h), s.dual()))
+        _map_terms(transversal_hadamard_hamiltonian(h), s.dual(), _GAUGING))
 
 
 def strip_identity_terms(h: Hamiltonian) -> tuple[Hamiltonian, int]:

@@ -38,7 +38,7 @@ def _run(tmp_path, monkeypatch, argv):
 
 
 def _calls_in_command(tmp_path, monkeypatch, owner, name, argv) -> int:
-    """Calls of ``owner.name``, patched on the class, while ``argv`` runs."""
+    """Calls of ``owner.name``, patched on the class or module, while ``argv`` runs."""
     calls = []
     method = getattr(owner, name)
 
@@ -111,6 +111,16 @@ def test_transposes_in_the_gcc_build(tmp_path, monkeypatch, capsys):
     # lattice incidence of the DOT file.
     argv = ["build", "--code", "gcc", "--L", "4"]
     assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "transpose", argv) == 4
+
+
+# Encodings of one value while the ungauge gcc L=2 report is written: a
+# guard against per-element encoding coming back.  Each list of same-keyed
+# dicts is filled as one template a chunk at a time, so only the top-level
+# values and the elements of the components list (whose weight histograms
+# have other keys) are encoded one by one; element by element it was 4002.
+def test_encodings_in_the_gcc_report(tmp_path, monkeypatch, capsys):
+    argv = ["ungauge", "--code", "gcc", "--L", "2"]
+    assert _calls_in_command(tmp_path, monkeypatch, cli, "_encode", argv) == 53
 
 
 # Elimination work on two rungs of each family (n is the base code's qubit

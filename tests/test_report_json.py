@@ -76,6 +76,105 @@ def test_property_writer_matches_stdlib(data):
     assert _written(data) == _stdlib(data)
 
 
+# The template rule (``cli._column``): lists of dicts of one key set, whose
+# columns are strs, exact ints, int lists of mixed lengths or nested dicts of
+# one key set, longer than one chunk of ``cli._pieces``.  Keys and strs may
+# hold "%", which the templates must escape.
+TEMPLATE_TEXT = st.text(alphabet=st.sampled_from(['%', 'd', 's', '"', "\\", "\n", "é", "a"]),
+                        max_size=4)
+INT_ROWS = st.lists(INTS, max_size=5)
+
+
+@st.composite
+def same_keyed(draw, length, depth=1):
+    """``length`` dicts of one key set; each key is a column of one kind."""
+    keys = draw(st.one_of(st.lists(TEMPLATE_TEXT, max_size=4, unique=True),
+                          st.lists(st.integers(-5, 5), max_size=3, unique=True)))
+    kinds = [TEMPLATE_TEXT, INTS, INT_ROWS] + ([None] if depth else [])
+    rows = [{} for _ in range(length)]
+    for k in keys:
+        kind = draw(st.sampled_from(kinds))
+        column = (draw(same_keyed(length, depth - 1)) if kind is None
+                  else draw(st.lists(kind, min_size=length, max_size=length)))
+        for row, v in zip(rows, column):
+            row[k] = v
+    return rows
+
+
+SAME_KEYED = st.integers(1, 3 * cli.CHUNK).flatmap(same_keyed)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(SAME_KEYED)
+def test_property_template_rule_matches_stdlib(rows):
+    # Streamed a chunk at a time (a list in a dict) and whole (a list in a list).
+    for wrapped in (rows, {"rows": rows}, [rows]):
+        assert _written(wrapped) == _stdlib(wrapped)
+
+
+def _add_column(rows, values, nested):
+    """Give each of ``rows`` one more key, of the type of their keys, holding the
+    next of ``values``, or a dict that holds it when ``nested``; return the key."""
+    key = 99 if any(type(k) is int for k in rows[0]) else "added"
+    for row, v in zip(rows, values):
+        row[key] = {"v": v} if nested else v
+    return key
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(SAME_KEYED, st.sampled_from([INTS, INT_ROWS]), st.sampled_from([True, False, None]),
+       st.booleans(), st.data())
+def test_property_near_miss_falls_back(rows, kind, odd, nested, data):
+    # One bool or None in an int column, or in an int list, at the top or
+    # one dict down: its chunk takes the per-element path.
+    key = _add_column(rows, data.draw(st.lists(kind, min_size=len(rows), max_size=len(rows))),
+                      nested)
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    cell, key = (row[key], "v") if nested else (row, key)
+    cell[key] = odd if kind is INTS else [*cell[key], odd]
+    for wrapped in (rows, {"rows": rows}, [rows]):
+        assert _written(wrapped) == _stdlib(wrapped)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(SAME_KEYED, st.sampled_from([1.5, [1, 2.0]]), st.booleans(), st.data())
+def test_property_float_in_a_column_is_rejected(rows, odd, nested, data):
+    key = _add_column(rows, [1 if type(odd) is float else [1]] * len(rows), nested)
+    cell = rows[data.draw(st.integers(0, len(rows) - 1))]
+    if nested:
+        cell[key]["v"] = odd
+    else:
+        cell[key] = odd
+    # No report holds a float, so the writer rejects one where json.dumps writes it.
+    for wrapped in (rows, {"rows": rows}, [rows]):
+        with pytest.raises(TypeError, match="float"):
+            _written(wrapped)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 3 * cli.CHUNK).flatmap(same_keyed), st.data())
+def test_property_shared_dict_matches_stdlib(rows, data):
+    # A dict met twice is encoded twice, as json.dumps does.
+    key = _add_column(rows, range(len(rows)), nested=True)
+    i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+    rows[j][key] = rows[i][key]
+    for wrapped in (rows, {"rows": rows}, [rows]):
+        assert _written(wrapped) == _stdlib(wrapped)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(SAME_KEYED, st.booleans(), st.data())
+def test_property_cycle_through_an_element_is_rejected(rows, through_list, data):
+    key = _add_column(rows, range(len(rows)), nested=True)
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    row[key] = {"v": rows} if through_list else row
+    for wrapped in (rows, {"rows": rows}, [rows]):
+        with pytest.raises(ValueError, match="Circular reference"):
+            _stdlib(wrapped)
+        with pytest.raises(ValueError, match="Circular reference"):
+            _written(wrapped)
+
+
 @pytest.mark.parametrize("data", [
     [], {}, (), [[]], [[], [1]], {"a": []}, [{}], {"b": {}, "a": ()},
     [1, True, 2], [True, False], [[1, True]], ["x", 1], [None],
@@ -83,6 +182,12 @@ def test_property_writer_matches_stdlib(data):
     {"weight_histogram": {12: 3, 4: 1}}, -(1 << 70), 1 << 65, "\"\\\n\x01é漢",
     (1, (2, 3)), [[1, 2], (3, 4)],
     [{"a": [1]}, 2, "x", [{}]], ({"b": ()},), {"a": [{"c": {1: [{}]}}], "b": [[{"d": 1}]]},
+    # Lists of dicts off the template rule: dicts of one size with other keys,
+    # a column of bools, Nones, nested lists or mixed kinds; and keys with "%".
+    [{"a": 1}, {"b": 1}], [{"a": {"x": 1}}, {"a": {"y": 1}}], [{"a": 1}, {"a": 1, "b": 2}],
+    [{"a": True}, {"a": False}], [{"a": None}], [{"a": [True]}, {"a": [2]}], [{"a": [[1]]}],
+    [{"a": "x"}, {"a": 1}], [{"a": (1, 2)}, {"a": [3]}], [{"a": [1, "x"]}],
+    [[{"a": [1, "x"]}]], [{"%d": 1, "%": "%s"}],
 ], ids=repr)
 def test_writer_matches_stdlib_on_edge_cases(data):
     assert _written(data) == _stdlib(data)
@@ -137,7 +242,8 @@ def test_writer_rejects_floats(tmp_path, data):
 @pytest.mark.parametrize("argv,bound", [
     (["build", "--code", "gcc", "--L", "4"], 1.0),
     (["ungauge", "--code", "gcc", "--L", "2"], 0.5),
-], ids=["build-gcc-L4", "ungauge-gcc-L2"])
+    (["ungauge", "--code", "gcc", "--L", "4"], 0.5),
+], ids=["build-gcc-L4", "ungauge-gcc-L2", "ungauge-gcc-L4"])
 def test_writer_memory_does_not_grow_with_the_report(tmp_path, monkeypatch, argv, bound):
     # The tracemalloc peak of writing one report, relative to the file's bytes.
     # Rendering the whole text before writing peaks at 3.0x on both reports;

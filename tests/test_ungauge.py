@@ -462,6 +462,24 @@ def test_gauge_rejects_noncommuting_with_emergent(bs_model):
         gauge_hamiltonian(h, s)
 
 
+def test_gauging_error_names_the_z_support(bs_model):
+    # The dual maps the Hadamard image, whose X support this is; the error
+    # names the Z support that the term gave.
+    h = Hamiltonian(9, [Term("Zedge", "J_Z", PauliOp.z_op(9, [0]))])
+    with pytest.raises(NotSymmetricError,
+                       match=r"^term Zedge: Z support is not in the image of d_x \("):
+        gauge_hamiltonian(h, bs_model.setup)
+
+
+def test_gauging_error_names_the_z_combo(bs_model):
+    # Z on edges 0 and 1 is the image of Z on vertex 1, not of vertices 0 and 1.
+    h = Hamiltonian(9, [Term("Zpair", "J_Z", PauliOp.z_op(9, [0, 1]),
+                             {"z_combo": BitVec.from_support(9, [0, 1])})])
+    with pytest.raises(UngaugeError,
+                       match=r"^term Zpair: z_combo does not reproduce the operator's Z support$"):
+        gauge_hamiltonian(h, bs_model.setup)
+
+
 def test_every_worked_model_gauges_back_exactly(worked_models):
     # Each image carries its preimage's Z support as ``z_combo``, so
     # gauging returns every term exactly, signs included.
