@@ -2,8 +2,13 @@
 
 Vectors and matrix rows are stored as Python integers (bit j of a row is
 column j), which gives word-parallel XOR elimination for free while the
-construction API stays sparse (sets of positions).  Everything is
-immutable by convention except ``Echelon``.
+construction API stays sparse (sets of positions).  ``BitVec`` and
+``BitMatrix`` are immutable: their ``__setattr__`` raises
+``AttributeError``.  The constructors set each slot through its member
+descriptor's setter, bound once at import (``_set_bits =
+BitVec.bits.__set__``), so no call looks the slot up by name;
+``BitMatrix`` fills its two memo slots the same way.  ``Echelon`` alone
+is mutable.
 
 ``Echelon`` is the one elimination kernel: an incremental basis of the
 span of the vectors added so far, each row keyed by its highest set bit
@@ -69,17 +74,22 @@ def _xor_rows(bits: int, rows: Sequence[int]) -> int:
 
 
 class BitVec:
-    """A vector over GF(2) with a fixed length."""
+    """A vector over GF(2) with a fixed length.
+
+    Immutable: assignment raises, and ``__init__`` sets ``length`` and
+    ``bits`` through the setters ``_set_length`` and ``_set_bits``,
+    bound once below the class.
+    """
 
     __slots__ = ("length", "bits")
 
     def __init__(self, length: int, bits: int = 0):
         if length < 0:
             raise ValueError("negative length")
-        if bits < 0 or bits >> length:
+        if bits < 0 or bits.bit_length() > length:
             raise ValueError("support index out of range")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "bits", bits)
+        _set_length(self, length)
+        _set_bits(self, bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitVec is immutable")
@@ -140,6 +150,10 @@ class BitVec:
         return f"BitVec({self.length}, support={list(self.support)})"
 
 
+_set_length = BitVec.length.__set__
+_set_bits = BitVec.bits.__set__
+
+
 class BitMatrix:
     """A matrix over GF(2); rows stored as integer bitmasks."""
 
@@ -150,14 +164,14 @@ class BitMatrix:
             raise ValueError("negative dimension")
         if len(row_bits) != rows:
             raise ValueError("row count mismatch")
-        for r in row_bits:
-            if r < 0 or r >> cols:
-                raise ValueError("entry column out of range")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_rows", tuple(row_bits))
-        object.__setattr__(self, "_cols", None)
-        object.__setattr__(self, "_rref", None)
+        row_bits = tuple(row_bits)
+        if row_bits and (min(row_bits) < 0 or max(row_bits).bit_length() > cols):
+            raise ValueError("entry column out of range")
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_row_bits(self, row_bits)
+        _set_col_bits(self, None)
+        _set_rref(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitMatrix is immutable")
@@ -236,9 +250,9 @@ class BitMatrix:
                     top = r.bit_length() - 1
                     row_bits[top] |= bit
                     r ^= 1 << top
-            object.__setattr__(self, "_cols", tuple(row_bits))
+            _set_col_bits(self, tuple(row_bits))
         t = BitMatrix(self.cols, self.rows, self._cols)
-        object.__setattr__(t, "_cols", self._rows)
+        _set_col_bits(t, self._rows)
         return t
 
     def _columns(self) -> tuple[int, ...]:
@@ -274,7 +288,7 @@ class BitMatrix:
         which read it and never ``add`` to it.
         """
         if self._rref is None:
-            object.__setattr__(self, "_rref", Echelon(self._columns()))
+            _set_rref(self, Echelon(self._columns()))
         return self._rref
 
     # -- serialisation -----------------------------------------------
@@ -284,6 +298,11 @@ class BitMatrix:
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
 
+_set_rows = BitMatrix.rows.__set__
+_set_cols = BitMatrix.cols.__set__
+_set_row_bits = BitMatrix._rows.__set__
+_set_col_bits = BitMatrix._cols.__set__
+_set_rref = BitMatrix._rref.__set__
 
 
 class Echelon:

@@ -34,17 +34,22 @@ _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
 class PauliOp:
-    """A phased Pauli operator on n qubits, in XZ (symplectic) form."""
+    """A phased Pauli operator on n qubits, in XZ (symplectic) form.
+
+    Immutable: assignment raises, and ``__init__`` sets each slot through
+    its member descriptor's setter, bound once below the class
+    (``_set_x = PauliOp.x.__set__``), as ``gf2.BitVec`` does.
+    """
 
     __slots__ = ("n", "x", "z", "phase")
 
     def __init__(self, n: int, x: BitVec, z: BitVec, phase: int = 0):
         if x.length != n or z.length != n:
             raise ValueError("x/z support length must equal qubit count")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "phase", phase % 4)
+        _set_n(self, n)
+        _set_x(self, x)
+        _set_z(self, z)
+        _set_phase(self, phase % 4)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliOp is immutable")
@@ -118,6 +123,12 @@ class PauliOp:
         }
 
 
+_set_n = PauliOp.n.__set__
+_set_x = PauliOp.x.__set__
+_set_z = PauliOp.z.__set__
+_set_phase = PauliOp.phase.__set__
+
+
 def symplectic_product(p: PauliOp, q: PauliOp) -> int:
     """0 when the operators commute, 1 when they anticommute."""
     if p.n != q.n:
@@ -175,9 +186,9 @@ class CliffordCircuit:
             checked.append(("CZ", a, b))
             partners[a].append(b)
             partners[b].append(a)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gates", tuple(checked))
-        object.__setattr__(self, "_partners", tuple(map(tuple, partners)))
+        _set_circuit_n(self, n)
+        _set_gates(self, tuple(checked))
+        _set_partners(self, tuple(map(tuple, partners)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordCircuit is immutable")
@@ -191,6 +202,11 @@ class CliffordCircuit:
 
     def __repr__(self):
         return f"CliffordCircuit(n={self.n}, gates={len(self.gates)})"
+
+
+_set_circuit_n = CliffordCircuit.n.__set__
+_set_gates = CliffordCircuit.gates.__set__
+_set_partners = CliffordCircuit._partners.__set__
 
 
 def conjugate_by_circuit(p: PauliOp, circuit: CliffordCircuit) -> PauliOp:

@@ -10,6 +10,13 @@ matrices, Kronecker products) in exact Python integers, as pairs (k, M)
 meaning i^k M, with M real and k mod 4.  Every M it meets is a signed
 permutation matrix, held row-sliced in 2^n-bit ints (``_kron``), so a
 case costs O(n + gates) operations on 2^n-bit ints.
+
+Two lookups keep the per-qubit 2x2 work off the hot path, and both are
+derived from ``_FACTORS`` alone, with the oracle's own integer product,
+never the engine's symplectic rule: ``_PRODUCTS`` holds the 16 products
+of two qubit factors, built at import with ``_mul2``, and ``_READINGS``
+memoises ``_kron``'s reading of each distinct factor (column and sign
+index), filled only once a factor has been validated.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from typing import NamedTuple
 from . import catalog
 from .analysis import (
     code_parameters,
-    commuting_check,
     components,
+    find_noncommuting_pair,
     is_self_dual,
     match_against_builder,
 )
@@ -31,6 +38,7 @@ from .gf2 import BitVec, is_zero_product, rank
 from .lattice import color_pair_sublattice
 from .pauli import (
     CliffordCircuit,
+    Hamiltonian,
     PauliOp,
     conjugate_by_circuit,
     multiply,
@@ -163,6 +171,15 @@ def _gcc_color_class_qubits(model) -> dict[str, frozenset[int]]:
     return {k: frozenset(v) for k, v in classes.items()}
 
 
+def _anticommuting_names(h: Hamiltonian) -> str:
+    """The first anticommuting pair of ``h``'s terms, by name; empty when all commute."""
+    pair = find_noncommuting_pair(h)
+    if pair is None:
+        return ""
+    i, j = pair
+    return f"{h.terms[i].name} anticommutes with {h.terms[j].name}"
+
+
 def check_gcc_phases() -> CheckResult:
     """7: paramagnet / six toric copies / three RBH copies, terms commuting."""
     model = _models()["gcc"]
@@ -186,8 +203,9 @@ def check_gcc_phases() -> CheckResult:
     rep_y = components(img_y)
     if rep_y.count != 3:
         problems.append(f"Y image has {rep_y.count} components, expected 3")
-    if not commuting_check(img_y):
-        problems.append("RBH copy terms do not all commute")
+    witness = _anticommuting_names(img_y)
+    if witness:
+        problems.append(f"RBH copy terms do not all commute: {witness}")
     return CheckResult(7, "GCC phases (paramagnet / 6 toric / 3 RBH)", not problems,
                        "; ".join(problems))
 
@@ -252,8 +270,9 @@ def check_spt_pipeline() -> CheckResult:
 
     frac = build_fractal_code(4, "open_y")
     resf = spt_pipeline(frac, Region.slab(frac, 1, 3))
-    if not commuting_check(resf.wall_hamiltonian):
-        problems.append("fractal wall terms do not commute")
+    witness = _anticommuting_names(resf.wall_hamiltonian)
+    if witness:
+        problems.append(f"fractal wall terms do not commute: {witness}")
     if not all(symplectic_product(s, t.op) == 0
                for s in resf.symmetries for t in resf.wall_hamiltonian):
         problems.append("fractal wall terms do not commute with restricted symmetries")
@@ -310,6 +329,17 @@ _FACTORS = {(0, 0): ((1, 0), (0, 1)), (1, 0): ((0, 1), (1, 0)),
 # The four rows of a signed 2x2 permutation matrix -> (column of the nonzero, 1 if it is -1).
 _SIGNED_ROWS = {(1, 0): (0, 0), (-1, 0): (0, 1), (0, 1): (1, 0), (0, -1): (1, 1)}
 _PLANES: dict = {}  # n -> (all rows, per qubit q (0, rows with q clear, rows with q set, all))
+_READINGS: dict = {}  # valid 2x2 factor -> (column index, sign index) into a qubit's planes
+
+
+def _mul2(a: tuple, b: tuple) -> tuple:
+    """The integer product of two 2x2 matrices, from the definition."""
+    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)) for i in (0, 1))
+
+
+# (x_p, z_p, x_q, z_q) -> the 2x2 product of the two qubit factors X^x Z^z.
+_PRODUCTS = {(*kp, *kq): _mul2(fp, fq)
+             for kp, fp in _FACTORS.items() for kq, fq in _FACTORS.items()}
 
 
 def _pauli_factors(op: PauliOp) -> list:
@@ -327,7 +357,8 @@ def _kron(factors: list, lead: int) -> tuple:
     whether that entry is -1.  Factor q writes its row b's column and sign
     over the rows whose qubit-q bit is b.  A factor row with no nonzero,
     two, or one other than +1 or -1 raises ``ValueError``, so all other
-    entries are zero.
+    entries are zero.  A factor's reading is memoised in ``_READINGS``
+    once it has passed that check, so an invalid one raises every time.
     """
     if lead not in (1, -1):
         raise ValueError(f"lead {lead} is not +1 or -1")
@@ -342,12 +373,17 @@ def _kron(factors: list, lead: int) -> tuple:
         _PLANES[n] = full, planes
     full, planes = _PLANES[n]
     cols, neg = [], 0 if lead == 1 else full
-    for rows, (row0, row1) in zip(planes, factors):
-        if row0 not in _SIGNED_ROWS or row1 not in _SIGNED_ROWS:
-            raise ValueError(f"2x2 factor {(row0, row1)} is not a signed permutation matrix")
-        (c0, s0), (c1, s1) = _SIGNED_ROWS[row0], _SIGNED_ROWS[row1]
-        cols.append(rows[c0 | c1 << 1])
-        neg ^= rows[s0 | s1 << 1]
+    for rows, factor in zip(planes, factors):
+        reading = _READINGS.get(factor)
+        if reading is None:
+            row0, row1 = factor
+            if row0 not in _SIGNED_ROWS or row1 not in _SIGNED_ROWS:
+                raise ValueError(f"2x2 factor {factor} is not a signed permutation matrix")
+            (c0, s0), (c1, s1) = _SIGNED_ROWS[row0], _SIGNED_ROWS[row1]
+            reading = _READINGS[factor] = c0 | c1 << 1, s0 | s1 << 1
+        col, sign = reading
+        cols.append(rows[col])
+        neg ^= rows[sign]
     return tuple(cols), neg
 
 
@@ -359,13 +395,12 @@ def _dense_pauli(op: PauliOp) -> tuple:
 def _dense_product(p: PauliOp, q: PauliOp) -> tuple:
     """``(k, M)`` for P Q by the mixed-product rule (A(x)B)(C(x)D) = AC(x)BD.
 
-    Each qubit's 2x2 factors are multiplied, so neither P nor Q is
-    built.  The product of two real factors is real, so the phases
-    simply add.
+    Each qubit's pair of factors is multiplied, read from ``_PRODUCTS``,
+    so neither P nor Q is built.  The product of two real factors is
+    real, so the phases simply add.
     """
-    factors = [tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1))
-                     for i in (0, 1))
-               for a, b in zip(_pauli_factors(p), _pauli_factors(q))]
+    px, pz, qx, qz = p.x.bits, p.z.bits, q.x.bits, q.z.bits
+    factors = [_PRODUCTS[px >> i & 1, pz >> i & 1, qx >> i & 1, qz >> i & 1] for i in range(p.n)]
     return (p.phase + q.phase) % 4, _kron(factors, 1)
 
 

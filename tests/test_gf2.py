@@ -72,6 +72,44 @@ def test_bitmatrix_basics():
             BitMatrix.from_entries(2, 2, [bad, bad])
 
 
+@pytest.mark.parametrize("value,attributes", [
+    (BitVec(4, 5), ["length", "bits", "extra"]),
+    (BitMatrix(2, 3, [1, 4]), ["rows", "cols", "_rows", "_cols", "_rref", "extra"]),
+], ids=["BitVec", "BitMatrix"])
+def test_value_types_refuse_assignment(value, attributes):
+    before = repr(value)
+    for attribute in attributes:
+        with pytest.raises(AttributeError, match=rf"^{type(value).__name__} is immutable$"):
+            setattr(value, attribute, 0)
+    assert repr(value) == before
+
+
+def test_bitvec_validation_boundaries():
+    assert BitVec(5, (1 << 5) - 1).support == (0, 1, 2, 3, 4)  # bit_length == length
+    assert BitVec(0).bits == 0
+    for bits in (1 << 5, 1 << 9, -1):  # bit_length == length + 1, far out, negative
+        with pytest.raises(ValueError, match="^support index out of range$"):
+            BitVec(5, bits)
+    with pytest.raises(ValueError, match="^support index out of range$"):
+        BitVec(0, 1)
+    with pytest.raises(ValueError, match="^negative length$"):
+        BitVec(-1)
+
+
+def test_bitmatrix_validation_boundaries():
+    m = BitMatrix(3, 3, [0b111, 0b100, 0])  # a row exactly cols wide
+    assert m.entries == ((0, 0), (0, 1), (0, 2), (1, 2))
+    assert BitMatrix(0, 4, []).rows == 0
+    for rows in ([0b1000, 0, 0], [0, 0, 0b1000], [1, -1, 0]):  # too wide, last too wide, negative
+        with pytest.raises(ValueError, match="^entry column out of range$"):
+            BitMatrix(3, 3, rows)
+    for rows in ([1, 2], [1, 2, 4, 0]):
+        with pytest.raises(ValueError, match="^row count mismatch$"):
+            BitMatrix(3, 3, rows)
+    with pytest.raises(ValueError, match="^negative dimension$"):
+        BitMatrix(-1, 3, [])
+
+
 def test_rank_identity():
     assert rank(_identity(3)) == 3
 

@@ -15,6 +15,8 @@ No linter ships with the project, so these checks stand in for one.
   the standard library (``sys.stdlib_module_names``) and the package
   itself.  numpy and hypothesis are for the tests alone.
 - A rank has one body, ``gf2.rank``: see ``echelon_lengths``.
+- A slot is set one way, through its setter bound once at import: see
+  ``object_setattr_calls``.
 """
 
 import ast
@@ -101,10 +103,10 @@ def foreign_private_names(source: str, exempt: set[str]) -> list[str]:
 
     A module defines a name when it defines a function or class of that
     name, assigns it (``_x = ...``, ``self._x = ...``), takes it as a
-    parameter or spells it in a string (``__slots__``,
-    ``object.__setattr__``).  Like ``dead_names``, the lint matches
-    names: an attribute that shares its name with one the module
-    defines passes.  The names in ``exempt`` are taken as public.
+    parameter or spells it in a string (``__slots__``).  Like
+    ``dead_names``, the lint matches names: an attribute that shares its
+    name with one the module defines passes.  The names in ``exempt``
+    are taken as public.
     """
     tree = ast.parse(source)
     defined = set()
@@ -146,6 +148,18 @@ def echelon_lengths(source: str) -> list[str]:
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "Echelon":
                 found.append(f"len(Echelon(...)) (line {node.lineno})")
+    return found
+
+
+def object_setattr_calls(source: str) -> list[str]:
+    """Calls ``object.__setattr__(...)``: a slot set by name, where the package
+    sets each slot through its member descriptor's setter, bound once at import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"):
+            found.append(f"object.__setattr__ (line {node.lineno})")
     return found
 
 
@@ -211,6 +225,18 @@ def test_echelon_lengths_are_found():
               "a = len(Echelon(rows, combos=False))\nb = len(gf2.Echelon(rows))\n"
               "span = Echelon(rows)\nc = len(span) + len(rows) + rank(m)\n")
     assert echelon_lengths(source) == ["len(Echelon(...)) (line 4)", "len(Echelon(...)) (line 5)"]
+
+
+def test_object_setattr_calls_are_found():
+    source = ("class A:\n    __slots__ = ('x',)\n\n    def __init__(self, x):\n"
+              "        object.__setattr__(self, 'x', x)\n        _set_x(self, x)\n\n"
+              "_set_x = A.x.__set__\nsetattr(A, 'y', 1)\nsuper().__setattr__('y', 2)\n")
+    assert object_setattr_calls(source) == ["object.__setattr__ (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_sets_no_slot_by_name(path):
+    assert object_setattr_calls(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf2.py"], ids=lambda p: p.name)

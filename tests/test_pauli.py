@@ -204,6 +204,25 @@ def test_transversal_hadamard_hamiltonian_swaps_the_combo_keys():
         (("a", "J"), ("b", "K"), ("c", "K"))]
 
 
+@pytest.mark.parametrize("value,attributes", [
+    (PauliOp(2, BitVec(2, 1), BitVec(2, 2), 1), ["n", "x", "z", "phase", "extra"]),
+    (CliffordCircuit(3, [("CZ", 0, 1)]), ["n", "gates", "_partners", "extra"]),
+], ids=["PauliOp", "CliffordCircuit"])
+def test_value_types_refuse_assignment(value, attributes):
+    before = repr(value)
+    for attribute in attributes:
+        with pytest.raises(AttributeError, match=rf"^{type(value).__name__} is immutable$"):
+            setattr(value, attribute, 0)
+    assert repr(value) == before
+
+
+def test_pauli_op_rejects_a_length_mismatch():
+    assert PauliOp(3, BitVec(3), BitVec(3), 7).phase == 3
+    for x, z in ((BitVec(2), BitVec(3)), (BitVec(3), BitVec(4)), (BitVec(4), BitVec(4))):
+        with pytest.raises(ValueError, match="^x/z support length must equal qubit count$"):
+            PauliOp(3, x, z)
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError):
         CliffordCircuit(2, [("CZ", 0, 0)])

@@ -6,6 +6,7 @@ permutation matrix held row-sliced as ``(cols, neg)``: bit r of
 ``cols[q]`` is qubit q's bit (bit n-1-q of an index) of the column of row
 r's nonzero entry, and bit r of ``neg`` is set when that entry is -1."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -13,7 +14,15 @@ import numpy as np
 import pytest
 
 from cssgauge import catalog, verify
-from cssgauge.pauli import CliffordCircuit, PauliOp, conjugate_by_circuit, multiply
+from cssgauge.gf2 import BitVec
+from cssgauge.pauli import (
+    CliffordCircuit,
+    Hamiltonian,
+    PauliOp,
+    Term,
+    conjugate_by_circuit,
+    multiply,
+)
 from tests.oracles import conjugate_dense, pauli_matrix
 
 
@@ -74,6 +83,28 @@ def test_dense_conjugate_matches_full_unitary_at_large_n(n, count):
 def test_kron_rejects_a_factor_that_is_not_a_signed_permutation(factor):
     with pytest.raises(ValueError, match="not a signed permutation matrix"):
         verify._kron([((0, 1), (1, 0)), factor], 1)
+
+
+def test_product_table_matches_numpy():
+    table = verify._PRODUCTS
+    assert set(table) == set(itertools.product((0, 1), repeat=4))
+    for (xp, zp, xq, zq), product in table.items():
+        a, b = np.array(verify._FACTORS[xp, zp]), np.array(verify._FACTORS[xq, zq])
+        assert np.array_equal(np.array(product), a @ b)
+
+
+def test_kron_caches_only_valid_factors(monkeypatch):
+    monkeypatch.setattr(verify, "_READINGS", {})
+    valid = list(verify._FACTORS.values())
+    verify._kron(valid, 1)
+    assert set(verify._READINGS) == set(valid)
+    bad = ((1, 1), (1, -1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a signed permutation matrix"):
+            verify._kron([*valid, bad], 1)
+    with pytest.raises(ValueError, match="not a signed permutation matrix"):
+        verify._kron([bad, bad], -1)
+    assert set(verify._READINGS) == set(valid)
 
 
 def test_dense_oracle_traced_peak(monkeypatch):
@@ -158,3 +189,43 @@ def test_transversal_cz_decoration_with_unequal_stabilizer_counts(monkeypatch):
     assert not result.passed
     assert result.details == ("fractal3d L=4: decoration pattern mismatch at generator 0; "
                               "toric3d L=2: decoration pattern mismatch at generator 0")
+
+
+def _with_a_term_against_the_first(h: Hamiltonian) -> Hamiltonian:
+    """``h`` plus a term "bad", one X on the first Z qubit of ``h``'s first term.
+
+    The bad term anticommutes with the first term, and the terms of ``h``
+    commute, so the first anticommuting pair in row-major order is
+    (first term, bad).  It is a single-X term, as the disentangler needs."""
+    n, q = h.n, h.terms[0].op.z.support[0]
+    return Hamiltonian(n, [*h, Term("bad", "J", PauliOp(n, BitVec(n, 1 << q), BitVec(n)))])
+
+
+def test_gcc_phases_name_the_anticommuting_pair(monkeypatch):
+    phases = catalog.gcc_phase_hamiltonians
+
+    def spoiled(model):
+        ph = phases(model)
+        image, _ = verify.strip_identity_terms(ph["image_Y"])
+        return {**ph, "image_Y": _with_a_term_against_the_first(image)}
+
+    monkeypatch.setattr(catalog, "gcc_phase_hamiltonians", spoiled)
+    result = verify.check_gcc_phases()
+    assert not result.passed
+    assert result.details == "RBH copy terms do not all commute: GY[0] anticommutes with bad"
+
+
+def test_spt_pipeline_names_the_anticommuting_wall_pair(monkeypatch):
+    pipeline = verify.spt_pipeline
+
+    def spoiled(code, region):
+        res = pipeline(code, region)
+        if code.name != "fractal3d":
+            return res
+        return res._replace(wall_hamiltonian=_with_a_term_against_the_first(res.wall_hamiltonian))
+
+    monkeypatch.setattr(verify, "spt_pipeline", spoiled)
+    result = verify.check_spt_pipeline()
+    assert not result.passed
+    assert result.details == ("fractal wall terms do not commute: SX[1] anticommutes with bad; "
+                              "no CZ disentangler for the fractal wall")
