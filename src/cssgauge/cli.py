@@ -16,21 +16,33 @@ to a code of one size (``toric-sphere``), a negative count (``--pairs``,
 file that is not a directory; that one is raised before any work.
 
 A report holds dicts (keyed by str, int, bool or None), lists, tuples,
-strings, ints, bools and None, and its file holds exactly the bytes of
-``json.dumps(data, indent=2, sort_keys=True)`` and a newline.
-``_write_json`` renders them with a direct encoder (the stdlib falls
-back to pure Python whenever ``indent`` is set).  It raises
-``TypeError`` on any other value, a float included, and ``ValueError``
-on a cycle.  One template rule (``_column``) renders a list at C speed:
-strs and ints are joined, and a list of int lists or of dicts of one
-key set becomes one ``%`` template per distinct shape (the kind of each
-value, the length of each int list, recursively through nested dicts),
-filled with all its values, read column by column, by one ``%``.  A
-list that does not fit (a bool or None among ints, a foreign value, a
-dict met twice) is encoded element by element.  The text is streamed
-to the file in pieces (``_pieces``): a list of dicts goes ``CHUNK``
+strings, ints, bools, None, ``Term``s and ``PauliOp``s, and its file
+holds exactly the bytes of ``json.dumps(data, indent=2, sort_keys=True)``
+and a newline, each Term and PauliOp written as its ``to_json()``.  So
+the commands put the engine's terms and symmetries in their reports and
+build no dict for them.  ``_write_json`` renders them with a direct
+encoder (the stdlib falls back to pure Python whenever ``indent`` is
+set).  It raises ``TypeError`` on any other value, a float included,
+and ``ValueError`` on a cycle.  One template rule (``_column``) renders
+a list at C speed: strs and ints are joined, and a list of int lists or
+of dicts of one key set becomes one ``%`` template per distinct shape
+(the kind of each value, the length of each int list, recursively
+through nested dicts), filled with all its values, read column by
+column, by one ``%``; a list of Terms or of PauliOps takes one template
+per (x weight, z weight), filled from the slots and supports
+(``_operators``).  A list that does not fit (a bool or None among ints,
+a foreign value, a dict met twice, a name that is not a str) is encoded
+element by element.  The text is streamed to the file in pieces
+(``_pieces``): a list of dicts, Terms or PauliOps goes ``CHUNK``
 elements a piece, so memory follows the largest piece, not the report;
 a write that fails part way removes the file.
+
+The parser: ``main`` builds only the parser of the command that
+``argv[0]`` names, from the definition (``_define``) that ``make_parser``
+gives each subparser, so help, errors and exit codes are the full
+parser's.  Any other input, and arguments left over after the command's
+own (which the full parser reports under its own prog), go to the full
+parser.
 """
 
 from __future__ import annotations
@@ -55,6 +67,7 @@ from .builders import (
     build_xu_moore,
 )
 from .codes import gauge_hamiltonian, y_gauge_hamiltonian
+from .pauli import PauliOp, Term
 from .sptwall import Region, find_cz_disentangler, spt_pipeline
 from .ungauge import UngaugeError, setup_report, strip_identity_terms, ungauge_hamiltonian
 from .verify import run_all
@@ -208,6 +221,43 @@ def _key(k) -> str:
     return _quote(text)
 
 
+def _int_list(k: int, nl: str) -> str:
+    """The template of a list of ``k`` ints written where ``nl`` starts its lines."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * k) + nl + "]" if k else "[]"
+
+
+def _op_template(nl: str, wx: int, wz: int) -> str:
+    """The template of ``PauliOp.to_json()`` for supports of weights ``wx`` and ``wz``:
+    slots for n, the phase and the two supports."""
+    inner = nl + "  "
+    return ("{" + inner + '"n": %d,' + inner + '"phase": %d,' + inner + '"x": '
+            + _int_list(wx, inner) + "," + inner + '"z": ' + _int_list(wz, inner) + nl + "}")
+
+
+def _operators(col, nl: str):
+    """The template rule (see ``_column``) for Terms or PauliOps, all of one type: a
+    shape per (x weight, z weight), with the ``%`` arguments read from the slots and
+    the supports, as ``to_json()`` would hold them; None if a name or coupling is not
+    a str."""
+    named = type(col[0]) is Term
+    shapes, values = [], []
+    try:
+        for t in col:
+            op = t.op if named else t
+            x, z = op.x.support, op.z.support
+            shapes.append((len(x), len(z)))
+            values.append((_quote(t.coupling), _quote(t.name), op.n, op.phase, *x, *z) if named
+                          else (op.n, op.phase, *x, *z))
+    except TypeError:       # _quote takes only a str
+        return None
+    if not named:
+        return shapes, lambda shape: _op_template(nl, *shape), values
+    inner = nl + "  "
+    return (shapes, lambda shape: "{" + inner + '"coupling": %s,' + inner + '"name": %s,' + inner
+            + '"op": ' + _op_template(inner, *shape) + nl + "}", values)
+
+
 def _column(col, kinds: set, nl: str, seen: set):
     """The template rule: the values ``col``, of the types ``kinds``, each written
     where ``nl`` starts its lines, as ``(shapes, template, values)``, or None if
@@ -215,11 +265,11 @@ def _column(col, kinds: set, nl: str, seen: set):
     arguments, and ``template(shape)`` is the text of a value of that shape with
     a slot for each argument.  The values fit when they are all strs (a ``%s``
     slot for the quoted text), all exact ints (``%d``), all lists of ints (a
-    shape per length, a ``%d`` slot per item; ``_filled`` checks the items), or
-    all dicts of one key set, none in ``seen``, whose columns, read key by key,
-    fit in turn (a shape per tuple of their shapes).  Anything else does not: a
-    bool or None among ints, a foreign value, or a dict met twice (a shared dict
-    or a cycle).
+    shape per length, a ``%d`` slot per item; ``_filled`` checks the items), all
+    Terms or all PauliOps (``_operators``), or all dicts of one key set, none in
+    ``seen``, whose columns, read key by key, fit in turn (a shape per tuple of
+    their shapes).  Anything else does not: a bool or None among ints, a foreign
+    value, or a dict met twice (a shared dict or a cycle).
     """
     kind = next(iter(kinds)) if len(kinds) == 1 else None
     inner = nl + "  "
@@ -229,8 +279,9 @@ def _column(col, kinds: set, nl: str, seen: set):
         return repeat(0, len(col)), lambda shape: "%d", zip(col)
     # The first item turns away lists of lists or of strs before any template is built.
     if kind in (list, tuple) and type(next(chain.from_iterable(col), 0)) is int:
-        return (map(len, col), lambda k: "[" + inner + ("," + inner).join(["%d"] * k) + nl + "]"
-                if k else "[]", col)
+        return map(len, col), lambda k: _int_list(k, nl), col
+    if kind is Term or kind is PauliOp:
+        return _operators(col, nl)
     if kind is not dict:
         return None
     ids = set(map(id, col))
@@ -298,8 +349,9 @@ def _encode(o, nl: str, path: set) -> str:
     """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it, nested where
     ``nl`` (a newline and the indent) starts its lines; ``path`` holds the ids of
     the containers around ``o``.  A list that fits the template rule (``_column``:
-    strs, ints, int lists or same-keyed dicts of these) is rendered at C speed by
-    ``_filled``; any other list, and every dict, is encoded element by element.
+    strs, ints, int lists, Terms, PauliOps or same-keyed dicts of these) is
+    rendered at C speed by ``_filled``; any other list, and every dict, is encoded
+    element by element, and a Term or PauliOp met alone as its ``to_json()``.
     """
     if isinstance(o, str):
         return _quote(o)
@@ -307,6 +359,8 @@ def _encode(o, nl: str, path: set) -> str:
     if text is not None:
         return text
     if not isinstance(o, (list, tuple, dict)):
+        if isinstance(o, (Term, PauliOp)):
+            return _encode(o.to_json(), nl, path)
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
     if not o:
         return "{}" if isinstance(o, dict) else "[]"
@@ -330,22 +384,25 @@ def _encode(o, nl: str, path: set) -> str:
     return "[" + inner + ("," + inner).join(body) + nl + "]"
 
 
-# The elements of a list of dicts that one piece holds (see _pieces).  Larger
-# chunks fill faster but peak higher: the gcc L=2 write peaks at 0.38x its file
-# with 32, and at 0.51x with 48, over the 0.5x its memory test allows.
+# The elements of a list of dicts, Terms or PauliOps that one piece holds (see
+# _pieces).  Larger chunks fill faster but peak higher: the gcc L=2 write peaks
+# at 0.43x its file with 32, and at 0.56x with 48, over the 0.5x its memory
+# test allows.
 CHUNK = 32
+_CHUNKED = {dict, Term, PauliOp}
 
 
 def _pieces(o, nl: str, path: set):
     """The text ``_encode(o, nl, path)`` returns, yielded in pieces: a dict key by
-    key, a list that holds a dict ``CHUNK`` elements at a time, and every other
-    value whole, so that no piece is much larger than a chunk.  A chunk that fits
-    the template rule is one piece; one that does not (see ``_column``) is
-    yielded element by element, as a chunk of large elements may be large.
+    key, a list that holds a dict, a Term or a PauliOp ``CHUNK`` elements at a
+    time, and every other value whole, so that no piece is much larger than a
+    chunk.  A chunk that fits the template rule is one piece; one that does not
+    (see ``_column``) is yielded element by element, as a chunk of large elements
+    may be large.
     """
     is_dict = isinstance(o, dict)
-    holds_dict = isinstance(o, (list, tuple)) and dict in set(map(type, o))
-    if not (is_dict and o or holds_dict):
+    chunked = isinstance(o, (list, tuple)) and not _CHUNKED.isdisjoint(map(type, o))
+    if not (is_dict and o or chunked):
         yield _encode(o, nl, path)
         return
     if id(o) in path:
@@ -425,8 +482,8 @@ def cmd_ungauge(args) -> int:
     rep = components(stripped)
     report["result"] = {
         "n_fin": model.setup.n_fin,
-        "emergent_x": [op["x"] for op in report["emergent"]],
-        "preserved_x_fin": [op["x"] for op in report["preserved"]],
+        "emergent_x": [op.x.support for op in report["emergent"]],
+        "preserved_x_fin": [op.x.support for op in report["preserved"]],
         "mapped_terms": report["mapped_terms"],
     }
     report["components"] = rep.to_json()
@@ -489,8 +546,9 @@ def cmd_spt(args) -> int:
     result = spt_pipeline(code, region)
     circuit = find_cz_disentangler(result.wall_hamiltonian)
     report = dict(result.report)
-    report["wall_hamiltonian"] = result.wall_hamiltonian.to_json()
-    report["symmetries"] = [p.to_json() for p in result.symmetries]
+    report["wall_hamiltonian"] = {"n": result.wall_hamiltonian.n,
+                                  "terms": result.wall_hamiltonian.terms}
+    report["symmetries"] = result.symmetries
     report["disentangler"] = circuit.to_json() if circuit is not None else None
     report["wall_commutes"] = commuting_check(result.wall_hamiltonian)
     out = _out_dir(args)
@@ -534,69 +592,93 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _code_command(sub, command: str, help: str, func) -> argparse.ArgumentParser:
-    """The subparser of a command that runs a ``--code``: --code offers the codes it runs,
-    and the code flags declared are those some code of it reads."""
-    p = sub.add_parser(command, help=help)
-    codes = [name for name, code in CODES.items() if command in code.reads]
-    p.add_argument("--code", required=True, choices=codes)
-    own = "".join(f", {CODES[c].default_L} for {c}" for c in codes
-                  if CODES[c].default_L not in (None, DEFAULT_L))
-    p.add_argument("--L", type=int, help=f"linear lattice size (default: {DEFAULT_L}{own}; "
-                                         "a code of one size takes none)")
-    for flag, spec in CODE_FLAGS.items():
-        if any(flag in CODES[code].reads[command] for code in codes):
-            p.add_argument(f"--{flag}", **spec)
-    p.add_argument("--out", default="out", help="output directory")
-    p.set_defaults(func=func)
-    return p
+# Each command's help line and function; ``_define`` declares its flags.
+COMMANDS = {
+    "build": ("build a code and write its JSON/DOT files", cmd_build),
+    "ungauge": ("run the ungauging map and report", cmd_ungauge),
+    "gauge": ("gauge X symmetries back (Xu-Moore -> Bacon-Shor)", cmd_gauge),
+    "spt": ("domain-wall SPT pipeline", cmd_spt),
+    "verify": ("run the full acceptance battery", cmd_verify),
+    "export": ("export lattices, complexes or matrices", cmd_export),
+}
+
+
+def _define(p: argparse.ArgumentParser, command: str) -> None:
+    """Declare the flags of ``command`` on its parser ``p``.  A command that runs a
+    ``--code`` offers the codes it runs, and declares the code flags that some code
+    of it reads."""
+    if command == "verify":
+        p.add_argument("--pairs", type=_count, default=1000)
+        p.add_argument("--cases", type=_count, default=500)
+        p.add_argument("--seed", type=int, default=20240)
+        p.add_argument("--out", default=None)
+    else:
+        codes = [name for name, code in CODES.items() if command in code.reads]
+        p.add_argument("--code", required=True, choices=codes)
+        own = "".join(f", {CODES[c].default_L} for {c}" for c in codes
+                      if CODES[c].default_L not in (None, DEFAULT_L))
+        p.add_argument("--L", type=int, help=f"linear lattice size (default: {DEFAULT_L}{own}; "
+                                             "a code of one size takes none)")
+        for flag, spec in CODE_FLAGS.items():
+            if any(flag in CODES[code].reads[command] for code in codes):
+                p.add_argument(f"--{flag}", **spec)
+        p.add_argument("--out", default="out", help="output directory")
+    if command == "ungauge":
+        p.add_argument("--pairs", type=_count, default=200,
+                       help="random pairs for the commutation check (0 skips it)")
+        p.add_argument("--seed", type=int, default=20240)
+    elif command == "gauge":
+        p.add_argument("--full", action="store_true",
+                       help="also require the full-gauging Hadamard twist to match")
+    elif command == "spt":
+        p.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis; "
+                                                     "a negative lo may follow as --slab -1:3")
+    elif command == "export":
+        p.add_argument("--what", required=True, choices=("lattice", "complex", "matrices"))
+    p.set_defaults(func=COMMANDS[command][1])
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of every command (``cssgauge --help`` and the errors of no command)."""
     parser = argparse.ArgumentParser(
         prog="cssgauge",
         description="gauging/ungauging duality for CSS stabilizer and subsystem codes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _code_command(sub, "build", "build a code and write its JSON/DOT files", cmd_build)
-
-    p_un = _code_command(sub, "ungauge", "run the ungauging map and report", cmd_ungauge)
-    p_un.add_argument("--pairs", type=_count, default=200,
-                      help="random pairs for the commutation check (0 skips it)")
-    p_un.add_argument("--seed", type=int, default=20240)
-
-    p_g = _code_command(sub, "gauge", "gauge X symmetries back (Xu-Moore -> Bacon-Shor)",
-                        cmd_gauge)
-    p_g.add_argument("--full", action="store_true",
-                     help="also require the full-gauging Hadamard twist to match")
-
-    p_spt = _code_command(sub, "spt", "domain-wall SPT pipeline", cmd_spt)
-    p_spt.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis; a negative lo may follow as --slab -1:3")
-
-    p_v = sub.add_parser("verify", help="run the full acceptance battery")
-    p_v.add_argument("--pairs", type=_count, default=1000)
-    p_v.add_argument("--cases", type=_count, default=500)
-    p_v.add_argument("--seed", type=int, default=20240)
-    p_v.add_argument("--out", default=None)
-    p_v.set_defaults(func=cmd_verify)
-
-    p_e = _code_command(sub, "export", "export lattices, complexes or matrices", cmd_export)
-    p_e.add_argument("--what", required=True, choices=("lattice", "complex", "matrices"))
+    for command, (help, _) in COMMANDS.items():
+        _define(sub.add_parser(command, help=help), command)
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """``make_parser().parse_args(argv)``, building only the parser of the command
+    that ``argv[0]`` names.  That parser is the subparser ``make_parser`` would run,
+    so its help and errors are the same; any other input, and leftover arguments
+    (which the full parser reports under its own prog), go to the full parser."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"cssgauge {argv[0]}")
+        _define(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return make_parser().parse_args(argv)
 
 
 # The starts of a negative number (-inf included), which no flag shares.
 _NEGATIVE = tuple("-" + c for c in "0123456789.iI")
 
 
-def main(argv=None) -> int:
-    parser = make_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes the -1:3 of "--slab -1:3" for a flag: attach it instead.
+def _attach_negative_slab(argv: list) -> list:
+    """``argv`` with each ``--slab`` followed by a negative bound attached to it
+    (argparse takes the -1:3 of "--slab -1:3" for a flag)."""
+    argv = list(argv)
     for i in reversed(range(len(argv) - 1)):
         if argv[i] == "--slab" and argv[i + 1].startswith(_NEGATIVE):
             argv[i:i + 2] = [f"--slab={argv[i + 1]}"]
-    args = parser.parse_args(argv)
+    return argv
+
+
+def main(argv=None) -> int:
+    args = _parse(_attach_negative_slab(sys.argv[1:] if argv is None else argv))
     try:
         if args.out is not None:
             _check_out(args.out)

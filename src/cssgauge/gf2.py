@@ -3,8 +3,8 @@
 Vectors and matrix rows are stored as Python integers (bit j of a row is
 column j), which gives word-parallel XOR elimination for free while the
 construction API stays sparse (sets of positions).  ``BitVec`` and
-``BitMatrix`` are immutable: their ``__setattr__`` raises
-``AttributeError``.  The constructors set each slot through its member
+``BitMatrix`` are immutable: their ``__setattr__`` and ``__delattr__``
+raise ``AttributeError``.  The constructors set each slot through its member
 descriptor's setter, bound once at import (``_set_bits =
 BitVec.bits.__set__``), so no call looks the slot up by name;
 ``BitMatrix`` fills its two memo slots the same way.  ``Echelon`` alone
@@ -76,9 +76,9 @@ def _xor_rows(bits: int, rows: Sequence[int]) -> int:
 class BitVec:
     """A vector over GF(2) with a fixed length.
 
-    Immutable: assignment raises, and ``__init__`` sets ``length`` and
-    ``bits`` through the setters ``_set_length`` and ``_set_bits``,
-    bound once below the class.
+    Immutable: assignment and deletion raise, and ``__init__`` sets
+    ``length`` and ``bits`` through the setters ``_set_length`` and
+    ``_set_bits``, bound once below the class.
     """
 
     __slots__ = ("length", "bits")
@@ -92,6 +92,9 @@ class BitVec:
         _set_bits(self, bits)
 
     def __setattr__(self, name, value):
+        raise AttributeError("BitVec is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("BitVec is immutable")
 
     @classmethod
@@ -174,6 +177,9 @@ class BitMatrix:
         _set_rref(self, None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("BitMatrix is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("BitMatrix is immutable")
 
     # -- constructors ------------------------------------------------

@@ -36,9 +36,9 @@ _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 class PauliOp:
     """A phased Pauli operator on n qubits, in XZ (symplectic) form.
 
-    Immutable: assignment raises, and ``__init__`` sets each slot through
-    its member descriptor's setter, bound once below the class
-    (``_set_x = PauliOp.x.__set__``), as ``gf2.BitVec`` does.
+    Immutable: assignment and deletion raise, and ``__init__`` sets each
+    slot through its member descriptor's setter, bound once below the
+    class (``_set_x = PauliOp.x.__set__``), as ``gf2.BitVec`` does.
     """
 
     __slots__ = ("n", "x", "z", "phase")
@@ -52,6 +52,9 @@ class PauliOp:
         _set_phase(self, phase % 4)
 
     def __setattr__(self, name, value):
+        raise AttributeError("PauliOp is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("PauliOp is immutable")
 
     # -- constructors ------------------------------------------------
@@ -193,6 +196,9 @@ class CliffordCircuit:
     def __setattr__(self, name, value):
         raise AttributeError("CliffordCircuit is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("CliffordCircuit is immutable")
+
     @classmethod
     def cz_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "CliffordCircuit":
         return cls(n, [("CZ", a, b) for a, b in pairs])
@@ -318,6 +324,9 @@ class Term:
         """Multiset identity: coupling, supports and phase (name ignored)."""
         return (self.coupling, self.op.x.bits, self.op.z.bits, self.op.phase)
 
+    def to_json(self) -> dict:
+        return {"name": self.name, "coupling": self.coupling, "op": self.op.to_json()}
+
     def __repr__(self):
         return f"Term({self.name}, {self.coupling}, {self.op.to_label()})"
 
@@ -361,12 +370,7 @@ class Hamiltonian:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"name": t.name, "coupling": t.coupling, "op": t.op.to_json()} for t in self.terms
-            ],
-        }
+        return {"n": self.n, "terms": [t.to_json() for t in self.terms]}
 
     def __repr__(self):
         return f"Hamiltonian(n={self.n}, terms={len(self.terms)})"

@@ -383,7 +383,9 @@ def full_gauge_comparison(h_fin: Hamiltonian, s_swapped: UngaugeSetup,
 
 def setup_report(s: UngaugeSetup, mapped: Optional[Hamiltonian] = None,
                  commutation_pairs: int = 0, seed: int = 0) -> dict:
-    """The CLI-facing JSON report for an ungauging run."""
+    """The CLI-facing JSON report for an ungauging run.  Its symmetries and mapped
+    terms are the PauliOps and the Term list themselves, which the CLI's writer
+    writes as their ``to_json()``."""
     report = {
         "setup_ranks": s.ranks(),
         "dim_check": dim_check(s),
@@ -391,13 +393,13 @@ def setup_report(s: UngaugeSetup, mapped: Optional[Hamiltonian] = None,
             "count": s.d_z.cols,
             "all_identity": annihilation_check(s),
         },
-        "emergent": [op.to_json() for op in emergent_symmetries(s)],
-        "preserved": [op.to_json() for op in preserved_symmetries(s)],
+        "emergent": emergent_symmetries(s),
+        "preserved": preserved_symmetries(s),
         "relation_space_dim": s.ranks()["rank_d_r"],
         "notes": list(s.notes),
     }
     if mapped is not None:
-        report["mapped_terms"] = mapped.to_json()["terms"]
+        report["mapped_terms"] = mapped.terms
     if commutation_pairs:
         report["commutation_preserved"] = commutation_preservation_check(
             s, commutation_pairs, seed)

@@ -22,17 +22,22 @@ commutation check one operator pair at a time, each operator drawn by
 ``mutual_signed_membership``, the all-generator signed searches that the
 transversal-CZ and domain-wall checks ran before they took witnesses;
 ``center_of_group``, which the code tests use to state the center of
-a gauge group; and ``lattice_is_valid``, the boundary-of-boundary and
-edge-coloring check on a cell complex.
+a gauge group; ``lattice_is_valid``, the boundary-of-boundary and
+edge-coloring check on a cell complex; and ``stdlib_json``, the text a
+report must be written as: the stdlib encoder on the report with each
+``Term`` and ``PauliOp`` in its ``to_json()`` form.
 Slow and obvious on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
+
+from cssgauge.pauli import PauliOp, Term
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -612,3 +617,15 @@ def fractal_k(L: int, boundary: str) -> int:
     while b:
         a, b = b, _poly_mod(a, b)
     return 2 * (a.bit_length() - 1)
+
+
+def _to_json(o):
+    if isinstance(o, (Term, PauliOp)):
+        return o.to_json()
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def stdlib_json(data) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True)``, a Term or PauliOp written as
+    its ``to_json()``."""
+    return json.dumps(data, indent=2, sort_keys=True, default=_to_json)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cssgauge import cli, gf2, verify
+from cssgauge import cli, gf2, pauli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,13 +114,23 @@ def test_transposes_in_the_gcc_build(tmp_path, monkeypatch, capsys):
 
 
 # Encodings of one value while the ungauge gcc L=2 report is written: a
-# guard against per-element encoding coming back.  Each list of same-keyed
-# dicts is filled as one template a chunk at a time, so only the top-level
-# values and the elements of the components list (whose weight histograms
-# have other keys) are encoded one by one; element by element it was 4002.
+# guard against per-element encoding coming back.  Each list of Terms, of
+# PauliOps or of same-keyed dicts is filled as one template a chunk at a
+# time, so only the top-level values and the elements of the components
+# list (whose weight histograms have other keys) are encoded one by one;
+# element by element it was 4002.
 def test_encodings_in_the_gcc_report(tmp_path, monkeypatch, capsys):
     argv = ["ungauge", "--code", "gcc", "--L", "2"]
     assert _calls_in_command(tmp_path, monkeypatch, cli, "_encode", argv) == 53
+
+
+# No command builds a dict for a term or a symmetry: the writer reads each
+# Term and PauliOp of a report from its slots.
+@pytest.mark.parametrize("argv", COMMANDS[:2], ids=["spt", "ungauge-gcc"])
+@pytest.mark.parametrize("owner", [pauli.PauliOp, pauli.Term, pauli.Hamiltonian],
+                         ids=["PauliOp", "Term", "Hamiltonian"])
+def test_reports_build_no_term_dicts(tmp_path, monkeypatch, capsys, owner, argv):
+    assert _calls_in_command(tmp_path, monkeypatch, owner, "to_json", argv) == 0
 
 
 # Elimination work on two rungs of each family (n is the base code's qubit

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -235,6 +236,55 @@ def test_spt_negative_slab_bound_may_be_the_next_token(tmp_path, capsys):
         run(["spt", "--code", "toric2d", "--L", "3", "--slab", "--out", str(tmp_path / "c")])
     assert exit_.value.code == 2
     assert "--slab: expected one argument" in capsys.readouterr().err
+
+
+# Inputs to main's parser: help, no arguments, and each error path, with the
+# valid commands beside them.  main builds only the parser of the command
+# that argv[0] names; the full parser must give the same result on each.
+PARSER_BATTERY = [
+    ["--help"], [], *([command, "--help"] for command in cli.COMMANDS),
+    ["frobnicate"], ["frobnicate", "--code", "gcc"],
+    ["build", "--code", "gcc", "--nonsense"], ["build"], ["build", "--L", "2"],
+    ["build", "--code", "nope"], ["gauge", "--code", "gcc"],
+    ["spt", "--code", "toric2d", "--slab"], ["spt", "--code", "toric2d", "--slab", "-1:3"],
+    ["ungauge", "--code", "gcc", "--pairs", "-1"], ["verify", "--pairs", "-1"],
+    ["--", "ungauge", "--code", "gcc"], ["ungauge", "--", "--code", "gcc"],
+    ["ungauge", "--cod", "gcc"], ["ungauge", "--what", "complex"],
+    ["ungauge", "--code", "gcc", "--what", "complex"], ["ungauge", "--code", "gcc", "extra"],
+    ["ungauge", "--code=gcc", "--L=2", "--pairs", "0", "--seed", "3"],
+    ["export", "--code", "gcc", "--what", "complex"], ["verify", "--cases", "7", "--out", "o"],
+    ["gauge", "--code", "xu-moore", "--full"], ["ungauge", "-h", "--code"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """(stdout, stderr, exit code, Namespace) of ``parse(argv)``."""
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    return out, err, code, args
+
+
+@pytest.mark.parametrize("argv", PARSER_BATTERY, ids=" ".join)
+def test_parser_matches_the_full_parser(capsys, argv):
+    argv = cli._attach_negative_slab(argv)
+    assert _parsed(cli._parse, argv, capsys) == _parsed(cli.make_parser().parse_args, argv, capsys)
+
+
+def test_a_command_builds_only_its_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    args = cli._parse(["ungauge", "--code", "gcc"])
+    assert built == ["cssgauge ungauge"]
+    assert (args.command, args.code, args.func) == ("ungauge", "gcc", cli.cmd_ungauge)
 
 
 def test_export_matrices(tmp_path):

@@ -72,15 +72,28 @@ def test_bitmatrix_basics():
             BitMatrix.from_entries(2, 2, [bad, bad])
 
 
-@pytest.mark.parametrize("value,attributes", [
+VALUE_TYPES = pytest.mark.parametrize("value,attributes", [
     (BitVec(4, 5), ["length", "bits", "extra"]),
     (BitMatrix(2, 3, [1, 4]), ["rows", "cols", "_rows", "_cols", "_rref", "extra"]),
 ], ids=["BitVec", "BitMatrix"])
+
+
+@VALUE_TYPES
 def test_value_types_refuse_assignment(value, attributes):
     before = repr(value)
     for attribute in attributes:
         with pytest.raises(AttributeError, match=rf"^{type(value).__name__} is immutable$"):
             setattr(value, attribute, 0)
+    assert repr(value) == before
+
+
+@VALUE_TYPES
+def test_value_types_refuse_deletion(value, attributes):
+    # A deleted slot would leave an object that == and repr fail on.
+    before = repr(value)
+    for attribute in attributes:
+        with pytest.raises(AttributeError, match=rf"^{type(value).__name__} is immutable$"):
+            delattr(value, attribute)
     assert repr(value) == before
 
 

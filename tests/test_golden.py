@@ -10,7 +10,8 @@ updates both.  The ``verify`` workload is left out: its report is the
 criterion lines that ``test_acceptance`` already asserts at full budget.
 
 The normalised digest cannot see whitespace, so each run also renders
-every report it writes with ``json.dumps(indent=2, sort_keys=True)`` and
+every report it writes with ``json.dumps(indent=2, sort_keys=True)``
+(each ``Term`` and ``PauliOp`` of a report in its ``to_json()`` form) and
 requires the bytes of the written file to equal them and a newline.
 """
 
@@ -23,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from cssgauge import catalog, cli, ungauge
+
+from tests.oracles import stdlib_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GATED = ("ungauge-gcc", "spt-toric2d", "build-gcc")
@@ -52,7 +55,7 @@ def test_report_matches_recorded_digest(tmp_path, monkeypatch, name, variant):
     def write_json(path, data):
         written.append(path.name)
         write(path, data)
-        expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        expected = stdlib_json(data) + "\n"
         assert path.read_bytes() == expected.encode(), path.name
 
     write = cli._write_json

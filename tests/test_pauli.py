@@ -204,15 +204,28 @@ def test_transversal_hadamard_hamiltonian_swaps_the_combo_keys():
         (("a", "J"), ("b", "K"), ("c", "K"))]
 
 
-@pytest.mark.parametrize("value,attributes", [
+VALUE_TYPES = pytest.mark.parametrize("value,attributes", [
     (PauliOp(2, BitVec(2, 1), BitVec(2, 2), 1), ["n", "x", "z", "phase", "extra"]),
     (CliffordCircuit(3, [("CZ", 0, 1)]), ["n", "gates", "_partners", "extra"]),
 ], ids=["PauliOp", "CliffordCircuit"])
+
+
+@VALUE_TYPES
 def test_value_types_refuse_assignment(value, attributes):
     before = repr(value)
     for attribute in attributes:
         with pytest.raises(AttributeError, match=rf"^{type(value).__name__} is immutable$"):
             setattr(value, attribute, 0)
+    assert repr(value) == before
+
+
+@VALUE_TYPES
+def test_value_types_refuse_deletion(value, attributes):
+    # A deleted slot would leave an object that == and repr fail on.
+    before = repr(value)
+    for attribute in attributes:
+        with pytest.raises(AttributeError, match=rf"^{type(value).__name__} is immutable$"):
+            delattr(value, attribute)
     assert repr(value) == before
 
 

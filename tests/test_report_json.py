@@ -1,7 +1,7 @@
 """The report writer renders exactly the bytes of ``json.dumps(indent=2, sort_keys=True)``,
-streamed to the file in pieces, for every value a report holds; no report holds a float."""
+streamed to the file in pieces, for every value a report holds, a ``Term`` or ``PauliOp``
+written as its ``to_json()``; no report holds a float."""
 
-import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,10 +13,9 @@ from cssgauge import cli
 from cssgauge.builders import build_gcc
 from cssgauge.cli import _write_json
 from cssgauge.gf2 import BitVec
+from cssgauge.pauli import PauliOp, Term
 
-
-def _stdlib(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+from tests.oracles import stdlib_json
 
 
 def _written(data) -> str:
@@ -73,7 +72,7 @@ VALUES = st.recursive(
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(VALUES)
 def test_property_writer_matches_stdlib(data):
-    assert _written(data) == _stdlib(data)
+    assert _written(data) == stdlib_json(data)
 
 
 # The template rule (``cli._column``): lists of dicts of one key set, whose
@@ -109,7 +108,7 @@ SAME_KEYED = st.integers(1, 3 * cli.CHUNK).flatmap(same_keyed)
 def test_property_template_rule_matches_stdlib(rows):
     # Streamed a chunk at a time (a list in a dict) and whole (a list in a list).
     for wrapped in (rows, {"rows": rows}, [rows]):
-        assert _written(wrapped) == _stdlib(wrapped)
+        assert _written(wrapped) == stdlib_json(wrapped)
 
 
 def _add_column(rows, values, nested):
@@ -133,7 +132,7 @@ def test_property_near_miss_falls_back(rows, kind, odd, nested, data):
     cell, key = (row[key], "v") if nested else (row, key)
     cell[key] = odd if kind is INTS else [*cell[key], odd]
     for wrapped in (rows, {"rows": rows}, [rows]):
-        assert _written(wrapped) == _stdlib(wrapped)
+        assert _written(wrapped) == stdlib_json(wrapped)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -159,7 +158,7 @@ def test_property_shared_dict_matches_stdlib(rows, data):
     i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
     rows[j][key] = rows[i][key]
     for wrapped in (rows, {"rows": rows}, [rows]):
-        assert _written(wrapped) == _stdlib(wrapped)
+        assert _written(wrapped) == stdlib_json(wrapped)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -170,9 +169,64 @@ def test_property_cycle_through_an_element_is_rejected(rows, through_list, data)
     row[key] = {"v": rows} if through_list else row
     for wrapped in (rows, {"rows": rows}, [rows]):
         with pytest.raises(ValueError, match="Circular reference"):
-            _stdlib(wrapped)
+            stdlib_json(wrapped)
         with pytest.raises(ValueError, match="Circular reference"):
             _written(wrapped)
+
+
+# Terms and PauliOps, the values a report holds unconverted: random supports
+# (empty and full among them) on 1 to 200 qubits, and names and couplings of
+# any text, or now and then not of text (written as their to_json() holds them).
+@st.composite
+def pauli_ops(draw, n):
+    bits = st.one_of(st.just(0), st.just((1 << n) - 1), st.integers(0, (1 << n) - 1))
+    return PauliOp(n, BitVec(n, draw(bits)), BitVec(n, draw(bits)), draw(st.integers(0, 3)))
+
+
+@st.composite
+def operator_lists(draw):
+    """A list of Terms, of PauliOps or of both, of a length that ends chunks or misses."""
+    n = draw(st.integers(1, 200))
+    length = draw(st.sampled_from([0, 1, 31, 32, 33, 65]))
+    kind = draw(st.sampled_from(["terms", "ops", "both"]))
+    # One list in four may name a term by an int or None, which the templates leave out.
+    labels = TEXT if draw(st.integers(0, 3)) else st.one_of(TEXT, INTS, st.none())
+    out = []
+    for _ in range(length):
+        op = draw(pauli_ops(n))
+        if kind == "ops" or kind == "both" and draw(st.booleans()):
+            out.append(op)
+        else:
+            out.append(Term(draw(labels), draw(labels), op, {"x_combo": BitVec(1, 1)}))
+    return out
+
+
+@st.composite
+def placed(draw, value):
+    """``value`` at a depth of 0 to 3, in dicts, lists and tuples, beside other values."""
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(st.sampled_from([
+            {"terms": value, "n": 3}, {"a": [1], "b": value}, [value], [value, "x"], (value,)]))
+    return value
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(operator_lists().flatmap(placed), st.booleans())
+def test_property_terms_and_pauli_ops_match_stdlib(data, twice):
+    if twice:       # the same list placed twice, as an ungauge report places its terms
+        data = {"mapped_terms": data, "result": {"mapped_terms": data}}
+    assert _written(data) == stdlib_json(data)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(operator_lists().filter(bool), st.sampled_from([BitVec(2, 1), {1, 2}, 1.5]), st.data())
+def test_property_foreign_value_beside_terms_is_rejected(ops, foreign, data):
+    ops.insert(data.draw(st.integers(0, len(ops))), foreign)
+    data = data.draw(placed(ops))
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(TypeError):
+            _write_json(Path(tmp) / "r.json", data)
+        assert list(Path(tmp).iterdir()) == []
 
 
 @pytest.mark.parametrize("data", [
@@ -190,7 +244,7 @@ def test_property_cycle_through_an_element_is_rejected(rows, through_list, data)
     [[{"a": [1, "x"]}]], [{"%d": 1, "%": "%s"}],
 ], ids=repr)
 def test_writer_matches_stdlib_on_edge_cases(data):
-    assert _written(data) == _stdlib(data)
+    assert _written(data) == stdlib_json(data)
 
 
 @pytest.mark.parametrize("data", [
@@ -200,7 +254,7 @@ def test_writer_matches_stdlib_on_edge_cases(data):
         "mixed-keys"])
 def test_writer_rejects_what_json_rejects(data):
     with pytest.raises(TypeError):
-        _stdlib(data)
+        stdlib_json(data)
     with pytest.raises(TypeError):
         _written(data)
 
@@ -214,11 +268,11 @@ def test_writer_rejects_cycles():
     dict_in_list[0]["b"] = dict_in_list
     for data in (looped, nested, dict_in_list):
         with pytest.raises(ValueError, match="Circular reference"):
-            _stdlib(data)
+            stdlib_json(data)
         with pytest.raises(ValueError, match="Circular reference"):
             _written(data)
     shared = [1]
-    assert _written([shared, shared, {"a": shared}]) == _stdlib([shared, shared, {"a": shared}])
+    assert _written([shared, shared, {"a": shared}]) == stdlib_json([shared, shared, {"a": shared}])
 
 
 def test_failed_write_leaves_no_file(tmp_path):
@@ -243,7 +297,10 @@ def test_writer_rejects_floats(tmp_path, data):
     (["build", "--code", "gcc", "--L", "4"], 1.0),
     (["ungauge", "--code", "gcc", "--L", "2"], 0.5),
     (["ungauge", "--code", "gcc", "--L", "4"], 0.5),
-], ids=["build-gcc-L4", "ungauge-gcc-L2", "ungauge-gcc-L4"])
+    # One piece of 32 wall terms is most of the small report; the ratio falls as it grows.
+    (["spt", "--code", "toric2d", "--L", "10", "--slab", "0:2"], 3.0),
+    (["spt", "--code", "toric2d", "--L", "32", "--slab", "0:2"], 1.1),
+], ids=["build-gcc-L4", "ungauge-gcc-L2", "ungauge-gcc-L4", "spt-toric2d-L10", "spt-toric2d-L32"])
 def test_writer_memory_does_not_grow_with_the_report(tmp_path, monkeypatch, argv, bound):
     # The tracemalloc peak of writing one report, relative to the file's bytes.
     # Rendering the whole text before writing peaks at 3.0x on both reports;

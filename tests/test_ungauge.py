@@ -36,6 +36,7 @@ from tests.oracles import (
     naive_x_preimage,
     pairwise_commutation_check,
     random_symmetric_pauli,
+    stdlib_json,
 )
 
 
@@ -310,11 +311,9 @@ def test_combo_with_another_x_support_is_rejected(sphere_model):
 
 
 def test_report_deterministic(sphere_model):
-    import json
-
     a = setup_report(sphere_model.setup, commutation_pairs=50, seed=5)
     b = setup_report(sphere_model.setup, commutation_pairs=50, seed=5)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert stdlib_json(a) == stdlib_json(b)
 
 
 def test_y_content_maps_hermitian(gcc_model):
