@@ -20,22 +20,20 @@ strings, ints, bools, None, ``Term``s and ``PauliOp``s, and its file
 holds exactly the bytes of ``json.dumps(data, indent=2, sort_keys=True)``
 and a newline, each Term and PauliOp written as its ``to_json()``.  So
 the commands put the engine's terms and symmetries in their reports and
-build no dict for them.  ``_write_json`` renders them with a direct
-encoder (the stdlib falls back to pure Python whenever ``indent`` is
-set).  It raises ``TypeError`` on any other value, a float included,
-and ``ValueError`` on a cycle.  One template rule (``_column``) renders
-a list at C speed: strs and ints are joined, and a list of int lists or
-of dicts of one key set becomes one ``%`` template per distinct shape
-(the kind of each value, the length of each int list, recursively
-through nested dicts), filled with all its values, read column by
-column, by one ``%``; a list of Terms or of PauliOps takes one template
-per (x weight, z weight), filled from the slots and supports
-(``_operators``).  A list that does not fit (a bool or None among ints,
-a foreign value, a dict met twice, a name that is not a str) is encoded
-element by element.  The text is streamed to the file in pieces
-(``_pieces``): a list of dicts, Terms or PauliOps goes ``CHUNK``
-elements a piece, so memory follows the largest piece, not the report;
-a write that fails part way removes the file.
+build no dict for them.  One renderer, ``_pieces``, walks the value and
+streams its text to the file (the stdlib falls back to pure Python
+whenever ``indent`` is set).  It raises ``TypeError`` on any other
+value, a float included, and ``ValueError`` on a cycle.  A dict is
+written key by key.  A list that holds a dict, a Term or a PauliOp goes
+``CHUNK`` elements a piece, so memory follows the largest piece, not the
+report; any other list is one piece.  One template rule (``_filled``)
+renders a list, or a chunk, at C speed: strs and ints are joined, a list
+of int lists takes one ``%d`` template per length, and a list of Terms
+or of PauliOps one template per (x weight, z weight), filled from the
+slots and supports (``_operators``); each by one ``%``.  A list that
+does not fit (a dict, mixed kinds, a bool or None among ints, a foreign
+value, a name that is not a str) is written element by element.  A
+write that fails part way removes the file.
 
 The parser: ``main`` builds only the parser of the command that
 ``argv[0]`` names, from the definition (``_define``) that ``make_parser``
@@ -49,9 +47,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -236,7 +233,7 @@ def _op_template(nl: str, wx: int, wz: int) -> str:
 
 
 def _operators(col, nl: str):
-    """The template rule (see ``_column``) for Terms or PauliOps, all of one type: a
+    """The template rule (see ``_filled``) for Terms or PauliOps, all of one type: a
     shape per (x weight, z weight), with the ``%`` arguments read from the slots and
     the supports, as ``to_json()`` would hold them; None if a name or coupling is not
     a str."""
@@ -258,73 +255,32 @@ def _operators(col, nl: str):
             + '"op": ' + _op_template(inner, *shape) + nl + "}", values)
 
 
-def _column(col, kinds: set, nl: str, seen: set):
-    """The template rule: the values ``col``, of the types ``kinds``, each written
-    where ``nl`` starts its lines, as ``(shapes, template, values)``, or None if
-    they do not fit it.  Each value has a shape and an iterable of ``%``
-    arguments, and ``template(shape)`` is the text of a value of that shape with
-    a slot for each argument.  The values fit when they are all strs (a ``%s``
-    slot for the quoted text), all exact ints (``%d``), all lists of ints (a
-    shape per length, a ``%d`` slot per item; ``_filled`` checks the items), all
-    Terms or all PauliOps (``_operators``), or all dicts of one key set, none in
-    ``seen``, whose columns, read key by key, fit in turn (a shape per tuple of
-    their shapes).  Anything else does not: a bool or None among ints, a foreign
-    value, or a dict met twice (a shared dict or a cycle).
-    """
-    kind = next(iter(kinds)) if len(kinds) == 1 else None
-    inner = nl + "  "
-    if kind is str:
-        return repeat(0, len(col)), lambda shape: "%s", zip(map(_quote, col))
-    if kind is int:
-        return repeat(0, len(col)), lambda shape: "%d", zip(col)
-    # The first item turns away lists of lists or of strs before any template is built.
-    if kind in (list, tuple) and type(next(chain.from_iterable(col), 0)) is int:
-        return map(len, col), lambda k: _int_list(k, nl), col
-    if kind is Term or kind is PauliOp:
-        return _operators(col, nl)
-    if kind is not dict:
-        return None
-    ids = set(map(id, col))
-    if len(ids) < len(col) or not ids.isdisjoint(seen) or len(set(map(len, col))) > 1:
-        return None
-    seen |= ids
-    keys = sorted(col[0])
-    if not keys:
-        return repeat(0, len(col)), lambda shape: "{}", repeat((), len(col))
-    columns = []
-    for k in keys:
-        try:    # the dicts have one size, so each has the keys of the first or misses one
-            cells = list(map(itemgetter(k), col))
-        except KeyError:
-            return None
-        columns.append(_column(cells, set(map(type, cells)), inner, seen))
-        if columns[-1] is None:
-            return None
-    heads = [_key(k).replace("%", "%%") + ": " for k in keys]
-    shapes, templates, values = zip(*columns)
-
-    def template(shape):
-        return "{" + inner + ("," + inner).join(
-            [head + t(s) for head, t, s in zip(heads, templates, shape)]) + nl + "}"
-    return zip(*shapes), template, map(chain.from_iterable, zip(*values))
-
-
-def _filled(o, nl: str, path: set, head: str, tail: str) -> Optional[str]:
-    """``head``, the values ``o`` (not empty) joined by ``","`` and ``nl``, and
-    ``tail``, at C speed; None if ``o`` does not fit the template rule
-    (``_column``).  Strs and ints are joined; other values get one template per
-    distinct shape, joined and filled with every argument by one ``%``.
-    ``path`` holds the ids of the containers around ``o``.
+def _filled(o, nl: str, head: str, tail: str) -> Optional[str]:
+    """``head``, the values ``o`` (not empty) each written where ``nl`` starts its
+    lines and joined by ``","`` and ``nl``, and ``tail``, at C speed; None if ``o``
+    does not fit the template rule.  Strs and ints are joined.  A list of int lists
+    takes one template per length, with a ``%d`` slot per item; a list of Terms or
+    of PauliOps one per (x weight, z weight) (``_operators``).  The templates are
+    joined and filled with every argument by one ``%``.  Anything else does not
+    fit: mixed kinds, a bool or None among ints, a foreign value.
     """
     kinds = set(map(type, o))
     if kinds == {int} or kinds == {str}:
         return head + ("," + nl).join(map(_quote if str in kinds else int.__repr__, o)) + tail
-    rule = _column(o, kinds, nl, set(path))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is Term or kind is PauliOp:
+        rule = _operators(o, nl)
+    # The first item turns away lists of lists or of strs before any template is built.
+    elif kind in (list, tuple) and type(next(chain.from_iterable(o), 0)) is int:
+        rule = map(len, o), lambda k: _int_list(k, nl), o
+    else:
+        rule = None
     if rule is None:
         return None
-    shapes, template, values = rule
     # Each step drops what the next no longer reads, so the peak is the template,
     # the arguments and the text.
+    shapes, template, values = rule
+    del rule
     shapes = list(shapes)
     texts = {shape: template(shape) for shape in set(shapes)}
     body = list(map(texts.__getitem__, shapes))
@@ -335,6 +291,7 @@ def _filled(o, nl: str, path: set, head: str, tail: str) -> Optional[str]:
     text = ("," + nl).join(body)
     del body
     args = tuple(chain.from_iterable(values))
+    del values
     # The items of int lists are checked here, in one pass: a bool, None, a float or
     # a container among the arguments, or a str in a %d slot (a TypeError), does not fit.
     if not set(map(type, args)) <= {int, str}:
@@ -343,45 +300,6 @@ def _filled(o, nl: str, path: set, head: str, tail: str) -> Optional[str]:
         return text % args
     except TypeError:
         return None
-
-
-def _encode(o, nl: str, path: set) -> str:
-    """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it, nested where
-    ``nl`` (a newline and the indent) starts its lines; ``path`` holds the ids of
-    the containers around ``o``.  A list that fits the template rule (``_column``:
-    strs, ints, int lists, Terms, PauliOps or same-keyed dicts of these) is
-    rendered at C speed by ``_filled``; any other list, and every dict, is encoded
-    element by element, and a Term or PauliOp met alone as its ``to_json()``.
-    """
-    if isinstance(o, str):
-        return _quote(o)
-    text = _scalar(o)
-    if text is not None:
-        return text
-    if not isinstance(o, (list, tuple, dict)):
-        if isinstance(o, (Term, PauliOp)):
-            return _encode(o.to_json(), nl, path)
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    if not o:
-        return "{}" if isinstance(o, dict) else "[]"
-    if id(o) in path:
-        raise ValueError("Circular reference detected")
-    inner = nl + "  "
-    if isinstance(o, dict):
-        path.add(id(o))
-        body = [_key(k) + ": " + _encode(v, inner, path) for k, v in sorted(o.items())]
-        path.discard(id(o))
-        # The braces go on the end items, so the one join is the only copy of the text.
-        body[0] = "{" + inner + body[0]
-        body[-1] += nl + "}"
-        return ("," + inner).join(body)
-    text = _filled(o, inner, path, "[" + inner, nl + "]")
-    if text is not None:
-        return text
-    path.add(id(o))
-    body = [_encode(v, inner, path) for v in o]
-    path.discard(id(o))
-    return "[" + inner + ("," + inner).join(body) + nl + "]"
 
 
 # The elements of a list of dicts, Terms or PauliOps that one piece holds (see
@@ -393,23 +311,45 @@ _CHUNKED = {dict, Term, PauliOp}
 
 
 def _pieces(o, nl: str, path: set):
-    """The text ``_encode(o, nl, path)`` returns, yielded in pieces: a dict key by
-    key, a list that holds a dict, a Term or a PauliOp ``CHUNK`` elements at a
-    time, and every other value whole, so that no piece is much larger than a
-    chunk.  A chunk that fits the template rule is one piece; one that does not
-    (see ``_column``) is yielded element by element, as a chunk of large elements
-    may be large.
+    """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it, nested where
+    ``nl`` (a newline and the indent) starts its lines, yielded in pieces; ``path``
+    holds the ids of the containers around ``o``.  A dict is written key by key, a
+    list that holds a dict, a Term or a PauliOp ``CHUNK`` elements at a time, so
+    that no piece is much larger than a chunk; a chunk that fits the template rule
+    (``_filled``) is one piece, and one that does not is written element by
+    element.  Any other list is one piece, filled whole or joined from its
+    elements, and a Term or PauliOp met alone is written as its ``to_json()``.
     """
+    if isinstance(o, str):
+        yield _quote(o)
+        return
+    text = _scalar(o)
+    if text is not None:
+        yield text
+        return
+    if not isinstance(o, (list, tuple, dict)):
+        if not isinstance(o, (Term, PauliOp)):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        yield from _pieces(o.to_json(), nl, path)
+        return
     is_dict = isinstance(o, dict)
-    chunked = isinstance(o, (list, tuple)) and not _CHUNKED.isdisjoint(map(type, o))
-    if not (is_dict and o or chunked):
-        yield _encode(o, nl, path)
+    if not o:
+        yield "{}" if is_dict else "[]"
         return
     if id(o) in path:
         raise ValueError("Circular reference detected")
     inner = nl + "  "
     sep = ("{" if is_dict else "[") + inner
     path.add(id(o))
+    if not is_dict and _CHUNKED.isdisjoint(map(type, o)):
+        # The list itself, not a slice of it, so that no copy adds to the peak.
+        text = _filled(o, inner, sep, nl + "]")
+        if text is None:
+            text = sep + ("," + inner).join(
+                ["".join(_pieces(v, inner, path)) for v in o]) + nl + "]"
+        path.discard(id(o))
+        yield text
+        return
     if is_dict:
         for k, v in sorted(o.items()):
             yield sep + _key(k) + ": "
@@ -418,13 +358,13 @@ def _pieces(o, nl: str, path: set):
     else:
         for start in range(0, len(o), CHUNK):
             chunk = o[start:start + CHUNK]
-            text = _filled(chunk, inner, path, sep, "")
+            text = _filled(chunk, inner, sep, "")
             if text is not None:
                 yield text
                 sep = "," + inner
                 continue
             for v in chunk:
-                yield sep + _encode(v, inner, path)
+                yield sep + "".join(_pieces(v, inner, path))
                 sep = "," + inner
     path.discard(id(o))
     yield nl + ("}" if is_dict else "]")
@@ -448,11 +388,12 @@ def cmd_build(args) -> int:
     code = _construct(args, "build")
     if args.code == "xu-moore":
         out = _out_dir(args)
+        h = code.hamiltonian
         _write_json(out / "xu-moore.json", {
             "n": code.n,
-            "hamiltonian": code.hamiltonian.to_json(),
-            "emergent_row_symmetries": [p.to_json() for p in code.emergent],
-            "preserved_column_symmetries": [p.to_json() for p in code.preserved],
+            "hamiltonian": {"n": h.n, "terms": h.terms},
+            "emergent_row_symmetries": code.emergent,
+            "preserved_column_symmetries": code.preserved,
         })
         print(f"xu-moore L={args.L}: n={code.n}, {len(code.hamiltonian)} terms -> {out}")
         return 0

@@ -113,20 +113,22 @@ def test_transposes_in_the_gcc_build(tmp_path, monkeypatch, capsys):
     assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "transpose", argv) == 4
 
 
-# Encodings of one value while the ungauge gcc L=2 report is written: a
-# guard against per-element encoding coming back.  Each list of Terms, of
-# PauliOps or of same-keyed dicts is filled as one template a chunk at a
-# time, so only the top-level values and the elements of the components
-# list (whose weight histograms have other keys) are encoded one by one;
-# element by element it was 4002.
+# Renderer calls while the ungauge gcc L=2 report is written: a guard
+# against per-element encoding coming back.  Each list of Terms or of
+# PauliOps is filled as one template a chunk at a time, so only the dicts,
+# their values and the elements of the components list (dicts, which no
+# template fills) are rendered one by one.  The two encoders this renderer
+# replaced made 80 calls (27 streamed, 53 whole); element by element they
+# made 4002.
 def test_encodings_in_the_gcc_report(tmp_path, monkeypatch, capsys):
     argv = ["ungauge", "--code", "gcc", "--L", "2"]
-    assert _calls_in_command(tmp_path, monkeypatch, cli, "_encode", argv) == 53
+    assert _calls_in_command(tmp_path, monkeypatch, cli, "_pieces", argv) == 63
 
 
 # No command builds a dict for a term or a symmetry: the writer reads each
 # Term and PauliOp of a report from its slots.
-@pytest.mark.parametrize("argv", COMMANDS[:2], ids=["spt", "ungauge-gcc"])
+@pytest.mark.parametrize("argv", [*COMMANDS[:2], ["build", "--code", "xu-moore", "--L", "3"]],
+                         ids=["spt", "ungauge-gcc", "build-xu-moore"])
 @pytest.mark.parametrize("owner", [pauli.PauliOp, pauli.Term, pauli.Hamiltonian],
                          ids=["PauliOp", "Term", "Hamiltonian"])
 def test_reports_build_no_term_dicts(tmp_path, monkeypatch, capsys, owner, argv):

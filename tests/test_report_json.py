@@ -75,10 +75,11 @@ def test_property_writer_matches_stdlib(data):
     assert _written(data) == stdlib_json(data)
 
 
-# The template rule (``cli._column``): lists of dicts of one key set, whose
-# columns are strs, exact ints, int lists of mixed lengths or nested dicts of
-# one key set, longer than one chunk of ``cli._pieces``.  Keys and strs may
-# hold "%", which the templates must escape.
+# Lists of dicts of one key set, whose columns are strs, exact ints, int
+# lists of mixed lengths or nested dicts of one key set, longer than one chunk
+# of ``cli._pieces``.  No template fills a dict, so each is written element by
+# element, its int lists and columns of strs filled by the template rule
+# (``cli._filled``).  Keys and strs may hold "%", which the text must keep.
 TEMPLATE_TEXT = st.text(alphabet=st.sampled_from(['%', 'd', 's', '"', "\\", "\n", "é", "a"]),
                         max_size=4)
 INT_ROWS = st.lists(INTS, max_size=5)
@@ -242,6 +243,9 @@ def test_property_foreign_value_beside_terms_is_rejected(ops, foreign, data):
     [{"a": True}, {"a": False}], [{"a": None}], [{"a": [True]}, {"a": [2]}], [{"a": [[1]]}],
     [{"a": "x"}, {"a": 1}], [{"a": (1, 2)}, {"a": [3]}], [{"a": [1, "x"]}],
     [[{"a": [1, "x"]}]], [{"%d": 1, "%": "%s"}],
+    # Int lists whose first item is an int and a later one a str: the %d slot
+    # turns the str away, and the list is written element by element.
+    [[1], ["x"]], [[1, "x"]], [(1,), ("x",)],
 ], ids=repr)
 def test_writer_matches_stdlib_on_edge_cases(data):
     assert _written(data) == stdlib_json(data)
@@ -320,13 +324,14 @@ def test_writer_memory_does_not_grow_with_the_report(tmp_path, monkeypatch, argv
 
 def test_encoder_memory_on_a_list_of_int_lists():
     # One map of the gcc L=4 complex: a dict whose "entries" is 3072 [i, j]
-    # lists.  One filled template per list, and braces on the dict's end
-    # items, leave one join to set the peak at about 2.65x the text; a
-    # string per row peaked at 3.8x, and braces added around the join at 3.0x.
+    # lists, its pieces joined into one text.  One filled template per list,
+    # with the brackets on its end items, leaves the join to set the peak at
+    # about 2.5x the text; a string per row peaked at 3.8x, and brackets
+    # added around the join at 3.0x.
     entry = build_gcc(4).css_complex().to_json()["maps"][0]
     tracemalloc.start()
     try:
-        text = cli._encode(entry, "\n      ", set())
+        text = "".join(cli._pieces(entry, "\n      ", set()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
