@@ -126,9 +126,8 @@ def build_xu_moore(length: int) -> XuMooreModel:
         support = [left[s], s, left[down[s]], down[s]]
         # z_combo: the vertical pair of Bacon-Shor vertices, for gauging back;
         # vertices and horizontal edges share the same row-major (r, c) index.
-        z_combo = BitVec.from_support(n, [s, down[s]])
         h.add(Term(f"Zplaq[{names[s]}]", "J_Z", PauliOp.z_op(n, support),
-                   {"z_combo": z_combo, "plaquette_index": s}))
+                   z_combo=BitVec.from_support(n, [s, down[s]])))
     emergent = [PauliOp.x_op(n, range(r * L, r * L + L)) for r in range(L)]
     preserved = [PauliOp.x_op(n, range(c, n, L)) for c in range(L)]
     return XuMooreModel(n, h, emergent, preserved)

@@ -120,6 +120,18 @@ def bacon_shor_model(length: int = 3) -> WorkedModel:
     return WorkedModel("bacon-shor", code, gauge_hamiltonian(code), setup)
 
 
+def _z_terms_as_generators(h: Hamiltonian) -> Hamiltonian:
+    """``h`` for a full gauging whose i-th swapped X generator is the Z
+    support of its i-th Z-only term: that term's ``z_combo`` is the i-th
+    generator alone, and no other term carries provenance."""
+    width = sum(t.op.x.is_zero() for t in h)
+    index = iter(range(width))
+    return Hamiltonian(h.n, [
+        Term(t.name, t.coupling, t.op,
+             z_combo=BitVec(width, 1 << next(index)) if t.op.x.is_zero() else None)
+        for t in h])
+
+
 def xu_moore_check(length: int = 3) -> dict:
     """The full Bacon-Shor / Xu-Moore round trip and the full-gauging twist.
 
@@ -139,19 +151,12 @@ def xu_moore_check(length: int = 3) -> dict:
 
     # Full gauging: every final X symmetry (emergent rows + preserved
     # columns) is gauged in the X/Z-swapped picture; the natural swapped
-    # X generators are the Xu-Moore plaquettes, one per vertical edge,
-    # numbered by their ``plaquette_index``.  Each plaquette's ``z_combo``
-    # becomes that one swapped generator in place of its Bacon-Shor pair.
-    plaquettes = {}
-    h_for_full = Hamiltonian(xm.n)
-    for t in xm.hamiltonian:
-        meta = dict(t.meta)
-        if "plaquette_index" in meta:
-            plaquettes[meta["plaquette_index"]] = t.op.z
-            meta["z_combo"] = BitVec(xm.n, 1 << meta["plaquette_index"])
-        h_for_full.add(Term(t.name, t.coupling, t.op, meta))
+    # X generators are the Xu-Moore plaquettes, one per vertical edge, in
+    # term order.  Each plaquette's ``z_combo`` becomes that one swapped
+    # generator in place of its Bacon-Shor pair.
+    h_for_full = _z_terms_as_generators(xm.hamiltonian)
     s_swapped = make_setup(xm.n, [p.x for p in xm.emergent + xm.preserved],
-                           x_gens=[plaquettes[i] for i in range(xm.n)])
+                           x_gens=[t.op.z for t in h_for_full if t.op.x.is_zero()])
 
     # Transposition: the gauged system's qubit j sits on the vertical
     # edge (r, c); the Hadamard conjugate lives on horizontal edges, and
@@ -260,15 +265,10 @@ def full_gauge_lgt(length: int = 2) -> dict:
 
     h_lgt = ungauge_hamiltonian(gauge_hamiltonian(code), model.setup)
     h_lgt, _ = strip_identity_terms(h_lgt)
-    h_for_full = Hamiltonian(n_edges)
-    for t in h_lgt:
-        meta = {}
-        if t.op.x.is_zero():
-            # The image of Z gauge generator e is the link operator of edge e.
-            meta["z_combo"] = BitVec(n_edges, 1 << t.meta["z_index"])
-        h_for_full.add(Term(t.name, t.coupling, t.op, meta))
     reference = transversal_hadamard_hamiltonian(h_lgt)
-    report = full_gauge_comparison(h_for_full, s_swapped,
+    # The image of Z gauge generator e, the e-th Z-only term, is the link
+    # operator of edge e.
+    report = full_gauge_comparison(_z_terms_as_generators(h_lgt), s_swapped,
                                    reference, {e: e for e in range(n_edges)})
     report["topological_x_classes"] = s_swapped.d_z.cols - len(pair_ops)
     return {"model": model, "swapped_setup": s_swapped, "report": report}
@@ -364,12 +364,11 @@ def color2d_partial_model(length: int = 3, color: str = "c") -> WorkedModel:
     for v in range(lattice.n_cells(0)):
         op = PauliOp(code.n, code.stabilizer_x[v], BitVec(code.n))
         if vcol[v] != color:
-            h.add(Term(f"X[{lattice.cells[0][v]}]", "J_X", op, {"x_combo": combo(v, color)}))
+            h.add(Term(f"X[{lattice.cells[0][v]}]", "J_X", op, x_combo=combo(v, color)))
         else:
             for o in other_colors:
                 pair = "".join(sorted(color + o))
-                h.add(Term(f"X[{lattice.cells[0][v]}]:{pair}", "J_X", op,
-                           {"x_combo": combo(v, o)}))
+                h.add(Term(f"X[{lattice.cells[0][v]}]:{pair}", "J_X", op, x_combo=combo(v, o)))
         if vcol[v] != color:
             h.add(Term(f"Z[{lattice.cells[0][v]}]", "J_Z",
                        PauliOp(code.n, BitVec(code.n), code.stabilizer_z[v])))

@@ -114,19 +114,19 @@ class CssSubsystemCode:
 def gauge_hamiltonian(code: CssSubsystemCode, kinds: str = "XZ") -> Hamiltonian:
     """Sum of gauge generators of the requested Pauli kinds.
 
-    X terms carry ``x_combo`` provenance (unit vector over the X gauge
-    list), which the duality maps use for exact images; Z terms carry
-    ``z_index``, their position in the Z gauge list.
+    An X term's ``x_combo`` is its unit vector over the X gauge list,
+    which the duality maps use for exact images; Z terms carry no
+    provenance.
     """
     h = Hamiltonian(code.n)
     m = len(code.gauge_x)
     if "X" in kinds:
         for i, v in enumerate(code.gauge_x):
             h.add(Term(f"GX[{i}]", "J_X", PauliOp(code.n, v, BitVec(code.n)),
-                       {"x_combo": BitVec(m, 1 << i)}))
+                       x_combo=BitVec(m, 1 << i)))
     if "Z" in kinds:
         for i, v in enumerate(code.gauge_z):
-            h.add(Term(f"GZ[{i}]", "J_Z", PauliOp(code.n, BitVec(code.n), v), {"z_index": i}))
+            h.add(Term(f"GZ[{i}]", "J_Z", PauliOp(code.n, BitVec(code.n), v)))
     return h
 
 
@@ -142,7 +142,7 @@ def y_gauge_hamiltonian(code: CssSubsystemCode) -> Hamiltonian:
     m = len(code.gauge_x)
     for i, v in enumerate(code.gauge_x):
         h.add(Term(f"GY[{i}]", "J_Y", PauliOp.y_op(code.n, v.support),
-                   {"x_combo": BitVec(m, 1 << i)}))
+                   x_combo=BitVec(m, 1 << i)))
     return h
 
 
@@ -152,7 +152,7 @@ def stabilizer_hamiltonian(code: CssSubsystemCode) -> Hamiltonian:
     m = len(code.stabilizer_x)
     for i, v in enumerate(code.stabilizer_x):
         h.add(Term(f"SX[{i}]", "J_X", PauliOp(code.n, v, BitVec(code.n)),
-                   {"x_combo": BitVec(m, 1 << i)}))
+                   x_combo=BitVec(m, 1 << i)))
     for i, v in enumerate(code.stabilizer_z):
         h.add(Term(f"SZ[{i}]", "J_Z", PauliOp(code.n, BitVec(code.n), v)))
     return h

@@ -240,13 +240,12 @@ def transversal_hadamard(p: PauliOp) -> PauliOp:
 
 
 def transversal_hadamard_hamiltonian(h: "Hamiltonian") -> "Hamiltonian":
-    """Termwise Hadamard conjugation; ``x_combo`` and ``z_combo`` swap with
-    the supports, and other metadata is kept."""
-    swap = {"x_combo": "z_combo", "z_combo": "x_combo"}
+    """Termwise Hadamard conjugation; a term's ``x_combo`` and ``z_combo``
+    swap with its supports."""
     out = Hamiltonian(h.n)
     for t in h:
-        meta = {swap.get(k, k): v for k, v in t.meta.items()}
-        out.add(Term(t.name, t.coupling, transversal_hadamard(t.op), meta))
+        out.add(Term(t.name, t.coupling, transversal_hadamard(t.op),
+                     x_combo=t.z_combo, z_combo=t.x_combo))
     return out
 
 
@@ -307,18 +306,20 @@ def in_group(p: PauliOp, gens: Sequence[PauliOp], track_sign: bool = False) -> b
 class Term:
     """One Hamiltonian term: a Pauli operator with a name and coupling tag.
 
-    ``meta`` may carry preimage provenance used by the duality maps
-    (``x_combo``: the term's X part as a combination of the setup's
-    X generators; ``z_combo``: a preimage of the term's Z part).
+    Two optional slots carry the preimage provenance that the duality maps
+    use: ``x_combo``, the term's X part as a combination of the setup's X
+    generators, and ``z_combo``, a preimage of the term's Z part.
     """
 
-    __slots__ = ("name", "coupling", "op", "meta")
+    __slots__ = ("name", "coupling", "op", "x_combo", "z_combo")
 
-    def __init__(self, name: str, coupling: str, op: PauliOp, meta: Optional[dict] = None):
+    def __init__(self, name: str, coupling: str, op: PauliOp, *,
+                 x_combo: Optional[BitVec] = None, z_combo: Optional[BitVec] = None):
         self.name = name
         self.coupling = coupling
         self.op = op
-        self.meta = dict(meta) if meta else {}
+        self.x_combo = x_combo
+        self.z_combo = z_combo
 
     def key(self) -> tuple:
         """Multiset identity: coupling, supports and phase (name ignored)."""
@@ -366,11 +367,9 @@ class Hamiltonian:
         for t in self.terms:
             x = BitVec.from_support(n2, [mapping[q] for q in t.op.x.support])
             z = BitVec.from_support(n2, [mapping[q] for q in t.op.z.support])
-            out.add(Term(t.name, t.coupling, PauliOp(n2, x, z, t.op.phase), t.meta))
+            out.add(Term(t.name, t.coupling, PauliOp(n2, x, z, t.op.phase),
+                         x_combo=t.x_combo, z_combo=t.z_combo))
         return out
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "terms": [t.to_json() for t in self.terms]}
 
     def __repr__(self):
         return f"Hamiltonian(n={self.n}, terms={len(self.terms)})"

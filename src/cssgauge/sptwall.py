@@ -180,11 +180,11 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
         inside = sup & region_qubits.bits
         outside = sup & ~region_qubits.bits
         if inside and outside:
-            h_wall.add(Term(t.name, t.coupling, img, t.meta))
+            h_wall.add(Term(t.name, t.coupling, img, x_combo=t.x_combo))
         elif outside:
-            h_rc.add(Term(t.name, t.coupling, img, t.meta))
+            h_rc.add(Term(t.name, t.coupling, img, x_combo=t.x_combo))
         else:
-            h_r.add(Term(t.name, t.coupling, t.op, t.meta))
+            h_r.add(t)
             if img != t.op:
                 # Interior decorated generator: replaced by the original.
                 pairs.append((img, t.op))

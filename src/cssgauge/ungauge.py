@@ -17,9 +17,9 @@ relations to those kernels, and ``dim_check`` certifies the completion.
 The X side of a raw Pauli is solved for canonically (leftmost pivots,
 free variables zero); the solution is unique only up to the relation
 space, which ``setup_report`` surfaces.  A Hamiltonian term may instead
-carry an ``x_combo`` in its metadata naming the intended preimage, which
-the map validates and uses.  Builders attach these, and the map attaches
-the preimage's Z support to each image as ``z_combo``, so round trips
+name the intended preimage in its ``x_combo`` slot, which the map
+validates and uses.  Builders fill that slot, and the map puts the
+preimage's Z support in each image's ``z_combo`` slot, so round trips
 reproduce terms exactly rather than up to a symmetry.
 
 There is one map: gauging is the forward map of ``UngaugeSetup.dual``
@@ -216,12 +216,10 @@ def _map_terms(h: Hamiltonian, s: UngaugeSetup, words: tuple) -> Hamiltonian:
     out = Hamiltonian(s.n_fin)
     for t in h:
         try:
-            op = ungauge_pauli(t.op, s, x_combo=t.meta.get("x_combo"), words=words)
+            op = ungauge_pauli(t.op, s, x_combo=t.x_combo, words=words)
         except UngaugeError as exc:
             raise type(exc)(f"term {t.name}: {exc}") from None
-        meta = {k: v for k, v in t.meta.items() if k != "x_combo"}
-        meta["z_combo"] = t.op.z
-        out.add(Term(t.name, t.coupling, op, meta))
+        out.add(Term(t.name, t.coupling, op, z_combo=t.op.z))
     return out
 
 
@@ -229,9 +227,8 @@ def ungauge_hamiltonian(h: Hamiltonian, s: UngaugeSetup) -> Hamiltonian:
     """Termwise forward map; term provenance is used and propagated.
 
     Names and couplings are kept.  An image carries its preimage's Z
-    support as ``z_combo`` and keeps any metadata other than ``x_combo``
-    (such as ``z_index``).  An ``UngaugeError`` is re-raised naming the
-    term it met.
+    support as ``z_combo`` and no ``x_combo``.  An ``UngaugeError`` is
+    re-raised naming the term it met.
     """
     return _map_terms(h, s, _UNGAUGING)
 

@@ -273,9 +273,11 @@ def check_spt_pipeline() -> CheckResult:
     witness = _anticommuting_names(resf.wall_hamiltonian)
     if witness:
         problems.append(f"fractal wall terms do not commute: {witness}")
-    if not all(symplectic_product(s, t.op) == 0
-               for s in resf.symmetries for t in resf.wall_hamiltonian):
-        problems.append("fractal wall terms do not commute with restricted symmetries")
+    witness = next((f"symmetry {i} anticommutes with {t.name}"
+                    for i, s in enumerate(resf.symmetries) for t in resf.wall_hamiltonian
+                    if symplectic_product(s, t.op)), "")
+    if witness:
+        problems.append(f"fractal wall terms do not commute with restricted symmetries: {witness}")
     if not resf.symmetries:
         problems.append("no restricted fractal symmetries found")
     circ = find_cz_disentangler(resf.wall_hamiltonian)

@@ -129,8 +129,7 @@ def test_encodings_in_the_gcc_report(tmp_path, monkeypatch, capsys):
 # Term and PauliOp of a report from its slots.
 @pytest.mark.parametrize("argv", [*COMMANDS[:2], ["build", "--code", "xu-moore", "--L", "3"]],
                          ids=["spt", "ungauge-gcc", "build-xu-moore"])
-@pytest.mark.parametrize("owner", [pauli.PauliOp, pauli.Term, pauli.Hamiltonian],
-                         ids=["PauliOp", "Term", "Hamiltonian"])
+@pytest.mark.parametrize("owner", [pauli.PauliOp, pauli.Term], ids=["PauliOp", "Term"])
 def test_reports_build_no_term_dicts(tmp_path, monkeypatch, capsys, owner, argv):
     assert _calls_in_command(tmp_path, monkeypatch, owner, "to_json", argv) == 0
 

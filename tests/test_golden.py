@@ -153,10 +153,11 @@ def test_report_matches_pinned_sha256(tmp_path, argv, pinned):
 
 
 # The gauge report above holds only booleans, so the gauged terms
-# themselves are pinned: the SHA-256 of each Hamiltonian's ``to_json``
-# (sorted keys) for the Xu-Moore -> Bacon-Shor partial gauge at L=3 and
-# for the ``full_gauge_hamiltonian`` image inside ``xu_moore_check(3)``
-# and ``full_gauge_lgt(2)``, before the comparison relabels it.
+# themselves are pinned: the SHA-256 of ``{"n", "terms"}`` with each term
+# in its ``to_json`` form (sorted keys), for the Xu-Moore -> Bacon-Shor
+# partial gauge at L=3 and for the ``full_gauge_hamiltonian`` image inside
+# ``xu_moore_check(3)`` and ``full_gauge_lgt(2)``, before the comparison
+# relabels it.
 GAUGED_TERMS_SHA256 = {
     "xu-moore-partial-L3": "bd299645971278e9d7f9a1fbd1bf0ac27169dee7147356e7f09d14622bdf170e",
     "xu-moore-full-L3": "d1dac0594aa9a4bfffe08f847877380cf3fffbb9fcf0b35c963086b8905cd318",
@@ -165,7 +166,8 @@ GAUGED_TERMS_SHA256 = {
 
 
 def _terms_sha256(h) -> str:
-    return hashlib.sha256(json.dumps(h.to_json(), sort_keys=True).encode()).hexdigest()
+    terms = {"n": h.n, "terms": [t.to_json() for t in h]}
+    return hashlib.sha256(json.dumps(terms, sort_keys=True).encode()).hexdigest()
 
 
 def _full_gauge_image(monkeypatch, run):

@@ -193,15 +193,27 @@ def test_transversal_hadamard_matches_circuit():
 def test_transversal_hadamard_hamiltonian_swaps_the_combo_keys():
     x, z = BitVec(3, 0b101), BitVec(3, 0b011)
     p = PauliOp(3, x, z, x.overlap(z))
-    h = Hamiltonian(3, [Term("a", "J", p, {"x_combo": x, "z_combo": z, "z_index": 2}),
-                        Term("b", "K", p, {"z_combo": z}),
+    h = Hamiltonian(3, [Term("a", "J", p, x_combo=x, z_combo=z),
+                        Term("b", "K", p, z_combo=z),
                         Term("c", "K", p)])
     a, b, c = transversal_hadamard_hamiltonian(h)
-    assert a.meta == {"z_combo": x, "x_combo": z, "z_index": 2}
-    assert b.meta == {"x_combo": z} and c.meta == {}
+    assert (a.x_combo, a.z_combo) == (z, x)
+    assert (b.x_combo, b.z_combo) == (z, None) and (c.x_combo, c.z_combo) == (None, None)
     assert [(t.name, t.coupling, t.op) for t in (a, b, c)] == [
         (name, coupling, transversal_hadamard(p)) for name, coupling in
         (("a", "J"), ("b", "K"), ("c", "K"))]
+
+
+def test_term_provenance_is_keyword_only():
+    # A misspelt or positional combo raises instead of being dropped, which
+    # would leave the duality maps to solve for a preimage of their own.
+    p, combo = PauliOp.x_op(2, [0]), BitVec(2, 1)
+    assert Term.__slots__ == ("name", "coupling", "op", "x_combo", "z_combo")
+    for bad in ({"xcombo": combo}, {"meta": {"x_combo": combo}}):
+        with pytest.raises(TypeError):
+            Term("a", "J", p, **bad)
+    with pytest.raises(TypeError):
+        Term("a", "J", p, combo)
 
 
 VALUE_TYPES = pytest.mark.parametrize("value,attributes", [

@@ -198,7 +198,7 @@ def operator_lists(draw):
         if kind == "ops" or kind == "both" and draw(st.booleans()):
             out.append(op)
         else:
-            out.append(Term(draw(labels), draw(labels), op, {"x_combo": BitVec(1, 1)}))
+            out.append(Term(draw(labels), draw(labels), op, x_combo=BitVec(1, 1)))
     return out
 
 

@@ -429,15 +429,14 @@ def test_gcc_invariants_do_not_depend_on_L(L):
 
 def _gauge(p: PauliOp, s: UngaugeSetup, z_combo=None) -> PauliOp:
     """One operator through ``gauge_hamiltonian``, with ``z_combo`` if given."""
-    meta = {} if z_combo is None else {"z_combo": z_combo}
-    (t,) = gauge_hamiltonian(Hamiltonian(p.n, [Term("p", "J", p, meta)]), s)
+    (t,) = gauge_hamiltonian(Hamiltonian(p.n, [Term("p", "J", p, z_combo=z_combo)]), s)
     return t.op
 
 
 def test_gauge_xu_moore_plaquette(bs_model):
     xm = catalog.builders.build_xu_moore(3)
     plaq = next(t for t in xm.hamiltonian if t.coupling == "J_Z")
-    img = _gauge(plaq.op, bs_model.setup, z_combo=plaq.meta["z_combo"])
+    img = _gauge(plaq.op, bs_model.setup, z_combo=plaq.z_combo)
     assert img.x.is_zero() and img.z.weight == 2
     # The preimage is a vertical vertex pair.
     (a, b) = img.z.support
@@ -473,7 +472,7 @@ def test_gauging_error_names_the_z_support(bs_model):
 def test_gauging_error_names_the_z_combo(bs_model):
     # Z on edges 0 and 1 is the image of Z on vertex 1, not of vertices 0 and 1.
     h = Hamiltonian(9, [Term("Zpair", "J_Z", PauliOp.z_op(9, [0, 1]),
-                             {"z_combo": BitVec.from_support(9, [0, 1])})])
+                             z_combo=BitVec.from_support(9, [0, 1]))])
     with pytest.raises(UngaugeError,
                        match=r"^term Zpair: z_combo does not reproduce the operator's Z support$"):
         gauge_hamiltonian(h, bs_model.setup)
@@ -624,6 +623,25 @@ def test_verify_commutation_names_the_faulty_model(monkeypatch, where):
         assert result.details == f"failures: {[name]}"
 
 
+def _unannihilated(s: UngaugeSetup) -> UngaugeSetup:
+    """``s`` with one ``d_x`` entry flipped under the first Z symmetry's
+    support, so that symmetry no longer maps to the identity."""
+    q = s.d_z.column(0).support[0]
+    return UngaugeSetup(s.d_z, _flip(s.d_x, s.n_fin // 2, q), s._dxt, s.d_r, s.ranks())
+
+
+def test_annihilation_checks_name_the_faulty_model(monkeypatch):
+    models = verify._models()
+    for name, model in models.items():
+        bad = catalog.WorkedModel(name, model.code, model.hamiltonian,
+                                  _unannihilated(model.setup), model.extra)
+        assert not annihilation_check(bad.setup), name
+        monkeypatch.setitem(verify._MODEL_CACHE, "worked", {**models, name: bad})
+        result = verify.check_annihilation()
+        assert not result.passed
+        assert result.details == f"failures: {[name]}"
+
+
 def test_commutation_check_across_block_boundaries(gcc_model):
     pairs = 2 * _PAIR_BLOCK + 7
     assert commutation_preservation_check(gcc_model.setup, pairs, seed=3)
@@ -697,6 +715,19 @@ def test_full_gauge_lgt_matches_hadamard_twist():
     assert rep["support_multiset_match"]
     assert rep["coupling_map"] == {"J_X": ["J_Z"], "J_Z": ["J_X"]}
     assert rep["topological_x_classes"] == 18
+
+
+# A wrong numbering of the swapped X generators against the Z-only terms
+# could first show above the rungs pinned above.
+@pytest.mark.parametrize("length", [2, 4, 5])
+def test_xu_moore_full_round_on_more_rungs(length):
+    chk = catalog.xu_moore_check(length)
+    assert chk["regauged_matches_bacon_shor"]
+    assert chk["full_gauge_report"]["support_multiset_match"]
+
+
+def test_full_gauge_lgt_at_l4():
+    assert catalog.full_gauge_lgt(4)["report"]["support_multiset_match"]
 
 
 # -- properties over small setups -----------------------------------------------

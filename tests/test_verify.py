@@ -201,6 +201,26 @@ def _with_a_term_against_the_first(h: Hamiltonian) -> Hamiltonian:
     return Hamiltonian(n, [*h, Term("bad", "J", PauliOp(n, BitVec(n, 1 << q), BitVec(n)))])
 
 
+def test_spt_pipeline_names_the_symmetry_against_a_wall_term(monkeypatch):
+    pipeline = verify.spt_pipeline
+
+    def spoiled(code, region):
+        # One more symmetry: X on a decorated wall qubit, the first Z qubit
+        # of the first wall term.
+        res = pipeline(code, region)
+        if code.name != "fractal3d":
+            return res
+        h = res.wall_hamiltonian
+        x = PauliOp.x_op(h.n, h.terms[0].op.z.support[:1])
+        return res._replace(symmetries=[*res.symmetries, x])
+
+    monkeypatch.setattr(verify, "spt_pipeline", spoiled)
+    result = verify.check_spt_pipeline()
+    assert not result.passed
+    assert result.details == ("fractal wall terms do not commute with restricted symmetries: "
+                              "symmetry 8 anticommutes with SX[1]")
+
+
 def test_gcc_phases_name_the_anticommuting_pair(monkeypatch):
     phases = catalog.gcc_phase_hamiltonians
 
