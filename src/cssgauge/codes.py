@@ -80,8 +80,9 @@ class CssSubsystemCode:
         return BitMatrix.from_rows(self.n, self.stabilizer_z)
 
     def stabilizer_ops(self) -> list[PauliOp]:
-        return ([PauliOp(self.n, v, BitVec(self.n)) for v in self.stabilizer_x]
-                + [PauliOp(self.n, BitVec(self.n), v) for v in self.stabilizer_z])
+        zero = BitVec(self.n)
+        return ([PauliOp(self.n, v, zero) for v in self.stabilizer_x]
+                + [PauliOp(self.n, zero, v) for v in self.stabilizer_z])
 
     def css_complex(self) -> CssComplex:
         """The stabilizer CSS complex: Z-checks -> qubits -> X-checks."""
@@ -150,11 +151,11 @@ def stabilizer_hamiltonian(code: CssSubsystemCode) -> Hamiltonian:
     """Sum of the stabilizer generators (X then Z), with X-term provenance."""
     h = Hamiltonian(code.n)
     m = len(code.stabilizer_x)
+    zero = BitVec(code.n)
     for i, v in enumerate(code.stabilizer_x):
-        h.add(Term(f"SX[{i}]", "J_X", PauliOp(code.n, v, BitVec(code.n)),
-                   x_combo=BitVec(m, 1 << i)))
+        h.add(Term(f"SX[{i}]", "J_X", PauliOp(code.n, v, zero), x_combo=BitVec(m, 1 << i)))
     for i, v in enumerate(code.stabilizer_z):
-        h.add(Term(f"SZ[{i}]", "J_Z", PauliOp(code.n, BitVec(code.n), v)))
+        h.add(Term(f"SZ[{i}]", "J_Z", PauliOp(code.n, zero, v)))
     return h
 
 

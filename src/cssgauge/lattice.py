@@ -15,6 +15,7 @@ one row of the first and never a column of the second.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import BitMatrix, BitVec
@@ -197,16 +198,21 @@ def hypercubic_torus(dim: int, length: int) -> CellComplex:
     names, fwd, _ = torus_sites(dim, length)
     n = len(names)
     axis_sets = [list(itertools.combinations(range(dim), d)) for d in range(dim + 1)]
-    cells = [[f"{''.join(AXES[a] for a in axes) or '.'}{p}" for axes in layer for p in names]
-             for layer in axis_sets]
+    cells = []
+    for layer in axis_sets:
+        tags = ["".join(AXES[a] for a in axes) or "." for axes in layer]
+        cells.append([tag + p for tag in tags for p in names])
     boundary: list[Optional[BitMatrix]] = [None]
     for d in range(1, dim + 1):
         first = {axes: i * n for i, axes in enumerate(axis_sets[d - 1])}
         entries = []
-        for col, (axes, s) in enumerate(itertools.product(axis_sets[d], range(n))):
-            for a in axes:
-                face = first[tuple(b for b in axes if b != a)]
-                entries += ((face + s, col), (face + fwd[a][s], col))
+        for j, axes in enumerate(axis_sets[d]):
+            # Face a of cell (axes, s) drops axis a: at s and one step along a.
+            faces = [(first[tuple(b for b in axes if b != a)], fwd[a]) for a in axes]
+            for s in range(n):
+                col = j * n + s
+                for face, step in faces:
+                    entries += ((face + s, col), (face + step[s], col))
         boundary.append(BitMatrix.from_entries(len(cells[d - 1]), len(cells[d]), entries))
     return CellComplex(dim, cells, boundary)
 
@@ -217,8 +223,11 @@ def hypercubic_centers(dim: int, length: int, d: int) -> list[tuple[float, ...]]
     A cell's center is its base point plus 0.5 along each of its axes.
     """
     points = list(itertools.product(range(length), repeat=dim))
-    return [tuple(x + 0.5 * (a in axes) for a, x in enumerate(p))
-            for axes in itertools.combinations(range(dim), d) for p in points]
+    centers = []
+    for axes in itertools.combinations(range(dim), d):
+        shift = [0.5 * (a in axes) for a in range(dim)]
+        centers += [tuple(map(operator.add, p, shift)) for p in points]
+    return centers
 
 
 def octahedron_sphere() -> CellComplex:

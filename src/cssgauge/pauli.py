@@ -18,8 +18,8 @@ CZ gates commute and fix ``x``, so a whole circuit maps
 ``i^k X(x) Z(z)`` to ``i^(k + 2e) X(x) Z(z ^ N(x))``: N(x) is the XOR of
 the CZ partners of the qubits in x and e the number of gates with both
 ends in x (the graph-state rule of Hein, Eisert & Briegel, PRA 69,
-062311 (2004)).  One conjugation costs O(weight x degree); no tableau
-is built.
+062311 (2004)).  One conjugation costs O(weight x degree), and O(1)
+when no gate meets ``x``; no tableau is built.
 """
 
 from __future__ import annotations
@@ -149,13 +149,17 @@ def symplectic_gram(ops: Sequence[PauliOp]) -> BitMatrix:
     return BitMatrix(m, m, [xz.row_bits(i) ^ zx.row_bits(i) for i in range(m)])
 
 
+def product_phase(p: PauliOp, q: PauliOp) -> int:
+    """The i-power of the product p * q, whose supports are the XORs of theirs."""
+    # Moving X(q.x) left past Z(p.z) contributes (-1)^{|p.z & q.x|}.
+    return (p.phase + q.phase + 2 * (p.z.bits & q.x.bits).bit_count()) % 4
+
+
 def multiply(p: PauliOp, q: PauliOp) -> PauliOp:
     """Operator product p * q with exact i-power bookkeeping."""
     if p.n != q.n:
         raise ValueError("qubit count mismatch")
-    # Moving X(q.x) left past Z(p.z) contributes (-1)^{|p.z & q.x|}.
-    phase = (p.phase + q.phase + 2 * (p.z.bits & q.x.bits).bit_count()) % 4
-    return PauliOp(p.n, p.x ^ q.x, p.z ^ q.z, phase)
+    return PauliOp(p.n, p.x ^ q.x, p.z ^ q.z, product_phase(p, q))
 
 
 def _qubit_index(q) -> int:
@@ -169,14 +173,16 @@ class CliffordCircuit:
     """An ordered list of CZ gates on n qubits.
 
     ``_partners[q]`` holds the other end of every gate on qubit q, a
-    pair listed twice appearing twice.
+    pair listed twice appearing twice, and ``_touched`` is the bitmask
+    of the qubits that some gate acts on.
     """
 
-    __slots__ = ("n", "gates", "_partners")
+    __slots__ = ("n", "gates", "_partners", "_touched")
 
     def __init__(self, n: int, gates: Iterable[tuple] = ()):
         checked = []
         partners: list[list[int]] = [[] for _ in range(n)]
+        touched = 0
         for g in gates:
             if g[0] != "CZ":
                 raise ValueError(f"unsupported gate {g[0]!r}")
@@ -189,9 +195,11 @@ class CliffordCircuit:
             checked.append(("CZ", a, b))
             partners[a].append(b)
             partners[b].append(a)
+            touched |= 1 << a | 1 << b
         _set_circuit_n(self, n)
         _set_gates(self, tuple(checked))
         _set_partners(self, tuple(map(tuple, partners)))
+        _set_touched(self, touched)
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordCircuit is immutable")
@@ -213,20 +221,28 @@ class CliffordCircuit:
 _set_circuit_n = CliffordCircuit.n.__set__
 _set_gates = CliffordCircuit.gates.__set__
 _set_partners = CliffordCircuit._partners.__set__
+_set_touched = CliffordCircuit._touched.__set__
 
 
 def conjugate_by_circuit(p: PauliOp, circuit: CliffordCircuit) -> PauliOp:
     """U p U^dagger for the CZ circuit U, phases exact.
 
-    Each partner b of a qubit in ``p.x`` flips z_b; a gate with both
-    ends in ``p.x`` is met once from each end and adds 1 to the phase
-    each time, 2 in all.
+    An operator whose X support meets no gate commutes with U and is
+    returned as is.  Otherwise each partner b of a qubit in ``p.x``
+    flips z_b; a gate with both ends in ``p.x`` is met once from each
+    end and adds 1 to the phase each time, 2 in all.
     """
     if p.n != circuit.n:
         raise ValueError("qubit count mismatch")
-    x, z, phase = p.x.bits, p.z.bits, p.phase
+    x = p.x.bits
+    rest = x & circuit._touched
+    if not rest:
+        return p
+    z, phase = p.z.bits, p.phase
     partners = circuit._partners
-    for a in p.x.support:
+    while rest:
+        a = rest.bit_length() - 1
+        rest ^= 1 << a
         for b in partners[a]:
             z ^= 1 << b
             phase += x >> b & 1

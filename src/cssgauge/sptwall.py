@@ -23,7 +23,7 @@ from .pauli import (
     PauliOp,
     Term,
     conjugate_by_circuit,
-    multiply,
+    product_phase,
 )
 from .ungauge import (
     UngaugeSetup,
@@ -65,48 +65,60 @@ def pairing_circuit(tensor: CssSubsystemCode,
 
 
 def _witnessed(p: PauliOp, g: PauliOp, by_support: dict[tuple[int, int], PauliOp]) -> bool:
-    """Whether ``p`` is ``g``, or ``g`` times the generator that ``by_support``
-    files under their (x, z) difference, phase included."""
-    if p == g:
+    """Whether ``p`` is the object ``g``, or ``g`` times the generator that
+    ``by_support`` files under their (x, z) difference, phase included.
+
+    The key fixes the supports of that product, so only its phase is
+    compared with ``p``'s; no product is built.
+    """
+    if p is g:
         return True
     h = by_support.get((p.x.bits ^ g.x.bits, p.z.bits ^ g.z.bits))
-    return h is not None and multiply(g, h) == p
+    return h is not None and product_phase(g, h) == p.phase
 
 
 def _by_support(gens: Sequence[PauliOp]) -> dict[tuple[int, int], PauliOp]:
     return {(h.x.bits, h.z.bits): h for h in gens}
 
 
-def _all_in_group(pairs: Iterable[tuple[PauliOp, PauliOp]], gens: Sequence[PauliOp],
-                  by_support: dict[tuple[int, int], PauliOp]) -> bool:
-    """Whether each ``p`` of the ``(p, g)`` pairs is in the group of ``gens``,
-    signs included; every ``g`` and every entry of ``by_support`` must be.
+def _first_outside(pairs: Iterable[tuple[PauliOp, PauliOp]], gens: Sequence[PauliOp],
+                   by_support: dict[tuple[int, int], PauliOp]) -> Optional[int]:
+    """The index of the first ``p`` of the ``(p, g)`` pairs outside the group
+    of ``gens``, signs included, or None; every ``g`` and every entry of
+    ``by_support`` must be in that group.
 
     The signed membership search over ``gens`` is built on the first
     ``p`` without a witness and decides every such ``p`` exactly.
     """
     membership = None
-    for p, g in pairs:
+    for i, (p, g) in enumerate(pairs):
         if _witnessed(p, g, by_support):
             continue
         if membership is None:
             membership = GroupMembership(gens)
         if not membership.contains(p, track_sign=True):
-            return False
-    return True
+            return i
+    return None
+
+
+def _cz_outside(tensor: CssSubsystemCode) -> Optional[int]:
+    """The index in ``stabilizer_ops()`` of the first stabilizer generator whose
+    image under the transversal CZ is outside the stabilizer group, or None."""
+    circuit = pairing_circuit(tensor)
+    gens = tensor.stabilizer_ops()
+    images = ((conjugate_by_circuit(g, circuit), g) for g in gens)
+    return _first_outside(images, gens, _by_support(gens))
 
 
 def transversal_cz_is_logical(tensor: CssSubsystemCode) -> bool:
     """Every stabilizer generator conjugates into the stabilizer group, signs included.
 
-    An image is witnessed by being its generator, or its generator times
-    one other generator (an X stabilizer times its dual Z twin), found by
-    one lookup.  Only an image without a witness is searched for.
+    A Z generator meets no gate and is its own image.  An X generator's
+    image is witnessed by being its generator times its dual Z twin,
+    found by one lookup, with only the phase compared.  Only an image
+    without a witness is searched for.
     """
-    circuit = pairing_circuit(tensor)
-    gens = tensor.stabilizer_ops()
-    images = ((conjugate_by_circuit(g, circuit), g) for g in gens)
-    return _all_in_group(images, gens, _by_support(gens))
+    return _cz_outside(tensor) is None
 
 
 class Region(NamedTuple):
@@ -153,6 +165,10 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
     checks just those, both ways: each side must be the other times one
     shared generator, signs included, or else be found by the signed
     membership search over the other side's generators.
+
+    A term whose X support misses the region is its own image, and its
+    ``Term`` is kept as is; a new ``Term`` is built only for an image
+    that changed.
     """
     base_n = tensor.metadata["base_n"]
     if not region.sites <= set(range(base_n)):
@@ -179,13 +195,12 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
         sup = img.x.bits | img.z.bits
         inside = sup & region_qubits.bits
         outside = sup & ~region_qubits.bits
-        if inside and outside:
-            h_wall.add(Term(t.name, t.coupling, img, x_combo=t.x_combo))
-        elif outside:
-            h_rc.add(Term(t.name, t.coupling, img, x_combo=t.x_combo))
+        if outside:
+            term = t if img is t.op else Term(t.name, t.coupling, img, x_combo=t.x_combo)
+            (h_wall if inside else h_rc).add(term)
         else:
             h_r.add(t)
-            if img != t.op:
+            if img is not t.op:
                 # Interior decorated generator: replaced by the original.
                 pairs.append((img, t.op))
                 continue
@@ -193,8 +208,9 @@ def domain_wall(tensor: CssSubsystemCode, region: Region) -> WallDecomposition:
 
     new_gens = [t.op for part in (h_r, h_wall, h_rc) for t in part]
     by_support = _by_support(shared)
-    preserved = _all_in_group(pairs, new_gens, by_support) and _all_in_group(
-        ((original, img) for img, original in pairs), conjugated_all, by_support)
+    back = ((original, img) for img, original in pairs)
+    preserved = (_first_outside(pairs, new_gens, by_support) is None
+                 and _first_outside(back, conjugated_all, by_support) is None)
     return WallDecomposition(h_r, h_wall, h_rc, len(pairs), preserved)
 
 
@@ -218,7 +234,9 @@ def spt_pipeline(code: CssSubsystemCode, region: Region) -> SptResult:
     """
     tensor = tensor_code(code)
     if not transversal_cz_is_logical(tensor):
-        raise ValueError("transversal CZ is not a logical gate for this code")
+        raise ValueError(f"transversal CZ is not a logical gate for this code: the image "
+                         f"of stabilizer generator {_cz_outside(tensor)} is outside "
+                         f"the stabilizer group")
     wall = domain_wall(tensor, region)
 
     setup = make_setup(tensor.n, list(tensor.stabilizer_z), x_gens=list(tensor.stabilizer_x))

@@ -224,6 +224,16 @@ def check_gcc_relations() -> CheckResult:
                        f"{n_vertex_rel // 3} vertices checked" if not bad else f"bad vertices: {bad}")
 
 
+def _cz_failure(code) -> str:
+    """The error that ``spt_pipeline`` raises, before it reads the region, for a
+    code whose transversal CZ is not logical: it names the first generator
+    mapped outside the group."""
+    try:
+        spt_pipeline(code, Region(frozenset()))
+    except ValueError as err:
+        return str(err)
+
+
 def check_transversal_cz() -> CheckResult:
     """9: conjugated stabilizer generators pass signed membership."""
     problems = []
@@ -232,7 +242,7 @@ def check_transversal_cz() -> CheckResult:
         tag = f"{code.name} L={code.metadata['L']}"
         tensor = tensor_code(code)
         if not transversal_cz_is_logical(tensor):
-            problems.append(f"{tag}: CZ not logical")
+            problems.append(f"{tag}: {_cz_failure(code)}")
             continue
         # X stabilizers pick up exactly the dual code's Z twin as decoration;
         # the twins follow the base code's Z stabilizers in the tensor listing.

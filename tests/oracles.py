@@ -21,6 +21,9 @@ commutation check one operator pair at a time, each operator drawn by
 ``signed_search_cz_is_logical`` and
 ``mutual_signed_membership``, the all-generator signed searches that the
 transversal-CZ and domain-wall checks ran before they took witnesses;
+``per_cell_hypercubic``, the per-cell expressions that
+``hypercubic_torus`` and ``hypercubic_centers`` evaluated on the
+package's ``torus_sites`` before they were hoisted to once per axis set;
 ``center_of_group``, which the code tests use to state the center of
 a gauge group; ``lattice_is_valid``, the boundary-of-boundary and
 edge-coloring check on a cell complex; and ``stdlib_json``, the text a
@@ -241,6 +244,36 @@ def naive_hypercubic_torus(dim: int, length: int) -> tuple[list[list[str]], list
                           for q in (p, tuple((x + (i == a)) % length for i, x in enumerate(p)))])
         boundary.append(_incidence_rows(len(cells[d - 1]), faces))
     return cells, boundary
+
+
+def per_cell_hypercubic(dim: int, length: int) -> tuple[list[list[str]], list, list]:
+    """(cells, boundary entries, centers) of the periodic hypercubic lattice.
+
+    Each label, face lookup and center is computed cell by cell (and axis
+    by axis), as ``hypercubic_torus`` and ``hypercubic_centers`` once did.
+    ``entries[d]`` lists the (face, cell) pairs of ``boundary[d]`` in the
+    order they were built; ``centers[d]`` holds the d-cells' centers.
+    """
+    from cssgauge.lattice import torus_sites
+
+    names, fwd, _ = torus_sites(dim, length)
+    n = len(names)
+    axis_sets = [list(itertools.combinations(range(dim), d)) for d in range(dim + 1)]
+    cells = [[f"{''.join('xyzw'[a] for a in axes) or '.'}{p}" for axes in layer for p in names]
+             for layer in axis_sets]
+    entries = [None]
+    for d in range(1, dim + 1):
+        first = {axes: i * n for i, axes in enumerate(axis_sets[d - 1])}
+        layer = []
+        for col, (axes, s) in enumerate(itertools.product(axis_sets[d], range(n))):
+            for a in axes:
+                face = first[tuple(b for b in axes if b != a)]
+                layer += ((face + s, col), (face + fwd[a][s], col))
+        entries.append(layer)
+    points = list(itertools.product(range(length), repeat=dim))
+    centers = [[tuple(x + 0.5 * (a in axes) for a, x in enumerate(p))
+                for axes in layer for p in points] for layer in axis_sets]
+    return cells, entries, centers
 
 
 def _incidence_rows(n_rows: int, columns: list[list[int]]) -> list[list[int]]:

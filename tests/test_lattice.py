@@ -22,6 +22,7 @@ from tests.oracles import (
     naive_generalized_boundary,
     naive_hypercubic_torus,
     naive_triangular_torus,
+    per_cell_hypercubic,
 )
 
 
@@ -94,6 +95,21 @@ def assert_same_complex(lat, cells, boundary):
 def test_hypercubic_torus_matches_tuple_construction(dim, L):
     cells, boundary = naive_hypercubic_torus(dim, L)
     assert_same_complex(hypercubic_torus(dim, L), cells, boundary)
+
+
+@pytest.mark.parametrize("dim,L", [(dim, L) for dim in range(2, 5) for L in range(2, 5)])
+def test_hypercubic_torus_matches_per_cell_expressions(dim, L):
+    cells, entries, centers = per_cell_hypercubic(dim, L)
+    lat = hypercubic_torus(dim, L)
+    assert [list(layer) for layer in lat.cells] == cells
+    for d in range(1, dim + 1):
+        b = lat.boundary[d]
+        assert (b.rows, b.cols) == (len(cells[d - 1]), len(cells[d]))
+        assert b.entries == tuple(sorted(entries[d])), d
+    for d in range(dim + 1):
+        got = hypercubic_centers(dim, L, d)
+        assert got == centers[d]
+        assert [tuple(map(type, c)) for c in got] == [tuple(map(type, c)) for c in centers[d]]
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])

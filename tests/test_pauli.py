@@ -15,6 +15,7 @@ from cssgauge.pauli import (
     group_rank,
     in_group,
     multiply,
+    product_phase,
     symplectic_product,
     transversal_hadamard,
     transversal_hadamard_hamiltonian,
@@ -178,6 +179,32 @@ def test_circuit_inverse_roundtrip():
     # CZ is self-inverse, so the reversed circuit is the inverse.
     reverse = CliffordCircuit(circ.n, reversed(circ.gates))
     assert conjugate_by_circuit(conjugate_by_circuit(p, circ), reverse) == p
+
+
+def test_an_operator_no_gate_meets_is_its_own_image():
+    circ = CliffordCircuit.cz_pairs(5, [(0, 1), (1, 2)])
+    z_only = PauliOp(5, BitVec(5), BitVec(5, 0b10111), 3)
+    away = PauliOp(5, BitVec.from_support(5, [3, 4]), BitVec.from_support(5, [0, 4]), 1)
+    for p in (z_only, away):
+        assert conjugate_by_circuit(p, circ) is p
+    on_gate = PauliOp.x_op(5, [2, 4])
+    image = conjugate_by_circuit(on_gate, circ)
+    assert image is not on_gate and image == PauliOp(5, on_gate.x, BitVec.from_support(5, [1]))
+
+
+def test_a_cz_listed_twice_is_the_identity_but_builds_a_new_operator():
+    circ = CliffordCircuit.cz_pairs(3, [(0, 2), (2, 0)])
+    for p in (PauliOp.x_op(3, [0]), PauliOp.y_op(3, [0, 2]), PauliOp.x_op(3, [1, 2])):
+        image = conjugate_by_circuit(p, circ)
+        assert image == p and image is not p
+
+
+def test_product_phase_is_the_phase_of_the_product():
+    rng = random.Random(10)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        p, q = random_pauli(n, rng), random_pauli(n, rng)
+        assert product_phase(p, q) == multiply(p, q).phase
 
 
 def test_transversal_hadamard_matches_circuit():

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from cssgauge import catalog, sptwall
+from cssgauge import catalog, pauli, sptwall, verify
 from cssgauge.analysis import commuting_check, components
 from cssgauge.builders import (
     build_bacon_shor,
@@ -144,6 +144,80 @@ def test_transversal_cz_not_logical_without_dual(monkeypatch):
     builds = _count_searches(monkeypatch)
     assert not transversal_cz_is_logical(tensor)
     assert builds == [len(tensor.stabilizer_ops())]
+
+
+_NOT_LOGICAL = ("transversal CZ is not a logical gate for this code: the image of "
+                "stabilizer generator {} is outside the stabilizer group")
+
+
+def _flip_image_sign(monkeypatch, flipped):
+    """Add 2 to the phase of ``flipped``'s image under every CZ circuit, in
+    ``sptwall`` and for the oracles, which import from ``pauli``."""
+    def flip_one(op, circuit):
+        img = conjugate_by_circuit(op, circuit)
+        return PauliOp(img.n, img.x, img.z, img.phase + 2) if op == flipped else img
+
+    monkeypatch.setattr(sptwall, "conjugate_by_circuit", flip_one)
+    monkeypatch.setattr(pauli, "conjugate_by_circuit", flip_one)
+
+
+def test_transversal_cz_not_logical_with_a_sign_flipped(monkeypatch):
+    # The flipped image still has its supports filed under the generator's
+    # dual Z twin, so only the phase rejects that witness; the one search
+    # then rejects the image, -1 not being in the stabilizer group.
+    code = build_toric(2, 3, 1)
+    tensor = tensor_code(code)
+    index = 2
+    assert index < len(tensor.stabilizer_x)
+    _flip_image_sign(monkeypatch, tensor.stabilizer_ops()[index])
+    builds = _count_searches(monkeypatch)
+    assert not transversal_cz_is_logical(tensor)
+    assert builds == [len(tensor.stabilizer_ops())]
+    assert not signed_search_cz_is_logical(tensor)
+    with pytest.raises(ValueError) as err:
+        spt_pipeline(code, Region.slab(code, 0, 1))
+    assert str(err.value) == _NOT_LOGICAL.format(index)
+
+
+def test_verify_names_the_generator_that_leaves_the_group(monkeypatch):
+    code = verify._models()["toric-torus"].code
+    index = len(code.stabilizer_x) - 1
+    _flip_image_sign(monkeypatch, tensor_code(code).stabilizer_ops()[index])
+    result = verify.check_transversal_cz()
+    assert not result.passed
+    assert result.details == f"{code.name} L={code.metadata['L']}: " + _NOT_LOGICAL.format(index)
+
+
+def test_domain_wall_keeps_the_terms_the_circuit_misses(monkeypatch):
+    built = []
+
+    class Counted(Term):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sptwall, "Term", Counted)
+    counts = []
+    for code, tensor, region in _slab_walls():
+        built.clear()
+        wall = domain_wall(tensor, region)
+        counts.append((len(built), len(wall.h_wall), len(wall.h_rc)))
+        circuit = pairing_circuit(tensor, sorted(region.sites))
+        fresh = {t.name: t for t in stabilizer_hamiltonian(tensor)}
+        changed = [t.name for t in wall.h_wall if t.op != fresh[t.name].op]
+        assert built == changed, (code.name, region.descriptor)
+        for t in [*wall.h_wall, *wall.h_rc]:
+            if conjugate_by_circuit(t.op, circuit) is t.op:
+                f = fresh[t.name]
+                assert (t.name, t.coupling, t.op, t.x_combo, t.z_combo) == (
+                    f.name, f.coupling, f.op, f.x_combo, f.z_combo)
+        assert all(type(t) is Term for t in wall.h_rc)
+    # toric2d L=4, slab [0, 2): of the 32 wall terms, the 16 whose X support
+    # meets the slab are rebuilt; the other wall terms and all 16 outside
+    # terms are kept.
+    assert counts[0] == (16, 32, 16)
 
 
 def test_domain_wall_everything_and_empty():

@@ -170,6 +170,22 @@ def test_dense_oracle_catches_an_odd_phase_or_swap_fault(monkeypatch, fault, nam
     assert result.details == f"{side} mismatch at case 0"
 
 
+def test_dense_oracle_covers_both_branches_of_the_conjugation(monkeypatch):
+    # Random circuits leave some operators' X supports untouched, which are
+    # returned as is, and meet others, which are walked; the battery checks both.
+    returned_as_is = []
+
+    def recorded(op, circuit):
+        image = conjugate_by_circuit(op, circuit)
+        returned_as_is.append(image is op)
+        return image
+
+    monkeypatch.setattr(verify, "conjugate_by_circuit", recorded)
+    assert verify.check_dense_oracles().passed
+    assert len(returned_as_is) == 500
+    assert 0 < sum(returned_as_is) < 500
+
+
 def test_transversal_cz_decoration_with_unequal_stabilizer_counts(monkeypatch):
     # The 3D toric code at L=2 has |S_X| = 8 and |S_Z| = 24, so each X
     # stabilizer's Z twin sits after all 24 base Z stabilizers in the tensor code.
