@@ -250,26 +250,26 @@ def full_gauge_lgt(length: int = 2) -> dict:
     The gauged group is the final symmetry group: every single-color-pair
     vertex operator, given as the swapped setup's Z symmetries, plus, on
     the torus, the topological X classes that ``make_setup`` joins to
-    them.  The swapped X generators are the link operators, one per edge.
+    them.  The swapped X generators are the link operators, one per edge:
+    the image of Z gauge generator e, the e-th Z-only term of the
+    lattice-gauge-theory image, is the link operator of edge e, so they
+    are read off those terms, as ``xu_moore_check`` reads its plaquettes.
     The result is compared with the transversal Hadamard conjugate of the
-    lattice-gauge-theory image under the identity edge relabeling.
+    image under the identity edge relabeling.
     """
     model = gcc_model(length)
-    code, lattice = model.code, model.code.lattice
-    n_edges = lattice.n_cells(1)
+    n_edges = model.code.lattice.n_cells(1)
     pair_ops = [BitVec.from_support(n_edges, edges)
                 for groups in model.extra["pair_edges"] for edges in groups.values()]
 
-    links = [BitVec.from_support(n_edges, lattice.link(1, 1, e)) for e in range(n_edges)]
-    s_swapped = make_setup(n_edges, pair_ops, x_gens=links)
-
-    h_lgt = ungauge_hamiltonian(gauge_hamiltonian(code), model.setup)
+    h_lgt = ungauge_hamiltonian(gauge_hamiltonian(model.code), model.setup)
     h_lgt, _ = strip_identity_terms(h_lgt)
+    h_for_full = _z_terms_as_generators(h_lgt)
+    s_swapped = make_setup(n_edges, pair_ops,
+                           x_gens=[t.op.z for t in h_for_full if t.op.x.is_zero()])
     reference = transversal_hadamard_hamiltonian(h_lgt)
-    # The image of Z gauge generator e, the e-th Z-only term, is the link
-    # operator of edge e.
-    report = full_gauge_comparison(_z_terms_as_generators(h_lgt), s_swapped,
-                                   reference, {e: e for e in range(n_edges)})
+    report = full_gauge_comparison(h_for_full, s_swapped, reference,
+                                   {e: e for e in range(n_edges)})
     report["topological_x_classes"] = s_swapped.d_z.cols - len(pair_ops)
     return {"model": model, "swapped_setup": s_swapped, "report": report}
 

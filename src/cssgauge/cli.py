@@ -35,12 +35,18 @@ does not fit (a dict, mixed kinds, a bool or None among ints, a foreign
 value, a name that is not a str) is written element by element.  A
 write that fails part way removes the file.
 
-The parser: ``main`` builds only the parser of the command that
-``argv[0]`` names, from the definition (``_define``) that ``make_parser``
-gives each subparser, so help, errors and exit codes are the full
-parser's.  Any other input, and arguments left over after the command's
-own (which the full parser reports under its own prog), go to the full
-parser.
+The parser: each command's flags are one declaration, ``_flags``, from
+which ``make_parser`` builds each subparser (``_define``).  A plain
+command line (``_plain`` states which) is read from that declaration
+with no parser built, since a fresh process's first argparse parser
+costs about 2 ms (``gettext`` imports ``locale``, patterns compile), a
+fifth of ``ungauge --code gcc --L 2``.  Anything else (help, an
+abbreviation, ``--flag=value``, a repeated flag, a refused value) goes to
+argparse, so help, errors and exit codes are its own: ``main`` builds
+only the parser of the command that ``argv[0]`` names, the subparser
+``make_parser`` would run, and any other input, and arguments left over
+after the command's own (which the full parser reports under its own
+prog), go to the full parser.
 """
 
 from __future__ import annotations
@@ -544,38 +550,43 @@ COMMANDS = {
 }
 
 
-def _define(p: argparse.ArgumentParser, command: str) -> None:
-    """Declare the flags of ``command`` on its parser ``p``.  A command that runs a
-    ``--code`` offers the codes it runs, and declares the code flags that some code
-    of it reads."""
+def _flags(command: str) -> dict:
+    """The flags of ``command``, in order, each with its argparse keywords.  A command
+    that runs a ``--code`` offers the codes it runs, and declares the code flags that
+    some code of it reads."""
     if command == "verify":
-        p.add_argument("--pairs", type=_count, default=1000)
-        p.add_argument("--cases", type=_count, default=500)
-        p.add_argument("--seed", type=int, default=20240)
-        p.add_argument("--out", default=None)
+        flags = {"pairs": {"type": _count, "default": 1000},
+                 "cases": {"type": _count, "default": 500},
+                 "seed": {"type": int, "default": 20240}, "out": {"default": None}}
     else:
         codes = [name for name, code in CODES.items() if command in code.reads]
-        p.add_argument("--code", required=True, choices=codes)
         own = "".join(f", {CODES[c].default_L} for {c}" for c in codes
                       if CODES[c].default_L not in (None, DEFAULT_L))
-        p.add_argument("--L", type=int, help=f"linear lattice size (default: {DEFAULT_L}{own}; "
-                                             "a code of one size takes none)")
-        for flag, spec in CODE_FLAGS.items():
-            if any(flag in CODES[code].reads[command] for code in codes):
-                p.add_argument(f"--{flag}", **spec)
-        p.add_argument("--out", default="out", help="output directory")
+        flags = {"code": {"required": True, "choices": codes},
+                 "L": {"type": int, "help": f"linear lattice size (default: {DEFAULT_L}{own}; "
+                                            "a code of one size takes none)"}}
+        flags.update((flag, spec) for flag, spec in CODE_FLAGS.items()
+                     if any(flag in CODES[code].reads[command] for code in codes))
+        flags["out"] = {"default": "out", "help": "output directory"}
     if command == "ungauge":
-        p.add_argument("--pairs", type=_count, default=200,
-                       help="random pairs for the commutation check (0 skips it)")
-        p.add_argument("--seed", type=int, default=20240)
+        flags["pairs"] = {"type": _count, "default": 200,
+                          "help": "random pairs for the commutation check (0 skips it)"}
+        flags["seed"] = {"type": int, "default": 20240}
     elif command == "gauge":
-        p.add_argument("--full", action="store_true",
-                       help="also require the full-gauging Hadamard twist to match")
+        flags["full"] = {"action": "store_true", "default": False,
+                         "help": "also require the full-gauging Hadamard twist to match"}
     elif command == "spt":
-        p.add_argument("--slab", required=True, help="slab extent lo:hi along the slab axis; "
-                                                     "a negative lo may follow as --slab -1:3")
+        flags["slab"] = {"required": True, "help": "slab extent lo:hi along the slab axis; "
+                                                   "a negative lo may follow as --slab -1:3"}
     elif command == "export":
-        p.add_argument("--what", required=True, choices=("lattice", "complex", "matrices"))
+        flags["what"] = {"required": True, "choices": ("lattice", "complex", "matrices")}
+    return flags
+
+
+def _define(p: argparse.ArgumentParser, command: str) -> None:
+    """Declare the flags of ``command`` (``_flags``) on its parser ``p``."""
+    for flag, spec in _flags(command).items():
+        p.add_argument(f"--{flag}", **spec)
     p.set_defaults(func=COMMANDS[command][1])
 
 
@@ -590,11 +601,51 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain(argv: list) -> Optional[argparse.Namespace]:
+    """The Namespace that ``make_parser().parse_args(argv)`` returns for a plain
+    command line, read from ``_flags`` with no parser built; None for any other
+    input.  Plain is a command, then each of its flags at most once, by its exact
+    name, with one value that is not empty, does not start with "-" and passes the
+    flag's ``type`` and ``choices`` (a ``store_true`` flag takes none), and every
+    required flag given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = _flags(argv[0])
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = token[2:] if token.startswith("--") else None
+        spec = flags.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "")
+        if not text or text.startswith("-"):
+            return None
+        try:        # the errors that argparse reports as a bad value
+            value = spec.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
+        return None
+    values = {flag: given.get(flag, spec.get("default")) for flag, spec in flags.items()}
+    return argparse.Namespace(command=argv[0], **values, func=COMMANDS[argv[0]][1])
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """``make_parser().parse_args(argv)``, building only the parser of the command
-    that ``argv[0]`` names.  That parser is the subparser ``make_parser`` would run,
-    so its help and errors are the same; any other input, and leftover arguments
-    (which the full parser reports under its own prog), go to the full parser."""
+    """``make_parser().parse_args(argv)``.  A plain command line (``_plain``) builds
+    no parser.  Any other input that ``argv[0]`` names a command of builds only that
+    command's parser, the subparser ``make_parser`` would run, so its help and errors
+    are the same; the rest, and leftover arguments (which the full parser reports
+    under its own prog), go to the full parser."""
+    args = _plain(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"cssgauge {argv[0]}")
         _define(parser, argv[0])

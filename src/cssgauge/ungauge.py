@@ -306,7 +306,14 @@ def _paired_products(x: BitMatrix, z: BitMatrix, width: int) -> int:
 
 def commutation_preservation_check(s: UngaugeSetup, pairs: int = 1000,
                                    seed: int = 0) -> bool:
-    """Symplectic products of random symmetric pairs survive the map.
+    """Symplectic products of random symmetric pairs survive the map: there is
+    no ``first_broken_pair``."""
+    return first_broken_pair(s, pairs, seed) is None
+
+
+def first_broken_pair(s: UngaugeSetup, pairs: int = 1000, seed: int = 0) -> Optional[int]:
+    """The index of the first random symmetric pair whose symplectic product the
+    map changes, or None if it changes none.
 
     A symmetric operator is X(d_x^T c) Z(z) for a generator combination c
     and any Z support z, and its image is X(c) Z(d_x z).  The products
@@ -323,16 +330,18 @@ def commutation_preservation_check(s: UngaugeSetup, pairs: int = 1000,
     ``2 * width`` random bits holding the first operator of pair k at bit
     k and the second at bit ``width + k``.  Each side of the comparison is
     then one sparse matrix product, and memory does not grow with
-    ``pairs``.
+    ``pairs``.  Bit k of the XOR of the two sides is set where pair
+    ``start + k`` of the block that starts at pair ``start`` changed.
     """
     rng = random.Random(seed)
     for start in range(0, pairs, _PAIR_BLOCK):
         width = min(_PAIR_BLOCK, pairs - start)
         c = BitMatrix(s.n_fin, 2 * width, [rng.getrandbits(2 * width) for _ in range(s.n_fin)])
         z = BitMatrix(s.n_ini, 2 * width, [rng.getrandbits(2 * width) for _ in range(s.n_ini)])
-        if _paired_products(s._dxt @ c, z, width) != _paired_products(c, s.d_x @ z, width):
-            return False
-    return True
+        changed = _paired_products(s._dxt @ c, z, width) ^ _paired_products(c, s.d_x @ z, width)
+        if changed:
+            return start + (changed & -changed).bit_length() - 1
+    return None
 
 
 def full_gauge_hamiltonian(h: Hamiltonian, s_swapped: UngaugeSetup) -> Hamiltonian:

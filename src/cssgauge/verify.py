@@ -56,6 +56,7 @@ from .ungauge import (
     annihilation_check,
     commutation_preservation_check,
     dim_check,
+    first_broken_pair,
     strip_identity_terms,
     ungauge_hamiltonian,
 )
@@ -107,11 +108,15 @@ def check_annihilation() -> CheckResult:
 
 
 def check_commutation(pairs: int = 1000, seed: int = 20240) -> CheckResult:
-    """3: symplectic products of random symmetric pairs survive the map."""
-    bad = [name for name, m in _models().items()
+    """3: symplectic products of random symmetric pairs survive the map; a
+    failure names each model and its first broken pair."""
+    models = _models()
+    bad = [name for name, m in models.items()
            if not commutation_preservation_check(m.setup, pairs, seed)]
+    broken = "; ".join(f"{name} at pair {first_broken_pair(models[name].setup, pairs, seed)}"
+                       for name in bad)
     return CheckResult(3, "commutation preservation", not bad,
-                       f"{pairs} pairs per setup" if not bad else f"failures: {bad}")
+                       f"failures: {broken}" if bad else f"{pairs} pairs per setup")
 
 
 def check_dimensions() -> CheckResult:

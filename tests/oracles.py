@@ -17,7 +17,9 @@ with the symplectic Gram matrix in place of the CSS rank formula;
 ``rank_and_membership_preserved``, the domain wall's earlier
 group-preservation predicate; ``pairwise_commutation_check``, the
 commutation check one operator pair at a time, each operator drawn by
-``random_symmetric_pauli`` and mapped by ``ungauge_pauli``;
+``random_symmetric_pauli`` and mapped by ``ungauge_pauli``, and
+``first_broken_pair_unpacked``, the bit-sliced check's draws unpacked
+and mapped one pair at a time;
 ``signed_search_cz_is_logical`` and
 ``mutual_signed_membership``, the all-generator signed searches that the
 transversal-CZ and domain-wall checks ran before they took witnesses;
@@ -407,6 +409,40 @@ def pairwise_commutation_check(s, pairs: int, seed: int) -> bool:
                 ungauge_pauli(p1, s, x_combo=c1), ungauge_pauli(p2, s, x_combo=c2)):
             return False
     return True
+
+
+def first_broken_pair_unpacked(s, pairs: int, seed: int, block: int):
+    """``first_broken_pair`` pair by pair: each block of up to ``block`` pairs
+    is drawn as that function documents, and pair k is unpacked from bit k (its
+    first operator) and bit width + k (its second) of every row, mapped by
+    ``ungauge_pauli`` with its combo, and its symplectic products before and
+    after the map are compared.  The index of the first pair that differs, or
+    None."""
+    import random
+
+    from cssgauge.gf2 import BitVec
+    from cssgauge.pauli import PauliOp, symplectic_product
+    from cssgauge.ungauge import ungauge_pauli
+
+    def unpacked(rows, k):
+        return BitVec(len(rows), sum(((row >> k) & 1) << i for i, row in enumerate(rows)))
+
+    def operator(c_rows, z_rows, k):
+        combo, z = unpacked(c_rows, k), unpacked(z_rows, k)
+        x = s._dxt.mul_vec(combo)
+        p = PauliOp(s.n_ini, x, z, x.overlap(z))
+        return p, ungauge_pauli(p, s, x_combo=combo)
+
+    rng = random.Random(seed)
+    for start in range(0, pairs, block):
+        width = min(block, pairs - start)
+        c_rows = [rng.getrandbits(2 * width) for _ in range(s.n_fin)]
+        z_rows = [rng.getrandbits(2 * width) for _ in range(s.n_ini)]
+        for k in range(width):
+            (p1, q1), (p2, q2) = operator(c_rows, z_rows, k), operator(c_rows, z_rows, width + k)
+            if symplectic_product(p1, p2) != symplectic_product(q1, q2):
+                return start + k
+    return None
 
 
 def rank_and_membership_preserved(old_ops, new_ops) -> bool:

@@ -1,15 +1,22 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cssgauge import cli
 from cssgauge.cli import main
 from cssgauge.ungauge import NotSymmetricError
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(args):
@@ -238,9 +245,20 @@ def test_spt_negative_slab_bound_may_be_the_next_token(tmp_path, capsys):
     assert "--slab: expected one argument" in capsys.readouterr().err
 
 
+def _readme_commands() -> list:
+    """The argv of each ``cssgauge ...`` line of the README's CLI block."""
+    block = (ROOT / "README.md").read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines()
+            if line.startswith("cssgauge ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
 # Inputs to main's parser: help, no arguments, and each error path, with the
-# valid commands beside them.  main builds only the parser of the command
-# that argv[0] names; the full parser must give the same result on each.
+# valid commands beside them.  main reads a plain command line with no parser
+# and otherwise builds only the parser of the command that argv[0] names; the
+# full parser must give the same result on each.
 PARSER_BATTERY = [
     ["--help"], [], *([command, "--help"] for command in cli.COMMANDS),
     ["frobnicate"], ["frobnicate", "--code", "gcc"],
@@ -254,26 +272,33 @@ PARSER_BATTERY = [
     ["ungauge", "--code=gcc", "--L=2", "--pairs", "0", "--seed", "3"],
     ["export", "--code", "gcc", "--what", "complex"], ["verify", "--cases", "7", "--out", "o"],
     ["gauge", "--code", "xu-moore", "--full"], ["ungauge", "-h", "--code"],
+    # The argv shapes of the four benchmark workloads (perfbench/run.py), --out included.
+    ["ungauge", "--code", "gcc", "--L", "2", "--seed", "20240", "--out", "o"],
+    ["spt", "--code", "toric2d", "--L", "10", "--slab", "0:2", "--out", "o"],
+    ["build", "--code", "gcc", "--L", "4", "--out", "o"], ["verify", "--out", "o"],
+    *README_COMMANDS,
 ]
 
 
-def _parsed(parse, argv, capsys):
+def _outcome(parse, argv):
     """(stdout, stderr, exit code, Namespace) of ``parse(argv)``."""
-    try:
-        args, code = parse(argv), None
-    except SystemExit as exc:
-        args, code = None, exc.code
-    out, err = capsys.readouterr()
-    return out, err, code, args
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parse(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return out.getvalue(), err.getvalue(), code, args
 
 
 @pytest.mark.parametrize("argv", PARSER_BATTERY, ids=" ".join)
-def test_parser_matches_the_full_parser(capsys, argv):
+def test_parser_matches_the_full_parser(argv):
     argv = cli._attach_negative_slab(argv)
-    assert _parsed(cli._parse, argv, capsys) == _parsed(cli.make_parser().parse_args, argv, capsys)
+    assert _outcome(cli._parse, argv) == _outcome(cli.make_parser().parse_args, argv)
 
 
-def test_a_command_builds_only_its_parser(monkeypatch):
+def _parsers_built(monkeypatch) -> list:
+    """The progs of the ``ArgumentParser``s built from now on, as they are built."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -282,9 +307,101 @@ def test_a_command_builds_only_its_parser(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    args = cli._parse(["ungauge", "--code", "gcc"])
-    assert built == ["cssgauge ungauge"]
-    assert (args.command, args.code, args.func) == ("ungauge", "gcc", cli.cmd_ungauge)
+    return built
+
+
+def test_a_plain_command_line_builds_no_parser(monkeypatch):
+    built = _parsers_built(monkeypatch)
+    args = cli._parse(["ungauge", "--code", "gcc", "--L", "2", "--out", "o"])
+    assert built == []
+    assert (args.command, args.code, args.L, args.pairs, args.func) == \
+        ("ungauge", "gcc", 2, 200, cli.cmd_ungauge)
+
+
+def test_a_command_builds_only_its_parser(monkeypatch):
+    # A command line that the plain reader leaves to argparse builds only
+    # the parser of its command.
+    built = _parsers_built(monkeypatch)
+    for argv in (["ungauge", "--code=gcc"], ["ungauge", "--code", "gcc", "--code", "gcc"]):
+        args = cli._parse(argv)
+        assert built == ["cssgauge ungauge"]
+        assert (args.command, args.code, args.func) == ("ungauge", "gcc", cli.cmd_ungauge)
+        built.clear()
+
+
+def _values(spec, accepted: bool):
+    """Values for a flag of ``spec`` that the plain reader accepts (a choice, an
+    integer, any text) or refuses (one outside the choices; a non-integer or a
+    negative number; text that starts with "-" or is empty)."""
+    if "choices" in spec:
+        return st.sampled_from(list(spec["choices"]) if accepted else ["nope", "XY"])
+    if "type" in spec:
+        return st.integers(0, 12).map(str) if accepted else st.sampled_from(["2.5", "-1", ""])
+    return st.sampled_from(["o", "1:3", "a b"] if accepted else ["-1", "--L", "-h", ""])
+
+
+# What may be wrong with a drawn command line.
+_FAULTS = ("left out", "repeated", "abbreviated", "equals", "bare", "refused value", "token")
+
+
+@st.composite
+def _command_lines(draw):
+    """An argv drawn from the ``_flags`` of one command: its required flags and
+    some others, once each, in any order, with accepted values.  About half the
+    lines have one fault: a flag left out or repeated, one flag abbreviated, in an
+    ``=`` form, with a refused value or with none (a ``store_true`` flag: a stray
+    value), or an unknown token."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = cli._flags(command)
+    chosen = draw(st.permutations([flag for flag, spec in flags.items()
+                                   if spec.get("required") or draw(st.booleans())]))
+    faults = draw(st.lists(st.sampled_from(_FAULTS), max_size=1))
+    if chosen and "left out" in faults:
+        chosen.pop(draw(st.integers(0, len(chosen) - 1)))
+    if chosen and "repeated" in faults:
+        chosen.append(draw(st.sampled_from(chosen)))
+    faulty = draw(st.sampled_from(chosen)) if chosen else None
+    argv = [command]
+    for flag in chosen:
+        spec, name, hit = flags[flag], f"--{flag}", faults if flag == faulty else ()
+        if "abbreviated" in hit:
+            name = name[:max(3, len(name) - 1)]
+        if spec.get("action") == "store_true":
+            argv += [name, "x"] if "bare" in hit else [name]
+            continue
+        value = draw(_values(spec, "refused value" not in hit))
+        if "equals" in hit:
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name] if "bare" in hit else [name, value]
+    if "token" in faults:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--", "-h", "x"])))
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_command_lines())
+def test_drawn_command_lines_match_the_full_parser(argv):
+    argv = cli._attach_negative_slab(argv)
+    assert _outcome(cli._parse, argv) == _outcome(cli.make_parser().parse_args, argv)
+
+
+def test_ungauge_leaves_locale_unimported(tmp_path):
+    # argparse imports locale (through gettext) when it builds a parser; the
+    # benchmark's ungauge command line is read without one.  Only the modules
+    # the command adds count, as in test_cli_import_leaves_numpy_unloaded.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import cssgauge.cli\n"
+            "rc = cssgauge.cli.main(['ungauge', '--code', 'gcc', '--L', '2', '--seed', '20240',"
+            " '--out', sys.argv[1]])\n"
+            "print(rc, sorted({'locale'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    ran = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
+                         capture_output=True, text=True)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.splitlines()[-1] == "0 []"
 
 
 def test_export_matrices(tmp_path):

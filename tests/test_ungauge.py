@@ -21,6 +21,7 @@ from cssgauge.ungauge import (
     commutation_preservation_check,
     dim_check,
     emergent_symmetries,
+    first_broken_pair,
     gauge_hamiltonian,
     make_setup,
     preserved_symmetries,
@@ -31,6 +32,7 @@ from cssgauge.ungauge import (
 )
 
 from tests.oracles import (
+    first_broken_pair_unpacked,
     matrix_rows,
     naive_rank,
     naive_x_preimage,
@@ -620,7 +622,20 @@ def test_verify_commutation_names_the_faulty_model(monkeypatch, where):
         monkeypatch.setitem(verify._MODEL_CACHE, "worked", {**models, name: bad})
         result = verify.check_commutation()
         assert not result.passed
-        assert result.details == f"failures: {[name]}"
+        first = first_broken_pair_unpacked(bad.setup, 1000, 20240, _PAIR_BLOCK)
+        assert result.details == f"failures: {name} at pair {first}"
+
+
+@pytest.mark.parametrize("where", ["_dxt", "d_x"])
+def test_first_broken_pair_is_the_first_pair_that_changed(monkeypatch, gcc_model, where):
+    # Blocks of 3 pairs, so that on some seeds the first block maps every
+    # pair's product unchanged and the first broken pair lies in a later block.
+    monkeypatch.setattr(ungauge, "_PAIR_BLOCK", 3)
+    s = _faulty(gcc_model.setup, where)
+    found = [first_broken_pair(s, 40, seed) for seed in range(12)]
+    assert found == [first_broken_pair_unpacked(s, 40, seed, 3) for seed in range(12)]
+    assert None not in found and max(found) >= 3
+    assert first_broken_pair(gcc_model.setup, 40, 0) is None
 
 
 def _unannihilated(s: UngaugeSetup) -> UngaugeSetup:
@@ -709,12 +724,22 @@ def test_xu_moore_full_round(bs_model):
     assert rep["coupling_map"] == {"J_X": ["J_Z"], "J_Z": ["J_X"]}
 
 
+def _gauges_the_link_operators(out) -> bool:
+    """The swapped X generators of ``full_gauge_lgt``, read off its Z-only
+    terms, are the link operators of the lattice's edges, in edge order."""
+    lattice, d_x = out["model"].code.lattice, out["swapped_setup"].d_x
+    n = lattice.n_cells(1)
+    return [d_x.row(e) for e in range(d_x.rows)] == [
+        BitVec.from_support(n, lattice.link(1, 1, e)) for e in range(n)]
+
+
 def test_full_gauge_lgt_matches_hadamard_twist():
     out = catalog.full_gauge_lgt(2)
     rep = out["report"]
     assert rep["support_multiset_match"]
     assert rep["coupling_map"] == {"J_X": ["J_Z"], "J_Z": ["J_X"]}
     assert rep["topological_x_classes"] == 18
+    assert _gauges_the_link_operators(out)
 
 
 # A wrong numbering of the swapped X generators against the Z-only terms
@@ -727,7 +752,9 @@ def test_xu_moore_full_round_on_more_rungs(length):
 
 
 def test_full_gauge_lgt_at_l4():
-    assert catalog.full_gauge_lgt(4)["report"]["support_multiset_match"]
+    out = catalog.full_gauge_lgt(4)
+    assert out["report"]["support_multiset_match"]
+    assert _gauges_the_link_operators(out)
 
 
 # -- properties over small setups -----------------------------------------------
