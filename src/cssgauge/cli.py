@@ -38,9 +38,11 @@ write that fails part way removes the file.
 The parser: each command's flags are one declaration, ``_flags``, from
 which ``make_parser`` builds each subparser (``_define``).  A plain
 command line (``_plain`` states which) is read from that declaration
-with no parser built, since a fresh process's first argparse parser
-costs about 2 ms (``gettext`` imports ``locale``, patterns compile), a
-fifth of ``ungauge --code gcc --L 2``.  Anything else (help, an
+into a ``types.SimpleNamespace`` with no parser built and argparse not
+imported, since a fresh process's first argparse parser costs about
+2 ms (``gettext`` imports ``locale``, patterns compile), a fifth of
+``ungauge --code gcc --L 2``, and ``import argparse`` alone another
+1.6 ms.  Anything else (help, an
 abbreviation, ``--flag=value``, a repeated flag, a refused value) goes to
 argparse, so help, errors and exit codes are its own: ``main`` builds
 only the parser of the command that ``argv[0]`` names, the subparser
@@ -51,12 +53,12 @@ prog), go to the full parser.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import catalog
 from .analysis import code_parameters, commuting_check, components
@@ -74,6 +76,9 @@ from .pauli import PauliOp, Term
 from .sptwall import Region, find_cz_disentangler, spt_pipeline
 from .ungauge import UngaugeError, setup_report, strip_identity_terms, ungauge_hamiltonian
 from .verify import run_all
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class UsageError(Exception):
@@ -467,10 +472,12 @@ def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer count, not {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count >= 0, not {value}")
-    return value
+        value = None
+    if value is not None and value >= 0:
+        return value
+    from argparse import ArgumentTypeError     # the error argparse reports as a bad value
+    raise ArgumentTypeError(f"expected an integer count, not {text!r}" if value is None
+                            else f"expected a count >= 0, not {value}")
 
 
 def _parse_slab(text: str) -> tuple[float, float]:
@@ -592,6 +599,8 @@ def _define(p: argparse.ArgumentParser, command: str) -> None:
 
 def make_parser() -> argparse.ArgumentParser:
     """The parser of every command (``cssgauge --help`` and the errors of no command)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cssgauge",
         description="gauging/ungauging duality for CSS stabilizer and subsystem codes")
@@ -601,13 +610,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain(argv: list) -> Optional[argparse.Namespace]:
-    """The Namespace that ``make_parser().parse_args(argv)`` returns for a plain
-    command line, read from ``_flags`` with no parser built; None for any other
-    input.  Plain is a command, then each of its flags at most once, by its exact
-    name, with one value that is not empty, does not start with "-" and passes the
-    flag's ``type`` and ``choices`` (a ``store_true`` flag takes none), and every
-    required flag given."""
+def _plain(argv: list) -> Optional[SimpleNamespace]:
+    """A namespace with the attributes of the Namespace that
+    ``make_parser().parse_args(argv)`` returns for a plain command line, read from
+    ``_flags`` with argparse not even imported; None for any other input.  Plain is
+    a command, then each of its flags at most once, by its exact name, with one
+    value that is not empty, does not start with "-" and passes the flag's
+    ``type`` and ``choices`` (a ``store_true`` flag takes none), and every required
+    flag given."""
     if not argv or argv[0] not in COMMANDS:
         return None
     flags = _flags(argv[0])
@@ -624,9 +634,9 @@ def _plain(argv: list) -> Optional[argparse.Namespace]:
         text = next(tokens, "")
         if not text or text.startswith("-"):
             return None
-        try:        # the errors that argparse reports as a bad value
+        try:
             value = spec.get("type", str)(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:   # argparse reports it as a bad value, or raises it again
             return None
         if "choices" in spec and value not in spec["choices"]:
             return None
@@ -634,10 +644,10 @@ def _plain(argv: list) -> Optional[argparse.Namespace]:
     if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
         return None
     values = {flag: given.get(flag, spec.get("default")) for flag, spec in flags.items()}
-    return argparse.Namespace(command=argv[0], **values, func=COMMANDS[argv[0]][1])
+    return SimpleNamespace(command=argv[0], **values, func=COMMANDS[argv[0]][1])
 
 
-def _parse(argv: list) -> argparse.Namespace:
+def _parse(argv: list):
     """``make_parser().parse_args(argv)``.  A plain command line (``_plain``) builds
     no parser.  Any other input that ``argv[0]`` names a command of builds only that
     command's parser, the subparser ``make_parser`` would run, so its help and errors
@@ -646,6 +656,8 @@ def _parse(argv: list) -> argparse.Namespace:
     args = _plain(argv)
     if args is not None:
         return args
+    import argparse
+
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"cssgauge {argv[0]}")
         _define(parser, argv[0])

@@ -9,7 +9,9 @@ gauge color code do, and is checked with G_Z·S_Xᵀ and G_X·S_Zᵀ; a
 self-dual listing (S_Z = S_X and G_X = G_Z, as for the gauge color code)
 makes the second product equal to the first, so it is checked once.
 The products transpose the stabilizers, so G_Z is transposed only where
-``analysis.code_parameters`` forms G_X·G_Zᵀ.
+``analysis.code_parameters`` forms G_X·G_Zᵀ.  When S_Z = S_X the
+constructor keeps its S_Xᵀ, which is the complex's d_z (the S_Z
+columns), so a self-dual listing transposes its stabilizers once.
 """
 
 from __future__ import annotations
@@ -57,10 +59,14 @@ class CssSubsystemCode:
             raise ValueError("qubit label count mismatch")
         self.lattice = lattice
         self.metadata = dict(metadata) if metadata else {}
-        if not is_zero_product(self.gauge_z_matrix(), self.stabilizer_x_matrix().transpose()):
+        stabilizer_x_t = self.stabilizer_x_matrix().transpose()
+        if not is_zero_product(self.gauge_z_matrix(), stabilizer_x_t):
             raise ValueError("X stabilizer anticommutes with a Z gauge generator")
+        same = self.stabilizer_z == self.stabilizer_x
+        # The complex's d_z, the S_Z columns, when they are the S_Xᵀ just formed.
+        self._d_z = stabilizer_x_t if same else None
         # G_X·S_Zᵀ is the product above transposed (stabilizer code) or repeated (self-dual).
-        proved = abelian or (self.stabilizer_z == self.stabilizer_x and self.gauge_x == self.gauge_z)
+        proved = abelian or (same and self.gauge_x == self.gauge_z)
         if not proved and not is_zero_product(self.gauge_x_matrix(),
                                               self.stabilizer_z_matrix().transpose()):
             raise ValueError("Z stabilizer anticommutes with an X gauge generator")
@@ -86,8 +92,8 @@ class CssSubsystemCode:
 
     def css_complex(self) -> CssComplex:
         """The stabilizer CSS complex: Z-checks -> qubits -> X-checks."""
-        return CssComplex(BitMatrix.from_columns(self.n, self.stabilizer_z),
-                          self.stabilizer_x_matrix(), self.qubit_labels)
+        d_z = self._d_z or BitMatrix.from_columns(self.n, self.stabilizer_z)
+        return CssComplex(d_z, self.stabilizer_x_matrix(), self.qubit_labels)
 
     # -- serialisation ---------------------------------------------------
 

@@ -36,11 +36,12 @@ itself and the pivots, in ascending column order.  These make kernel
 bases, solutions and everything derived from them reproducible across
 runs.  None of them depends on the pivot bit: see ``Echelon``.
 
-Set bits are walked from the top in ``_mask_to_support``, ``_xor_rows``
-and ``BitMatrix.transpose``: ``bit_length`` finds the highest and
-``1 << top`` clears it, with no negated copy as ``v & -v`` makes.
-``_mask_to_support`` reverses once at the end, so supports stay
-ascending.
+Set bits are walked from the top in ``_mask_to_support``, ``_xor_rows``,
+``BitMatrix.or_rows`` and ``BitMatrix.transpose``: ``bit_length`` finds
+the highest and ``1 << top`` clears it, with no negated copy as
+``v & -v`` makes.  ``_mask_to_support`` reverses once at the end, so
+supports stay ascending.  ``row_support`` and ``or_rows`` read rows with
+no ``BitVec`` built.
 
 ``BitMatrix.mul_vec`` and ``@`` share one walk, ``_xor_rows``: the sum
 of the rows a bitmask selects.  ``mul_vec`` XORs the columns its vector
@@ -185,18 +186,6 @@ class BitMatrix:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "BitMatrix":
-        row_bits = [0] * rows
-        for r, c in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            bits = row_bits[r]
-            if bits >> c & 1:
-                raise ValueError(f"duplicate entry ({r},{c})")
-            row_bits[r] = bits | 1 << c
-        return cls(rows, cols, row_bits)
-
-    @classmethod
     def from_rows(cls, cols: int, rows: Iterable[BitVec]) -> "BitMatrix":
         bits = []
         for r in rows:
@@ -221,6 +210,20 @@ class BitMatrix:
 
     def row_bits(self, i: int) -> int:
         return self._rows[i]
+
+    def row_support(self, i: int) -> tuple[int, ...]:
+        """The columns set in row i, ascending, with no ``BitVec`` built."""
+        return _mask_to_support(self._rows[i])
+
+    def or_rows(self, bits: int) -> int:
+        """The OR of the rows that the set bits of ``bits`` select: one row of a
+        boolean product, the twin of ``_xor_rows``."""
+        acc, rows = 0, self._rows
+        while bits:
+            top = bits.bit_length() - 1
+            acc |= rows[top]
+            bits ^= 1 << top
+        return acc
 
     def column(self, j: int) -> BitVec:
         if not 0 <= j < self.cols:

@@ -10,6 +10,11 @@ Incidence is always read by rows: row i of ``generalized_boundary(k, l)``
 lists the k-cells related to l-cell i.  The (k, l) and (l, k) matrices
 are transposes of each other, so "which k-cells meet this l-cell" is
 one row of the first and never a column of the second.
+
+Every lattice forms its boundary rows straight from each cell's faces:
+with ``bit = 1 << cell`` made once per cell, each face's row takes
+``rows[face] |= bit``, one big-int OR per incidence and no entry list,
+and ``_incidence`` checks the rows once.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class CellComplex:
     # -- derived incidence ----------------------------------------------
 
     def vertex_set(self, d: int, i: int) -> frozenset[int]:
-        return frozenset(BitVec(self.n_cells(0), self._vertex_bits(d, i)).support)
+        return frozenset((i,) if d == 0 else self.generalized_boundary(0, d).row_support(i))
 
     def _vertex_bits(self, d: int, i: int) -> int:
         return 1 << i if d == 0 else self.generalized_boundary(0, d).row_bits(i)
@@ -82,13 +87,8 @@ class CellComplex:
             result = self.boundary[k]
         else:
             faces, upper = self.boundary[l + 1], self.generalized_boundary(k, l + 1)
-            rows = []
-            for i in range(faces.rows):
-                acc = 0
-                for j in faces.row(i).support:
-                    acc |= upper.row_bits(j)
-                rows.append(acc)
-            result = BitMatrix(faces.rows, upper.cols, rows)
+            result = BitMatrix(faces.rows, upper.cols,
+                               [upper.or_rows(faces.row_bits(i)) for i in range(faces.rows)])
         self._gb_cache[(k, l)] = result
         return result
 
@@ -99,11 +99,8 @@ class CellComplex:
         """
         top = self.dimension
         own = self._vertex_bits(d, i)
-        tops = (i,) if d == top else self.generalized_boundary(top, d).row(i).support
-        top_cells = self.generalized_boundary(n, top)
-        near = 0
-        for t in tops:
-            near |= top_cells.row_bits(t)
+        tops = 1 << i if d == top else self.generalized_boundary(top, d).row_bits(i)
+        near = self.generalized_boundary(n, top).or_rows(tops)
         return tuple(c for c in BitVec(self.n_cells(n), near).support
                      if not self._vertex_bits(n, c) & own)
 
@@ -126,13 +123,15 @@ class CellComplex:
         new_boundary: list[Optional[BitMatrix]] = [None]
         for d in range(1, top_dim + 1):
             old_pos = {i: p for p, i in enumerate(kept[d - 1])}
-            entries = []
             faces = self.generalized_boundary(d - 1, d)
+            rows = [0] * len(kept[d - 1])
+            count = 0
             for new_c, old_c in enumerate(kept[d]):
-                for f in faces.row(old_c).support:
-                    entries.append((old_pos[f], new_c))
-            new_boundary.append(
-                BitMatrix.from_entries(len(kept[d - 1]), len(kept[d]), entries))
+                bit = 1 << new_c
+                for f in faces.row_support(old_c):
+                    rows[old_pos[f]] |= bit
+                count += faces.row_bits(old_c).bit_count()
+            new_boundary.append(_incidence(rows, len(kept[d]), count))
         colors_kept = {lab: col for lab, col in self.vertex_colors.items()
                        if col in keep and lab in self._index[0]}
         return CellComplex(top_dim, new_cells, new_boundary, colors_kept)
@@ -152,7 +151,7 @@ class CellComplex:
         lines = ["graph incidence {"]
         faces = self.generalized_boundary(d - 1, d)
         for c in range(self.n_cells(d)):
-            for f in faces.row(c).support:
+            for f in faces.row_support(c):
                 lines.append(f'  "{self.cells[d][c]}" -- "{self.cells[d - 1][f]}";')
         lines.append("}")
         return "\n".join(lines)
@@ -165,6 +164,17 @@ class CellComplex:
 # ---------------------------------------------------------------------------
 # Concrete lattices
 # ---------------------------------------------------------------------------
+
+
+def _incidence(row_bits: list[int], cols: int, count: int) -> BitMatrix:
+    """The boundary matrix whose rows a builder formed by ORing in ``count``
+    incidences.  One ORed twice or left out makes the popcounts of the rows
+    sum to another number: ``ValueError``.  ``BitMatrix`` checks the columns."""
+    held = sum(map(int.bit_count, row_bits))
+    if held != count:
+        raise ValueError(f"{count} incidences were added but the rows hold {held}: "
+                         "one was added twice or left out")
+    return BitMatrix(len(row_bits), cols, row_bits)
 
 
 # Axis names of the hypercubic lattices, in axis order; cell labels spell
@@ -205,15 +215,16 @@ def hypercubic_torus(dim: int, length: int) -> CellComplex:
     boundary: list[Optional[BitMatrix]] = [None]
     for d in range(1, dim + 1):
         first = {axes: i * n for i, axes in enumerate(axis_sets[d - 1])}
-        entries = []
+        rows = [0] * len(cells[d - 1])
         for j, axes in enumerate(axis_sets[d]):
             # Face a of cell (axes, s) drops axis a: at s and one step along a.
             faces = [(first[tuple(b for b in axes if b != a)], fwd[a]) for a in axes]
             for s in range(n):
-                col = j * n + s
+                bit = 1 << (j * n + s)
                 for face, step in faces:
-                    entries += ((face + s, col), (face + step[s], col))
-        boundary.append(BitMatrix.from_entries(len(cells[d - 1]), len(cells[d]), entries))
+                    rows[face + s] |= bit
+                    rows[face + step[s]] |= bit
+        boundary.append(_incidence(rows, len(cells[d]), 2 * d * len(cells[d])))
     return CellComplex(dim, cells, boundary)
 
 
@@ -237,12 +248,15 @@ def octahedron_sphere() -> CellComplex:
     edges = [(i, j) for i in range(6) for j in range(i + 1, 6) if antipode[i] != j]
     faces = [(x, y, z) for x in (0, 1) for y in (2, 3) for z in (4, 5)]
     e_index = {e: k for k, e in enumerate(edges)}
-    b1 = BitMatrix.from_entries(6, 12, [(v, k) for k, e in enumerate(edges) for v in e])
-    face_entries = []
+    vertex_rows, edge_rows = [0] * 6, [0] * 12
+    for k, (i, j) in enumerate(edges):
+        vertex_rows[i] |= 1 << k
+        vertex_rows[j] |= 1 << k
     for k, f in enumerate(faces):
         for pair in itertools.combinations(sorted(f), 2):
-            face_entries.append((e_index[pair], k))
-    b2 = BitMatrix.from_entries(12, 8, face_entries)
+            edge_rows[e_index[pair]] |= 1 << k
+    b1 = _incidence(vertex_rows, 12, 24)
+    b2 = _incidence(edge_rows, 8, 24)
     cells = [verts,
              [f"{verts[i]}{verts[j]}" for i, j in edges],
              ["".join(verts[v] for v in f) for f in faces]]
@@ -267,15 +281,17 @@ def triangular_torus(length: int) -> CellComplex:
     east, north = fwd
     verts = [f"v{p}" for p in names]
     colors = dict(zip(verts, ["abc"[(s // length - s % length) % 3] for s in range(n)]))
-    edge_entries, face_entries = [], []
+    vertex_rows, edge_rows = [0] * n, [0] * (3 * n)
     for s in range(n):
-        e, f = 3 * s, 2 * s
-        edge_entries += ((s, e), (east[s], e), (s, e + 1), (north[s], e + 1),
-                         (east[s], e + 2), (north[s], e + 2))
-        face_entries += ((e, f), (e + 1, f), (e + 2, f),
-                         (e + 2, f + 1), (3 * north[s], f + 1), (3 * east[s] + 1, f + 1))
-    b1 = BitMatrix.from_entries(n, 3 * n, edge_entries)
-    b2 = BitMatrix.from_entries(3 * n, 2 * n, face_entries)
+        e, f, x, y = 3 * s, 2 * s, east[s], north[s]
+        for rows, col, faces in ((vertex_rows, e, (s, x)), (vertex_rows, e + 1, (s, y)),
+                                 (vertex_rows, e + 2, (x, y)), (edge_rows, f, (e, e + 1, e + 2)),
+                                 (edge_rows, f + 1, (e + 2, 3 * y, 3 * x + 1))):
+            bit = 1 << col
+            for face in faces:
+                rows[face] |= bit
+    b1 = _incidence(vertex_rows, 3 * n, 6 * n)
+    b2 = _incidence(edge_rows, 2 * n, 6 * n)
     cells = [
         verts,
         [f"{kind}{p}" for p in names for kind in "END"],
@@ -311,23 +327,29 @@ def gcc_lattice(length: int) -> CellComplex:
     # belongs to, in site order (the order of their points); ``cc`` maps
     # s*N + q to the edge.
     edge_labels = [f"{kind}:{AXES[a]}{p}" for kind in ("ab", "cd") for a in range(3) for p in names]
-    edge_entries = []
+    rows = [0] * (2 * n)
     for a in range(3):
         for s in range(n):
-            e = a * n + s
-            edge_entries += ((s, e), (fwd[a][s], e), (n + s, 3 * n + e), (n + back[a][s], 3 * n + e))
+            bit = 1 << (a * n + s)
+            rows[s] |= bit
+            rows[fwd[a][s]] |= bit
+            bit <<= 3 * n       # the cd edge 3N + a*N + s
+            rows[n + s] |= bit
+            rows[n + back[a][s]] |= bit
     cc = {}
     for s in range(n):
         for q in sorted(z for x in (s, back[0][s]) for y in (x, back[1][x]) for z in (y, back[2][y])):
             e = cc[s * n + q] = len(edge_labels)
             edge_labels.append(f"cc:{names[s]}|{names[q]}")
-            edge_entries += ((s, e), (n + q, e))
-    b1 = BitMatrix.from_entries(2 * n, len(edge_labels), edge_entries)
+            bit = 1 << e
+            rows[s] |= bit
+            rows[n + q] |= bit
+    b1 = _incidence(rows, len(edge_labels), 2 * len(edge_labels))
 
     # Triangles: (cubic edge, cube containing it), keyed (a*N + s)*N + cube,
     # then (face corner, face), the four corners of face (a, s) in a row.
     tri_labels = []
-    tri_entries = []
+    rows = [0] * len(edge_labels)
     ec = {}
     for a, (t1, t2) in enumerate(others):
         for s in range(n):
@@ -336,33 +358,39 @@ def gcc_lattice(length: int) -> CellComplex:
                 for cube in (y, back[t2][y]):
                     t = ec[(a * n + s) * n + cube] = len(tri_labels)
                     tri_labels.append(f"ec:{AXES[a]}{names[s]}|{names[cube]}")
-                    tri_entries += ((a * n + s, t), (cc[s * n + cube], t), (cc[q * n + cube], t))
+                    bit = 1 << t
+                    rows[a * n + s] |= bit
+                    rows[cc[s * n + cube]] |= bit
+                    rows[cc[q * n + cube]] |= bit
     for a, (t1, t2) in enumerate(others):
         for s in range(n):
             behind = back[a][s]
             for corner in (s, fwd[t1][s], fwd[t2][s], fwd[t2][fwd[t1][s]]):
-                t = len(tri_labels)
+                bit = 1 << len(tri_labels)
                 tri_labels.append(f"vf:{names[corner]}|{AXES[a]}{names[s]}")
-                tri_entries += ((3 * n + a * n + s, t), (cc[corner * n + s], t),
-                                (cc[corner * n + behind], t))
-    b2 = BitMatrix.from_entries(len(edge_labels), len(tri_labels), tri_entries)
+                rows[3 * n + a * n + s] |= bit
+                rows[cc[corner * n + s]] |= bit
+                rows[cc[corner * n + behind]] |= bit
+    b2 = _incidence(rows, len(tri_labels), 3 * len(tri_labels))
 
     # Tetrahedra: one per (face, edge of that face), the edge joining face
     # corners i and j; the face's vf triangles start at 12N + 4*(a*N + s).
     tet_labels = []
-    tet_entries = []
+    rows = [0] * len(tri_labels)
     for a, (t1, t2) in enumerate(others):
         for s in range(n):
             behind = back[a][s]
             vf = 12 * n + 4 * (a * n + s)
             for ea, ep, i, j in ((t1, s, 0, 1), (t1, fwd[t2][s], 2, 3),
                                  (t2, s, 0, 2), (t2, fwd[t1][s], 1, 3)):
-                col = len(tet_labels)
+                bit = 1 << len(tet_labels)
                 tet_labels.append(f"t:{AXES[a]}{names[s]}|{AXES[ea]}{names[ep]}")
                 key = (ea * n + ep) * n
-                tet_entries += ((ec[key + s], col), (ec[key + behind], col),
-                                (vf + i, col), (vf + j, col))
-    b3 = BitMatrix.from_entries(len(tri_labels), len(tet_labels), tet_entries)
+                rows[ec[key + s]] |= bit
+                rows[ec[key + behind]] |= bit
+                rows[vf + i] |= bit
+                rows[vf + j] |= bit
+    b3 = _incidence(rows, len(tet_labels), 4 * len(tet_labels))
 
     cells = [verts, edge_labels, tri_labels, tet_labels]
     return CellComplex(3, cells, [None, b1, b2, b3], colors)
@@ -376,7 +404,7 @@ def edge_color_class(lattice: CellComplex, e: int) -> str:
     if lattice.vertex_colors is None:
         raise ValueError("lattice is not colored")
     labels, colors = lattice.cells[0], lattice.vertex_colors
-    ends = lattice.generalized_boundary(0, 1).row(e).support
+    ends = lattice.generalized_boundary(0, 1).row_support(e)
     return "".join(sorted({colors[labels[v]] for v in ends}))
 
 
@@ -399,18 +427,20 @@ def color_pair_sublattice(tri: CellComplex, colors: Iterable[str]) -> CellComple
     kept_edges = {base.cells[1][i]: i for i in range(base.n_cells(1))}
 
     plaq_labels = []
-    plaq_entries = []
+    rows = [0] * base.n_cells(1)
+    count = 0
     removed_color = removed.pop()
     for v in range(tri.n_cells(0)):
         if tri.vertex_colors[tri.cells[0][v]] != removed_color:
             continue
         ring = tri.link(1, 0, v)
-        cols = len(plaq_labels)
+        bit = 1 << len(plaq_labels)
         plaq_labels.append(f"hex:{tri.cells[0][v]}")
         for e in ring:
             lab = tri.cells[1][e]
             if lab in kept_edges:
-                plaq_entries.append((kept_edges[lab], cols))
-    b2 = BitMatrix.from_entries(base.n_cells(1), len(plaq_labels), plaq_entries)
+                rows[kept_edges[lab]] |= bit
+                count += 1
+    b2 = _incidence(rows, len(plaq_labels), count)
     return CellComplex(2, [list(base.cells[0]), list(base.cells[1]), plaq_labels],
                        [None, base.boundary[1], b2], base.vertex_colors)

@@ -28,7 +28,12 @@ transversal-CZ and domain-wall checks ran before they took witnesses;
 package's ``torus_sites`` before they were hoisted to once per axis set;
 ``center_of_group``, which the code tests use to state the center of
 a gauge group; ``lattice_is_valid``, the boundary-of-boundary and
-edge-coloring check on a cell complex; and ``stdlib_json``, the text a
+edge-coloring check on a cell complex; ``entry_matrix``, the
+entry-by-entry matrix constructor, each entry checked, that the
+lattices used before they formed each row from a cell's faces;
+``cell_faces`` and ``cell_vertices``, each cell's faces and vertices as
+sets, from the supports of the boundary matrices rather than their row
+bits; and ``stdlib_json``, the text a
 report must be written as: the stdlib encoder on the report with each
 ``Term`` and ``PauliOp`` in its ``to_json()`` form.
 Slow and obvious on purpose.
@@ -42,6 +47,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from cssgauge.gf2 import BitMatrix
 from cssgauge.pauli import PauliOp, Term
 
 I2 = np.eye(2, dtype=complex)
@@ -84,23 +90,46 @@ def naive_generalized_boundary(lattice, k: int, l: int) -> set[tuple[int, int]]:
 
     The frontier-set closure: walk each higher cell down to the lower
     dimension one face layer at a time, reading faces from the boundary
-    entries.
+    entries (``cell_faces``).
     """
     hi, lo = max(k, l), min(k, l)
-    faces: dict[int, dict[int, set[int]]] = {d: {} for d in range(lo + 1, hi + 1)}
-    for d, of_cell in faces.items():
-        for f, c in lattice.boundary[d].entries:
-            of_cell.setdefault(c, set()).add(f)
+    faces = {d: cell_faces(lattice, d) for d in range(lo + 1, hi + 1)}
     out = set()
     for c in range(lattice.n_cells(hi)):
         frontier = {c}
         for d in range(hi, lo, -1):
-            nxt: set[int] = set()
-            for cell in frontier:
-                nxt.update(faces[d].get(cell, ()))
-            frontier = nxt
+            frontier = set().union(*(faces[d][cell] for cell in frontier))
         out.update((f, c) if k > l else (c, f) for f in frontier)
     return out
+
+
+def entry_matrix(rows: int, cols: int, entries) -> BitMatrix:
+    """The matrix with exactly the listed (row, column) entries; an entry out of
+    range or listed twice raises ``ValueError``."""
+    row_bits = [0] * rows
+    for r, c in entries:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValueError(f"entry ({r},{c}) out of range")
+        if row_bits[r] >> c & 1:
+            raise ValueError(f"duplicate entry ({r},{c})")
+        row_bits[r] |= 1 << c
+    return BitMatrix(rows, cols, row_bits)
+
+
+def cell_faces(lattice, d: int) -> list[set[int]]:
+    """The (d-1)-faces of each d-cell, collected from the entries of ``boundary[d]``."""
+    faces = [set() for _ in range(lattice.n_cells(d))]
+    for f, c in lattice.boundary[d].entries:
+        faces[c].add(f)
+    return faces
+
+
+def cell_vertices(lattice, d: int) -> list[set[int]]:
+    """The vertices of each d-cell: the union of its faces' vertices, layer by layer."""
+    verts = [{v} for v in range(lattice.n_cells(0))]
+    for e in range(1, d + 1):
+        verts = [set().union(*(verts[f] for f in faces)) for faces in cell_faces(lattice, e)]
+    return verts
 
 
 def lattice_is_valid(lattice) -> bool:

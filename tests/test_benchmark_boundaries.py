@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cssgauge import cli, gf2, pauli, verify
+from cssgauge import cli, gf2, lattice, pauli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,11 +106,30 @@ def test_products_per_command(tmp_path, monkeypatch, capsys, argv, products):
 
 
 def test_transposes_in_the_gcc_build(tmp_path, monkeypatch, capsys):
-    # S_X for the one commutation product, G_Z for the overlaps of
-    # code_parameters, the stabilizer columns of the complex, and the
-    # lattice incidence of the DOT file.
+    # S_X for the one commutation product, which the self-dual listing
+    # keeps as the complex's stabilizer columns, G_Z for the overlaps of
+    # code_parameters, and the lattice incidence of the DOT file.
     argv = ["build", "--code", "gcc", "--L", "4"]
-    assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "transpose", argv) == 4
+    assert _calls_in_command(tmp_path, monkeypatch, gf2.BitMatrix, "transpose", argv) == 3
+
+
+def test_gcc_lattice_forms_its_rows_from_the_faces(tmp_path, monkeypatch, capsys):
+    # One popcount check per boundary, and no BitVec built for a row, an
+    # entry or a composite while the lattice and the composites the gcc
+    # builder reads are formed.
+    argv = ["build", "--code", "gcc", "--L", "4"]
+    assert _calls_in_command(tmp_path, monkeypatch, lattice, "_incidence", argv) == 3
+    calls = []
+    init = gf2.BitVec.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(gf2.BitVec, "__init__", counted)
+    lat = lattice.gcc_lattice(4)
+    lat.generalized_boundary(3, 1), lat.generalized_boundary(3, 0)
+    assert calls == []
 
 
 # Renderer calls while the ungauge gcc L=2 report is written: a guard

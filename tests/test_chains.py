@@ -13,6 +13,8 @@ from cssgauge.chains import (
 from cssgauge.gf2 import BitMatrix, BitVec, is_zero_product, rank
 from cssgauge.lattice import octahedron_sphere
 
+from tests.oracles import entry_matrix
+
 
 def test_validate_toric_complex():
     for code in (build_toric(2, 3, 1), build_toric_sphere()):
@@ -24,7 +26,7 @@ def test_validate_detects_flipped_bit():
     c = build_toric_sphere().css_complex()
     d_x = c.d_x
     flipped = set(d_x.entries) ^ {(0, 0)}
-    broken = CssComplex(c.d_z, BitMatrix.from_entries(d_x.rows, d_x.cols, flipped),
+    broken = CssComplex(c.d_z, entry_matrix(d_x.rows, d_x.cols, flipped),
                         c.qubit_labels)
     assert not is_zero_product(broken.d_x, broken.d_z)
     with pytest.raises(AssertionError):
@@ -52,10 +54,10 @@ def test_validate_invariant_under_basis_permutation():
     perm = list(range(len(c.qubit_labels)))
     rng.shuffle(perm)
     d_z, d_x = c.d_z, c.d_x
-    d_z2 = BitMatrix.from_entries(d_z.rows, d_z.cols,
-                                  [(perm[r], col) for r, col in d_z.entries])
-    d_x2 = BitMatrix.from_entries(d_x.rows, d_x.cols,
-                                  [(r, perm[col]) for r, col in d_x.entries])
+    d_z2 = entry_matrix(d_z.rows, d_z.cols,
+                         [(perm[r], col) for r, col in d_z.entries])
+    d_x2 = entry_matrix(d_x.rows, d_x.cols,
+                         [(r, perm[col]) for r, col in d_x.entries])
     assert is_zero_product(d_x2, d_z2)
     assert qubit_homology_dim(CssComplex(d_z2, d_x2, c.qubit_labels)) == 2
 

@@ -281,11 +281,15 @@ PARSER_BATTERY = [
 
 
 def _outcome(parse, argv):
-    """(stdout, stderr, exit code, Namespace) of ``parse(argv)``."""
+    """(stdout, stderr, exit code, the namespace's attributes) of ``parse(argv)``.
+
+    The attributes, as ``Namespace.__eq__`` compares them: a plain command
+    line is read into a ``SimpleNamespace``, which equals no ``Namespace``.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args, code = parse(argv), None
+            args, code = vars(parse(argv)), None
         except SystemExit as exc:
             args, code = None, exc.code
     return out.getvalue(), err.getvalue(), code, args
@@ -402,6 +406,25 @@ def test_ungauge_leaves_locale_unimported(tmp_path):
                          capture_output=True, text=True)
     assert ran.returncode == 0, ran.stderr
     assert ran.stdout.splitlines()[-1] == "0 []"
+
+
+def test_argparse_is_imported_only_for_help(tmp_path):
+    # A plain command line is read without argparse; help (and any error)
+    # goes to argparse, which is imported then.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "import cssgauge.cli\n"
+            "rc = cssgauge.cli.main(['ungauge', '--code', 'gcc', '--L', '2', '--out', sys.argv[1]])\n"
+            "plain = 'argparse' in sys.modules\n"
+            "try:\n"
+            "    cssgauge.cli.main(['ungauge', '--help'])\n"
+            "except SystemExit as exc:\n"
+            "    print(rc, plain, exc.code, 'argparse' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    ran = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
+                         capture_output=True, text=True)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.splitlines()[-1] == "0 False 0 True"
 
 
 def test_export_matrices(tmp_path):

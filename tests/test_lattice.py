@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from cssgauge.gf2 import BitMatrix
+from cssgauge import lattice as lattice_module
 from cssgauge.lattice import (
     CellComplex,
     color_pair_sublattice,
@@ -17,6 +17,9 @@ from cssgauge.lattice import (
 )
 
 from tests.oracles import (
+    cell_faces,
+    cell_vertices,
+    entry_matrix,
     lattice_is_valid,
     naive_gcc_lattice,
     naive_generalized_boundary,
@@ -35,10 +38,10 @@ def single_tetrahedron():
     edges = list(itertools.combinations(range(4), 2))
     tris = list(itertools.combinations(range(4), 3))
     e_idx = {e: i for i, e in enumerate(edges)}
-    b1 = BitMatrix.from_entries(4, 6, [(v, i) for i, e in enumerate(edges) for v in e])
-    b2 = BitMatrix.from_entries(6, 4, [(e_idx[pair], i) for i, t in enumerate(tris)
-                                       for pair in itertools.combinations(t, 2)])
-    b3 = BitMatrix.from_entries(4, 1, [(i, 0) for i in range(4)])
+    b1 = entry_matrix(4, 6, [(v, i) for i, e in enumerate(edges) for v in e])
+    b2 = entry_matrix(6, 4, [(e_idx[pair], i) for i, t in enumerate(tris)
+                             for pair in itertools.combinations(t, 2)])
+    b3 = entry_matrix(4, 1, [(i, 0) for i in range(4)])
     cells = [verts, [f"e{e}" for e in edges], [f"t{t}" for t in tris], ["tet"]]
     return CellComplex(3, cells, [None, b1, b2, b3])
 
@@ -72,14 +75,56 @@ def test_triangular_torus():
 
 
 def test_gcc_lattice_counts():
+    # Cell by cell, from each cell's faces as a set (read from the boundary
+    # entries): 2, 3 and 4 faces on each edge, triangle and tetrahedron;
+    # ∂_{d-1}·∂_d = 0, each (d-2)-cell on an even number of a d-cell's
+    # faces; and four colors on each tetrahedron's four vertices.
     for L in (2, 4, 6):
         lat = gcc_lattice(L)
         assert (lat.n_cells(0), lat.n_cells(1), lat.n_cells(2), lat.n_cells(3)) == (
             2 * L ** 3, 14 * L ** 3, 24 * L ** 3, 12 * L ** 3)
         assert euler_characteristic(lat) == 0
+        faces = [None] + [cell_faces(lat, d) for d in (1, 2, 3)]
+        for d in (1, 2, 3):
+            assert {len(f) for f in faces[d]} == {d + 1}, d
+        for d in (2, 3):
+            for cell in faces[d]:
+                below = [g for f in cell for g in faces[d - 1][f]]
+                assert all(below.count(g) % 2 == 0 for g in below), (d, cell)
+        colors = [lat.vertex_colors[label] for label in lat.cells[0]]
+        assert all(sorted(colors[v] for v in vs) == list("abcd") for vs in cell_vertices(lat, 3))
     assert lattice_is_valid(gcc_lattice(2))
     with pytest.raises(ValueError):
         gcc_lattice(3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("fault", ["duplicated", "dropped"])
+def test_gcc_incidence_fault_raises(monkeypatch, d, fault):
+    # A fault in boundary d as ``gcc_lattice`` hands it to ``_incidence``: an
+    # incidence ORed in a second time (the rows as they were, one incidence
+    # more added) or left out (one bit missing from the rows).
+    check, calls = lattice_module._incidence, []
+
+    def faulty(rows, cols, count):
+        calls.append(cols)
+        if len(calls) == d:
+            if fault == "duplicated":
+                count += 1
+            else:
+                rows = [rows[0] & rows[0] - 1] + rows[1:]
+        return check(rows, cols, count)
+
+    monkeypatch.setattr(lattice_module, "_incidence", faulty)
+    with pytest.raises(ValueError, match="added twice or left out"):
+        gcc_lattice(2)
+    assert len(calls) == d
+
+
+def test_incidence_checks_the_column_range():
+    assert lattice_module._incidence([0b11, 0b01], 2, 3).entries == ((0, 0), (0, 1), (1, 0))
+    with pytest.raises(ValueError, match="column out of range"):
+        lattice_module._incidence([0b100], 2, 1)
 
 
 def assert_same_complex(lat, cells, boundary):
@@ -283,10 +328,12 @@ def test_incidence_dot():
     octahedron_sphere,
     lambda: hypercubic_torus(2, 3),
     lambda: hypercubic_torus(3, 2),
+    lambda: hypercubic_torus(3, 3),
     lambda: hypercubic_torus(4, 2),
     lambda: triangular_torus(3),
     lambda: gcc_lattice(2),
-], ids=["octahedron", "square3", "cubic2", "tesseract2", "triangular3", "gcc2"])
+    lambda: gcc_lattice(4),
+], ids=["octahedron", "square3", "cubic2", "cubic3", "tesseract2", "triangular3", "gcc2", "gcc4"])
 def test_generalized_boundary_matches_frontier_closure(make):
     lat = make()
     for k in range(lat.dimension + 1):
